@@ -16,16 +16,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
 from .data import DatasetManifest
 from .model import AdapterDelta, BaseWeights, compose_delta, loss_and_grad, make_batch
-from .partitioner import ClientSlot, classify_client, client_missing_rate
-
-CLIENT_KINDS = ("aligned", "partial_missing", "single_modality")
+from .partitioner import CLIENT_KINDS, ClientSlot, classify_client, client_missing_rate
 
 
 @dataclass(frozen=True)
@@ -127,15 +125,15 @@ def reg_value_and_grad(delta: AdapterDelta, ctx: RegContext) -> tuple[float, Ada
     if len(ctx.targets) != len(delta.specs):
         raise ValueError("target count does not match layer count")
     value = 0.0
-    grad = delta.zeros_like()
+    grad = replace(delta, flat=np.zeros_like(delta.flat))
     scale = delta.scale
     for i, spec in enumerate(delta.specs):
         if not ctx.mask[spec.depth]:
             continue
         diff = compose_delta(delta, i) - ctx.targets[i]
         value += ctx.gamma * float((diff * diff).sum())
-        grad.up[i] = 2.0 * ctx.gamma * scale * (diff @ delta.down[i].T)
-        grad.down[i] = 2.0 * ctx.gamma * scale * (delta.up[i].T @ diff)
+        grad.up[i][...] = 2.0 * ctx.gamma * scale * (diff @ delta.down[i].T)
+        grad.down[i][...] = 2.0 * ctx.gamma * scale * (delta.up[i].T @ diff)
     return value, grad
 
 
@@ -176,7 +174,7 @@ def local_train(
     reg_cfg.validate()
     if len(slot) == 0:
         raise ValueError("client has no samples")
-    delta = global_delta.copy()
+    delta = replace(global_delta, flat=global_delta.flat.copy())
     if train_cfg.epochs == 0:
         return delta, []
 
@@ -192,7 +190,7 @@ def local_train(
     total_steps = train_cfg.epochs * batches_per_epoch
     gen = rng.stream(seed)
 
-    params = delta.to_vector()
+    params = delta.flat
     first = np.zeros_like(params)
     second = np.zeros_like(params)
     step = 0
@@ -207,16 +205,15 @@ def local_train(
                 [slot.sample_ids[i] for i in pick],
                 [slot.masks[i] for i in pick],
             )
-            current = delta.from_vector(params)
-            loss, grad = loss_and_grad(base, current, batch, ctx)
+            loss, grad = loss_and_grad(base, delta, batch, ctx)
             loss_sum += loss * len(batch)
-            g = grad.to_vector()
+            g = grad.flat
             step += 1
             first = train_cfg.beta1 * first + (1.0 - train_cfg.beta1) * g
             second = train_cfg.beta2 * second + (1.0 - train_cfg.beta2) * g * g
             first_hat = first / (1.0 - train_cfg.beta1**step)
             second_hat = second / (1.0 - train_cfg.beta2**step)
             lr = cosine_lr(step - 1, total_steps, train_cfg.warmup_ratio, train_cfg.lr)
-            params = params - lr * first_hat / (np.sqrt(second_hat) + train_cfg.eps)
+            params -= lr * first_hat / (np.sqrt(second_hat) + train_cfg.eps)
         trace.append(loss_sum / n)
-    return delta.from_vector(params), trace
+    return delta, trace

@@ -15,7 +15,6 @@ Constraints the rest of the package relies on:
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -247,13 +246,6 @@ class CountTable:
             writer = csv.writer(fh)
             writer.writerow(["client", "class", "pattern", "count"])
             writer.writerows(self.rows())
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["client", "class", "pattern", "count"])
-        writer.writerows(self.rows())
-        return buf.getvalue()
 
 
 def modality_stats(partition, manifest: DatasetManifest) -> CountTable:

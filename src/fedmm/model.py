@@ -10,6 +10,11 @@ low-rank pair (up: fan_out x rank, down: rank x fan_in); the effective
 weight is base + (adapter_alpha / rank) * up @ down. Only the pairs train,
 and only the pairs travel between clients and server.
 
+All pairs live in one contiguous float64 vector, AdapterDelta.flat: up
+then down, layer by layer, which is also the order of the server's moment
+buffers. Per-layer factors are views into it, so local Adam, aggregation
+and the server rules work on the vector directly, without conversions.
+
 Depth indexing for layer masks: encoder layers of all modalities share
 depth 0..encoder_depth-1, trunk layers follow, the head is last, so the
 total depth is encoder_depth + trunk_depth + 1.
@@ -20,7 +25,7 @@ exact, not approximated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,63 +99,47 @@ class BaseWeights:
     biases: list[np.ndarray]
 
 
-@dataclass
+def adapter_size(specs: tuple[LayerSpec, ...], rank: int) -> int:
+    """Number of adapter parameters: one up and one down factor per layer."""
+    return sum(rank * (s.fan_out + s.fan_in) for s in specs)
+
+
+@dataclass(frozen=True)
 class AdapterDelta:
-    """Trainable low-rank pairs for every layer, plus composition scale."""
+    """Trainable low-rank pairs for every layer, plus composition scale.
+
+    The parameters live in one contiguous float64 vector `flat`, ordered
+    up then down, layer by layer. `up[i]` (fan_out x rank) and `down[i]`
+    (rank x fan_in) are tuples of views into it: writing through a view
+    changes `flat`, while rebinding a view is an error.
+    """
 
     specs: tuple[LayerSpec, ...]
     rank: int
     adapter_alpha: float
-    up: list[np.ndarray] = field(default_factory=list)
-    down: list[np.ndarray] = field(default_factory=list)
+    flat: np.ndarray
+    up: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    down: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        expected = adapter_size(self.specs, self.rank)
+        if self.flat.dtype != np.float64 or self.flat.shape != (expected,):
+            raise ValueError(
+                f"need a float64 vector of length {expected}, got {self.flat.dtype} of shape {self.flat.shape}"
+            )
+        ups, downs, offset = [], [], 0
+        for s in self.specs:
+            mid = offset + s.fan_out * self.rank
+            end = mid + self.rank * s.fan_in
+            ups.append(self.flat[offset:mid].reshape(s.fan_out, self.rank))
+            downs.append(self.flat[mid:end].reshape(self.rank, s.fan_in))
+            offset = end
+        object.__setattr__(self, "up", tuple(ups))
+        object.__setattr__(self, "down", tuple(downs))
 
     @property
     def scale(self) -> float:
         return self.adapter_alpha / self.rank
-
-    def copy(self) -> "AdapterDelta":
-        return AdapterDelta(
-            specs=self.specs,
-            rank=self.rank,
-            adapter_alpha=self.adapter_alpha,
-            up=[u.copy() for u in self.up],
-            down=[d.copy() for d in self.down],
-        )
-
-    def zeros_like(self) -> "AdapterDelta":
-        return AdapterDelta(
-            specs=self.specs,
-            rank=self.rank,
-            adapter_alpha=self.adapter_alpha,
-            up=[np.zeros_like(u) for u in self.up],
-            down=[np.zeros_like(d) for d in self.down],
-        )
-
-    def to_vector(self) -> np.ndarray:
-        parts = []
-        for u, d in zip(self.up, self.down):
-            parts.append(u.ravel())
-            parts.append(d.ravel())
-        return np.concatenate(parts)
-
-    def from_vector(self, vec: np.ndarray) -> "AdapterDelta":
-        """A new delta with this one's shapes and the vector's values."""
-        expected = sum(u.size + d.size for u, d in zip(self.up, self.down))
-        if vec.size != expected:
-            raise ValueError(f"vector length {vec.size} does not match parameter count {expected}")
-        out = self.zeros_like()
-        offset = 0
-        for i, (u, d) in enumerate(zip(self.up, self.down)):
-            out.up[i] = vec[offset : offset + u.size].reshape(u.shape).copy()
-            offset += u.size
-            out.down[i] = vec[offset : offset + d.size].reshape(d.shape).copy()
-            offset += d.size
-        return out
-
-    def add_scaled(self, other: "AdapterDelta", factor: float) -> None:
-        for i in range(len(self.up)):
-            self.up[i] += factor * other.up[i]
-            self.down[i] += factor * other.down[i]
 
 
 def init_model(cfg: ModelConfig) -> tuple[BaseWeights, AdapterDelta]:
@@ -165,18 +154,17 @@ def init_model(cfg: ModelConfig) -> tuple[BaseWeights, AdapterDelta]:
                 f"({spec.fan_out}x{spec.fan_in})"
             )
     gen = rng.substream(cfg.seed, "model-init")
-    weights, biases, ups, downs = [], [], [], []
-    for spec in specs:
+    delta = AdapterDelta(specs, cfg.rank, cfg.adapter_alpha, np.zeros(adapter_size(specs, cfg.rank)))
+    weights, biases = [], []
+    for i, spec in enumerate(specs):
         w = rng.normal(gen, (spec.fan_out, spec.fan_in), scale=1.0 / np.sqrt(spec.fan_in))
         b = np.zeros(spec.fan_out)
         w.flags.writeable = False
         b.flags.writeable = False
         weights.append(w)
         biases.append(b)
-        ups.append(np.zeros((spec.fan_out, cfg.rank)))
-        downs.append(rng.normal(gen, (cfg.rank, spec.fan_in), scale=0.02))
+        delta.down[i][...] = rng.normal(gen, (cfg.rank, spec.fan_in), scale=0.02)
     base = BaseWeights(specs=specs, weights=weights, biases=biases)
-    delta = AdapterDelta(specs=specs, rank=cfg.rank, adapter_alpha=cfg.adapter_alpha, up=ups, down=downs)
     return base, delta
 
 
@@ -303,13 +291,13 @@ def loss_and_grad(
         raise ValueError("empty batch")
     logits, caches, enc_per_mod = _run_forward(base, delta, batch)
     loss, dlogits = _softmax_xent(logits, batch.labels)
-    grad = delta.zeros_like()
+    grad = replace(delta, flat=np.zeros_like(delta.flat))
     scale = delta.scale
 
     def accumulate(layer: int, dz: np.ndarray, u: np.ndarray) -> None:
         dw = dz.T @ u
-        grad.up[layer] += scale * (dw @ delta.down[layer].T)
-        grad.down[layer] += scale * (delta.up[layer].T @ dw)
+        grad.up[layer][...] += scale * (dw @ delta.down[layer].T)
+        grad.down[layer][...] += scale * (delta.up[layer].T @ dw)
 
     m_count = len(batch.features)
     head_idx = len(base.specs) - 1
@@ -338,53 +326,60 @@ def loss_and_grad(
     if reg_ctx is not None:
         reg_value, reg_grad = reg_ctx.value_and_grad(delta)
         loss += reg_value
-        grad.add_scaled(reg_grad, 1.0)
+        grad.flat[...] += reg_grad.flat
     return loss, grad
 
 
-def save_checkpoint(path: str | Path, base: BaseWeights, delta: AdapterDelta) -> None:
-    meta = {
-        "kind": "model",
+def adapter_meta(delta: AdapterDelta) -> dict:
+    """The adapter's shape metadata, as written into checkpoint headers."""
+    return {
         "rank": delta.rank,
         "adapter_alpha": delta.adapter_alpha,
         "layers": [
             {"name": s.name, "fan_in": s.fan_in, "fan_out": s.fan_out, "depth": s.depth}
-            for s in base.specs
+            for s in delta.specs
         ],
     }
+
+
+def adapter_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> AdapterDelta:
+    """Rebuild the flat delta from adapter_meta and per-layer `.up`/`.down`
+    arrays, rejecting any array whose shape disagrees with the metadata."""
+    specs = tuple(
+        LayerSpec(e["name"], int(e["fan_in"]), int(e["fan_out"]), int(e["depth"]))
+        for e in meta["layers"]
+    )
+    rank = int(meta["rank"])
+    delta = AdapterDelta(specs, rank, float(meta["adapter_alpha"]), np.zeros(adapter_size(specs, rank)))
+    for i, s in enumerate(specs):
+        for name, view in ((f"{s.name}.up", delta.up[i]), (f"{s.name}.down", delta.down[i])):
+            if arrays[name].shape != view.shape:
+                raise ValueError(f"array {name!r} has shape {arrays[name].shape}, expected {view.shape}")
+            view[...] = arrays[name]
+    return delta
+
+
+def save_checkpoint(path: str | Path, base: BaseWeights, delta: AdapterDelta) -> None:
     arrays = []
     for i, s in enumerate(base.specs):
         arrays.append((f"{s.name}.weight", base.weights[i]))
         arrays.append((f"{s.name}.bias", base.biases[i]))
         arrays.append((f"{s.name}.up", delta.up[i]))
         arrays.append((f"{s.name}.down", delta.down[i]))
-    write_tensor_file(path, meta, arrays)
+    write_tensor_file(path, {"kind": "model", **adapter_meta(delta)}, arrays)
 
 
 def load_checkpoint(path: str | Path) -> tuple[BaseWeights, AdapterDelta]:
     meta, arrays = read_tensor_file(path)
     if meta.get("kind") != "model":
         raise ValueError(f"{path}: not a model checkpoint")
-    specs = tuple(
-        LayerSpec(e["name"], int(e["fan_in"]), int(e["fan_out"]), int(e["depth"]))
-        for e in meta["layers"]
-    )
-    weights, biases, ups, downs = [], [], [], []
-    for s in specs:
+    delta = adapter_from_file(meta, arrays)
+    weights, biases = [], []
+    for s in delta.specs:
         w = arrays[f"{s.name}.weight"]
         b = arrays[f"{s.name}.bias"]
         w.flags.writeable = False
         b.flags.writeable = False
         weights.append(w)
         biases.append(b)
-        ups.append(arrays[f"{s.name}.up"])
-        downs.append(arrays[f"{s.name}.down"])
-    base = BaseWeights(specs=specs, weights=weights, biases=biases)
-    delta = AdapterDelta(
-        specs=specs,
-        rank=int(meta["rank"]),
-        adapter_alpha=float(meta["adapter_alpha"]),
-        up=ups,
-        down=downs,
-    )
-    return base, delta
+    return BaseWeights(specs=delta.specs, weights=weights, biases=biases), delta

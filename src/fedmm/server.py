@@ -29,7 +29,7 @@ from . import rng
 from .client import LocalTrainConfig, RegularizerConfig, classify_client, client_missing_rate, gamma_for_client, local_train
 from .data import DatasetManifest
 from .metrics import EvalResult, evaluate
-from .model import AdapterDelta, BaseWeights, ModelConfig, init_model
+from .model import AdapterDelta, BaseWeights, ModelConfig, adapter_from_file, adapter_meta, init_model
 from .partitioner import ClientPartition
 from .tensorio import read_tensor_file, write_tensor_file
 
@@ -59,10 +59,10 @@ class ServerState:
 def init_server_state(kind: str, delta: AdapterDelta, lr: float | None = None) -> ServerState:
     if kind not in AGGREGATOR_KINDS:
         raise ValueError(f"kind must be one of {AGGREGATOR_KINDS}, got {kind!r}")
-    width = delta.to_vector().size
+    width = delta.flat.size
     return ServerState(
         kind=kind,
-        global_delta=delta.copy(),
+        global_delta=replace(delta, flat=delta.flat.copy()),
         first_moment=np.zeros(width),
         second_moment=np.zeros(width),
         momentum_buf=np.zeros(width),
@@ -95,17 +95,17 @@ def pseudo_gradient(
     if any(n <= 0 for n in client_sizes):
         raise ValueError(f"client sizes must be positive, got {client_sizes}")
     total = float(sum(client_sizes))
-    w0 = global_delta.to_vector()
+    w0 = global_delta.flat
     acc = np.zeros_like(w0)
     for delta, n in zip(client_deltas, client_sizes):
-        acc += (n / total) * (delta.to_vector() - w0)
-    return global_delta.from_vector(acc)
+        acc += (n / total) * (delta.flat - w0)
+    return replace(global_delta, flat=acc)
 
 
 def server_step(state: ServerState, pseudo_grad: AdapterDelta) -> ServerState:
     """One aggregation step; pure, returns the successor state."""
-    d = pseudo_grad.to_vector()
-    w = state.global_delta.to_vector()
+    d = pseudo_grad.flat
+    w = state.global_delta.flat
     m = state.first_moment.copy()
     v = state.second_moment.copy()
     buf = state.momentum_buf.copy()
@@ -129,7 +129,7 @@ def server_step(state: ServerState, pseudo_grad: AdapterDelta) -> ServerState:
         raise ValueError(f"unknown aggregator {state.kind!r}")
     return replace(
         state,
-        global_delta=state.global_delta.from_vector(w),
+        global_delta=replace(state.global_delta, flat=w),
         first_moment=m,
         second_moment=v,
         momentum_buf=buf,
@@ -313,12 +313,7 @@ def save_server_state(path: str | Path, state: ServerState) -> None:
         "beta2": state.beta2,
         "tau": state.tau,
         "momentum": state.momentum,
-        "rank": delta.rank,
-        "adapter_alpha": delta.adapter_alpha,
-        "layers": [
-            {"name": s.name, "fan_in": s.fan_in, "fan_out": s.fan_out, "depth": s.depth}
-            for s in delta.specs
-        ],
+        **adapter_meta(delta),
     }
     arrays: list[tuple[str, np.ndarray]] = []
     for i, s in enumerate(delta.specs):
@@ -331,22 +326,17 @@ def save_server_state(path: str | Path, state: ServerState) -> None:
 
 
 def load_server_state(path: str | Path) -> ServerState:
-    from .model import LayerSpec
-
+    """Read a server checkpoint, rejecting an unknown aggregator and any
+    moment buffer whose width differs from the adapter's."""
     meta, arrays = read_tensor_file(path)
     if meta.get("kind") != "server":
         raise ValueError(f"{path}: not a server checkpoint")
-    specs = tuple(
-        LayerSpec(e["name"], int(e["fan_in"]), int(e["fan_out"]), int(e["depth"]))
-        for e in meta["layers"]
-    )
-    delta = AdapterDelta(
-        specs=specs,
-        rank=int(meta["rank"]),
-        adapter_alpha=float(meta["adapter_alpha"]),
-        up=[arrays[f"{s.name}.up"] for s in specs],
-        down=[arrays[f"{s.name}.down"] for s in specs],
-    )
+    if meta["aggregator"] not in AGGREGATOR_KINDS:
+        raise ValueError(f"{path}: aggregator must be one of {AGGREGATOR_KINDS}, got {meta['aggregator']!r}")
+    delta = adapter_from_file(meta, arrays)
+    for name in ("first_moment", "second_moment", "momentum_buf"):
+        if arrays[name].shape != delta.flat.shape:
+            raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, expected {delta.flat.shape}")
     return ServerState(
         kind=meta["aggregator"],
         global_delta=delta,

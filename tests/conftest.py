@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,10 +55,10 @@ def tiny_model():
 def randomize_delta(delta, seed=0, scale=0.1):
     """Fill both factors with nonzero values so gradients are generic."""
     gen = np.random.Generator(np.random.Philox(key=seed))
-    out = delta.copy()
+    out = replace(delta, flat=delta.flat.copy())
     for i in range(len(out.up)):
-        out.up[i] = gen.normal(0.0, scale, out.up[i].shape)
-        out.down[i] = gen.normal(0.0, scale, out.down[i].shape)
+        out.up[i][...] = gen.normal(0.0, scale, out.up[i].shape)
+        out.down[i][...] = gen.normal(0.0, scale, out.down[i].shape)
     return out
 
 

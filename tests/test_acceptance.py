@@ -89,8 +89,8 @@ def test_01_gradient_correctness(capsys):
             cfg = ModelConfig(adapter_alpha=2.0, seed=100 + i, **shape)
             base, delta = init_model(cfg)
             gen = np.random.default_rng(200 + i)
-            delta = delta.from_vector(gen.normal(scale=0.3, size=delta.to_vector().size))
-            target = delta.from_vector(gen.normal(scale=0.2, size=delta.to_vector().size))
+            delta = replace(delta, flat=gen.normal(scale=0.3, size=delta.flat.size))
+            target = replace(delta, flat=gen.normal(scale=0.2, size=delta.flat.size))
             # a margin that keeps at least one layer in the band, so the
             # proximal gradient is live in every config
             margin = 1 if cfg.depth >= 3 else 0
@@ -131,11 +131,11 @@ def test_01_gradient_correctness(capsys):
             _, grad = loss_and_grad(base, delta, batch, reg_ctx=ctx)
 
             def objective(vec):
-                value, _ = loss_and_grad(base, delta.from_vector(vec), batch, reg_ctx=ctx)
+                value, _ = loss_and_grad(base, replace(delta, flat=vec), batch, reg_ctx=ctx)
                 return value
 
-            numeric = central_difference(objective, delta.to_vector())
-            worst = max(worst, relative_errors(grad.to_vector(), numeric).max())
+            numeric = central_difference(objective, delta.flat)
+            worst = max(worst, relative_errors(grad.flat, numeric).max())
         assert worst < 1e-4, f"worst relative error {worst:.2e}"
         assert time.perf_counter() - started < 30.0
 
@@ -149,11 +149,11 @@ def test_02_optimizer_oracles(capsys):
         steps = gen.normal(scale=0.5, size=100)
         for kind in ("avgm", "adagrad", "adam", "yogi"):
             state, proto = one_param_state(kind)
-            n = proto.to_vector().size
+            n = proto.flat.size
             got = []
             for d in steps:
-                state = server_step(state, proto.from_vector(np.full(n, d)))
-                got.append(state.global_delta.to_vector()[0])
+                state = server_step(state, replace(proto, flat=np.full(n, d)))
+                got.append(state.global_delta.flat[0])
             want = scalar_oracle(kind, steps, lr=DEFAULT_SERVER_LR[kind])
             assert np.allclose(got, want, rtol=0, atol=1e-12), kind
 
@@ -161,18 +161,18 @@ def test_02_optimizer_oracles(capsys):
         # d^2 = v/2 so both recurrences contract v identically
         adam, proto = one_param_state("adam")
         yogi, _ = one_param_state("yogi")
-        n = proto.to_vector().size
+        n = proto.flat.size
         adam = replace(adam, second_moment=np.ones(n))
         yogi = replace(yogi, second_moment=np.ones(n))
         for _ in range(100):
             d = math.sqrt(yogi.second_moment[0] / 2.0)
             assert yogi.second_moment[0] - d * d > 0
-            step = proto.from_vector(np.full(n, d))
+            step = replace(proto, flat=np.full(n, d))
             adam = server_step(adam, step)
             yogi = server_step(yogi, step)
             assert np.allclose(adam.second_moment, yogi.second_moment, rtol=0, atol=1e-12)
         assert np.allclose(
-            adam.global_delta.to_vector(), yogi.global_delta.to_vector(), rtol=0, atol=1e-12
+            adam.global_delta.flat, yogi.global_delta.flat, rtol=0, atol=1e-12
         )
 
 

@@ -1,11 +1,14 @@
 import csv
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import fedmm
 from fedmm.cli import run
 from fedmm.data import load_manifest
 from fedmm.partitioner import load_partition
@@ -78,6 +81,42 @@ def test_snapshot_replays_run_exactly(tmp_path):
     ]) == 0
     for name in ("runlog.jsonl", "server_state.bin", "model.bin"):
         assert (first / name).read_bytes() == (replay / name).read_bytes()
+
+
+# sha256 of the three deterministic outputs of the default config cut to
+# ten rounds, and of the cross-modality variant that runs the proximal
+# term under adagrad. Unlike the rerun tests above, these catch a numeric
+# change between commits; a change that alters the bytes on purpose must
+# update them and say why.
+GOLDEN_TRAIN = {
+    "default": (
+        [],
+        {
+            "runlog.jsonl": "ab706e9821afdbed164a81e9af182f1e0eb94f00d96c37a08dbb05dfffc78551",
+            "server_state.bin": "9dbbc86f8d097e46f7d1964008783b0c713a95e6208427c8ebf3f23612c5d588",
+            "model.bin": "b93e6b1441879302de39d23a4fa07d62ecbf7aa67bea088e6e1ff1bf45b329cf",
+        },
+    ),
+    "cross_adagrad": (
+        ["scenario.kind=cross", "fl.aggregator=adagrad"],
+        {
+            "runlog.jsonl": "d529bb492b7a16448a7e0f95974265a0199b90ddbf3a1e833a36b6312b103a30",
+            "server_state.bin": "ab62b5a2c1bc2fc99c80e615fbbc603ebc3d545c64c8d60a18580e22a0d20d1b",
+            "model.bin": "8649bbcdc4c77e3d7ab6ebff119ca40818fd31b891f425cfff25c4f9d801a8bc",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TRAIN))
+def test_train_output_hashes_pinned(tmp_path, case):
+    overrides, want = GOLDEN_TRAIN[case]
+    argv = ["train", "--set", "fl.rounds=10", "--set", f"out_dir={tmp_path}"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert run(argv) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+    assert got == want
 
 
 def test_train_does_not_touch_config_file(tmp_path):
@@ -177,9 +216,12 @@ def test_bad_subcommand_exits_nonzero():
 
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path / "run.cfg", [f"out_dir = {tmp_path / 'out'}"])
+    # the child imports the same fedmm as this process, installed or not
+    src = str(Path(fedmm.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "fedmm.cli", "partition", "--config", cfg],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "partition.json").exists()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,8 +59,7 @@ def one_by_one_delta(up, down, alpha=1.0):
         specs=specs,
         rank=1,
         adapter_alpha=alpha,
-        up=[np.array([[up]])],
-        down=[np.array([[down]])],
+        flat=np.array([up, down]),
     )
 
 
@@ -80,7 +80,7 @@ def test_reg_zero_at_target():
     ctx = RegContext(targets=[compose_delta(delta, 0)], mask=np.array([True]), gamma=5.0)
     value, grad = reg_value_and_grad(delta, ctx)
     assert value == 0.0
-    assert np.array_equal(grad.to_vector(), np.zeros(2))
+    assert np.array_equal(grad.flat, np.zeros(2))
 
 
 def test_reg_masked_layer_contributes_nothing():
@@ -88,16 +88,16 @@ def test_reg_masked_layer_contributes_nothing():
     ctx = RegContext(targets=[np.zeros((1, 1))], mask=np.array([False]), gamma=10.0)
     value, grad = reg_value_and_grad(delta, ctx)
     assert value == 0.0
-    assert np.array_equal(grad.to_vector(), np.zeros(2))
+    assert np.array_equal(grad.flat, np.zeros(2))
 
 
 def test_reg_gamma_zero_contributes_nothing(tiny_model):
     _, _, delta = tiny_model
     delta = randomize_delta(delta, seed=3)
-    ctx = make_reg_context(delta.zeros_like(), margin=0, gamma=0.0)
+    ctx = make_reg_context(replace(delta, flat=np.zeros_like(delta.flat)), margin=0, gamma=0.0)
     value, grad = reg_value_and_grad(delta, ctx)
     assert value == 0.0
-    assert np.array_equal(grad.to_vector(), np.zeros_like(grad.to_vector()))
+    assert np.array_equal(grad.flat, np.zeros_like(grad.flat))
 
 
 def test_reg_gradient_matches_central_differences(tiny_model):
@@ -108,11 +108,11 @@ def test_reg_gradient_matches_central_differences(tiny_model):
     _, grad = reg_value_and_grad(delta, ctx)
 
     def fn(vec):
-        value, _ = reg_value_and_grad(delta.from_vector(vec), ctx)
+        value, _ = reg_value_and_grad(replace(delta, flat=vec), ctx)
         return value
 
-    numeric = central_difference(fn, delta.to_vector())
-    errs = relative_errors(grad.to_vector(), numeric)
+    numeric = central_difference(fn, delta.flat)
+    errs = relative_errors(grad.flat, numeric)
     assert errs.max() < 1e-4
 
 
@@ -195,18 +195,18 @@ def test_local_train_zero_epochs_noop():
         LocalTrainConfig(epochs=0), RegularizerConfig(), seed=1,
     )
     assert trace == []
-    assert np.array_equal(out.to_vector(), delta.to_vector())
+    assert np.array_equal(out.flat, delta.flat)
 
 
 def test_local_train_deterministic_and_pure():
     manifest, base, delta, partition = make_setup()
-    before = delta.to_vector().copy()
+    before = delta.flat.copy()
     cfg = LocalTrainConfig(epochs=2, batch_size=8)
     a, trace_a = local_train(base, delta, manifest, partition.clients[0], cfg, RegularizerConfig(), seed=5)
     b, trace_b = local_train(base, delta, manifest, partition.clients[0], cfg, RegularizerConfig(), seed=5)
-    assert np.array_equal(a.to_vector(), b.to_vector())
+    assert np.array_equal(a.flat, b.flat)
     assert trace_a == trace_b
-    assert np.array_equal(delta.to_vector(), before)
+    assert np.array_equal(delta.flat, before)
 
 
 def test_local_train_empty_client_rejected():
@@ -246,8 +246,8 @@ def test_local_train_reg_pulls_toward_global():
         base, start, manifest, mono, cfg,
         RegularizerConfig(enabled=True, gamma_max=50.0, margin=0), seed=3,
     )
-    dist_free = np.linalg.norm(free.to_vector() - start.to_vector())
-    dist_tied = np.linalg.norm(tied.to_vector() - start.to_vector())
+    dist_free = np.linalg.norm(free.flat - start.flat)
+    dist_tied = np.linalg.norm(tied.flat - start.flat)
     assert dist_tied < dist_free
 
 
@@ -258,5 +258,5 @@ def test_local_train_aligned_client_skips_reg():
     cfg = LocalTrainConfig(epochs=1, batch_size=8)
     on, trace_on = local_train(base, delta, manifest, slot, cfg, RegularizerConfig(enabled=True), seed=6)
     off, trace_off = local_train(base, delta, manifest, slot, cfg, RegularizerConfig(enabled=False), seed=6)
-    assert np.array_equal(on.to_vector(), off.to_vector())
+    assert np.array_equal(on.flat, off.flat)
     assert trace_on == trace_off

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from fedmm.model import (
     make_batch,
     save_checkpoint,
 )
+from fedmm.tensorio import read_tensor_file, write_tensor_file
 
 
 def central_difference(fn, vec, h=1e-5):
@@ -83,8 +86,7 @@ def test_compose_rank_one_hand_product():
         specs=spec,
         rank=1,
         adapter_alpha=1.0,
-        up=[np.array([[2.0], [0.0]])],
-        down=[np.array([[3.0, 4.0]])],
+        flat=np.array([2.0, 0.0, 3.0, 4.0]),
     )
     assert np.array_equal(compose_delta(delta, 0), np.array([[6.0, 8.0], [0.0, 0.0]]))
 
@@ -92,13 +94,11 @@ def test_compose_rank_one_hand_product():
 def test_compose_alpha_scaling(tiny_model):
     _, _, delta = tiny_model
     delta = randomize_delta(delta, seed=1)
-    doubled = delta.copy()
     doubled = AdapterDelta(
-        specs=doubled.specs,
-        rank=doubled.rank,
-        adapter_alpha=2.0 * doubled.adapter_alpha,
-        up=doubled.up,
-        down=doubled.down,
+        specs=delta.specs,
+        rank=delta.rank,
+        adapter_alpha=2.0 * delta.adapter_alpha,
+        flat=delta.flat.copy(),
     )
     for i in range(len(delta.up)):
         assert np.allclose(2.0 * compose_delta(delta, i), compose_delta(doubled, i))
@@ -107,22 +107,25 @@ def test_compose_alpha_scaling(tiny_model):
 def test_compose_linear_in_up(tiny_model):
     _, _, delta = tiny_model
     delta = randomize_delta(delta, seed=2)
-    scaled = delta.copy()
-    scaled.up = [3.0 * u for u in scaled.up]
+    scaled = replace(delta, flat=delta.flat.copy())
+    for u in scaled.up:
+        u *= 3.0
     for i in range(len(delta.up)):
         assert np.allclose(3.0 * compose_delta(delta, i), compose_delta(scaled, i))
 
 
-def test_vector_roundtrip(tiny_model):
+def test_factor_views_share_flat_vector(tiny_model):
     _, _, delta = tiny_model
     delta = randomize_delta(delta, seed=3)
-    vec = delta.to_vector()
-    back = delta.from_vector(vec)
-    for i in range(len(delta.up)):
-        assert np.array_equal(delta.up[i], back.up[i])
-        assert np.array_equal(delta.down[i], back.down[i])
+    before = delta.flat.copy()
+    delta.up[1][0, 0] += 1.0
+    changed = np.flatnonzero(delta.flat != before)
+    assert changed.size == 1 and delta.flat[changed[0]] == before[changed[0]] + 1.0
+    assert changed[0] == delta.up[0].size + delta.down[0].size  # up then down, layer by layer
+    with pytest.raises(TypeError):
+        delta.up[1] = np.zeros_like(delta.up[1])
     with pytest.raises(ValueError, match="length"):
-        delta.from_vector(vec[:-1])
+        replace(delta, flat=delta.flat[:-1])
 
 
 # ---------- forward ----------
@@ -135,7 +138,7 @@ def test_single_affine_hand_computation():
     w = np.arange(8.0).reshape(2, 4)
     b = np.array([0.5, -0.5])
     base = BaseWeights(specs=specs, weights=[w], biases=[b])
-    delta = AdapterDelta(specs=specs, rank=1, adapter_alpha=1.0, up=[np.zeros((2, 1))], down=[np.zeros((1, 4))])
+    delta = AdapterDelta(specs=specs, rank=1, adapter_alpha=1.0, flat=np.zeros(6))
     batch = Batch(
         features=[np.array([[2.0]]), np.array([[3.0]])],
         presence=[np.array([1.0]), np.array([1.0])],
@@ -150,7 +153,7 @@ def test_zero_adapter_equals_base_and_adapters_shift(tiny_model):
     cfg, base, delta = tiny_model
     manifest = tiny_manifest()
     batch = make_batch(manifest, [s.id for s in manifest.samples[:5]])
-    zeroed = delta.zeros_like()
+    zeroed = replace(delta, flat=np.zeros_like(delta.flat))
     base_logits = forward(base, zeroed, batch)
     init_logits = forward(base, delta, batch)  # up is zero at init
     assert np.array_equal(base_logits, init_logits)
@@ -209,8 +212,7 @@ def test_uniform_logits_loss_is_log_class_count():
         specs=specs,
         rank=1,
         adapter_alpha=1.0,
-        up=[np.zeros((s.fan_out, 1)) for s in specs],
-        down=[np.zeros((1, s.fan_in)) for s in specs],
+        flat=np.zeros(sum(s.fan_out + s.fan_in for s in specs)),
     )
     batch = Batch(
         features=[np.ones((4, 2)), np.ones((4, 2))],
@@ -229,7 +231,7 @@ def test_batch_duplication_keeps_loss_and_grad(tiny_model):
     loss1, grad1 = loss_and_grad(base, delta, make_batch(manifest, ids))
     loss2, grad2 = loss_and_grad(base, delta, make_batch(manifest, ids + ids))
     assert abs(loss1 - loss2) < 1e-12
-    assert np.allclose(grad1.to_vector(), grad2.to_vector())
+    assert np.allclose(grad1.flat, grad2.flat)
 
 
 @pytest.mark.parametrize(
@@ -272,11 +274,11 @@ def test_gradients_match_central_differences(dims, hidden, enc, trunk, classes, 
     _, grad = loss_and_grad(base, delta, batch)
 
     def fn(vec):
-        loss, _ = loss_and_grad(base, delta.from_vector(vec), batch)
+        loss, _ = loss_and_grad(base, replace(delta, flat=vec), batch)
         return loss
 
-    numeric = central_difference(fn, delta.to_vector())
-    errs = relative_errors(grad.to_vector(), numeric)
+    numeric = central_difference(fn, delta.flat)
+    errs = relative_errors(grad.flat, numeric)
     assert errs.max() < 1e-4
 
 
@@ -296,3 +298,15 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, tiny_model):
         assert np.array_equal(delta.down[i], delta2.down[i])
     assert base2.specs == base.specs
     assert not base2.weights[0].flags.writeable
+
+
+def test_checkpoint_rejects_misshapen_factor(tmp_path, tiny_model):
+    _, base, delta = tiny_model
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, base, delta)
+    meta, arrays = read_tensor_file(path)
+    name = f"{base.specs[0].name}.up"
+    arrays[name] = arrays[name].T.copy()  # same size, wrong shape
+    write_tensor_file(path, meta, list(arrays.items()))
+    with pytest.raises(ValueError, match="shape"):
+        load_checkpoint(path)

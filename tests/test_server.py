@@ -23,6 +23,7 @@ from fedmm.server import (
     save_server_state,
     server_step,
 )
+from fedmm.tensorio import read_tensor_file, write_tensor_file
 
 
 def scalar_oracle(kind, deltas, lr, beta1=0.9, beta2=0.99, tau=1e-3, momentum=0.9):
@@ -57,7 +58,7 @@ def one_param_state(kind, lr=None):
         class_count=2, rank=1, adapter_alpha=1.0, seed=0,
     )
     _, delta = init_model(cfg)
-    return init_server_state(kind, delta.zeros_like(), lr=lr), delta
+    return init_server_state(kind, replace(delta, flat=np.zeros_like(delta.flat)), lr=lr), delta
 
 
 # ---------- sampling ----------
@@ -100,24 +101,24 @@ def test_pseudo_gradient_single_client(tiny_delta):
     g = randomize_delta(tiny_delta, seed=1)
     w = randomize_delta(tiny_delta, seed=2)
     out = pseudo_gradient([w], [5], g)
-    assert np.allclose(out.to_vector(), w.to_vector() - g.to_vector())
+    assert np.allclose(out.flat, w.flat - g.flat)
 
 
 def test_pseudo_gradient_symmetry_cancels(tiny_delta):
     g = randomize_delta(tiny_delta, seed=3)
-    d = randomize_delta(tiny_delta.zeros_like(), seed=4)
-    plus = g.from_vector(g.to_vector() + d.to_vector())
-    minus = g.from_vector(g.to_vector() - d.to_vector())
+    d = randomize_delta(replace(tiny_delta, flat=np.zeros_like(tiny_delta.flat)), seed=4)
+    plus = replace(g, flat=g.flat + d.flat)
+    minus = replace(g, flat=g.flat - d.flat)
     out = pseudo_gradient([plus, minus], [7, 7], g)
-    assert np.allclose(out.to_vector(), 0.0, atol=1e-12)
+    assert np.allclose(out.flat, 0.0, atol=1e-12)
 
 
 def test_pseudo_gradient_weighted_hand_case(tiny_delta):
-    g = tiny_delta.zeros_like()
-    four = g.from_vector(np.full_like(g.to_vector(), 4.0))
-    zero = g.zeros_like()
+    g = replace(tiny_delta, flat=np.zeros_like(tiny_delta.flat))
+    four = replace(g, flat=np.full_like(g.flat, 4.0))
+    zero = replace(g, flat=np.zeros_like(g.flat))
     out = pseudo_gradient([four, zero], [1, 3], g)
-    assert np.allclose(out.to_vector(), 1.0)
+    assert np.allclose(out.flat, 1.0)
 
 
 def test_pseudo_gradient_zero_total_size(tiny_delta):
@@ -140,31 +141,31 @@ def tiny_delta():
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
 def test_zero_pseudo_gradient_keeps_weights(kind):
     state, delta = one_param_state(kind)
-    after = server_step(state, delta.zeros_like())
-    assert np.array_equal(after.global_delta.to_vector(), state.global_delta.to_vector())
+    after = server_step(state, replace(delta, flat=np.zeros_like(delta.flat)))
+    assert np.array_equal(after.global_delta.flat, state.global_delta.flat)
     assert after.round == 1
 
 
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
 def test_server_step_pure(kind):
     state, delta = one_param_state(kind)
-    step = delta.from_vector(np.full(delta.to_vector().size, 0.25))
-    before = state.global_delta.to_vector().copy()
+    step = replace(delta, flat=np.full(delta.flat.size, 0.25))
+    before = state.global_delta.flat.copy()
     a = server_step(state, step)
     b = server_step(state, step)
-    assert np.array_equal(a.global_delta.to_vector(), b.global_delta.to_vector())
-    assert np.array_equal(state.global_delta.to_vector(), before)
+    assert np.array_equal(a.global_delta.flat, b.global_delta.flat)
+    assert np.array_equal(state.global_delta.flat, before)
     assert state.round == 0
 
 
 def test_adagrad_two_step_hand_case():
     state, delta = one_param_state("adagrad", lr=1.0)
-    n = delta.to_vector().size
-    s1 = server_step(state, delta.from_vector(np.full(n, 0.3)))
-    assert np.allclose(s1.global_delta.to_vector(), 0.3 / (0.3 + 0.001), atol=1e-15)
-    s2 = server_step(s1, delta.from_vector(np.full(n, 0.4)))
+    n = delta.flat.size
+    s1 = server_step(state, replace(delta, flat=np.full(n, 0.3)))
+    assert np.allclose(s1.global_delta.flat, 0.3 / (0.3 + 0.001), atol=1e-15)
+    s2 = server_step(s1, replace(delta, flat=np.full(n, 0.4)))
     want = 0.3 / (0.3 + 0.001) + 0.4 / (0.5 + 0.001)
-    assert np.allclose(s2.global_delta.to_vector(), want, atol=1e-15)
+    assert np.allclose(s2.global_delta.flat, want, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
@@ -172,11 +173,11 @@ def test_hundred_step_scalar_recurrence(kind):
     gen = np.random.default_rng(17)
     deltas = gen.normal(scale=0.5, size=100)
     state, proto = one_param_state(kind)
-    n = proto.to_vector().size
+    n = proto.flat.size
     got = []
     for d in deltas:
-        state = server_step(state, proto.from_vector(np.full(n, d)))
-        got.append(state.global_delta.to_vector()[0])
+        state = server_step(state, replace(proto, flat=np.full(n, d)))
+        got.append(state.global_delta.flat[0])
     want = scalar_oracle(kind, deltas, lr=DEFAULT_SERVER_LR[kind])
     assert np.allclose(got, want, rtol=0, atol=1e-12)
 
@@ -186,29 +187,29 @@ def test_yogi_tracks_adam_on_balanced_sequence():
     # sign(v - d^2) positive and makes the two recurrences coincide
     adam, proto = one_param_state("adam")
     yogi, _ = one_param_state("yogi")
-    n = proto.to_vector().size
+    n = proto.flat.size
     v0 = np.ones(n)
     adam = replace(adam, second_moment=v0.copy())
     yogi = replace(yogi, second_moment=v0.copy())
     for _ in range(100):
         d = math.sqrt(yogi.second_moment[0] / 2.0)
         assert yogi.second_moment[0] - d * d > 0
-        step = proto.from_vector(np.full(n, d))
+        step = replace(proto, flat=np.full(n, d))
         adam = server_step(adam, step)
         yogi = server_step(yogi, step)
     assert np.allclose(adam.second_moment, yogi.second_moment, rtol=0, atol=1e-12)
     assert np.allclose(
-        adam.global_delta.to_vector(), yogi.global_delta.to_vector(), rtol=0, atol=1e-12
+        adam.global_delta.flat, yogi.global_delta.flat, rtol=0, atol=1e-12
     )
 
 
 def test_yogi_and_adam_diverge_in_general():
     adam, proto = one_param_state("adam")
     yogi, _ = one_param_state("yogi")
-    n = proto.to_vector().size
+    n = proto.flat.size
     gen = np.random.default_rng(23)
     for _ in range(20):
-        step = proto.from_vector(np.full(n, gen.normal(scale=0.5)))
+        step = replace(proto, flat=np.full(n, gen.normal(scale=0.5)))
         adam = server_step(adam, step)
         yogi = server_step(yogi, step)
     assert not np.allclose(adam.second_moment, yogi.second_moment, atol=1e-12)
@@ -216,11 +217,11 @@ def test_yogi_and_adam_diverge_in_general():
 
 def test_adagrad_second_moment_monotone():
     state, proto = one_param_state("adagrad")
-    n = proto.to_vector().size
+    n = proto.flat.size
     gen = np.random.default_rng(29)
     prev = state.second_moment.copy()
     for _ in range(50):
-        state = server_step(state, proto.from_vector(gen.normal(size=n)))
+        state = server_step(state, replace(proto, flat=gen.normal(size=n)))
         assert (state.second_moment >= prev).all()
         prev = state.second_moment.copy()
 
@@ -242,7 +243,7 @@ def test_plain_avg_matches_centralized_descent():
     for slot in partition.clients:
         batch = make_batch(manifest, slot.sample_ids, slot.masks)
         _, grad = loss_and_grad(base, delta, batch)
-        client_deltas.append(delta.from_vector(delta.to_vector() - lr * grad.to_vector()))
+        client_deltas.append(replace(delta, flat=delta.flat - lr * grad.flat))
         sizes.append(len(slot))
 
     state = init_server_state("plain_avg", delta)
@@ -252,8 +253,8 @@ def test_plain_avg_matches_centralized_descent():
     masks = [m for slot in partition.clients for m in slot.masks]
     pooled = make_batch(manifest, ids, masks)
     _, pooled_grad = loss_and_grad(base, delta, pooled)
-    want = delta.to_vector() - lr * pooled_grad.to_vector()
-    assert np.allclose(state.global_delta.to_vector(), want, atol=1e-12)
+    want = delta.flat - lr * pooled_grad.flat
+    assert np.allclose(state.global_delta.flat, want, atol=1e-12)
 
 
 # ---------- round loop ----------
@@ -283,7 +284,7 @@ def test_run_rounds_single_client_composition():
         base, delta0, train, partition.clients[picked],
         cfg.local, cfg.reg, seed=rng.seed_for(cfg.seed, "local", 1, picked),
     )
-    assert np.array_equal(state.global_delta.to_vector(), want.to_vector())
+    assert np.array_equal(state.global_delta.flat, want.flat)
 
 
 def test_run_rounds_log_schema_and_cadence():
@@ -348,13 +349,36 @@ def test_server_state_checkpoint_round_trip(tmp_path):
     assert loaded.kind == state.kind
     assert loaded.round == state.round
     assert loaded.lr == state.lr
-    assert np.array_equal(loaded.global_delta.to_vector(), state.global_delta.to_vector())
+    assert np.array_equal(loaded.global_delta.flat, state.global_delta.flat)
     assert np.array_equal(loaded.first_moment, state.first_moment)
     assert np.array_equal(loaded.second_moment, state.second_moment)
     assert np.array_equal(loaded.momentum_buf, state.momentum_buf)
     second = tmp_path / "state2.bin"
     save_server_state(second, loaded)
     assert path.read_bytes() == second.read_bytes()
+
+
+def rewrite_tensor_file(path, edit):
+    meta, arrays = read_tensor_file(path)
+    edit(meta, arrays)
+    write_tensor_file(path, meta, list(arrays.items()))
+
+
+def test_load_server_state_rejects_unknown_aggregator(tmp_path, tiny_delta):
+    path = tmp_path / "state.bin"
+    save_server_state(path, init_server_state("adam", tiny_delta))
+    rewrite_tensor_file(path, lambda meta, arrays: meta.update(aggregator="sgd"))
+    with pytest.raises(ValueError, match="aggregator"):
+        load_server_state(path)
+
+
+@pytest.mark.parametrize("name", ["first_moment", "second_moment", "momentum_buf"])
+def test_load_server_state_rejects_moment_width(tmp_path, tiny_delta, name):
+    path = tmp_path / "state.bin"
+    save_server_state(path, init_server_state("yogi", tiny_delta))
+    rewrite_tensor_file(path, lambda meta, arrays: arrays.update({name: np.zeros(1)}))
+    with pytest.raises(ValueError, match=name):
+        load_server_state(path)
 
 
 # ---------- baseline ----------
