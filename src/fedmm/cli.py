@@ -111,7 +111,7 @@ def cmd_baseline(cfg: ExperimentConfig) -> int:
         seed=cfg.fl_config().seed,
     )
     with open(out / "baseline.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(result, ensure_ascii=False, indent=1) + "\n")
+        fh.write(json.dumps(result, ensure_ascii=False, indent=1, allow_nan=False) + "\n")
     print(f"baseline: mean value {result['mean_value']:.4f}, mean accuracy {result['mean_accuracy']:.4f} -> {out}")
     return 0
 

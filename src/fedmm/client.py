@@ -10,6 +10,12 @@ fully aligned clients get 0, single-modality clients get gamma_max, and
 partially missing clients get gamma_max scaled by their fraction of
 absent (sample, modality) slots. The depth mask switches the first and
 last `margin` depths off, leaving only middle layers constrained.
+
+A run classifies each client once, when it is first sampled, and keeps
+its whole shard as one write-protected Batch (ClientData); every
+minibatch is a row-take of that batch. The proximal targets depend only
+on the round's global delta, so one round composes them once and shares
+them across its regularized clients (reg_contexts).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import rng
 from .data import DatasetManifest
-from .model import AdapterDelta, BaseWeights, compose_delta, loss_and_grad, make_batch
+from .model import AdapterDelta, BaseWeights, Batch, compose_delta, loss_and_grad, make_batch
 from .partitioner import CLIENT_KINDS, ClientSlot, classify_client, client_missing_rate
 
 
@@ -116,6 +122,40 @@ def make_reg_context(global_delta: AdapterDelta, margin: int, gamma: float) -> R
     return RegContext(targets=targets, mask=mask_vector(depth, margin), gamma=gamma)
 
 
+def reg_contexts(global_delta: AdapterDelta, margin: int, gammas: list[float]) -> list[RegContext | None]:
+    """One proximal context per client of a round, None where gamma is 0.
+    The targets and the mask are built once and shared; each context
+    carries its own client's gamma."""
+    positive = [gamma for gamma in gammas if gamma > 0.0]
+    if not positive:
+        return [None] * len(gammas)
+    shared = make_reg_context(global_delta, margin, positive[0])
+    return [replace(shared, gamma=gamma) if gamma > 0.0 else None for gamma in gammas]
+
+
+@dataclass(frozen=True)
+class ClientData:
+    """One client as a run sees it: the whole shard in slot order as one
+    write-protected Batch, the fraction of absent (sample, modality)
+    slots, and the proximal strength that profile earns (0 with the
+    regularizer off)."""
+
+    batch: Batch
+    missing_rate: float
+    gamma: float
+
+
+def client_data(manifest: DatasetManifest, slot: ClientSlot, reg_cfg: RegularizerConfig) -> ClientData:
+    """Classify a client once and assemble its shard."""
+    reg_cfg.validate()
+    missing_rate = client_missing_rate(slot, len(manifest.modalities))
+    gamma = 0.0
+    if reg_cfg.enabled:
+        gamma = gamma_for_client(reg_cfg.gamma_max, classify_client(slot), missing_rate)
+    batch = make_batch(manifest, slot.sample_ids, slot.masks).freeze()
+    return ClientData(batch=batch, missing_rate=missing_rate, gamma=gamma)
+
+
 def reg_value_and_grad(delta: AdapterDelta, ctx: RegContext) -> tuple[float, AdapterDelta]:
     """gamma * sum over unmasked layers of ||composed - target||_F^2, with
     its exact gradient through the low-rank factors."""
@@ -158,37 +198,31 @@ def cosine_lr(step: int, total_steps: int, warmup_ratio: float, lr0: float) -> f
 def local_train(
     base: BaseWeights,
     global_delta: AdapterDelta,
-    manifest: DatasetManifest,
-    slot: ClientSlot,
+    batch: Batch,
     train_cfg: LocalTrainConfig,
-    reg_cfg: RegularizerConfig,
     seed: int,
+    reg_ctx: RegContext | None = None,
 ) -> tuple[AdapterDelta, list[float]]:
-    """Train a copy of the global delta on one client's samples.
+    """Train a copy of the global delta on one client's shard, `batch`;
+    each minibatch is a row-take of it. reg_ctx, when given, adds its
+    proximal term to every step.
 
     Returns the trained delta and the per-epoch mean training loss.
-    Neither the base weights nor the supplied global delta are mutated;
-    epochs=0 returns an untouched copy and an empty trace.
+    Neither the base weights, the supplied global delta nor the batch are
+    mutated; epochs=0 returns an untouched copy and an empty trace.
     """
     train_cfg.validate()
-    reg_cfg.validate()
-    if len(slot) == 0:
+    n = len(batch)
+    if n == 0:
         raise ValueError("client has no samples")
     delta = replace(global_delta, flat=global_delta.flat.copy())
     if train_cfg.epochs == 0:
         return delta, []
 
-    modality_count = len(manifest.modalities)
-    gamma = 0.0
-    if reg_cfg.enabled:
-        kind = classify_client(slot)
-        gamma = gamma_for_client(reg_cfg.gamma_max, kind, client_missing_rate(slot, modality_count))
-    ctx = make_reg_context(global_delta, reg_cfg.margin, gamma) if gamma > 0.0 else None
-
-    n = len(slot)
     batches_per_epoch = math.ceil(n / train_cfg.batch_size)
     total_steps = train_cfg.epochs * batches_per_epoch
     gen = rng.stream(seed)
+    b1, b2 = train_cfg.beta1, train_cfg.beta2
 
     params = delta.flat
     first = np.zeros_like(params)
@@ -199,20 +233,17 @@ def local_train(
         order = gen.permutation(n)
         loss_sum = 0.0
         for b in range(batches_per_epoch):
-            pick = order[b * train_cfg.batch_size : (b + 1) * train_cfg.batch_size]
-            batch = make_batch(
-                manifest,
-                [slot.sample_ids[i] for i in pick],
-                [slot.masks[i] for i in pick],
-            )
-            loss, grad = loss_and_grad(base, delta, batch, ctx)
-            loss_sum += loss * len(batch)
+            minibatch = batch.take(order[b * train_cfg.batch_size : (b + 1) * train_cfg.batch_size])
+            loss, grad = loss_and_grad(base, delta, minibatch, reg_ctx)
+            loss_sum += loss * len(minibatch)
             g = grad.flat
             step += 1
-            first = train_cfg.beta1 * first + (1.0 - train_cfg.beta1) * g
-            second = train_cfg.beta2 * second + (1.0 - train_cfg.beta2) * g * g
-            first_hat = first / (1.0 - train_cfg.beta1**step)
-            second_hat = second / (1.0 - train_cfg.beta2**step)
+            first *= b1
+            first += (1.0 - b1) * g
+            second *= b2
+            second += ((1.0 - b2) * g) * g
+            first_hat = first / (1.0 - b1**step)
+            second_hat = second / (1.0 - b2**step)
             lr = cosine_lr(step - 1, total_steps, train_cfg.warmup_ratio, train_cfg.lr)
             params -= lr * first_hat / (np.sqrt(second_hat) + train_cfg.eps)
         trace.append(loss_sum / n)

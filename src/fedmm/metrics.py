@@ -3,6 +3,9 @@
 roc_auc uses the rank-sum identity with average ranks on ties, one sort
 instead of all-pairs comparison. macro_f1 averages one-vs-rest F1 across
 every class index, counting classes nobody predicted or possessed as 0.
+
+A run that evaluates repeatedly assembles its test set once with
+eval_chunks and hands the chunks to every evaluate call.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetManifest
-from .model import AdapterDelta, BaseWeights, forward, make_batch, softmax_probs
+from .model import AdapterDelta, Batch, BaseWeights, effective_weights, forward, make_batch, softmax_probs
 
 METRIC_KINDS = ("auto", "roc_auc", "macro_f1")
 
@@ -84,14 +87,28 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float((predictions == labels).mean())
 
 
+def eval_chunks(manifest: DatasetManifest, chunk: int = 512) -> list[Batch]:
+    """The manifest's samples in order, as write-protected batches of at
+    most `chunk` rows."""
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    ids = [s.id for s in manifest.samples]
+    return [make_batch(manifest, ids[start : start + chunk]).freeze() for start in range(0, len(ids), chunk)]
+
+
 def evaluate(
     base: BaseWeights,
     delta: AdapterDelta,
     manifest: DatasetManifest,
     metric: str = "auto",
     chunk: int = 512,
+    chunks: list[Batch] | None = None,
 ) -> EvalResult:
     """Run the model over a manifest and score it.
+
+    chunks, when given, must be eval_chunks(manifest, chunk), built once
+    by a caller that evaluates the same manifest many times. Each layer's
+    effective weight is composed once per call, not once per chunk.
 
     auto resolves to roc_auc for two classes (positive-class probability
     as the score) and macro_f1 otherwise. Accuracy always rides along.
@@ -102,13 +119,11 @@ def evaluate(
         raise ValueError("empty manifest")
     if metric == "auto":
         metric = "roc_auc" if manifest.class_count == 2 else "macro_f1"
-    ids = [s.id for s in manifest.samples]
-    probs = []
-    for start in range(0, len(ids), chunk):
-        batch = make_batch(manifest, ids[start : start + chunk])
-        probs.append(softmax_probs(forward(base, delta, batch)))
-    prob = np.concatenate(probs, axis=0)
-    labels = np.array([s.label for s in manifest.samples])
+    if chunks is None:
+        chunks = eval_chunks(manifest, chunk)
+    weights = effective_weights(base, delta)
+    prob = np.concatenate([softmax_probs(forward(base, delta, batch, weights)) for batch in chunks], axis=0)
+    labels = np.concatenate([batch.labels for batch in chunks])
     preds = prob.argmax(axis=1)
     acc = accuracy(preds, labels)
     if metric == "roc_auc":

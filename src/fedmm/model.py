@@ -17,10 +17,18 @@ and the server rules work on the vector directly, without conversions.
 
 Depth indexing for layer masks: encoder layers of all modalities share
 depth 0..encoder_depth-1, trunk layers follow, the head is last, so the
-total depth is encoder_depth + trunk_depth + 1.
+total depth is encoder_depth + trunk_depth + 1. The forward and backward
+passes read that layout from the LayerSpec fields, not from layer names.
 
 Forward and backward are written out by hand in float64; gradients are
 exact, not approximated.
+
+Batch tensors are built once per run: a client's whole shard and the
+test set's evaluation chunks are assembled by make_batch a single time
+and write-protected, and every minibatch is a row-take (fancy index) of
+its client's shard. evaluate composes each layer's effective weight once
+per call and reuses it for every chunk. None of this changes a byte of
+the outputs: the same rows meet the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -185,6 +193,21 @@ class Batch:
     def __len__(self) -> int:
         return int(self.labels.shape[0])
 
+    def take(self, rows: np.ndarray) -> "Batch":
+        """The rows at the given positions, in that order, as a new batch."""
+        return Batch(
+            features=[f[rows] for f in self.features],
+            presence=[p[rows] for p in self.presence],
+            labels=self.labels[rows],
+        )
+
+    def freeze(self) -> "Batch":
+        """Write-protect every array of a batch that is built once and
+        reused; returns the batch."""
+        for array in (*self.features, *self.presence, self.labels):
+            array.flags.writeable = False
+        return self
+
 
 def make_batch(
     manifest: DatasetManifest,
@@ -214,46 +237,67 @@ def make_batch(
     return Batch(features=feats, presence=pres, labels=labels)
 
 
-def _effective_weight(base: BaseWeights, delta: AdapterDelta, layer: int) -> np.ndarray:
-    return base.weights[layer] + compose_delta(delta, layer)
+def effective_weights(base: BaseWeights, delta: AdapterDelta) -> list[np.ndarray]:
+    """Every layer's base weight plus its composed adapter update."""
+    return [base.weights[i] + compose_delta(delta, i) for i in range(len(base.specs))]
 
 
-def _run_forward(base: BaseWeights, delta: AdapterDelta, batch: Batch):
-    """Logits plus per-layer caches (input, post-tanh output or None for
-    the head, effective weight), in layer_specs order."""
-    cfg_m = len(batch.features)
+def _encoder_depth(specs: tuple[LayerSpec, ...], modality_count: int) -> int:
+    """Encoder layers per modality. An encoder depth holds one layer per
+    modality, a trunk or head depth one layer, so the layers outnumber the
+    depths by (modality_count - 1) * encoder_depth. With one modality the
+    encoder and the trunk are a single chain and need no split."""
+    if modality_count < 2:
+        return 0
+    return (len(specs) - len({s.depth for s in specs})) // (modality_count - 1)
+
+
+def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch):
+    """Logits plus each layer's input and post-tanh output (None for the
+    head), in layer_specs order."""
     specs = base.specs
-    enc_per_mod = sum(1 for s in specs if s.name.startswith("enc0."))
-    caches: list[tuple[np.ndarray, np.ndarray | None, np.ndarray]] = []
-    layer = 0
+    modality_count = len(batch.features)
+    per_mod = _encoder_depth(specs, modality_count)
+    inputs: list[np.ndarray] = []
+    outputs: list[np.ndarray | None] = []
+
+    def tanh_layer(layer: int, u: np.ndarray) -> np.ndarray:
+        h = u @ weights[layer].T
+        h += base.biases[layer]
+        np.tanh(h, out=h)
+        inputs.append(u)
+        outputs.append(h)
+        return h
+
     encoded = []
-    for m in range(cfg_m):
+    for m in range(modality_count):
         u = np.concatenate([batch.features[m], batch.presence[m][:, None]], axis=1)
-        for _ in range(enc_per_mod):
-            w = _effective_weight(base, delta, layer)
-            h = np.tanh(u @ w.T + base.biases[layer])
-            caches.append((u, h, w))
-            u = h
-            layer += 1
+        for layer in range(m * per_mod, (m + 1) * per_mod):
+            u = tanh_layer(layer, u)
         encoded.append(u)
     u = np.concatenate(encoded, axis=1)
-    while specs[layer].name != "head":
-        w = _effective_weight(base, delta, layer)
-        h = np.tanh(u @ w.T + base.biases[layer])
-        caches.append((u, h, w))
-        u = h
-        layer += 1
-    w = _effective_weight(base, delta, layer)
-    logits = u @ w.T + base.biases[layer]
-    caches.append((u, None, w))
-    return logits, caches, enc_per_mod
+    head = len(specs) - 1
+    for layer in range(modality_count * per_mod, head):
+        u = tanh_layer(layer, u)
+    logits = u @ weights[head].T
+    logits += base.biases[head]
+    inputs.append(u)
+    outputs.append(None)
+    return logits, inputs, outputs
 
 
-def forward(base: BaseWeights, delta: AdapterDelta, batch: Batch) -> np.ndarray:
-    """Class logits, shape (len(batch), class_count)."""
+def forward(
+    base: BaseWeights,
+    delta: AdapterDelta,
+    batch: Batch,
+    weights: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """Class logits, shape (len(batch), class_count). A caller scoring
+    several batches with one delta passes effective_weights(base, delta)
+    so they are composed once."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    logits, _, _ = _run_forward(base, delta, batch)
+    logits, _, _ = _run_forward(base, effective_weights(base, delta) if weights is None else weights, batch)
     return logits
 
 
@@ -289,39 +333,41 @@ def loss_and_grad(
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
-    logits, caches, enc_per_mod = _run_forward(base, delta, batch)
+    weights = effective_weights(base, delta)
+    logits, inputs, outputs = _run_forward(base, weights, batch)
     loss, dlogits = _softmax_xent(logits, batch.labels)
     grad = replace(delta, flat=np.zeros_like(delta.flat))
     scale = delta.scale
 
-    def accumulate(layer: int, dz: np.ndarray, u: np.ndarray) -> None:
-        dw = dz.T @ u
+    def accumulate(layer: int, dz: np.ndarray) -> None:
+        dw = dz.T @ inputs[layer]
         grad.up[layer][...] += scale * (dw @ delta.down[layer].T)
         grad.down[layer][...] += scale * (delta.up[layer].T @ dw)
 
-    m_count = len(batch.features)
-    head_idx = len(base.specs) - 1
-    trunk_count = head_idx - enc_per_mod * m_count
+    def backprop(layers: range, d: np.ndarray) -> np.ndarray:
+        """Carry d, the gradient at the output of the tanh chain `layers`,
+        back to the chain's input, accumulating every layer's factors."""
+        for layer in reversed(layers):
+            h = outputs[layer]
+            dz = d * (1.0 - h * h)
+            accumulate(layer, dz)
+            d = dz @ weights[layer]
+        return d
 
-    u, _, w = caches[head_idx]
-    accumulate(head_idx, dlogits, u)
-    dstream = dlogits @ w
-    for t in reversed(range(trunk_count)):
-        layer = enc_per_mod * m_count + t
-        u, h, w = caches[layer]
-        dz = dstream * (1.0 - h * h)
-        accumulate(layer, dz, u)
-        dstream = dz @ w
-    if enc_per_mod > 0:
-        hidden = caches[0][1].shape[1]
-        for m in range(m_count):
-            dmod = dstream[:, m * hidden : (m + 1) * hidden]
-            for e in reversed(range(enc_per_mod)):
-                layer = m * enc_per_mod + e
-                u, h, w = caches[layer]
-                dz = dmod * (1.0 - h * h)
-                accumulate(layer, dz, u)
-                dmod = dz @ w
+    specs = base.specs
+    modality_count = len(batch.features)
+    per_mod = _encoder_depth(specs, modality_count)
+    head = len(specs) - 1
+    accumulate(head, dlogits)
+    dstream = backprop(range(modality_count * per_mod, head), dlogits @ weights[head])
+    if per_mod > 0:
+        # dstream spans the concatenated encodings, one stack's fan_out each
+        offset = 0
+        for m in range(modality_count):
+            stack = range(m * per_mod, (m + 1) * per_mod)
+            width = specs[stack[-1]].fan_out
+            backprop(stack, dstream[:, offset : offset + width])
+            offset += width
 
     if reg_ctx is not None:
         reg_value, reg_grad = reg_ctx.value_and_grad(delta)

@@ -26,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .client import LocalTrainConfig, RegularizerConfig, classify_client, client_missing_rate, gamma_for_client, local_train
+from .client import ClientData, LocalTrainConfig, RegularizerConfig, client_data, local_train, reg_contexts
 from .data import DatasetManifest
-from .metrics import EvalResult, evaluate
-from .model import AdapterDelta, BaseWeights, ModelConfig, adapter_from_file, adapter_meta, init_model
+from .metrics import EvalResult, eval_chunks, evaluate
+from .model import AdapterDelta, BaseWeights, ModelConfig, adapter_from_file, adapter_meta, init_model, make_batch
 from .partitioner import ClientPartition
 from .tensorio import read_tensor_file, write_tensor_file
 
@@ -167,9 +167,11 @@ class RunLog:
     records: list[dict] = field(default_factory=list)
 
     def write(self, path: str | Path) -> None:
+        """Write strict JSON lines; a non-finite float raises ValueError
+        before the file is opened."""
+        text = "".join(json.dumps(rec, ensure_ascii=False, allow_nan=False) + "\n" for rec in self.records)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+            fh.write(text)
 
     @classmethod
     def read(cls, path: str | Path) -> "RunLog":
@@ -200,10 +202,16 @@ def run_rounds(
     test_manifest: DatasetManifest,
     timings: list[float] | None = None,
 ) -> tuple[RunLog, ServerState, BaseWeights]:
-    """The full federated loop. Test labels are touched only inside
-    evaluate, never during training. Per-round wall times go into the
-    optional timings list, kept out of the RunLog so reruns of the same
-    config produce identical logs."""
+    """The full federated loop. Test samples are only ever scored, inside
+    evaluate, never trained on. Per-round wall times go into the optional
+    timings list, kept out of the RunLog so reruns of the same config
+    produce identical logs.
+
+    Each client's shard is assembled and classified the first time the
+    client is sampled, and the test set once per run; both caches die
+    with the call. A non-finite client loss or adapter, or a non-finite
+    global adapter after aggregation, raises ValueError naming the round.
+    """
     cfg.validate()
     sizes = partition.sizes()
     nonempty = sum(1 for n in sizes if n > 0)
@@ -213,36 +221,40 @@ def run_rounds(
         )
     base, delta0 = init_model(model_cfg)
     state = init_server_state(cfg.aggregator, delta0, cfg.server_lr)
-    modality_count = len(train_manifest.modalities)
+    clients: dict[int, ClientData] = {}
+    test_chunks = eval_chunks(test_manifest)
     log = RunLog()
     for t in range(1, cfg.rounds + 1):
         started = time.perf_counter()
         picked = sample_clients(sizes, cfg.clients_per_round, t, cfg.seed)
-        deltas, betas, gammas, losses = [], {}, {}, {}
         for k in picked:
-            slot = partition.clients[k]
+            if k not in clients:
+                clients[k] = client_data(train_manifest, partition.clients[k], cfg.reg)
+        contexts = reg_contexts(state.global_delta, cfg.reg.margin, [clients[k].gamma for k in picked])
+        deltas, betas, gammas, losses = [], {}, {}, {}
+        for k, ctx in zip(picked, contexts):
+            client = clients[k]
             trained, trace = local_train(
                 base,
                 state.global_delta,
-                train_manifest,
-                slot,
+                client.batch,
                 cfg.local,
-                cfg.reg,
                 seed=rng.seed_for(cfg.seed, "local", t, k),
+                reg_ctx=ctx,
             )
+            if not np.isfinite(trace).all() or not np.isfinite(trained.flat).all():
+                raise ValueError(f"round {t}, client {k}: training loss or adapter is not finite (epoch losses {trace})")
             deltas.append(trained)
-            beta_k = client_missing_rate(slot, modality_count)
-            betas[str(k)] = beta_k
-            if cfg.reg.enabled:
-                gammas[str(k)] = gamma_for_client(cfg.reg.gamma_max, classify_client(slot), beta_k)
-            else:
-                gammas[str(k)] = 0.0
+            betas[str(k)] = client.missing_rate
+            gammas[str(k)] = client.gamma
             losses[str(k)] = trace
         grad = pseudo_gradient(deltas, [sizes[k] for k in picked], state.global_delta)
         state = server_step(state, grad)
+        if not np.isfinite(state.global_delta.flat).all():
+            raise ValueError(f"round {t}: global adapter is not finite after aggregating clients {picked}")
         eval_obj = None
         if t % cfg.eval_every == 0 or t == cfg.rounds:
-            eval_obj = _eval_obj(evaluate(base, state.global_delta, test_manifest, cfg.metric))
+            eval_obj = _eval_obj(evaluate(base, state.global_delta, test_manifest, cfg.metric, chunks=test_chunks))
         if timings is not None:
             timings.append(time.perf_counter() - started)
         log.records.append(
@@ -270,9 +282,11 @@ def local_baseline(
 ) -> dict:
     """Isolated per-client training from the shared init, no aggregation,
     no proximal term. Returns per-client results, their unweighted mean
-    value and accuracy, and which clients were skipped as empty."""
+    value and accuracy, and which clients were skipped as empty. The test
+    set is assembled once and scored for every client."""
     local_cfg = local_cfg if local_cfg is not None else LocalTrainConfig(epochs=5)
     base, delta0 = init_model(model_cfg)
+    test_chunks = eval_chunks(test_manifest)
     per_client: dict[str, dict] = {}
     skipped: list[int] = []
     for k, slot in enumerate(partition.clients):
@@ -282,13 +296,11 @@ def local_baseline(
         trained, _ = local_train(
             base,
             delta0,
-            train_manifest,
-            slot,
+            make_batch(train_manifest, slot.sample_ids, slot.masks),
             local_cfg,
-            RegularizerConfig(enabled=False),
             seed=rng.seed_for(seed, "baseline", k),
         )
-        result = evaluate(base, trained, test_manifest, metric)
+        result = evaluate(base, trained, test_manifest, metric, chunks=test_chunks)
         per_client[str(k)] = _eval_obj(result)
     if not per_client:
         raise ValueError("no nonempty clients to train")

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fedmm.client import client_data, local_train, reg_contexts
 from fedmm.data import DatasetManifest, ModalityDescriptor, Sample, SynthConfig, synth_generate
 from fedmm.model import ModelConfig, init_model
 from fedmm.partitioner import ClientPartition, ClientSlot
@@ -15,6 +16,13 @@ def round_robin_partition(manifest, clients):
         slots[i % clients].sample_ids.append(sample.id)
         slots[i % clients].masks.append(sample.presence(manifest.modalities))
     return ClientPartition(clients=slots)
+
+
+def train_client(base, delta, manifest, slot, cfg, reg_cfg, seed):
+    """local_train on one client the way run_rounds drives it."""
+    client = client_data(manifest, slot, reg_cfg)
+    [ctx] = reg_contexts(delta, reg_cfg.margin, [client.gamma])
+    return local_train(base, delta, client.batch, cfg, seed, ctx)
 
 
 def tiny_manifest(class_count=3, dims=(4, 3), per_class=10, split="train", seed=0):

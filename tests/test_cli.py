@@ -119,6 +119,19 @@ def test_train_output_hashes_pinned(tmp_path, case):
     assert got == want
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log:RuntimeWarning")
+def test_train_divergence_exits_2_without_infinity(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["train", "--set", "local.lr=50", "--set", "fl.rounds=10", "--set", f"out_dir={out}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "round" in err and "client" in err and "not finite" in err
+    assert not (out / "runlog.jsonl").exists()
+    for path in out.rglob("*"):
+        assert b"Infinity" not in path.read_bytes()
+        assert b"NaN" not in path.read_bytes()
+
+
 def test_train_does_not_touch_config_file(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg = write_config(cfg_path, [f"out_dir = {tmp_path / 'out'}"])

@@ -5,19 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import randomize_delta, tiny_manifest
+from conftest import manual_manifest, randomize_delta, tiny_manifest, train_client
 from fedmm.client import (
     LocalTrainConfig,
     RegContext,
     RegularizerConfig,
+    client_data,
     cosine_lr,
     gamma_for_client,
     local_train,
     make_reg_context,
     mask_vector,
+    reg_contexts,
     reg_value_and_grad,
 )
-from fedmm.model import AdapterDelta, LayerSpec, ModelConfig, compose_delta, init_model
+from fedmm.model import AdapterDelta, LayerSpec, ModelConfig, compose_delta, init_model, make_batch
 from fedmm.partitioner import ClientSlot, dirichlet_partition
 from test_model import central_difference, relative_errors
 
@@ -190,7 +192,7 @@ def make_setup(seed=0):
 
 def test_local_train_zero_epochs_noop():
     manifest, base, delta, partition = make_setup()
-    out, trace = local_train(
+    out, trace = train_client(
         base, delta, manifest, partition.clients[0],
         LocalTrainConfig(epochs=0), RegularizerConfig(), seed=1,
     )
@@ -202,8 +204,8 @@ def test_local_train_deterministic_and_pure():
     manifest, base, delta, partition = make_setup()
     before = delta.flat.copy()
     cfg = LocalTrainConfig(epochs=2, batch_size=8)
-    a, trace_a = local_train(base, delta, manifest, partition.clients[0], cfg, RegularizerConfig(), seed=5)
-    b, trace_b = local_train(base, delta, manifest, partition.clients[0], cfg, RegularizerConfig(), seed=5)
+    a, trace_a = train_client(base, delta, manifest, partition.clients[0], cfg, RegularizerConfig(), seed=5)
+    b, trace_b = train_client(base, delta, manifest, partition.clients[0], cfg, RegularizerConfig(), seed=5)
     assert np.array_equal(a.flat, b.flat)
     assert trace_a == trace_b
     assert np.array_equal(delta.flat, before)
@@ -212,7 +214,7 @@ def test_local_train_deterministic_and_pure():
 def test_local_train_empty_client_rejected():
     manifest, base, delta, _ = make_setup()
     with pytest.raises(ValueError, match="no samples"):
-        local_train(base, delta, manifest, ClientSlot(), LocalTrainConfig(), RegularizerConfig(), seed=1)
+        train_client(base, delta, manifest, ClientSlot(), LocalTrainConfig(), RegularizerConfig(), seed=1)
 
 
 def test_local_train_descends_across_seeds():
@@ -220,7 +222,7 @@ def test_local_train_descends_across_seeds():
     for seed in range(3):
         manifest, base, delta, partition = make_setup(seed=seed)
         slot = max(partition.clients, key=len)
-        _, trace = local_train(
+        _, trace = train_client(
             base, delta, manifest, slot,
             LocalTrainConfig(epochs=5, batch_size=8, lr=5e-3),
             RegularizerConfig(enabled=False), seed=seed,
@@ -241,8 +243,8 @@ def test_local_train_reg_pulls_toward_global():
     )
     start = randomize_delta(delta, seed=20, scale=0.05)
     cfg = LocalTrainConfig(epochs=3, batch_size=8)
-    free, _ = local_train(base, start, manifest, mono, cfg, RegularizerConfig(enabled=False), seed=3)
-    tied, _ = local_train(
+    free, _ = train_client(base, start, manifest, mono, cfg, RegularizerConfig(enabled=False), seed=3)
+    tied, _ = train_client(
         base, start, manifest, mono, cfg,
         RegularizerConfig(enabled=True, gamma_max=50.0, margin=0), seed=3,
     )
@@ -256,7 +258,56 @@ def test_local_train_aligned_client_skips_reg():
     manifest, base, delta, partition = make_setup(seed=4)
     slot = max(partition.clients, key=len)
     cfg = LocalTrainConfig(epochs=1, batch_size=8)
-    on, trace_on = local_train(base, delta, manifest, slot, cfg, RegularizerConfig(enabled=True), seed=6)
-    off, trace_off = local_train(base, delta, manifest, slot, cfg, RegularizerConfig(enabled=False), seed=6)
+    on, trace_on = train_client(base, delta, manifest, slot, cfg, RegularizerConfig(enabled=True), seed=6)
+    off, trace_off = train_client(base, delta, manifest, slot, cfg, RegularizerConfig(enabled=False), seed=6)
     assert np.array_equal(on.flat, off.flat)
     assert trace_on == trace_off
+
+
+# ---------- per-run client tensors ----------
+
+def test_client_batch_row_take_matches_make_batch():
+    # a partial-mask client: a drops text, b keeps image, c keeps text
+    manifest = manual_manifest()
+    slot = ClientSlot(["d", "a", "b", "c"], [(True, True), (True, False), (True, False), (False, True)])
+    client = client_data(manifest, slot, RegularizerConfig(gamma_max=0.4))
+    assert client.missing_rate == 3 / 8
+    assert client.gamma == gamma_for_client(0.4, "partial_missing", 3 / 8)
+    for rows in (np.array([2, 0, 3]), np.array([1, 1, 0, 3, 2]), np.arange(4)):
+        got = client.batch.take(rows)
+        want = make_batch(manifest, [slot.sample_ids[i] for i in rows], [slot.masks[i] for i in rows])
+        for a, b in zip([*got.features, *got.presence, got.labels], [*want.features, *want.presence, want.labels]):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+def test_client_batch_read_only_and_untouched_by_training():
+    manifest, base, delta, partition = make_setup()
+    client = client_data(manifest, partition.clients[0], RegularizerConfig())
+    arrays = [*client.batch.features, *client.batch.presence, client.batch.labels]
+    before = [a.copy() for a in arrays]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        client.batch.features[0][0, 0] = 1.0
+    local_train(base, delta, client.batch, LocalTrainConfig(epochs=2, batch_size=5), seed=4)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+
+def test_local_train_empty_batch_rejected():
+    manifest, base, delta, _ = make_setup()
+    with pytest.raises(ValueError, match="no samples"):
+        local_train(base, delta, make_batch(manifest, []), LocalTrainConfig(), seed=1)
+
+
+def test_reg_contexts_compose_targets_once():
+    _, _, delta, _ = make_setup()
+    start = randomize_delta(delta, seed=3)
+    contexts = reg_contexts(start, 1, [0.0, 0.3, 0.0, 0.7])
+    assert contexts[0] is None and contexts[2] is None
+    a, b = contexts[1], contexts[3]
+    assert (a.gamma, b.gamma) == (0.3, 0.7)
+    assert a.targets is b.targets
+    own = make_reg_context(start, 1, 0.7)
+    assert all(np.array_equal(x, y) for x, y in zip(b.targets, own.targets))
+    assert np.array_equal(b.mask, own.mask)
+    assert reg_contexts(start, 1, [0.0, 0.0]) == [None, None]

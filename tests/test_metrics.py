@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tiny_manifest
+from conftest import randomize_delta, tiny_manifest
 from fedmm.data import SynthConfig, synth_generate
-from fedmm.metrics import accuracy, evaluate, macro_f1, roc_auc
+from fedmm.metrics import accuracy, eval_chunks, evaluate, macro_f1, roc_auc
 from fedmm.model import ModelConfig, init_model
 
 
@@ -217,6 +217,24 @@ def test_evaluate_explicit_metric_and_chunking():
     assert small.value == big.value
     assert small.accuracy == big.accuracy
     assert small.metric == "macro_f1"
+
+
+def test_evaluate_prebuilt_chunks_match_fresh_build():
+    manifest = tiny_manifest(class_count=3, per_class=10, seed=4)
+    cfg = ModelConfig(
+        modality_dims=(4, 3), hidden=6, encoder_depth=1, trunk_depth=1,
+        class_count=3, rank=2, adapter_alpha=2.0, seed=4,
+    )
+    base, delta = init_model(cfg)
+    delta = randomize_delta(delta, seed=2)
+    fresh = evaluate(base, delta, manifest)
+    chunks = eval_chunks(manifest)
+    assert evaluate(base, delta, manifest, chunks=chunks) == fresh
+    assert evaluate(base, delta, manifest, chunks=chunks) == fresh
+    small = eval_chunks(manifest, 7)
+    assert [len(batch) for batch in small] == [7, 7, 7, 7, 2]
+    assert evaluate(base, delta, manifest, chunks=small) == evaluate(base, delta, manifest, chunk=7)
+    assert not any(a.flags.writeable for b in small for a in (*b.features, *b.presence, b.labels))
 
 
 def test_evaluate_rejects_auc_for_multiclass():

@@ -11,6 +11,7 @@ from fedmm.model import (
     LayerSpec,
     ModelConfig,
     compose_delta,
+    effective_weights,
     forward,
     init_model,
     layer_specs,
@@ -190,6 +191,14 @@ def test_absent_modality_features_ignored():
     assert np.array_equal(a, b)
 
 
+def test_forward_with_precomposed_weights(tiny_model):
+    _, base, delta = tiny_model
+    delta = randomize_delta(delta, seed=8)
+    manifest = tiny_manifest(class_count=3, dims=(4, 3), per_class=4, seed=2)
+    batch = make_batch(manifest, [s.id for s in manifest.samples])
+    assert np.array_equal(forward(base, delta, batch, effective_weights(base, delta)), forward(base, delta, batch))
+
+
 def test_make_batch_rejects_absent_request():
     manifest = manual_manifest()
     with pytest.raises(ValueError, match="absent modality"):
@@ -242,6 +251,8 @@ def test_batch_duplication_keeps_loss_and_grad(tiny_model):
         ((2, 3), 4, 0, 1, 4, 2),
         ((2, 2), 3, 0, 0, 2, 1),
         ((2, 2, 2), 3, 1, 1, 3, 1),
+        ((3,), 4, 2, 1, 3, 2),
+        ((3,), 4, 1, 0, 2, 1),
     ],
 )
 def test_gradients_match_central_differences(dims, hidden, enc, trunk, classes, rank):

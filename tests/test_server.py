@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import randomize_delta, round_robin_partition, tiny_manifest
+from conftest import randomize_delta, round_robin_partition, tiny_manifest, train_client
 from fedmm import rng
-from fedmm.client import LocalTrainConfig, RegularizerConfig, local_train
+from fedmm.client import LocalTrainConfig, RegularizerConfig
 from fedmm.model import ModelConfig, init_model, loss_and_grad, make_batch
 from fedmm.partitioner import ClientPartition, ClientSlot, dirichlet_partition
 from fedmm.server import (
@@ -280,11 +280,18 @@ def test_run_rounds_single_client_composition():
     picked = log.records[0]["clients"][0]
 
     _, delta0 = init_model(model_cfg)
-    want, _ = local_train(
+    want, _ = train_client(
         base, delta0, train, partition.clients[picked],
         cfg.local, cfg.reg, seed=rng.seed_for(cfg.seed, "local", 1, picked),
     )
     assert np.array_equal(state.global_delta.flat, want.flat)
+
+
+def test_runlog_write_rejects_non_finite(tmp_path):
+    path = tmp_path / "runlog.jsonl"
+    with pytest.raises(ValueError):
+        RunLog(records=[{"round": 1, "client_loss": {"0": [float("inf")]}}]).write(path)
+    assert not path.exists()
 
 
 def test_run_rounds_log_schema_and_cadence():
@@ -396,7 +403,7 @@ def test_baseline_deterministic_and_k1_equals_solo():
     assert a["mean_value"] == a["clients"]["0"]["value"]
 
     base, delta0 = init_model(model_cfg)
-    trained, _ = local_train(
+    trained, _ = train_client(
         base, delta0, train, solo.clients[0],
         LocalTrainConfig(epochs=2, batch_size=8), RegularizerConfig(enabled=False),
         seed=rng.seed_for(13, "baseline", 0),
