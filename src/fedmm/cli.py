@@ -5,8 +5,10 @@ Subcommands:
   train                run the federated loop, write runlog and checkpoints
   baseline             isolated per-client training, write baseline.json
   export-instructions  render per-client instruction JSONL files
-  report               collect run directories into one CSV table
-  sweep                cartesian grid over levels x aggregators x seeds
+  report               collect run directories into one CSV table, print
+                       per-group mean +- SE and paired reg on-off differences
+  sweep                train every cell of sweep.grid, the cartesian product of
+                       KEY=V1|V2|... axes over any scalar config keys, then report
 
 Every run directory receives config.resolved, a full snapshot of the
 resolved flat config; rerunning any subcommand from the snapshot
@@ -18,15 +20,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import itertools
 import json
+import re
+import statistics
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig
+from .config import SCHEMA, ExperimentConfig, render_value
 from .data import DatasetManifest, load_manifest, modality_stats, save_manifest, synth_generate
 from .metrics import evaluate
 from .model import save_checkpoint
-from .partitioner import ClientPartition, build_scenario, save_partition
+from .partitioner import build_scenario, save_partition
 from .promptgen import CRISIS_MMD, HATEFUL_MEMES, TaskSpec, export_partition
 from .server import RunLog, local_baseline, run_rounds, save_server_state
 
@@ -42,11 +48,7 @@ def _load_data(cfg: ExperimentConfig) -> tuple[DatasetManifest, DatasetManifest]
     return train, test
 
 
-def _build_partition(cfg: ExperimentConfig, train: DatasetManifest) -> ClientPartition:
-    return build_scenario(train, cfg.scenario_spec())
-
-
-def _task_for(cfg: ExperimentConfig, manifest: DatasetManifest) -> TaskSpec:
+def _task_for(manifest: DatasetManifest) -> TaskSpec:
     if manifest.class_count == len(HATEFUL_MEMES.options):
         return HATEFUL_MEMES
     if manifest.class_count == len(CRISIS_MMD.options):
@@ -65,7 +67,7 @@ def _prepare_out(cfg: ExperimentConfig) -> Path:
 def cmd_partition(cfg: ExperimentConfig) -> int:
     out = _prepare_out(cfg)
     train, test = _load_data(cfg)
-    partition = _build_partition(cfg, train)
+    partition = build_scenario(train, cfg.scenario_spec())
     if cfg["data.source"] == "synth":
         save_manifest(train, out / "train_manifest.jsonl")
         save_manifest(test, out / "test_manifest.jsonl")
@@ -78,7 +80,7 @@ def cmd_partition(cfg: ExperimentConfig) -> int:
 def cmd_train(cfg: ExperimentConfig) -> int:
     out = _prepare_out(cfg)
     train, test = _load_data(cfg)
-    partition = _build_partition(cfg, train)
+    partition = build_scenario(train, cfg.scenario_spec())
     model_cfg = cfg.model_config(tuple(m.dim for m in train.modalities), train.class_count)
     timings: list[float] = []
     log, state, base = run_rounds(cfg.fl_config(), model_cfg, partition, train, test, timings=timings)
@@ -96,15 +98,9 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 def cmd_baseline(cfg: ExperimentConfig) -> int:
     out = _prepare_out(cfg)
     train, test = _load_data(cfg)
-    partition = _build_partition(cfg, train)
+    partition = build_scenario(train, cfg.scenario_spec())
     model_cfg = cfg.model_config(tuple(m.dim for m in train.modalities), train.class_count)
-    local_cfg = cfg.local_config()
-    local_cfg = type(local_cfg)(
-        epochs=int(cfg["baseline.epochs"]),
-        batch_size=local_cfg.batch_size,
-        lr=local_cfg.lr,
-        warmup_ratio=local_cfg.warmup_ratio,
-    )
+    local_cfg = dataclasses.replace(cfg.local_config(), epochs=int(cfg["baseline.epochs"]))
     result = local_baseline(
         model_cfg, partition, train, test,
         local_cfg=local_cfg, metric=str(cfg["metric"]),
@@ -119,83 +115,112 @@ def cmd_baseline(cfg: ExperimentConfig) -> int:
 def cmd_export_instructions(cfg: ExperimentConfig) -> int:
     out = _prepare_out(cfg)
     train, _ = _load_data(cfg)
-    partition = _build_partition(cfg, train)
-    task = _task_for(cfg, train)
+    partition = build_scenario(train, cfg.scenario_spec())
+    task = _task_for(train)
     count = export_partition(partition, train, task, cfg.agnostic, out / "instructions")
     print(f"export-instructions: {count} client files -> {out / 'instructions'}")
     return 0
 
 
-REPORT_COLUMNS = ["run", "scenario", "level", "aggregator", "metric", "value", "seed"]
+REPORT_COLUMNS = ["run", "scenario", "level", "aggregator", "metric", "value", "seed", "reg"]
 
 
-def collect_report_rows(run_dirs: list[Path]) -> list[list[object]]:
-    rows = []
+def _settings(cfg: ExperimentConfig) -> dict[str, str]:
+    """A run's rendered config apart from its seed and where it was written;
+    scenario keys the run's kind does not read are left out."""
+    scenario = cfg.scenario_spec().to_json_obj()
+    return {
+        key: render_value(spec.kind, cfg[key])
+        for key, spec in SCHEMA.items()
+        if key not in ("seed", "out_dir", "sweep.grid")
+        and (not key.startswith("scenario.") or key.removeprefix("scenario.") in scenario)
+    }
+
+
+def _mean_se(values: list[float], sign: str = "") -> str:
+    se = f"{statistics.stdev(values) / len(values) ** 0.5:.4f}" if len(values) > 1 else "n/a"
+    return f"n={len(values)} {statistics.fmean(values):{sign}.4f} +- {se}"
+
+
+def summary_lines(runs: list[tuple[ExperimentConfig, dict]]) -> list[str]:
+    """Mean +- standard error of the final value per group of runs whose
+    configs differ only in seed (one run counted per seed), labelled by the
+    keys that vary between groups; then, for each pair of groups that
+    differ only in reg.enabled, the mean +- SE of the on-minus-off
+    difference over the seeds both ran."""
+    settings = [_settings(cfg) for cfg, _ in runs]
+    varying = [key for key in SCHEMA if len({s.get(key) for s in settings}) > 1]
+    groups: dict[tuple, dict[int, dict]] = {}
+    for (cfg, final), setting in zip(runs, settings):
+        groups.setdefault(tuple((key, setting.get(key)) for key in varying), {})[cfg.seed] = final
+
+    def label(group: tuple, skip: str = "") -> str:
+        return " ".join(f"{key}={value}" for key, value in group if value is not None and key != skip) or "all runs"
+
+    lines = []
+    for group, by_seed in groups.items():
+        metric = next(iter(by_seed.values()))["metric"]
+        lines.append(f"{label(group)}: {metric} {_mean_se([final['value'] for final in by_seed.values()])}")
+    for group, on in groups.items():
+        if ("reg.enabled", "true") not in group:
+            continue
+        off = groups.get(tuple((key, "false" if key == "reg.enabled" else value) for key, value in group), {})
+        diffs = [final["value"] - off[seed]["value"] for seed, final in on.items() if seed in off]
+        if diffs:
+            lines.append(f"{label(group, skip='reg.enabled')}: reg on-off paired {_mean_se(diffs, sign='+')}")
+    return lines
+
+
+def cmd_report(run_dirs: list[Path], out_path: Path) -> int:
+    runs = []
     for run_dir in run_dirs:
         snapshot = run_dir / "config.resolved"
         runlog = run_dir / "runlog.jsonl"
         if not snapshot.exists() or not runlog.exists():
             raise ValueError(f"{run_dir}: missing config.resolved or runlog.jsonl")
-        cfg = ExperimentConfig.from_sources(snapshot)
         final = RunLog.read(runlog).final_eval()
         if final is None:
             raise ValueError(f"{run_dir}: runlog has no evaluation records")
-        spec = cfg.scenario_spec()
-        rows.append([run_dir.name, spec.kind, spec.level(), cfg["fl.aggregator"], final["metric"], final["value"], cfg.seed])
-    return rows
-
-
-def write_report(rows: list[list[object]], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+        runs.append((ExperimentConfig.from_sources(snapshot), final))
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        writer.writerows(rows)
-
-
-def cmd_report(run_dirs: list[str], out_path: str) -> int:
-    rows = collect_report_rows([Path(d) for d in run_dirs])
-    write_report(rows, Path(out_path))
-    print(f"report: {len(rows)} rows -> {out_path}")
+        for run_dir, (cfg, final) in zip(run_dirs, runs):
+            spec = cfg.scenario_spec()
+            writer.writerow([
+                run_dir.name, spec.kind, spec.level(), cfg["fl.aggregator"], final["metric"], final["value"],
+                cfg.seed, render_value("bool", cfg["reg.enabled"]),
+            ])
+    for line in summary_lines(runs):
+        print(f"  {line}")
+    print(f"report: {len(runs)} rows -> {out_path}")
     return 0
 
 
-_LEVEL_KEY = {
-    "aligned": "scenario.alpha",
-    "missing": "scenario.beta",
-    "cross": "scenario.image_only_clients",
-    "hybrid": "scenario.keep_prob",
-}
+def sweep_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
+    """One validated config per cell of `sweep.grid`, first axis outermost,
+    each writing to a directory under `out_dir` named by its axis values."""
+    axes = cfg.sweep_axes()
+    if not axes:
+        raise ValueError("sweep.grid is empty; run a single config with `fedmm train`")
+    root = Path(str(cfg["out_dir"]))
+    subs: dict[str, ExperimentConfig] = {}
+    for cell in itertools.product(*(values for _, values in axes)):
+        updates = {key: value for (key, _), value in zip(axes, cell)}
+        name = "__".join(f"{key}-{render_value(SCHEMA[key].kind, value)}" for key, value in updates.items())
+        name = re.sub(r"[^A-Za-z0-9._-]", "_", name)  # POSIX portable filename characters only
+        if name in subs or len(name) > 255:
+            raise ValueError(f"sweep.grid: run directory name {name!r} of cell {updates} is repeated or too long")
+        subs[name] = cfg.with_values({**updates, "out_dir": str(root / name), "sweep.grid": []})
+    return list(subs.values())
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
+    subs = sweep_configs(cfg)
     out = _prepare_out(cfg)
-    kind = str(cfg["scenario.kind"])
-    levels = list(cfg["sweep.levels"]) or [cfg.values[_LEVEL_KEY[kind]]]
-    aggregators = list(cfg["sweep.aggregators"]) or [cfg["fl.aggregator"]]
-    seeds = list(cfg["sweep.seeds"]) or [cfg.seed]
-    run_dirs = []
-    for level in levels:
-        for agg in aggregators:
-            for seed in seeds:
-                level_value = int(level) if kind == "cross" else float(level)
-                name = f"{kind}-{level_value}-{agg}-s{seed}"
-                sub = cfg.with_values(
-                    {
-                        _LEVEL_KEY[kind]: level_value,
-                        "fl.aggregator": agg,
-                        "seed": int(seed),
-                        "out_dir": str(Path(str(cfg.values["out_dir"])) / name),
-                        "sweep.levels": [],
-                        "sweep.aggregators": [],
-                        "sweep.seeds": [],
-                    }
-                )
-                cmd_train(sub)
-                run_dirs.append(sub.out_dir())
-    rows = collect_report_rows(run_dirs)
-    write_report(rows, out / "report.csv")
-    print(f"sweep: {len(run_dirs)} runs -> {out / 'report.csv'}")
-    return 0
+    for sub in subs:
+        cmd_train(sub)
+    return cmd_report([sub.out_dir() for sub in subs], out / "report.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,7 +243,7 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            return cmd_report(args.run_dirs, args.out)
+            return cmd_report([Path(d) for d in args.run_dirs], Path(args.out))
         cfg = ExperimentConfig.from_sources(args.config, args.overrides)
         handler = {
             "partition": cmd_partition,

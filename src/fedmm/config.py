@@ -77,9 +77,7 @@ SCHEMA: dict[str, KeySpec] = {
     "reg.gamma_max": KeySpec("float", 0.1, "proximal strength ceiling"),
     "reg.margin": KeySpec("int", 2, "depths masked off at each end"),
     "baseline.epochs": KeySpec("int", 5, "isolated-client baseline epochs"),
-    "sweep.levels": KeySpec("float_list", [], "heterogeneity levels to sweep"),
-    "sweep.aggregators": KeySpec("str_list", [], "aggregators to sweep"),
-    "sweep.seeds": KeySpec("int_list", [], "master seeds to sweep (empty: just `seed`)"),
+    "sweep.grid": KeySpec("str_list", [], "fedmm sweep axes, KEY=V1|V2|... each; runs their cartesian product"),
 }
 
 
@@ -89,7 +87,7 @@ def parse_value(kind: str, text: str) -> object:
         return None
     if kind in ("opt_str", "str"):
         return text
-    if kind in ("opt_int", "int"):
+    if kind == "int":
         return int(text)
     if kind in ("opt_float", "float"):
         return float(text)
@@ -102,7 +100,7 @@ def parse_value(kind: str, text: str) -> object:
     if kind.endswith("_list"):
         if text == "":
             return []
-        element = {"int_list": int, "float_list": float, "str_list": str}[kind]
+        element = {"int_list": int, "str_list": str}[kind]
         return [element(part.strip()) for part in text.split(",")]
     raise ValueError(f"unknown key kind {kind!r}")
 
@@ -190,6 +188,7 @@ class ExperimentConfig:
         self.fl_config().validate()
         if self["data.source"] == "synth":
             self.synth_config().validate()
+        self.sweep_axes()
 
     @property
     def seed(self) -> int:
@@ -273,6 +272,35 @@ class ExperimentConfig:
             metric=str(self["metric"]),
             seed=rng.seed_for(self.seed, "fl"),
         )
+
+    def sweep_axes(self) -> list[tuple[str, list[object]]]:
+        """`sweep.grid` parsed into (key, values) axes, in grid order.
+
+        Each element is `KEY=V1|V2|...`; every value parses by the key's
+        own kind. List keys, `out_dir` and repeated keys or values cannot
+        make an axis.
+        """
+        axes: dict[str, list[object]] = {}
+        for item in self["sweep.grid"]:
+            key, sep, text = item.partition("=")
+            key = key.strip()
+            if not sep:
+                raise ValueError(f"sweep.grid: expected KEY=V1|V2|..., got {item!r}")
+            if key not in SCHEMA:
+                raise ValueError(f"sweep.grid: unknown key {key!r}")
+            kind = SCHEMA[key].kind
+            if kind.endswith("_list") or key == "out_dir":
+                raise ValueError(f"sweep.grid: {key!r} cannot be an axis")
+            if key in axes:
+                raise ValueError(f"sweep.grid: axis {key!r} given twice")
+            try:
+                values = [parse_value(kind, part) for part in text.split("|")]
+            except ValueError as err:
+                raise ValueError(f"sweep.grid: axis {key!r}: {err}") from None
+            if len({render_value(kind, v) for v in values}) != len(values):
+                raise ValueError(f"sweep.grid: axis {key!r} repeats a value")
+            axes[key] = values
+        return list(axes.items())
 
     def with_values(self, updates: dict[str, object]) -> "ExperimentConfig":
         merged = dict(self.values)

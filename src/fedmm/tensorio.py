@@ -9,6 +9,7 @@ and a write/read cycle is bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -34,16 +35,23 @@ def read_tensor_file(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         header_line = fh.readline()
         payload = fh.read()
     header = json.loads(header_line.decode("utf-8"))
+    manifest = header.pop("arrays", None) if isinstance(header, dict) else None
+    if not isinstance(manifest, list):
+        raise ValueError(f"{path}: header is not an object with an `arrays` list")
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in header.pop("arrays"):
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        chunk = payload[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise ValueError(f"{path}: truncated payload at array {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+    for entry in manifest:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str) or name in arrays:
+            raise ValueError(f"{path}: array entry {entry!r} lacks a unique string name")
+        shape = entry.get("shape")
+        # bool is an int subclass; a JSON true is not a dimension
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"{path}: array {name!r} has shape {shape!r}, not a list of non-negative ints")
+        nbytes = math.prod(shape) * 8
+        if nbytes > len(payload) - offset:
+            raise ValueError(f"{path}: truncated payload at array {name!r}")
+        arrays[name] = np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=offset).reshape(shape).copy()
         offset += nbytes
     if offset != len(payload):
         raise ValueError(f"{path}: {len(payload) - offset} trailing bytes after last array")

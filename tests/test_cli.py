@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import fedmm
-from fedmm.cli import run
+from fedmm.cli import build_parser, run, summary_lines, sweep_configs
+from fedmm.config import ExperimentConfig
 from fedmm.data import load_manifest
 from fedmm.partitioner import load_partition
 
@@ -172,8 +175,7 @@ def test_sweep_grid_and_report(tmp_path):
         tmp_path / "run.cfg",
         [
             f"out_dir = {out}",
-            "sweep.levels = 5.0,1.0,0.5",
-            "sweep.aggregators = adam,adagrad",
+            "sweep.grid = scenario.alpha=5.0|1.0|0.5, fl.aggregator=adam|adagrad",
         ],
     )
     assert run(["sweep", "--config", cfg]) == 0
@@ -181,7 +183,7 @@ def test_sweep_grid_and_report(tmp_path):
     assert len(runlogs) == 6
     with open(out / "report.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["run", "scenario", "level", "aggregator", "metric", "value", "seed"]
+    assert rows[0] == ["run", "scenario", "level", "aggregator", "metric", "value", "seed", "reg"]
     assert len(rows) == 7
     aggs = {row[3] for row in rows[1:]}
     levels = {row[2] for row in rows[1:]}
@@ -189,7 +191,134 @@ def test_sweep_grid_and_report(tmp_path):
     assert levels == {"5.0", "1.0", "0.5"}
 
 
-def test_report_reads_train_dirs(tmp_path):
+def test_sweep_cells_in_grid_order_with_portable_names(tmp_path):
+    cfg = ExperimentConfig.from_sources(
+        None, [f"out_dir={tmp_path}", "sweep.grid=fl.aggregator=plain_avg|adam, data.train_manifest=a/b c|x"]
+    )
+    subs = sweep_configs(cfg)
+    assert [(s["fl.aggregator"], s["data.train_manifest"]) for s in subs] == [
+        ("plain_avg", "a/b c"), ("plain_avg", "x"), ("adam", "a/b c"), ("adam", "x"),
+    ]
+    assert [s.out_dir().name for s in subs] == [
+        "fl.aggregator-plain_avg__data.train_manifest-a_b_c",
+        "fl.aggregator-plain_avg__data.train_manifest-x",
+        "fl.aggregator-adam__data.train_manifest-a_b_c",
+        "fl.aggregator-adam__data.train_manifest-x",
+    ]
+    assert all(s.out_dir().parent == tmp_path and s["sweep.grid"] == [] for s in subs)
+    clash = cfg.with_values({"sweep.grid": ["data.train_manifest=a/b|a b"]})
+    with pytest.raises(ValueError, match="repeated"):
+        sweep_configs(clash)
+
+
+def test_sweep_snapshot_replays_every_run(tmp_path):
+    first = tmp_path / "first"
+    cfg = write_config(tmp_path / "run.cfg", [f"out_dir = {first}", "sweep.grid = scenario.alpha=5.0|0.5, seed=1|2"])
+    assert run(["sweep", "--config", cfg]) == 0
+    replay = tmp_path / "replay"
+    assert run(["sweep", "--config", str(first / "config.resolved"), "--set", f"out_dir={replay}"]) == 0
+    runs = sorted(p.name for p in first.iterdir() if p.is_dir())
+    assert len(runs) == 4
+    assert sorted(p.name for p in replay.iterdir() if p.is_dir()) == runs
+    for name in runs:
+        for output in ("runlog.jsonl", "server_state.bin", "model.bin"):
+            assert (first / name / output).read_bytes() == (replay / name / output).read_bytes()
+
+
+def test_sweep_reg_grid_prints_paired_difference(tmp_path, capsys):
+    out = tmp_path / "ablation"
+    overrides = [
+        "scenario.kind=cross",
+        "synth.samples_per_class=20",
+        "synth.test_samples_per_class=20",
+        "local.epochs=3",
+        "fl.rounds=4",
+        "fl.eval_every=2",
+        "sweep.grid=reg.enabled=true|false, seed=1|2",
+        f"out_dir={out}",
+    ]
+    assert run(["sweep", *(arg for item in overrides for arg in ("--set", item))]) == 0
+    printed = capsys.readouterr().out
+    with open(out / "report.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(row[7], row[6]) for row in rows] == [("true", "1"), ("true", "2"), ("false", "1"), ("false", "2")]
+    value = {(row[7], row[6]): float(row[5]) for row in rows}
+    diffs = [value["true", seed] - value["false", seed] for seed in ("1", "2")]
+    assert diffs[0] != diffs[1]
+    mean = (diffs[0] + diffs[1]) / 2
+    se = abs(diffs[0] - diffs[1]) / 2  # the sample stdev of two values over sqrt(2)
+    assert "reg.enabled=true: macro_f1 n=2 " in printed
+    assert "reg.enabled=false: macro_f1 n=2 " in printed
+    assert f"all runs: reg on-off paired n=2 {mean:+.4f} +- {se:.4f}" in printed
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        "fl.warp=1|2",  # unknown key
+        "synth.dims=4|8",  # list key
+        "seed=1|2, seed=3",  # repeated axis
+        "scenario.kind=cross, scenario.image_only_clients=1|20",  # a cell with more image-only clients than clients
+        "",  # empty grid
+    ],
+)
+def test_sweep_bad_grid_exits_2_without_run_dirs(tmp_path, capsys, grid):
+    out = tmp_path / "sweep"
+    cfg = write_config(tmp_path / "run.cfg", [f"out_dir = {out}", f"sweep.grid = {grid}"])
+    assert run(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fedmm sweep: ")
+    assert not out.exists()
+    if not grid:
+        assert "fedmm train" in err
+
+
+@pytest.mark.parametrize("line", ["sweep.levels = 5.0,1.0", "sweep.aggregators = adam,yogi", "sweep.seeds = 1,2"])
+def test_old_sweep_keys_rejected(tmp_path, capsys, line):
+    cfg = write_config(tmp_path / "run.cfg", [f"out_dir = {tmp_path / 'out'}", line])
+    assert run(["sweep", "--config", cfg]) == 2
+    assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    """Every `fedmm ...` line in the README's fenced blocks parses, and each
+    config subcommand's line resolves (a sweep's every cell) without running."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    lines = [line.strip() for block in blocks for line in block.splitlines() if line.strip().startswith("fedmm ")]
+    assert {shlex.split(line)[1] for line in lines} >= {"partition", "train", "baseline", "export-instructions", "sweep", "report"}
+    for line in lines:
+        try:
+            args = build_parser().parse_args(shlex.split(line)[1:])
+            if args.command != "report":
+                cfg = ExperimentConfig.from_sources(args.config, args.overrides)
+                if args.command == "sweep":
+                    sweep_configs(cfg)
+        except (SystemExit, ValueError) as err:
+            pytest.fail(f"README command {line!r}: {err!r}")
+
+
+def test_summary_groups_by_config_apart_from_seed():
+    def make(value, *overrides):
+        return ExperimentConfig.from_sources(None, list(overrides)), {"metric": "macro_f1", "value": value}
+
+    runs = [
+        make(0.5, "scenario.kind=cross", "seed=1"),
+        make(0.7, "scenario.kind=cross", "seed=2"),
+        make(0.4, "scenario.kind=missing", "seed=1", "reg.enabled=false"),
+        make(0.6, "scenario.kind=missing", "seed=1"),
+        make(0.8, "scenario.kind=missing", "seed=2"),
+    ]
+    # scenario keys a kind does not read never label its group
+    assert summary_lines(runs) == [
+        "scenario.kind=cross scenario.image_only_clients=5 reg.enabled=true: macro_f1 n=2 0.6000 +- 0.1000",
+        "scenario.kind=missing scenario.beta=0.5 reg.enabled=false: macro_f1 n=1 0.4000 +- n/a",
+        "scenario.kind=missing scenario.beta=0.5 reg.enabled=true: macro_f1 n=2 0.7000 +- 0.1000",
+        "scenario.kind=missing scenario.beta=0.5: reg on-off paired n=1 +0.2000 +- n/a",
+    ]
+
+
+def test_report_reads_train_dirs(tmp_path, capsys):
     dirs = []
     for seed in (1, 2):
         out = tmp_path / f"run{seed}"
@@ -202,6 +331,9 @@ def test_report_reads_train_dirs(tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 3
     assert {row[6] for row in rows[1:]} == {"1", "2"}
+    assert {row[7] for row in rows[1:]} == {"true"}
+    values = [float(row[5]) for row in rows[1:]]
+    assert f"all runs: roc_auc n=2 {sum(values) / 2:.4f} +- {abs(values[0] - values[1]) / 2:.4f}" in capsys.readouterr().out
 
 
 def test_unknown_key_fails_with_diagnostic(tmp_path, capsys):

@@ -17,7 +17,6 @@ def test_parse_scalars():
 def test_parse_optional_and_lists():
     assert parse_value("opt_float", "") is None
     assert parse_value("opt_float", "0.05") == 0.05
-    assert parse_value("float_list", "5.0, 1.0,0.5") == [5.0, 1.0, 0.5]
     assert parse_value("int_list", "") == []
     assert parse_value("str_list", "adam, yogi") == ["adam", "yogi"]
 
@@ -85,7 +84,9 @@ def test_derived_seeds_differ_by_purpose():
 
 
 def test_resolved_text_replays(tmp_path):
-    cfg = ExperimentConfig.from_sources(None, ["seed=5", "fl.rounds=7", "sweep.levels=1.0,0.5"])
+    cfg = ExperimentConfig.from_sources(
+        None, ["seed=5", "fl.rounds=7", "sweep.grid=scenario.alpha=5.0|0.5, fl.aggregator=adam|yogi"]
+    )
     path = tmp_path / "config.resolved"
     path.write_text(cfg.resolved_text(), encoding="utf-8")
     again = ExperimentConfig.from_sources(path)
@@ -125,3 +126,36 @@ def test_scenario_spec_kind_fields():
         None, ["scenario.kind=hybrid", "scenario.keep_prob=0.8"]
     ).scenario_spec()
     assert hybrid.keep_prob == 0.8
+
+
+def test_sweep_axes_parse_by_key_kind():
+    cfg = ExperimentConfig.from_sources(
+        None, ["sweep.grid=scenario.kind=cross|missing, reg.enabled=true|false, seed=0|1|2, fl.server_lr=|0.1"]
+    )
+    assert cfg["sweep.grid"] == ["scenario.kind=cross|missing", "reg.enabled=true|false", "seed=0|1|2", "fl.server_lr=|0.1"]
+    assert cfg.sweep_axes() == [
+        ("scenario.kind", ["cross", "missing"]),
+        ("reg.enabled", [True, False]),
+        ("seed", [0, 1, 2]),
+        ("fl.server_lr", [None, 0.1]),
+    ]
+    assert ExperimentConfig.from_sources(None).sweep_axes() == []
+
+
+@pytest.mark.parametrize(
+    "grid, phrase",
+    [
+        ("fl.warp=1|2", "unknown key 'fl.warp'"),
+        ("synth.dims=4|8", "cannot be an axis"),
+        ("out_dir=a|b", "cannot be an axis"),
+        ("sweep.grid=seed=1|2", "cannot be an axis"),
+        ("seed=1|2,seed=3", "given twice"),
+        ("seed=one|2", "axis 'seed'"),
+        ("scenario.alpha=1|1.0", "repeats a value"),
+        ("seed", "KEY=V1"),
+    ],
+)
+def test_sweep_axes_rejected(grid, phrase):
+    with pytest.raises(ValueError, match=phrase):
+        ExperimentConfig.from_sources(None, [f"sweep.grid={grid}"])
+

@@ -1,7 +1,11 @@
 from dataclasses import replace
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import manual_manifest, randomize_delta, tiny_manifest
 from fedmm.model import (
@@ -321,3 +325,75 @@ def test_checkpoint_rejects_misshapen_factor(tmp_path, tiny_model):
     write_tensor_file(path, meta, list(arrays.items()))
     with pytest.raises(ValueError, match="shape"):
         load_checkpoint(path)
+
+
+def write_raw_tensor_file(path, header, payload):
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
+@pytest.mark.parametrize("shape", [[2.5], [True, 2], ["3"], [-1, -2], [0, -1], [-1, 2], 3, None])
+def test_read_tensor_file_rejects_bad_shape(tmp_path, shape):
+    path = tmp_path / "bad.bin"
+    write_raw_tensor_file(path, {"arrays": [{"name": "w", "shape": shape}]}, bytes(16))
+    with pytest.raises(ValueError, match=r"bad\.bin: array 'w' has shape"):
+        read_tensor_file(path)
+
+
+def test_read_tensor_file_rejects_overlong_shape(tmp_path):
+    path = tmp_path / "big.bin"
+    write_raw_tensor_file(path, {"arrays": [{"name": "w", "shape": [2 ** 40, 2 ** 40]}]}, bytes(16))
+    with pytest.raises(ValueError, match="truncated payload at array 'w'"):
+        read_tensor_file(path)
+
+
+_json_scalar = st.one_of(
+    st.integers(-3, 4), st.booleans(), st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=2), st.none()
+)
+_dims = st.lists(st.integers(0, 3), max_size=3)
+_entry = st.fixed_dictionaries(
+    {
+        "name": st.one_of(st.sampled_from(["a", "b", "c"]), _json_scalar),
+        "shape": st.one_of(_dims, _dims, st.lists(st.one_of(st.integers(0, 3), _json_scalar), max_size=3), _json_scalar),
+    }
+)
+_header = st.one_of(
+    st.fixed_dictionaries({"arrays": st.lists(_entry, max_size=3)}, optional={"kind": st.text(max_size=3)}),
+    st.fixed_dictionaries({"arrays": st.lists(st.one_of(_entry, _json_scalar), max_size=3)}),
+    st.recursive(_json_scalar, lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2), max_leaves=4),
+)
+
+
+@st.composite
+def _tensor_files(draw):
+    """A header and a payload sized, most of the time, to what the header's
+    integer dimensions ask for."""
+    header = draw(_header)
+    entries = header.get("arrays") if isinstance(header, dict) else None
+    wanted = sum(
+        math.prod(d for d in entry["shape"] if isinstance(d, int))
+        for entry in (entries if isinstance(entries, list) else [])
+        if isinstance(entry, dict) and isinstance(entry["shape"], list)
+    )
+    count = draw(st.sampled_from([wanted, wanted, wanted + 1, wanted - 1]))
+    payload = np.arange(max(count, 0), dtype="<f8").tobytes() + draw(st.sampled_from([b"", b"", b"xyz"]))
+    return header, draw(st.one_of(st.just(payload), st.binary(max_size=40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_tensor_files())
+def test_read_tensor_file_rejects_or_round_trips(tmp_path_factory, case):
+    header, payload = case
+    path = tmp_path_factory.mktemp("tensorio") / "t.bin"
+    write_raw_tensor_file(path, header, payload)
+    try:
+        meta, arrays = read_tensor_file(path)
+    except ValueError:
+        return
+    assert meta == {k: v for k, v in header.items() if k != "arrays"}
+    assert [(name, arr.shape) for name, arr in arrays.items()] == [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
+    again = path.with_name("again.bin")
+    write_tensor_file(again, meta, list(arrays.items()))
+    assert again.read_bytes().split(b"\n", 1)[1] == payload
+    meta2, arrays2 = read_tensor_file(again)
+    assert meta2 == meta
+    assert {k: v.tobytes() for k, v in arrays2.items()} == {k: v.tobytes() for k, v in arrays.items()}
