@@ -16,6 +16,19 @@ its whole shard as one write-protected Batch (ClientData); every
 minibatch is a row-take of that batch. The proximal targets depend only
 on the round's global delta, so one round composes them once and shares
 them across its regularized clients (reg_contexts).
+
+Clients whose shards have the same size take the same number of steps
+with the same minibatch sizes, learning rates and Adam bias corrections,
+so local_train trains such a group in lockstep: the group's adapters are
+the rows of one (C, P) matrix, every layer's products are stacked
+np.matmul calls over that client axis, and Adam runs elementwise on the
+whole matrix. Each client keeps its own shuffle stream and its own gamma
+(0 adds exactly nothing), and the stacked products equal the per-client
+ones bit for bit, so each client's trained bytes are those of training it
+alone. A single client is a group of one, with no client axis at all.
+The server bounds the group width (server.LOCKSTEP_WIDTH) by the peak
+memory it costs; TrainBuffers keeps the working arrays and their views
+across the groups of one round.
 """
 
 from __future__ import annotations
@@ -106,14 +119,20 @@ def gamma_for_client(gamma_max: float, kind: str, missing_rate: float) -> float:
 @dataclass
 class RegContext:
     """Frozen per-round inputs of the proximal term: composed global
-    per-layer updates, the depth mask, and the client's gamma."""
+    per-layer updates, the depth mask, and the client's gamma (for a
+    lockstep group, one gamma per client as a (C,) vector)."""
 
     targets: list[np.ndarray]
     mask: np.ndarray
-    gamma: float
+    gamma: float | np.ndarray
 
-    def value_and_grad(self, delta: AdapterDelta) -> tuple[float, AdapterDelta]:
-        return reg_value_and_grad(delta, self)
+    def value_and_grad(
+        self,
+        delta: AdapterDelta,
+        composed: list[np.ndarray] | None = None,
+        grad: AdapterDelta | None = None,
+    ) -> tuple[float | np.ndarray, AdapterDelta]:
+        return reg_value_and_grad(delta, self, composed, grad)
 
 
 def make_reg_context(global_delta: AdapterDelta, margin: int, gamma: float) -> RegContext:
@@ -156,24 +175,39 @@ def client_data(manifest: DatasetManifest, slot: ClientSlot, reg_cfg: Regularize
     return ClientData(batch=batch, missing_rate=missing_rate, gamma=gamma)
 
 
-def reg_value_and_grad(delta: AdapterDelta, ctx: RegContext) -> tuple[float, AdapterDelta]:
+def reg_value_and_grad(
+    delta: AdapterDelta,
+    ctx: RegContext,
+    composed: list[np.ndarray] | None = None,
+    grad: AdapterDelta | None = None,
+) -> tuple[float | np.ndarray, AdapterDelta]:
     """gamma * sum over unmasked layers of ||composed - target||_F^2, with
-    its exact gradient through the low-rank factors."""
+    its exact gradient through the low-rank factors added into grad (a
+    fresh zero buffer when none is given). composed, when given, holds
+    every layer's scale * up @ down, as loss_and_grad builds them.
+
+    With a client axis on delta, gamma is one value per client and so is
+    the result; a client with gamma 0 adds exactly nothing, so clients
+    with and without the proximal term can train in one group.
+    """
     depth = max(s.depth for s in delta.specs) + 1
     if ctx.mask.shape != (depth,):
         raise ValueError(f"mask length {ctx.mask.shape[0]} does not match depth {depth}")
     if len(ctx.targets) != len(delta.specs):
         raise ValueError("target count does not match layer count")
+    if np.shape(ctx.gamma) != delta.flat.shape[:-1]:
+        raise ValueError(f"need one gamma per client, got shape {np.shape(ctx.gamma)}")
+    if grad is None:
+        grad = replace(delta, flat=np.zeros_like(delta.flat))
     value = 0.0
-    grad = replace(delta, flat=np.zeros_like(delta.flat))
-    scale = delta.scale
+    coef = (2.0 * np.asarray(ctx.gamma) * delta.scale)[..., None, None]
     for i, spec in enumerate(delta.specs):
         if not ctx.mask[spec.depth]:
             continue
-        diff = compose_delta(delta, i) - ctx.targets[i]
-        value += ctx.gamma * float((diff * diff).sum())
-        grad.up[i][...] = 2.0 * ctx.gamma * scale * (diff @ delta.down[i].T)
-        grad.down[i][...] = 2.0 * ctx.gamma * scale * (delta.up[i].T @ diff)
+        diff = (compose_delta(delta, i) if composed is None else composed[i]) - ctx.targets[i]
+        value = value + ctx.gamma * (diff * diff).sum(axis=(-2, -1))
+        grad.up[i][...] += coef * (diff @ delta.down[i].swapaxes(-1, -2))
+        grad.down[i][...] += coef * (delta.up[i].swapaxes(-1, -2) @ diff)
     return value, grad
 
 
@@ -195,46 +229,91 @@ def cosine_lr(step: int, total_steps: int, warmup_ratio: float, lr0: float) -> f
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+class TrainBuffers:
+    """Working arrays of lockstep training for groups of up to `capacity`
+    clients: parameters, gradient and both Adam moments, each a
+    (capacity, P) matrix. A group of C clients trains on the first C rows
+    (a bare vector when C is 1) through per-layer views built the first
+    time that width is seen, so they are sliced once per set of buffers
+    instead of at every local_train call. local_train copies the trained
+    rows out, so one set of buffers serves every group in turn."""
+
+    def __init__(self, like: AdapterDelta, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.like = like
+        self.capacity = capacity
+        self._arrays = np.zeros((4, capacity, like.flat.shape[-1]))
+        self._by_width: dict[int, tuple[AdapterDelta, AdapterDelta, np.ndarray, np.ndarray]] = {}
+
+    def rows(self, width: int) -> tuple[AdapterDelta, AdapterDelta, np.ndarray, np.ndarray]:
+        """Parameters and gradient (as deltas) and the two Adam moments
+        of a group of `width` clients."""
+        if width not in self._by_width:
+            if not 1 <= width <= self.capacity:
+                raise ValueError(f"group of {width} clients exceeds buffer capacity {self.capacity}")
+            params, grad, first, second = self._arrays[:, 0] if width == 1 else self._arrays[:, :width]
+            self._by_width[width] = (replace(self.like, flat=params), replace(self.like, flat=grad), first, second)
+        return self._by_width[width]
+
+
 def local_train(
     base: BaseWeights,
     global_delta: AdapterDelta,
-    batch: Batch,
+    batches: list[Batch],
     train_cfg: LocalTrainConfig,
-    seed: int,
-    reg_ctx: RegContext | None = None,
-) -> tuple[AdapterDelta, list[float]]:
-    """Train a copy of the global delta on one client's shard, `batch`;
-    each minibatch is a row-take of it. reg_ctx, when given, adds its
-    proximal term to every step.
+    seeds: list[int],
+    reg_ctxs: list[RegContext | None] | None = None,
+    buffers: TrainBuffers | None = None,
+) -> list[tuple[AdapterDelta, list[float]]]:
+    """Train one copy of the global delta per client of a lockstep group,
+    each on its own shard (`batches`, all of one size) with its own
+    shuffle stream (`seeds`); each minibatch is a row-take of the shard.
+    reg_ctxs, when given, holds each client's proximal context or None;
+    the contexts must share one round's targets and mask.
 
-    Returns the trained delta and the per-epoch mean training loss.
-    Neither the base weights, the supplied global delta nor the batch are
-    mutated; epochs=0 returns an untouched copy and an empty trace.
+    Equal shard sizes mean equal step counts, minibatch sizes, learning
+    rates and Adam bias corrections, so the group trains as one (C, P)
+    parameter matrix: stacked matmuls and elementwise Adam produce each
+    client's bytes exactly as training it alone would. A group of one
+    keeps no client axis at all. buffers, when given, holds the working
+    arrays for this adapter layout and is reused across calls; otherwise
+    the call makes its own.
+
+    Returns each client's trained delta and per-epoch mean training loss.
+    Neither the base weights, the supplied global delta nor the batches
+    are mutated; epochs=0 returns untouched copies and empty traces.
     """
     train_cfg.validate()
-    n = len(batch)
+    width = len(batches)
+    if width < 1 or len(seeds) != width or (reg_ctxs is not None and len(reg_ctxs) != width):
+        raise ValueError("need one seed (and one context, if any) per shard")
+    n = len(batches[0])
+    if any(len(batch) != n for batch in batches):
+        raise ValueError(f"lockstep shards must have one size, got {[len(b) for b in batches]}")
     if n == 0:
         raise ValueError("client has no samples")
-    delta = replace(global_delta, flat=global_delta.flat.copy())
-    if train_cfg.epochs == 0:
-        return delta, []
-
+    buffers = TrainBuffers(global_delta, width) if buffers is None else buffers
+    delta, grad, first, second = buffers.rows(width)
+    params = delta.flat
+    params[...] = global_delta.flat
+    first.fill(0.0)
+    second.fill(0.0)
+    shard = batches[0] if width == 1 else _stack_batches(batches)
+    traces: list[list[float]] = [[] for _ in range(width)]
     batches_per_epoch = math.ceil(n / train_cfg.batch_size)
     total_steps = train_cfg.epochs * batches_per_epoch
-    gen = rng.stream(seed)
+    gens = [rng.stream(seed) for seed in seeds]
     b1, b2 = train_cfg.beta1, train_cfg.beta2
+    ctx = _group_context(reg_ctxs, width)
 
-    params = delta.flat
-    first = np.zeros_like(params)
-    second = np.zeros_like(params)
     step = 0
-    trace: list[float] = []
     for _ in range(train_cfg.epochs):
-        order = gen.permutation(n)
+        order = gens[0].permutation(n) if width == 1 else np.stack([gen.permutation(n) for gen in gens])
         loss_sum = 0.0
         for b in range(batches_per_epoch):
-            minibatch = batch.take(order[b * train_cfg.batch_size : (b + 1) * train_cfg.batch_size])
-            loss, grad = loss_and_grad(base, delta, minibatch, reg_ctx)
+            minibatch = shard.take(order[..., b * train_cfg.batch_size : (b + 1) * train_cfg.batch_size])
+            loss, _ = loss_and_grad(base, delta, minibatch, ctx, grad)
             loss_sum += loss * len(minibatch)
             g = grad.flat
             step += 1
@@ -246,5 +325,30 @@ def local_train(
             second_hat = second / (1.0 - b2**step)
             lr = cosine_lr(step - 1, total_steps, train_cfg.warmup_ratio, train_cfg.lr)
             params -= lr * first_hat / (np.sqrt(second_hat) + train_cfg.eps)
-        trace.append(loss_sum / n)
-    return delta, trace
+        for trace, value in zip(traces, np.reshape(loss_sum / n, width).tolist()):
+            trace.append(value)
+    return [(replace(global_delta, flat=row.copy()), trace) for row, trace in zip(params.reshape(width, -1), traces)]
+
+
+def _stack_batches(batches: list[Batch]) -> Batch:
+    """Equal-size shards as one batch with a leading client axis."""
+    return Batch(
+        features=[np.stack(arrays) for arrays in zip(*(b.features for b in batches))],
+        presence=[np.stack(arrays) for arrays in zip(*(b.presence for b in batches))],
+        labels=np.stack([b.labels for b in batches]),
+    )
+
+
+def _group_context(reg_ctxs: list[RegContext | None] | None, width: int) -> RegContext | None:
+    """One proximal context for a lockstep group: the members' shared
+    targets and mask with one gamma per client (0 where a client has no
+    context), or None when no member has one."""
+    present = [ctx for ctx in reg_ctxs or () if ctx is not None]
+    if not present:
+        return None
+    shared = present[0]
+    if any(ctx.targets is not shared.targets or ctx.mask is not shared.mask for ctx in present):
+        raise ValueError("lockstep clients must share one round's proximal targets")
+    if width == 1:
+        return shared
+    return replace(shared, gamma=np.array([0.0 if ctx is None else ctx.gamma for ctx in reg_ctxs]))

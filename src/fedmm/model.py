@@ -29,11 +29,23 @@ and write-protected, and every minibatch is a row-take (fancy index) of
 its client's shard. evaluate composes each layer's effective weight once
 per call and reuses it for every chunk. None of this changes a byte of
 the outputs: the same rows meet the same operations in the same order.
+
+Training runs equal-size clients in lockstep (see client.local_train):
+an AdapterDelta may hold a (C, P) matrix, a Batch may carry a leading
+client axis, and loss_and_grad is written over that optional axis, so
+one code path serves one client (plain 2-D arrays) and a group of C.
+np.matmul over a leading axis computes each slice exactly as the 2-D
+product of that slice, and row-wise sums, maxima and means reduce each
+row as they would a lone vector, so a client's bytes do not depend on
+its group. Minibatches are never padded to a common row count: rows are
+the inner dimension of the weight-gradient products, so padding would
+change their summation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -120,30 +132,46 @@ class AdapterDelta:
     up then down, layer by layer. `up[i]` (fan_out x rank) and `down[i]`
     (rank x fan_in) are tuples of views into it: writing through a view
     changes `flat`, while rebinding a view is an error.
+
+    `flat` may also be a (C, P) matrix holding C clients' adapters, one
+    per row; every view then carries that leading client axis. The views
+    are built on first use, so a delta that is only read as a vector
+    costs no slicing.
     """
 
     specs: tuple[LayerSpec, ...]
     rank: int
     adapter_alpha: float
     flat: np.ndarray
-    up: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    down: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         expected = adapter_size(self.specs, self.rank)
-        if self.flat.dtype != np.float64 or self.flat.shape != (expected,):
+        if self.flat.dtype != np.float64 or self.flat.ndim not in (1, 2) or self.flat.shape[-1] != expected:
             raise ValueError(
-                f"need a float64 vector of length {expected}, got {self.flat.dtype} of shape {self.flat.shape}"
+                f"need float64 rows of length {expected}, got {self.flat.dtype} of shape {self.flat.shape}"
             )
-        ups, downs, offset = [], [], 0
+
+    def _views(self, which: int) -> tuple[np.ndarray, ...]:
+        """Every layer's up (which=0) or down (which=1) factor."""
+        lead, rank = self.flat.shape[:-1], self.rank
+        views, offset = [], 0
         for s in self.specs:
-            mid = offset + s.fan_out * self.rank
-            end = mid + self.rank * s.fan_in
-            ups.append(self.flat[offset:mid].reshape(s.fan_out, self.rank))
-            downs.append(self.flat[mid:end].reshape(self.rank, s.fan_in))
+            mid = offset + s.fan_out * rank
+            end = mid + rank * s.fan_in
+            if which == 0:
+                views.append(self.flat[..., offset:mid].reshape(*lead, s.fan_out, rank))
+            else:
+                views.append(self.flat[..., mid:end].reshape(*lead, rank, s.fan_in))
             offset = end
-        object.__setattr__(self, "up", tuple(ups))
-        object.__setattr__(self, "down", tuple(downs))
+        return tuple(views)
+
+    @cached_property
+    def up(self) -> tuple[np.ndarray, ...]:
+        return self._views(0)
+
+    @cached_property
+    def down(self) -> tuple[np.ndarray, ...]:
+        return self._views(1)
 
     @property
     def scale(self) -> float:
@@ -177,28 +205,36 @@ def init_model(cfg: ModelConfig) -> tuple[BaseWeights, AdapterDelta]:
 
 
 def compose_delta(delta: AdapterDelta, layer: int) -> np.ndarray:
-    """The dense weight update of one layer: scale * up @ down."""
-    return delta.scale * (delta.up[layer] @ delta.down[layer])
+    """The dense weight update of one layer: scale * up @ down, as a new
+    array."""
+    update = delta.up[layer] @ delta.down[layer]
+    update *= delta.scale
+    return update
 
 
 @dataclass
 class Batch:
     """Per-modality feature matrices with zero rows where absent, 0/1
-    presence columns, and integer labels."""
+    presence columns, and integer labels. A lockstep group's batch has a
+    leading client axis on every array: features (C, rows, dim),
+    presence and labels (C, rows)."""
 
     features: list[np.ndarray]
     presence: list[np.ndarray]
     labels: np.ndarray
 
     def __len__(self) -> int:
-        return int(self.labels.shape[0])
+        """Rows per client."""
+        return int(self.labels.shape[-1])
 
     def take(self, rows: np.ndarray) -> "Batch":
-        """The rows at the given positions, in that order, as a new batch."""
+        """The rows at the given positions, in that order, as a new batch.
+        With a client axis, rows is (C, k) and client c takes rows[c]."""
+        index = (rows,) if rows.ndim == 1 else (np.arange(rows.shape[0])[:, None], rows)
         return Batch(
-            features=[f[rows] for f in self.features],
-            presence=[p[rows] for p in self.presence],
-            labels=self.labels[rows],
+            features=[f[index] for f in self.features],
+            presence=[p[index] for p in self.presence],
+            labels=self.labels[index],
         )
 
     def freeze(self) -> "Batch":
@@ -254,7 +290,9 @@ def _encoder_depth(specs: tuple[LayerSpec, ...], modality_count: int) -> int:
 
 def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch):
     """Logits plus each layer's input and post-tanh output (None for the
-    head), in layer_specs order."""
+    head), in layer_specs order. With a client axis on the batch and the
+    weights, np.matmul runs every client's product in one call, each
+    bit for bit the 2-D product of that client alone."""
     specs = base.specs
     modality_count = len(batch.features)
     per_mod = _encoder_depth(specs, modality_count)
@@ -262,7 +300,7 @@ def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch):
     outputs: list[np.ndarray | None] = []
 
     def tanh_layer(layer: int, u: np.ndarray) -> np.ndarray:
-        h = u @ weights[layer].T
+        h = u @ weights[layer].swapaxes(-1, -2)
         h += base.biases[layer]
         np.tanh(h, out=h)
         inputs.append(u)
@@ -271,15 +309,15 @@ def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch):
 
     encoded = []
     for m in range(modality_count):
-        u = np.concatenate([batch.features[m], batch.presence[m][:, None]], axis=1)
+        u = np.concatenate([batch.features[m], batch.presence[m][..., None]], axis=-1)
         for layer in range(m * per_mod, (m + 1) * per_mod):
             u = tanh_layer(layer, u)
         encoded.append(u)
-    u = np.concatenate(encoded, axis=1)
+    u = np.concatenate(encoded, axis=-1)
     head = len(specs) - 1
     for layer in range(modality_count * per_mod, head):
         u = tanh_layer(layer, u)
-    logits = u @ weights[head].T
+    logits = u @ weights[head].swapaxes(-1, -2)
     logits += base.biases[head]
     inputs.append(u)
     outputs.append(None)
@@ -301,16 +339,19 @@ def forward(
     return logits
 
 
-def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    z = logits - logits.max(axis=1, keepdims=True)
+def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy over the rows (one per client along a leading
+    axis) and its gradient with respect to the logits."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     expz = np.exp(z)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-    n = logits.shape[0]
-    picked = probs[np.arange(n), labels]
-    loss = float(-np.mean(np.log(picked)))
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
-    return loss, dlogits / n
+    probs = expz / expz.sum(axis=-1, keepdims=True)
+    n = logits.shape[-2]
+    rows = probs.reshape(-1, probs.shape[-1])
+    at = (np.arange(rows.shape[0]), labels.reshape(-1))
+    picked = rows[at].reshape(labels.shape)
+    loss = -np.mean(np.log(picked), axis=-1)
+    rows[at] -= 1.0
+    return loss, probs / n
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
@@ -324,25 +365,39 @@ def loss_and_grad(
     delta: AdapterDelta,
     batch: Batch,
     reg_ctx=None,
-) -> tuple[float, AdapterDelta]:
+    grad: AdapterDelta | None = None,
+) -> tuple[float | np.ndarray, AdapterDelta]:
     """Mean softmax cross-entropy (plus the proximal term when reg_ctx is
     given) and its exact gradient with respect to every adapter pair.
 
-    reg_ctx, when supplied, must expose value_and_grad(delta) returning a
-    scalar and an AdapterDelta-shaped gradient.
+    A delta with a client axis, (C, P), trains C clients in lockstep on a
+    batch with the same leading axis; the loss is then a (C,) vector.
+    grad, when given, is a buffer shaped like delta that is zeroed and
+    filled, so a training loop allocates it and its views once.
+
+    Each layer's update is composed once and serves both the proximal
+    term and the effective weight. reg_ctx, when supplied, must expose
+    value_and_grad(delta, composed, grad), which returns its value and
+    adds its gradient into grad.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
-    weights = effective_weights(base, delta)
+    if grad is None:
+        grad = replace(delta, flat=np.zeros_like(delta.flat))
+    else:
+        grad.flat.fill(0.0)
+    specs = base.specs
+    updates = [compose_delta(delta, i) for i in range(len(specs))]
+    reg_value = None if reg_ctx is None else reg_ctx.value_and_grad(delta, updates, grad)[0]
+    weights = [np.add(base.weights[i], u, out=u) for i, u in enumerate(updates)]
     logits, inputs, outputs = _run_forward(base, weights, batch)
     loss, dlogits = _softmax_xent(logits, batch.labels)
-    grad = replace(delta, flat=np.zeros_like(delta.flat))
     scale = delta.scale
 
     def accumulate(layer: int, dz: np.ndarray) -> None:
-        dw = dz.T @ inputs[layer]
-        grad.up[layer][...] += scale * (dw @ delta.down[layer].T)
-        grad.down[layer][...] += scale * (delta.up[layer].T @ dw)
+        dw = dz.swapaxes(-1, -2) @ inputs[layer]
+        grad.up[layer][...] += scale * (dw @ delta.down[layer].swapaxes(-1, -2))
+        grad.down[layer][...] += scale * (delta.up[layer].swapaxes(-1, -2) @ dw)
 
     def backprop(layers: range, d: np.ndarray) -> np.ndarray:
         """Carry d, the gradient at the output of the tanh chain `layers`,
@@ -354,7 +409,6 @@ def loss_and_grad(
             d = dz @ weights[layer]
         return d
 
-    specs = base.specs
     modality_count = len(batch.features)
     per_mod = _encoder_depth(specs, modality_count)
     head = len(specs) - 1
@@ -366,13 +420,11 @@ def loss_and_grad(
         for m in range(modality_count):
             stack = range(m * per_mod, (m + 1) * per_mod)
             width = specs[stack[-1]].fan_out
-            backprop(stack, dstream[:, offset : offset + width])
+            backprop(stack, dstream[..., offset : offset + width])
             offset += width
 
-    if reg_ctx is not None:
-        reg_value, reg_grad = reg_ctx.value_and_grad(delta)
-        loss += reg_value
-        grad.flat[...] += reg_grad.flat
+    if reg_value is not None:
+        loss = loss + reg_value
     return loss, grad
 
 

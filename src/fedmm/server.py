@@ -26,15 +26,42 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .client import ClientData, LocalTrainConfig, RegularizerConfig, client_data, local_train, reg_contexts
+from .client import (
+    ClientData,
+    LocalTrainConfig,
+    RegContext,
+    RegularizerConfig,
+    TrainBuffers,
+    client_data,
+    local_train,
+    reg_contexts,
+)
 from .data import DatasetManifest
 from .metrics import EvalResult, eval_chunks, evaluate
-from .model import AdapterDelta, BaseWeights, ModelConfig, adapter_from_file, adapter_meta, init_model, make_batch
+from .model import (
+    AdapterDelta,
+    BaseWeights,
+    Batch,
+    ModelConfig,
+    adapter_from_file,
+    adapter_meta,
+    init_model,
+    make_batch,
+)
 from .partitioner import ClientPartition
 from .tensorio import read_tensor_file, write_tensor_file
 
 AGGREGATOR_KINDS = ("plain_avg", "avgm", "adagrad", "adam", "yogi")
-DEFAULT_SERVER_LR = {"plain_avg": 1.0, "avgm": 1.0, "adagrad": 0.01, "adam": 0.01, "yogi": 0.01}
+# avgm's steady-state step is lr / (1 - momentum) times the averaged
+# delta, so 0.1 with momentum 0.9 moves as far as plain_avg.
+DEFAULT_SERVER_LR = {"plain_avg": 1.0, "avgm": 0.1, "adagrad": 0.01, "adam": 0.01, "yogi": 0.01}
+# Most clients one lockstep group trains at once (local_train). Each
+# member adds its working arrays to the peak memory of training. Median
+# peak RSS of `bench/run.py --workload many_clients` (2-core host, numpy
+# 2.4.6) over one-at-a-time training: +0.7 % at 4, +0.6 % at 6, +1.3 % at
+# 8, +3.9 % at 16. That workload's 1,500 client steps take 508 group steps
+# at 4, 346 at 8 and 299 with no bound.
+LOCKSTEP_WIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -82,6 +109,50 @@ def sample_clients(sizes: list[int], per_round: int, round_idx: int, seed: int) 
     gen = rng.substream(seed, "sample", round_idx)
     pick = gen.choice(len(eligible), size=per_round, replace=False)
     return sorted(eligible[int(i)] for i in pick)
+
+
+def lockstep_groups(sizes: list[int]) -> list[list[int]]:
+    """Positions of equal shard size grouped together, at most
+    LOCKSTEP_WIDTH per group, groups in order of first appearance and
+    positions in order within a group."""
+    by_size: dict[int, list[int]] = {}
+    for i, n in enumerate(sizes):
+        by_size.setdefault(n, []).append(i)
+    return [
+        members[i : i + LOCKSTEP_WIDTH]
+        for members in by_size.values()
+        for i in range(0, len(members), LOCKSTEP_WIDTH)
+    ]
+
+
+def train_clients(
+    base: BaseWeights,
+    global_delta: AdapterDelta,
+    batches: list[Batch],
+    train_cfg: LocalTrainConfig,
+    seeds: list[int],
+    reg_ctxs: list[RegContext | None] | None = None,
+) -> list[tuple[AdapterDelta, list[float]]]:
+    """local_train for every shard, equal-size shards in lockstep groups
+    (lockstep_groups). Results come back in input order, each with the
+    bytes of training that client alone. The working buffers live for
+    this call only, so they are freed before the caller evaluates."""
+    groups = lockstep_groups([len(batch) for batch in batches])
+    buffers = TrainBuffers(global_delta, max(len(group) for group in groups))
+    contexts = [None] * len(batches) if reg_ctxs is None else reg_ctxs
+    results: dict[int, tuple[AdapterDelta, list[float]]] = {}
+    for group in groups:
+        trained = local_train(
+            base,
+            global_delta,
+            [batches[i] for i in group],
+            train_cfg,
+            [seeds[i] for i in group],
+            [contexts[i] for i in group],
+            buffers,
+        )
+        results.update(zip(group, trained))
+    return [results[i] for i in range(len(batches))]
 
 
 def pseudo_gradient(
@@ -209,8 +280,11 @@ def run_rounds(
 
     Each client's shard is assembled and classified the first time the
     client is sampled, and the test set once per run; both caches die
-    with the call. A non-finite client loss or adapter, or a non-finite
-    global adapter after aggregation, raises ValueError naming the round.
+    with the call. A round's clients train in lockstep groups of equal
+    shard size (train_clients), and their results are checked and
+    aggregated in sampled order, with the bytes of one-by-one training.
+    A non-finite client loss or adapter, or a non-finite global adapter
+    after aggregation, raises ValueError naming the round.
     """
     cfg.validate()
     sizes = partition.sizes()
@@ -230,18 +304,16 @@ def run_rounds(
         for k in picked:
             if k not in clients:
                 clients[k] = client_data(train_manifest, partition.clients[k], cfg.reg)
-        contexts = reg_contexts(state.global_delta, cfg.reg.margin, [clients[k].gamma for k in picked])
         deltas, betas, gammas, losses = [], {}, {}, {}
-        for k, ctx in zip(picked, contexts):
+        batches = [clients[k].batch for k in picked]
+        seeds = [rng.seed_for(cfg.seed, "local", t, k) for k in picked]
+        contexts = reg_contexts(state.global_delta, cfg.reg.margin, [clients[k].gamma for k in picked])
+        # the results list stays unnamed, so last round's deltas are freed
+        # before this round trains
+        for k, (trained, trace) in zip(
+            picked, train_clients(base, state.global_delta, batches, cfg.local, seeds, contexts)
+        ):
             client = clients[k]
-            trained, trace = local_train(
-                base,
-                state.global_delta,
-                client.batch,
-                cfg.local,
-                seed=rng.seed_for(cfg.seed, "local", t, k),
-                reg_ctx=ctx,
-            )
             if not np.isfinite(trace).all() or not np.isfinite(trained.flat).all():
                 raise ValueError(f"round {t}, client {k}: training loss or adapter is not finite (epoch losses {trace})")
             deltas.append(trained)
@@ -282,35 +354,34 @@ def local_baseline(
 ) -> dict:
     """Isolated per-client training from the shared init, no aggregation,
     no proximal term. Returns per-client results, their unweighted mean
-    value and accuracy, and which clients were skipped as empty. The test
-    set is assembled once and scored for every client."""
+    value and accuracy, and which clients were skipped as empty. Clients
+    of equal shard size train in lockstep groups, as in run_rounds. The
+    test set is assembled once and scored for every client."""
     local_cfg = local_cfg if local_cfg is not None else LocalTrainConfig(epochs=5)
     base, delta0 = init_model(model_cfg)
     test_chunks = eval_chunks(test_manifest)
-    per_client: dict[str, dict] = {}
-    skipped: list[int] = []
-    for k, slot in enumerate(partition.clients):
-        if len(slot) == 0:
-            skipped.append(k)
-            continue
-        trained, _ = local_train(
-            base,
-            delta0,
-            make_batch(train_manifest, slot.sample_ids, slot.masks),
-            local_cfg,
-            seed=rng.seed_for(seed, "baseline", k),
-        )
-        result = evaluate(base, trained, test_manifest, metric, chunks=test_chunks)
-        per_client[str(k)] = _eval_obj(result)
-    if not per_client:
+    sizes = partition.sizes()
+    nonempty = [k for k, n in enumerate(sizes) if n > 0]
+    if not nonempty:
         raise ValueError("no nonempty clients to train")
+    trained_clients = train_clients(
+        base,
+        delta0,
+        [make_batch(train_manifest, partition.clients[k].sample_ids, partition.clients[k].masks) for k in nonempty],
+        local_cfg,
+        [rng.seed_for(seed, "baseline", k) for k in nonempty],
+    )
+    per_client = {
+        str(k): _eval_obj(evaluate(base, trained, test_manifest, metric, chunks=test_chunks))
+        for k, (trained, _) in zip(nonempty, trained_clients)
+    }
     values = [r["value"] for r in per_client.values()]
     accs = [r["accuracy"] for r in per_client.values()]
     return {
         "clients": per_client,
         "mean_value": float(np.mean(values)),
         "mean_accuracy": float(np.mean(accs)),
-        "skipped": skipped,
+        "skipped": [k for k, n in enumerate(sizes) if n == 0],
     }
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fedmm.client import client_data, local_train, reg_contexts
+from fedmm.config import ExperimentConfig
 from fedmm.data import DatasetManifest, ModalityDescriptor, Sample, SynthConfig, synth_generate
 from fedmm.model import ModelConfig, init_model
-from fedmm.partitioner import ClientPartition, ClientSlot
+from fedmm.partitioner import ClientPartition, ClientSlot, build_scenario
 
 
 def round_robin_partition(manifest, clients):
@@ -19,10 +20,24 @@ def round_robin_partition(manifest, clients):
 
 
 def train_client(base, delta, manifest, slot, cfg, reg_cfg, seed):
-    """local_train on one client the way run_rounds drives it."""
+    """local_train on one client, a lockstep group of one, the way
+    run_rounds drives it."""
     client = client_data(manifest, slot, reg_cfg)
     [ctx] = reg_contexts(delta, reg_cfg.margin, [client.gamma])
-    return local_train(base, delta, client.batch, cfg, seed, ctx)
+    [result] = local_train(base, delta, [client.batch], cfg, [seed], [ctx])
+    return result
+
+
+def run_config(*overrides):
+    """run_rounds arguments for a config of `--set` overrides, built the
+    way `fedmm train` builds them."""
+    cfg = ExperimentConfig.from_sources(None, list(overrides))
+    synth = cfg.synth_config()
+    train = synth_generate(synth, split="train")
+    test = synth_generate(synth, split="test", samples_per_class=int(cfg["synth.test_samples_per_class"]))
+    partition = build_scenario(train, cfg.scenario_spec())
+    model_cfg = cfg.model_config(tuple(m.dim for m in train.modalities), train.class_count)
+    return cfg.fl_config(), model_cfg, partition, train, test
 
 
 def tiny_manifest(class_count=3, dims=(4, 3), per_class=10, split="train", seed=0):

@@ -12,7 +12,7 @@ import pytest
 
 import fedmm
 from fedmm.cli import build_parser, run, summary_lines, sweep_configs
-from fedmm.config import ExperimentConfig
+from fedmm.config import SCHEMA, ExperimentConfig, parse_value
 from fedmm.data import load_manifest
 from fedmm.partitioner import load_partition
 
@@ -296,6 +296,21 @@ def test_readme_commands_parse():
                     sweep_configs(cfg)
         except (SystemExit, ValueError) as err:
             pytest.fail(f"README command {line!r}: {err!r}")
+
+
+def test_readme_configuration_block_loads(tmp_path):
+    """The README's `## Configuration` block, saved as a file, loads and
+    sets each key it names to the value written there."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = re.search(r"^```[^\n]*\n(.*?)^```", section, flags=re.MULTILINE | re.DOTALL).group(1)
+    path = tmp_path / "readme.cfg"
+    path.write_text(block, encoding="utf-8")
+    cfg = ExperimentConfig.from_sources(path)
+    pairs = [line.partition("=") for line in block.splitlines() if line.strip() and not line.startswith("#")]
+    assert len(pairs) >= 10
+    for key, _, value in pairs:
+        assert cfg[key.strip()] == parse_value(SCHEMA[key.strip()].kind, value)
 
 
 def test_summary_groups_by_config_apart_from_seed():

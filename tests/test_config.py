@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedmm import rng
 from fedmm.config import SCHEMA, ExperimentConfig, parse_config_text, parse_value, render_value
+from fedmm.server import AGGREGATOR_KINDS
 
 
 def test_parse_scalars():
@@ -159,3 +161,81 @@ def test_sweep_axes_rejected(grid, phrase):
     with pytest.raises(ValueError, match=phrase):
         ExperimentConfig.from_sources(None, [f"sweep.grid={grid}"])
 
+
+# ---------- config text fuzzing ----------
+
+# str.splitlines breaks lines at all of these, so a one-line value holds none
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+one_line = st.text(st.characters(blacklist_characters=LINE_BREAKS, blacklist_categories=("Cs",)), max_size=16)
+padding = st.sampled_from(["", " ", "\t", "  \t "])
+
+
+@st.composite
+def config_documents(draw):
+    """Blank, comment and `key = value` lines over SCHEMA keys, plus the
+    last stripped value each key was given."""
+    lines, expected = [], {}
+    for kind in draw(st.lists(st.sampled_from(["blank", "comment", "pair"]), max_size=25)):
+        if kind == "blank":
+            lines.append(draw(padding))
+        elif kind == "comment":
+            lines.append(draw(padding) + "#" + draw(one_line))
+        else:
+            key, value = draw(st.sampled_from(sorted(SCHEMA))), draw(one_line)
+            lines.append(f"{draw(padding)}{key}{draw(padding)}={value}")
+            expected[key] = value.strip()
+    return lines, expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_documents())
+def test_config_text_keeps_last_value_per_key(document):
+    lines, expected = document
+    assert parse_config_text("\n".join(lines)) == expected
+
+
+def _bad_line(text):
+    stripped = text.strip()
+    return bool(stripped) and not stripped.startswith("#")
+
+
+no_equals = one_line.filter(lambda t: "=" not in t and _bad_line(t))
+unknown_key = st.tuples(one_line.filter(lambda t: "=" not in t and t.strip() not in SCHEMA), one_line).map(
+    lambda kv: f"{kv[0]}={kv[1]}"
+).filter(_bad_line)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_documents(), st.one_of(no_equals, unknown_key), st.integers(min_value=0))
+def test_config_text_rejects_bad_line_by_position(document, bad, where):
+    lines, _ = document
+    where %= len(lines) + 1
+    lines.insert(where, bad)
+    with pytest.raises(ValueError, match=f"^run.cfg:{where + 1}: "):
+        parse_config_text("\n".join(lines), source="run.cfg")
+
+
+finite = {"allow_nan": False, "allow_infinity": False}
+snapshot_overrides = st.fixed_dictionaries(
+    {},
+    optional={
+        "seed": st.integers(0, 2**40).map(str),
+        "out_dir": one_line.map(str.strip),
+        "fl.rounds": st.integers(1, 10**6).map(str),
+        "fl.aggregator": st.sampled_from(AGGREGATOR_KINDS),
+        "fl.server_lr": st.one_of(st.just(""), st.floats(1e-300, 1e3, **finite).map(repr)),
+        "local.lr": st.floats(1e-300, 1e3, **finite).map(repr),
+        "reg.gamma_max": st.floats(0.0, 1e6, **finite).map(str),
+        "reg.enabled": st.sampled_from(["true", "false", "yes", "0"]),
+        "scenario.kind": st.sampled_from(["aligned", "missing", "cross", "hybrid"]),
+    },
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(snapshot_overrides)
+def test_snapshot_reparses_to_same_values(tmp_path_factory, overrides):
+    cfg = ExperimentConfig.from_sources(None, [f"{key}={value}" for key, value in overrides.items()])
+    path = tmp_path_factory.mktemp("snapshot") / "config.resolved"
+    cfg.write_snapshot(path)
+    assert ExperimentConfig.from_sources(path).values == cfg.values

@@ -1,0 +1,147 @@
+"""Lockstep training: a group of equal-size clients trained along a client
+axis must give every client exactly the bytes it gets training alone."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import lockstep_reference as reference
+from conftest import randomize_delta, run_config
+from fedmm import client, server
+from fedmm.client import LocalTrainConfig, TrainBuffers, local_train, reg_contexts
+from fedmm.model import AdapterDelta, Batch, ModelConfig, init_model
+from fedmm.server import lockstep_groups, run_rounds
+
+
+def client_batch(gen, dims, classes, n, kind):
+    """n rows of one client; `kind` picks its presence pattern: every
+    modality, only modality 0, or a random nonempty subset per row."""
+    presence = np.ones((len(dims), n))
+    if len(dims) > 1 and kind == "single":
+        presence[1:] = 0.0
+    elif len(dims) > 1 and kind == "partial":
+        presence = (gen.random((len(dims), n)) < 0.5).astype(float)
+        presence[gen.integers(0, len(dims), n), np.arange(n)] = 1.0
+    return Batch(
+        features=[gen.normal(0.0, 1.0, (n, d)) * presence[m][:, None] for m, d in enumerate(dims)],
+        presence=list(presence),
+        labels=gen.integers(0, classes, n),
+    )
+
+
+@st.composite
+def lockstep_cases(draw):
+    width = draw(st.integers(1, 6))
+    return {
+        "dims": draw(st.sampled_from([(3,), (2, 3), (3, 2, 2)])),
+        "hidden": draw(st.integers(3, 6)),
+        "enc": draw(st.integers(0, 2)),
+        "trunk": draw(st.integers(0, 2)),
+        "classes": draw(st.integers(2, 4)),
+        "rank": draw(st.integers(1, 2)),
+        "n": draw(st.integers(1, 9)),
+        "batch_size": draw(st.integers(1, 5)),
+        "epochs": draw(st.integers(0, 3)),
+        "kinds": draw(st.lists(st.sampled_from(["aligned", "partial", "single"]), min_size=width, max_size=width)),
+        "gammas": draw(st.lists(st.sampled_from([0.0, 0.3, 2.0]), min_size=width, max_size=width)),
+        "margin": draw(st.integers(0, 1)),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(lockstep_cases())
+def test_lockstep_equals_each_client_alone(case):
+    dims, classes = case["dims"], case["classes"]
+    model_cfg = ModelConfig(
+        modality_dims=dims, hidden=case["hidden"], encoder_depth=case["enc"], trunk_depth=case["trunk"],
+        class_count=classes, rank=case["rank"], adapter_alpha=2.0, seed=case["seed"],
+    )
+    base, delta = init_model(model_cfg)
+    start = randomize_delta(delta, seed=case["seed"], scale=0.3)
+    gen = np.random.default_rng(case["seed"])
+    batches = [client_batch(gen, dims, classes, case["n"], kind) for kind in case["kinds"]]
+    seeds = [case["seed"] * 7 + c for c in range(len(batches))]
+    margin = case["margin"] if 2 * case["margin"] < model_cfg.depth else 0
+    contexts = reg_contexts(start, margin, case["gammas"])
+    train_cfg = LocalTrainConfig(epochs=case["epochs"], batch_size=case["batch_size"], lr=0.05, warmup_ratio=0.3)
+
+    want = [reference.local_train(base, start, b, train_cfg, s, ctx) for b, s, ctx in zip(batches, seeds, contexts)]
+    buffers = TrainBuffers(start, 6)
+    for _ in range(2):  # the second call reuses buffers the first one dirtied
+        got = local_train(base, start, batches, train_cfg, seeds, contexts, buffers)
+        for (got_delta, got_trace), (want_delta, want_trace) in zip(got, want):
+            assert np.array_equal(got_delta.flat, want_delta.flat)
+            assert got_trace == want_trace
+
+
+def test_lockstep_rejects_mixed_shard_sizes():
+    gen = np.random.default_rng(0)
+    base, delta = init_model(ModelConfig(modality_dims=(2, 2), hidden=4, encoder_depth=1, trunk_depth=1, class_count=2, rank=1))
+    batches = [client_batch(gen, (2, 2), 2, n, "aligned") for n in (3, 4)]
+    with pytest.raises(ValueError, match="one size"):
+        local_train(base, delta, batches, LocalTrainConfig(), [1, 2])
+    with pytest.raises(ValueError, match="capacity"):
+        local_train(base, delta, batches[:1] * 3, LocalTrainConfig(), [1, 2, 3], buffers=TrainBuffers(delta, 2))
+
+
+def test_stacked_delta_views_carry_client_axis(tiny_model):
+    _, _, delta = tiny_model
+    rows = np.stack([randomize_delta(delta, seed=s).flat for s in range(3)])
+    stacked = replace(delta, flat=rows)
+    for c in range(3):
+        alone = replace(delta, flat=rows[c].copy())
+        for i in range(len(delta.specs)):
+            assert stacked.up[i].shape == (3, *alone.up[i].shape)
+            assert np.shares_memory(stacked.up[i], rows) and np.shares_memory(stacked.down[i], rows)
+            assert np.array_equal(stacked.up[i][c], alone.up[i])
+            assert np.array_equal(stacked.down[i][c], alone.down[i])
+    with pytest.raises(ValueError, match="length"):
+        AdapterDelta(delta.specs, delta.rank, delta.adapter_alpha, rows[:, :-1].copy())
+
+
+def test_lockstep_groups_by_shard_size(monkeypatch):
+    sizes = [3, 5, 3, 3, 4, 5, 3, 3, 3]
+    monkeypatch.setattr(server, "LOCKSTEP_WIDTH", 4)
+    assert lockstep_groups(sizes) == [[0, 2, 3, 6], [7, 8], [1, 5], [4]]
+    monkeypatch.setattr(server, "LOCKSTEP_WIDTH", 1)
+    assert lockstep_groups(sizes) == [[i] for i in (0, 2, 3, 6, 7, 8, 1, 5, 4)]
+
+
+HYBRID = (
+    "scenario.kind=hybrid", "scenario.clients=24", "fl.clients_per_round=12", "fl.rounds=4",
+    "synth.samples_per_class=12", "synth.test_samples_per_class=10", "local.batch_size=2",
+    "model.hidden=8", "model.encoder_depth=1", "model.trunk_depth=2", "reg.margin=1",
+)
+
+
+def test_run_rounds_same_bytes_at_any_lockstep_width(monkeypatch):
+    args = run_config(*HYBRID)
+    sizes = args[2].sizes()
+    assert len(set(sizes)) < len(sizes)  # some clients share a shard size
+    runs = []
+    for width in (1, 3, 12):
+        monkeypatch.setattr(server, "LOCKSTEP_WIDTH", width)
+        log, state, _ = run_rounds(*args)
+        runs.append((log.records, state.global_delta.flat, state.first_moment, state.second_moment))
+    for records, flat, first, second in runs[1:]:
+        assert records == runs[0][0]
+        assert np.array_equal(flat, runs[0][1])
+        assert np.array_equal(first, runs[0][2]) and np.array_equal(second, runs[0][3])
+
+
+@pytest.mark.parametrize("kind,reg_runs", [("cross", True), ("aligned", False)])
+def test_run_rounds_reaches_reg_value_and_grad(monkeypatch, kind, reg_runs):
+    calls = []
+    real = client.reg_value_and_grad
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(client, "reg_value_and_grad", counted)
+    run_rounds(*run_config(f"scenario.kind={kind}", "scenario.clients=6", "fl.clients_per_round=4", "fl.rounds=3",
+                           "scenario.image_only_clients=3", "synth.samples_per_class=12", "synth.test_samples_per_class=5"))
+    assert bool(calls) == reg_runs

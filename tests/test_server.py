@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import randomize_delta, round_robin_partition, tiny_manifest, train_client
+from conftest import randomize_delta, round_robin_partition, run_config, tiny_manifest, train_client
 from fedmm import rng
 from fedmm.client import LocalTrainConfig, RegularizerConfig
 from fedmm.model import ModelConfig, init_model, loss_and_grad, make_batch
@@ -14,6 +14,7 @@ from fedmm.server import (
     DEFAULT_SERVER_LR,
     FLRunConfig,
     RunLog,
+    ServerState,
     init_server_state,
     local_baseline,
     load_server_state,
@@ -428,3 +429,18 @@ def test_baseline_skips_empty_clients():
     )
     assert out["skipped"] == [1]
     assert list(out["clients"]) == ["0"]
+
+
+def test_avgm_default_lr_reaches_plain_avg():
+    """avgm's steady step is lr / (1 - momentum) times the averaged delta;
+    its default lr makes that plain_avg's step, so a default avgm run ends
+    where plain_avg does instead of overshooting tenfold."""
+    momentum = ServerState.momentum
+    assert DEFAULT_SERVER_LR["avgm"] / (1.0 - momentum) == pytest.approx(DEFAULT_SERVER_LR["plain_avg"])
+    finals = {}
+    for kind in ("plain_avg", "avgm"):
+        log, _, _ = run_rounds(*run_config(
+            f"fl.aggregator={kind}", "synth.samples_per_class=20", "synth.test_samples_per_class=25", "fl.rounds=30",
+        ))
+        finals[kind] = log.final_eval()["value"]
+    assert finals["avgm"] >= finals["plain_avg"] == 1.0
