@@ -12,23 +12,14 @@ absent (sample, modality) slots. The depth mask switches the first and
 last `margin` depths off, leaving only middle layers constrained.
 
 A run classifies each client once, when it is first sampled, and keeps
-its whole shard as one write-protected Batch (ClientData); every
-minibatch is a row-take of that batch. The proximal targets depend only
-on the round's global delta, so one round composes them once and shares
-them across its regularized clients (reg_contexts).
+its shard as one write-protected Batch (ClientData). A round composes the
+proximal targets once (round_reg_context) for all of its clients.
 
-Clients whose shards have the same size take the same number of steps
-with the same minibatch sizes, learning rates and Adam bias corrections,
-so local_train trains such a group in lockstep: the group's adapters are
-the rows of one (C, P) matrix, every layer's products are stacked
-np.matmul calls over that client axis, and Adam runs elementwise on the
-whole matrix. Each client keeps its own shuffle stream and its own gamma
-(0 adds exactly nothing), and the stacked products equal the per-client
-ones bit for bit, so each client's trained bytes are those of training it
-alone. A single client is a group of one, with no client axis at all.
-The server bounds the group width (server.LOCKSTEP_WIDTH) by the peak
-memory it costs; TrainBuffers keeps the working arrays and their views
-across the groups of one round.
+Clients with equal shard sizes train in lockstep (local_train): the
+group's adapters are the rows of one (C, P) matrix, each layer's
+products are stacked np.matmul calls, and Adam runs elementwise on the
+whole matrix. Each client keeps its own shuffle stream and gamma. A
+group of one trains on a bare vector, with no client axis.
 """
 
 from __future__ import annotations
@@ -141,15 +132,13 @@ def make_reg_context(global_delta: AdapterDelta, margin: int, gamma: float) -> R
     return RegContext(targets=targets, mask=mask_vector(depth, margin), gamma=gamma)
 
 
-def reg_contexts(global_delta: AdapterDelta, margin: int, gammas: list[float]) -> list[RegContext | None]:
-    """One proximal context per client of a round, None where gamma is 0.
-    The targets and the mask are built once and shared; each context
-    carries its own client's gamma."""
-    positive = [gamma for gamma in gammas if gamma > 0.0]
-    if not positive:
-        return [None] * len(gammas)
-    shared = make_reg_context(global_delta, margin, positive[0])
-    return [replace(shared, gamma=gamma) if gamma > 0.0 else None for gamma in gammas]
+def round_reg_context(global_delta: AdapterDelta, margin: int, gammas: list[float]) -> RegContext | None:
+    """The proximal context a round's clients share: the composed global
+    targets and the depth mask, built once, or None when no client's
+    gamma is positive. local_train replaces its gamma with each group's."""
+    if not any(gamma > 0.0 for gamma in gammas):
+        return None
+    return make_reg_context(global_delta, margin, max(gammas))
 
 
 @dataclass(frozen=True)
@@ -229,83 +218,52 @@ def cosine_lr(step: int, total_steps: int, warmup_ratio: float, lr0: float) -> f
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-class TrainBuffers:
-    """Working arrays of lockstep training for groups of up to `capacity`
-    clients: parameters, gradient and both Adam moments, each a
-    (capacity, P) matrix. A group of C clients trains on the first C rows
-    (a bare vector when C is 1) through per-layer views built the first
-    time that width is seen, so they are sliced once per set of buffers
-    instead of at every local_train call. local_train copies the trained
-    rows out, so one set of buffers serves every group in turn."""
-
-    def __init__(self, like: AdapterDelta, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.like = like
-        self.capacity = capacity
-        self._arrays = np.zeros((4, capacity, like.flat.shape[-1]))
-        self._by_width: dict[int, tuple[AdapterDelta, AdapterDelta, np.ndarray, np.ndarray]] = {}
-
-    def rows(self, width: int) -> tuple[AdapterDelta, AdapterDelta, np.ndarray, np.ndarray]:
-        """Parameters and gradient (as deltas) and the two Adam moments
-        of a group of `width` clients."""
-        if width not in self._by_width:
-            if not 1 <= width <= self.capacity:
-                raise ValueError(f"group of {width} clients exceeds buffer capacity {self.capacity}")
-            params, grad, first, second = self._arrays[:, 0] if width == 1 else self._arrays[:, :width]
-            self._by_width[width] = (replace(self.like, flat=params), replace(self.like, flat=grad), first, second)
-        return self._by_width[width]
-
-
 def local_train(
     base: BaseWeights,
     global_delta: AdapterDelta,
     batches: list[Batch],
     train_cfg: LocalTrainConfig,
     seeds: list[int],
-    reg_ctxs: list[RegContext | None] | None = None,
-    buffers: TrainBuffers | None = None,
+    reg_ctx: RegContext | None = None,
+    gammas: list[float] | None = None,
 ) -> list[tuple[AdapterDelta, list[float]]]:
     """Train one copy of the global delta per client of a lockstep group,
     each on its own shard (`batches`, all of one size) with its own
     shuffle stream (`seeds`); each minibatch is a row-take of the shard.
-    reg_ctxs, when given, holds each client's proximal context or None;
-    the contexts must share one round's targets and mask.
+    reg_ctx, when given, holds the round's proximal targets and mask, and
+    gammas each client's strength; a group whose gammas are all 0 runs
+    no proximal term.
 
-    Equal shard sizes mean equal step counts, minibatch sizes, learning
-    rates and Adam bias corrections, so the group trains as one (C, P)
-    parameter matrix: stacked matmuls and elementwise Adam produce each
-    client's bytes exactly as training it alone would. A group of one
-    keeps no client axis at all. buffers, when given, holds the working
-    arrays for this adapter layout and is reused across calls; otherwise
-    the call makes its own.
-
-    Returns each client's trained delta and per-epoch mean training loss.
-    Neither the base weights, the supplied global delta nor the batches
-    are mutated; epochs=0 returns untouched copies and empty traces.
+    The group trains as one (C, P) parameter matrix, a group of one as a
+    bare vector. Returns each client's trained delta and per-epoch mean
+    training loss. Neither the base weights, the supplied global delta
+    nor the batches are mutated; epochs=0 returns untouched copies and
+    empty traces.
     """
     train_cfg.validate()
     width = len(batches)
-    if width < 1 or len(seeds) != width or (reg_ctxs is not None and len(reg_ctxs) != width):
-        raise ValueError("need one seed (and one context, if any) per shard")
+    gammas = [0.0] * width if gammas is None else gammas
+    if width < 1 or len(seeds) != width or len(gammas) != width:
+        raise ValueError("need one seed and one gamma per shard")
     n = len(batches[0])
     if any(len(batch) != n for batch in batches):
         raise ValueError(f"lockstep shards must have one size, got {[len(b) for b in batches]}")
     if n == 0:
         raise ValueError("client has no samples")
-    buffers = TrainBuffers(global_delta, width) if buffers is None else buffers
-    delta, grad, first, second = buffers.rows(width)
-    params = delta.flat
+    arrays = np.zeros((4, width, global_delta.flat.size))
+    params, grad_flat, first, second = arrays[:, 0] if width == 1 else arrays
     params[...] = global_delta.flat
-    first.fill(0.0)
-    second.fill(0.0)
+    delta = replace(global_delta, flat=params)
+    grad = replace(global_delta, flat=grad_flat)
+    ctx = None
+    if reg_ctx is not None and any(gammas):
+        ctx = replace(reg_ctx, gamma=gammas[0] if width == 1 else np.array(gammas))
     shard = batches[0] if width == 1 else _stack_batches(batches)
     traces: list[list[float]] = [[] for _ in range(width)]
     batches_per_epoch = math.ceil(n / train_cfg.batch_size)
     total_steps = train_cfg.epochs * batches_per_epoch
     gens = [rng.stream(seed) for seed in seeds]
     b1, b2 = train_cfg.beta1, train_cfg.beta2
-    ctx = _group_context(reg_ctxs, width)
 
     step = 0
     for _ in range(train_cfg.epochs):
@@ -337,18 +295,3 @@ def _stack_batches(batches: list[Batch]) -> Batch:
         presence=[np.stack(arrays) for arrays in zip(*(b.presence for b in batches))],
         labels=np.stack([b.labels for b in batches]),
     )
-
-
-def _group_context(reg_ctxs: list[RegContext | None] | None, width: int) -> RegContext | None:
-    """One proximal context for a lockstep group: the members' shared
-    targets and mask with one gamma per client (0 where a client has no
-    context), or None when no member has one."""
-    present = [ctx for ctx in reg_ctxs or () if ctx is not None]
-    if not present:
-        return None
-    shared = present[0]
-    if any(ctx.targets is not shared.targets or ctx.mask is not shared.mask for ctx in present):
-        raise ValueError("lockstep clients must share one round's proximal targets")
-    if width == 1:
-        return shared
-    return replace(shared, gamma=np.array([0.0 if ctx is None else ctx.gamma for ctx in reg_ctxs]))

@@ -270,23 +270,3 @@ def modality_stats(partition, manifest: DatasetManifest) -> CountTable:
         counts=counts,
     )
 
-
-def nearest_centroid_accuracy(train: DatasetManifest, test: DatasetManifest) -> float:
-    """Accuracy of classifying test samples by nearest train class mean.
-
-    Uses concatenated per-modality features; both manifests must be fully
-    aligned. A reference point for how separable a synthetic draw is.
-    """
-    def stacked(man: DatasetManifest) -> np.ndarray:
-        rows = []
-        for s in man.samples:
-            rows.append(np.concatenate([s.features[m.name] for m in man.modalities]))
-        return np.stack(rows)
-
-    x_train = stacked(train)
-    y_train = np.array([s.label for s in train.samples])
-    x_test = stacked(test)
-    y_test = np.array([s.label for s in test.samples])
-    means = np.stack([x_train[y_train == c].mean(axis=0) for c in range(train.class_count)])
-    d2 = ((x_test[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    return float((d2.argmin(axis=1) == y_test).mean())

@@ -23,23 +23,15 @@ passes read that layout from the LayerSpec fields, not from layer names.
 Forward and backward are written out by hand in float64; gradients are
 exact, not approximated.
 
-Batch tensors are built once per run: a client's whole shard and the
-test set's evaluation chunks are assembled by make_batch a single time
-and write-protected, and every minibatch is a row-take (fancy index) of
-its client's shard. evaluate composes each layer's effective weight once
-per call and reuses it for every chunk. None of this changes a byte of
-the outputs: the same rows meet the same operations in the same order.
+make_batch assembles a client's whole shard, or a chunk of the test set,
+once per run; minibatches are row-takes of a shard (Batch.take).
 
-Training runs equal-size clients in lockstep (see client.local_train):
-an AdapterDelta may hold a (C, P) matrix, a Batch may carry a leading
-client axis, and loss_and_grad is written over that optional axis, so
-one code path serves one client (plain 2-D arrays) and a group of C.
-np.matmul over a leading axis computes each slice exactly as the 2-D
-product of that slice, and row-wise sums, maxima and means reduce each
-row as they would a lone vector, so a client's bytes do not depend on
-its group. Minibatches are never padded to a common row count: rows are
-the inner dimension of the weight-gradient products, so padding would
-change their summation.
+An AdapterDelta may hold a (C, P) matrix and a Batch a leading client
+axis; loss_and_grad is written over that optional axis, so one code path
+trains one client or a lockstep group of C (client.local_train).
+Minibatches are never padded to a common row count: rows are the inner
+dimension of the weight-gradient products, so padding would change their
+summation.
 """
 
 from __future__ import annotations
@@ -339,12 +331,16 @@ def forward(
     return logits
 
 
+def softmax_probs(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=-1, keepdims=True)
+    expz = np.exp(z)
+    return expz / expz.sum(axis=-1, keepdims=True)
+
+
 def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy over the rows (one per client along a leading
     axis) and its gradient with respect to the logits."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    expz = np.exp(z)
-    probs = expz / expz.sum(axis=-1, keepdims=True)
+    probs = softmax_probs(logits)
     n = logits.shape[-2]
     rows = probs.reshape(-1, probs.shape[-1])
     at = (np.arange(rows.shape[0]), labels.reshape(-1))
@@ -352,12 +348,6 @@ def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
     loss = -np.mean(np.log(picked), axis=-1)
     rows[at] -= 1.0
     return loss, probs / n
-
-
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(z)
-    return expz / expz.sum(axis=1, keepdims=True)
 
 
 def loss_and_grad(

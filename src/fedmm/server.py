@@ -31,10 +31,9 @@ from .client import (
     LocalTrainConfig,
     RegContext,
     RegularizerConfig,
-    TrainBuffers,
     client_data,
     local_train,
-    reg_contexts,
+    round_reg_context,
 )
 from .data import DatasetManifest
 from .metrics import EvalResult, eval_chunks, evaluate
@@ -46,7 +45,6 @@ from .model import (
     adapter_from_file,
     adapter_meta,
     init_model,
-    make_batch,
 )
 from .partitioner import ClientPartition
 from .tensorio import read_tensor_file, write_tensor_file
@@ -131,28 +129,26 @@ def train_clients(
     batches: list[Batch],
     train_cfg: LocalTrainConfig,
     seeds: list[int],
-    reg_ctxs: list[RegContext | None] | None = None,
+    reg_ctx: RegContext | None = None,
+    gammas: list[float] | None = None,
 ) -> list[tuple[AdapterDelta, list[float]]]:
     """local_train for every shard, equal-size shards in lockstep groups
-    (lockstep_groups). Results come back in input order, each with the
-    bytes of training that client alone. The working buffers live for
-    this call only, so they are freed before the caller evaluates."""
-    groups = lockstep_groups([len(batch) for batch in batches])
-    buffers = TrainBuffers(global_delta, max(len(group) for group in groups))
-    contexts = [None] * len(batches) if reg_ctxs is None else reg_ctxs
-    results: dict[int, tuple[AdapterDelta, list[float]]] = {}
-    for group in groups:
+    (lockstep_groups), all sharing the round's proximal context reg_ctx
+    with each client's own gamma. Results come back in input order."""
+    results: list[tuple[AdapterDelta, list[float]]] = [None] * len(batches)
+    for group in lockstep_groups([len(batch) for batch in batches]):
         trained = local_train(
             base,
             global_delta,
             [batches[i] for i in group],
             train_cfg,
             [seeds[i] for i in group],
-            [contexts[i] for i in group],
-            buffers,
+            reg_ctx,
+            None if gammas is None else [gammas[i] for i in group],
         )
-        results.update(zip(group, trained))
-    return [results[i] for i in range(len(batches))]
+        for i, result in zip(group, trained):
+            results[i] = result
+    return results
 
 
 def pseudo_gradient(
@@ -282,9 +278,9 @@ def run_rounds(
     client is sampled, and the test set once per run; both caches die
     with the call. A round's clients train in lockstep groups of equal
     shard size (train_clients), and their results are checked and
-    aggregated in sampled order, with the bytes of one-by-one training.
-    A non-finite client loss or adapter, or a non-finite global adapter
-    after aggregation, raises ValueError naming the round.
+    aggregated in sampled order. A non-finite client loss or adapter, or
+    a non-finite global adapter after aggregation, raises ValueError
+    naming the round.
     """
     cfg.validate()
     sizes = partition.sizes()
@@ -304,21 +300,19 @@ def run_rounds(
         for k in picked:
             if k not in clients:
                 clients[k] = client_data(train_manifest, partition.clients[k], cfg.reg)
-        deltas, betas, gammas, losses = [], {}, {}, {}
+        deltas, losses = [], {}
         batches = [clients[k].batch for k in picked]
         seeds = [rng.seed_for(cfg.seed, "local", t, k) for k in picked]
-        contexts = reg_contexts(state.global_delta, cfg.reg.margin, [clients[k].gamma for k in picked])
+        gammas = [clients[k].gamma for k in picked]
+        ctx = round_reg_context(state.global_delta, cfg.reg.margin, gammas)
         # the results list stays unnamed, so last round's deltas are freed
         # before this round trains
         for k, (trained, trace) in zip(
-            picked, train_clients(base, state.global_delta, batches, cfg.local, seeds, contexts)
+            picked, train_clients(base, state.global_delta, batches, cfg.local, seeds, ctx, gammas)
         ):
-            client = clients[k]
             if not np.isfinite(trace).all() or not np.isfinite(trained.flat).all():
                 raise ValueError(f"round {t}, client {k}: training loss or adapter is not finite (epoch losses {trace})")
             deltas.append(trained)
-            betas[str(k)] = client.missing_rate
-            gammas[str(k)] = client.gamma
             losses[str(k)] = trace
         grad = pseudo_gradient(deltas, [sizes[k] for k in picked], state.global_delta)
         state = server_step(state, grad)
@@ -334,8 +328,8 @@ def run_rounds(
                 "round": t,
                 "clients": picked,
                 "n_k": {str(k): sizes[k] for k in picked},
-                "beta": betas,
-                "gamma": gammas,
+                "beta": {str(k): clients[k].missing_rate for k in picked},
+                "gamma": {str(k): clients[k].gamma for k in picked},
                 "client_loss": losses,
                 "eval": eval_obj,
             }
@@ -364,16 +358,11 @@ def local_baseline(
     nonempty = [k for k, n in enumerate(sizes) if n > 0]
     if not nonempty:
         raise ValueError("no nonempty clients to train")
-    trained_clients = train_clients(
-        base,
-        delta0,
-        [make_batch(train_manifest, partition.clients[k].sample_ids, partition.clients[k].masks) for k in nonempty],
-        local_cfg,
-        [rng.seed_for(seed, "baseline", k) for k in nonempty],
-    )
+    shards = [client_data(train_manifest, partition.clients[k], RegularizerConfig(enabled=False)).batch for k in nonempty]
+    seeds = [rng.seed_for(seed, "baseline", k) for k in nonempty]
     per_client = {
         str(k): _eval_obj(evaluate(base, trained, test_manifest, metric, chunks=test_chunks))
-        for k, (trained, _) in zip(nonempty, trained_clients)
+        for k, (trained, _) in zip(nonempty, train_clients(base, delta0, shards, local_cfg, seeds))
     }
     values = [r["value"] for r in per_client.values()]
     accs = [r["accuracy"] for r in per_client.values()]

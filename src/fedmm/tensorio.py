@@ -30,6 +30,18 @@ def write_tensor_file(path: str | Path, meta: dict, arrays: list[tuple[str, np.n
             fh.write(blob)
 
 
+class _Entries(dict):
+    """A tensor file's header keys or arrays; looking up one the file
+    lacks raises ValueError naming the file and the key."""
+
+    def __init__(self, path: str | Path, what: str, entries: dict) -> None:
+        super().__init__(entries)
+        self.missing = f"{path}: no {what}"
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.missing} {key!r}")
+
+
 def read_tensor_file(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -55,4 +67,4 @@ def read_tensor_file(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         offset += nbytes
     if offset != len(payload):
         raise ValueError(f"{path}: {len(payload) - offset} trailing bytes after last array")
-    return header, arrays
+    return _Entries(path, "header key", header), _Entries(path, "array", arrays)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedmm.client import client_data, local_train, reg_contexts
+from fedmm.client import client_data, local_train, round_reg_context
 from fedmm.config import ExperimentConfig
 from fedmm.data import DatasetManifest, ModalityDescriptor, Sample, SynthConfig, synth_generate
 from fedmm.model import ModelConfig, init_model
@@ -23,8 +23,8 @@ def train_client(base, delta, manifest, slot, cfg, reg_cfg, seed):
     """local_train on one client, a lockstep group of one, the way
     run_rounds drives it."""
     client = client_data(manifest, slot, reg_cfg)
-    [ctx] = reg_contexts(delta, reg_cfg.margin, [client.gamma])
-    [result] = local_train(base, delta, [client.batch], cfg, [seed], [ctx])
+    ctx = round_reg_context(delta, reg_cfg.margin, [client.gamma])
+    [result] = local_train(base, delta, [client.batch], cfg, [seed], ctx, [client.gamma])
     return result
 
 

@@ -122,6 +122,31 @@ def test_train_output_hashes_pinned(tmp_path, case):
     assert got == want
 
 
+# sha256 of baseline.json for the default config and for a hybrid one
+# whose clients share shard sizes, so both lone and lockstep-group local
+# training are pinned.
+GOLDEN_BASELINE = {
+    "default": (["baseline.epochs=2"], "322622a9daa1c74c913ffd449a429e681b795969c1b0c503b0d46f32fda4a679"),
+    "hybrid": (
+        [
+            "scenario.kind=hybrid", "scenario.clients=12", "synth.samples_per_class=12",
+            "synth.test_samples_per_class=10", "local.batch_size=2", "baseline.epochs=2",
+        ],
+        "e219c206f6ae8fd1d14b05ec9da614fce0f9c8f08554a9dfa77a71febadc4c3c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_BASELINE))
+def test_baseline_output_hash_pinned(tmp_path, case):
+    overrides, want = GOLDEN_BASELINE[case]
+    argv = ["baseline", "--set", f"out_dir={tmp_path}"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert run(argv) == 0
+    assert hashlib.sha256((tmp_path / "baseline.json").read_bytes()).hexdigest() == want
+
+
 @pytest.mark.filterwarnings("ignore:divide by zero encountered in log:RuntimeWarning")
 def test_train_divergence_exits_2_without_infinity(tmp_path, capsys):
     out = tmp_path / "out"

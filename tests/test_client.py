@@ -16,7 +16,7 @@ from fedmm.client import (
     local_train,
     make_reg_context,
     mask_vector,
-    reg_contexts,
+    round_reg_context,
     reg_value_and_grad,
 )
 from fedmm.model import AdapterDelta, LayerSpec, ModelConfig, compose_delta, init_model, make_batch
@@ -302,12 +302,8 @@ def test_local_train_empty_batch_rejected():
 def test_reg_contexts_compose_targets_once():
     _, _, delta, _ = make_setup()
     start = randomize_delta(delta, seed=3)
-    contexts = reg_contexts(start, 1, [0.0, 0.3, 0.0, 0.7])
-    assert contexts[0] is None and contexts[2] is None
-    a, b = contexts[1], contexts[3]
-    assert (a.gamma, b.gamma) == (0.3, 0.7)
-    assert a.targets is b.targets
+    shared = round_reg_context(start, 1, [0.0, 0.3, 0.0, 0.7])
     own = make_reg_context(start, 1, 0.7)
-    assert all(np.array_equal(x, y) for x, y in zip(b.targets, own.targets))
-    assert np.array_equal(b.mask, own.mask)
-    assert reg_contexts(start, 1, [0.0, 0.0]) == [None, None]
+    assert all(np.array_equal(x, y) for x, y in zip(shared.targets, own.targets))
+    assert np.array_equal(shared.mask, own.mask)
+    assert round_reg_context(start, 1, [0.0, 0.0]) is None

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import lockstep_reference as reference
 from conftest import randomize_delta, run_config
 from fedmm import client, server
-from fedmm.client import LocalTrainConfig, TrainBuffers, local_train, reg_contexts
+from fedmm.client import LocalTrainConfig, local_train, round_reg_context
 from fedmm.model import AdapterDelta, Batch, ModelConfig, init_model
 from fedmm.server import lockstep_groups, run_rounds
 
@@ -65,13 +65,13 @@ def test_lockstep_equals_each_client_alone(case):
     batches = [client_batch(gen, dims, classes, case["n"], kind) for kind in case["kinds"]]
     seeds = [case["seed"] * 7 + c for c in range(len(batches))]
     margin = case["margin"] if 2 * case["margin"] < model_cfg.depth else 0
-    contexts = reg_contexts(start, margin, case["gammas"])
+    shared = round_reg_context(start, margin, case["gammas"])
+    contexts = [replace(shared, gamma=gamma) if gamma > 0.0 else None for gamma in case["gammas"]]
     train_cfg = LocalTrainConfig(epochs=case["epochs"], batch_size=case["batch_size"], lr=0.05, warmup_ratio=0.3)
 
     want = [reference.local_train(base, start, b, train_cfg, s, ctx) for b, s, ctx in zip(batches, seeds, contexts)]
-    buffers = TrainBuffers(start, 6)
-    for _ in range(2):  # the second call reuses buffers the first one dirtied
-        got = local_train(base, start, batches, train_cfg, seeds, contexts, buffers)
+    for _ in range(2):  # a second call on the same inputs gives the same bytes
+        got = local_train(base, start, batches, train_cfg, seeds, shared, case["gammas"])
         for (got_delta, got_trace), (want_delta, want_trace) in zip(got, want):
             assert np.array_equal(got_delta.flat, want_delta.flat)
             assert got_trace == want_trace
@@ -83,8 +83,6 @@ def test_lockstep_rejects_mixed_shard_sizes():
     batches = [client_batch(gen, (2, 2), 2, n, "aligned") for n in (3, 4)]
     with pytest.raises(ValueError, match="one size"):
         local_train(base, delta, batches, LocalTrainConfig(), [1, 2])
-    with pytest.raises(ValueError, match="capacity"):
-        local_train(base, delta, batches[:1] * 3, LocalTrainConfig(), [1, 2, 3], buffers=TrainBuffers(delta, 2))
 
 
 def test_stacked_delta_views_carry_client_axis(tiny_model):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from conftest import randomize_delta, round_robin_partition, run_config, tiny_manifest, train_client
 from fedmm import rng
 from fedmm.client import LocalTrainConfig, RegularizerConfig
-from fedmm.model import ModelConfig, init_model, loss_and_grad, make_batch
+from fedmm.model import ModelConfig, init_model, load_checkpoint, loss_and_grad, make_batch, save_checkpoint
 from fedmm.partitioner import ClientPartition, ClientSlot, dirichlet_partition
 from fedmm.server import (
     AGGREGATOR_KINDS,
@@ -387,6 +388,24 @@ def test_load_server_state_rejects_moment_width(tmp_path, tiny_delta, name):
     rewrite_tensor_file(path, lambda meta, arrays: arrays.update({name: np.zeros(1)}))
     with pytest.raises(ValueError, match=name):
         load_server_state(path)
+
+
+@pytest.mark.parametrize(
+    "kind,key",
+    [("model", "head.bias"), ("model", "head.up"), ("model", "rank"), ("server", "momentum_buf"), ("server", "lr")],
+)
+def test_loaders_name_file_and_missing_key(tmp_path, kind, key):
+    base, delta = init_model(ModelConfig(modality_dims=(3, 2), hidden=4, encoder_depth=1, trunk_depth=1, class_count=2, rank=2))
+    path = tmp_path / f"{kind}.bin"
+    if kind == "model":
+        save_checkpoint(path, base, delta)
+        load = load_checkpoint
+    else:
+        save_server_state(path, init_server_state("adam", delta))
+        load = load_server_state
+    rewrite_tensor_file(path, lambda meta, arrays: (meta if key in meta else arrays).pop(key))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{re.escape(repr(key))}"):
+        load(path)
 
 
 # ---------- baseline ----------
