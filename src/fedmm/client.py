@@ -18,8 +18,10 @@ proximal targets once (round_reg_context) for all of its clients.
 Clients with equal shard sizes train in lockstep (local_train): the
 group's adapters are the rows of one (C, P) matrix, each layer's
 products are stacked np.matmul calls, and Adam runs elementwise on the
-whole matrix. Each client keeps its own shuffle stream and gamma. A
-group of one trains on a bare vector, with no client axis.
+whole matrix, in place through two rows of step temporaries: an Adam
+step allocates no (C, P) array. Each client keeps its own shuffle
+stream and gamma. A group of one trains on a bare vector, with no
+client axis.
 """
 
 from __future__ import annotations
@@ -250,8 +252,8 @@ def local_train(
         raise ValueError(f"lockstep shards must have one size, got {[len(b) for b in batches]}")
     if n == 0:
         raise ValueError("client has no samples")
-    arrays = np.zeros((4, width, global_delta.flat.size))
-    params, grad_flat, first, second = arrays[:, 0] if width == 1 else arrays
+    arrays = np.zeros((6, width, global_delta.flat.size))
+    params, grad_flat, first, second, t1, t2 = arrays[:, 0] if width == 1 else arrays
     params[...] = global_delta.flat
     delta = replace(global_delta, flat=params)
     grad = replace(global_delta, flat=grad_flat)
@@ -273,16 +275,23 @@ def local_train(
             minibatch = shard.take(order[..., b * train_cfg.batch_size : (b + 1) * train_cfg.batch_size])
             loss, _ = loss_and_grad(base, delta, minibatch, ctx, grad)
             loss_sum += loss * len(minibatch)
-            g = grad.flat
             step += 1
-            first *= b1
-            first += (1.0 - b1) * g
-            second *= b2
-            second += ((1.0 - b2) * g) * g
-            first_hat = first / (1.0 - b1**step)
-            second_hat = second / (1.0 - b2**step)
             lr = cosine_lr(step - 1, total_steps, train_cfg.warmup_ratio, train_cfg.lr)
-            params -= lr * first_hat / (np.sqrt(second_hat) + train_cfg.eps)
+            # params -= lr * m_hat / (sqrt(v_hat) + eps), in place in that order
+            first *= b1
+            np.multiply(grad_flat, 1.0 - b1, out=t1)
+            first += t1
+            second *= b2
+            np.multiply(grad_flat, 1.0 - b2, out=t1)
+            t1 *= grad_flat
+            second += t1
+            np.divide(first, 1.0 - b1**step, out=t1)
+            np.divide(second, 1.0 - b2**step, out=t2)
+            t1 *= lr
+            np.sqrt(t2, out=t2)
+            t2 += train_cfg.eps
+            t1 /= t2
+            params -= t1
         for trace, value in zip(traces, np.reshape(loss_sum / n, width).tolist()):
             trace.append(value)
     return [(replace(global_delta, flat=row.copy()), trace) for row, trace in zip(params.reshape(width, -1), traces)]

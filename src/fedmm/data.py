@@ -192,14 +192,18 @@ def synth_generate(cfg: SynthConfig, split: str = "train", samples_per_class: in
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
     per_class = cfg.samples_per_class if samples_per_class is None else samples_per_class
     centroids = synth_centroids(cfg)
-    noise = rng.substream(cfg.seed, "synth", "noise", split)
+    # One draw for the split, in the order per-sample rng.normal calls take it
+    widths = [2 * ((dim + 1) // 2) for dim in cfg.dims]
+    starts = np.cumsum([0, *widths])
+    uniforms = rng.substream(cfg.seed, "synth", "noise", split).random((cfg.class_count * per_class, starts[-1]))
+    noise = [cfg.noise_scale * rng.box_muller(uniforms[:, a : a + w], dim) for dim, a, w in zip(cfg.dims, starts, widths)]
     samples = []
     for c in range(cfg.class_count):
+        rows = slice(c * per_class, (c + 1) * per_class)
+        feats = [centroids[(c, name)] + block[rows] for name, block in zip(cfg.modalities, noise)]
         for j in range(per_class):
-            feats = {}
-            for name, dim in zip(cfg.modalities, cfg.dims):
-                feats[name] = centroids[(c, name)] + rng.normal(noise, dim, scale=cfg.noise_scale)
-            samples.append(Sample(id=f"{split}-{c:02d}-{j:05d}", label=c, features=feats))
+            features = {name: f[j] for name, f in zip(cfg.modalities, feats)}
+            samples.append(Sample(id=f"{split}-{c:02d}-{j:05d}", label=c, features=features))
     manifest = DatasetManifest(
         modalities=tuple(ModalityDescriptor(n, d) for n, d in zip(cfg.modalities, cfg.dims)),
         class_count=cfg.class_count,

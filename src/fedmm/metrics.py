@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetManifest
-from .model import AdapterDelta, Batch, BaseWeights, effective_weights, forward, make_batch, softmax_probs
+from .model import AdapterDelta, Batch, BaseWeights, effective_weights, forward, forward_scratch, make_batch, softmax_probs
 
 METRIC_KINDS = ("auto", "roc_auc", "macro_f1")
 
@@ -108,7 +108,7 @@ def evaluate(
 
     chunks, when given, must be eval_chunks(manifest, chunk), built once
     by a caller that evaluates the same manifest many times. Each layer's
-    effective weight is composed once per call, not once per chunk.
+    effective weight and one forward_scratch serve every chunk of a call.
 
     auto resolves to roc_auc for two classes (positive-class probability
     as the score) and macro_f1 otherwise. Accuracy always rides along.
@@ -122,7 +122,8 @@ def evaluate(
     if chunks is None:
         chunks = eval_chunks(manifest, chunk)
     weights = effective_weights(base, delta)
-    prob = np.concatenate([softmax_probs(forward(base, delta, batch, weights)) for batch in chunks], axis=0)
+    scratch = forward_scratch(base, max(len(batch) for batch in chunks))
+    prob = np.concatenate([softmax_probs(forward(base, delta, batch, weights, scratch)) for batch in chunks], axis=0)
     labels = np.concatenate([batch.labels for batch in chunks])
     preds = prob.argmax(axis=1)
     acc = accuracy(preds, labels)

@@ -25,6 +25,9 @@ exact, not approximated.
 
 make_batch assembles a client's whole shard, or a chunk of the test set,
 once per run; minibatches are row-takes of a shard (Batch.take).
+Evaluation keeps no activations and reuses one forward_scratch: a
+512-row, 32-wide activation is 128 KiB, glibc's mmap threshold, so a
+fresh one per layer would be mapped, or trimmed away, and faulted in.
 
 An AdapterDelta may hold a (C, P) matrix and a Batch a leading client
 axis; loss_and_grad is written over that optional axis, so one code path
@@ -280,39 +283,58 @@ def _encoder_depth(specs: tuple[LayerSpec, ...], modality_count: int) -> int:
     return (len(specs) - len({s.depth for s in specs})) // (modality_count - 1)
 
 
-def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch):
+def forward_scratch(base: BaseWeights, rows: int) -> np.ndarray:
+    """Three blocks as wide as the widest layer, for up to `rows` rows."""
+    return np.empty((3, rows * max(max(s.fan_in, s.fan_out) for s in base.specs)))
+
+
+def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch, scratch: np.ndarray | None = None):
     """Logits plus each layer's input and post-tanh output (None for the
     head), in layer_specs order. With a client axis on the batch and the
     weights, np.matmul runs every client's product in one call, each
-    bit for bit the 2-D product of that client alone."""
+    bit for bit the 2-D product of that client alone.
+
+    With scratch (forward_scratch) the lists stay empty: tanh layers
+    alternate between blocks 0 and 1, and the encodings are copied side by
+    side into block 2, the trunk's input. Each block is a contiguous view
+    shaped like the fresh array it replaces, so the bytes stay the same."""
     specs = base.specs
     modality_count = len(batch.features)
     per_mod = _encoder_depth(specs, modality_count)
+    head = len(specs) - 1
     inputs: list[np.ndarray] = []
     outputs: list[np.ndarray | None] = []
 
-    def tanh_layer(layer: int, u: np.ndarray) -> np.ndarray:
-        h = u @ weights[layer].swapaxes(-1, -2)
-        h += base.biases[layer]
-        np.tanh(h, out=h)
-        inputs.append(u)
-        outputs.append(h)
-        return h
+    def block(k: int, width: int) -> np.ndarray:
+        shape = (*batch.labels.shape, width)
+        return np.empty(shape) if scratch is None else scratch[k, : batch.labels.size * width].reshape(shape)
 
-    encoded = []
-    for m in range(modality_count):
-        u = np.concatenate([batch.features[m], batch.presence[m][..., None]], axis=-1)
-        for layer in range(m * per_mod, (m + 1) * per_mod):
-            u = tanh_layer(layer, u)
-        encoded.append(u)
-    u = np.concatenate(encoded, axis=-1)
-    head = len(specs) - 1
-    for layer in range(modality_count * per_mod, head):
-        u = tanh_layer(layer, u)
+    def chain(layers: range, u: np.ndarray, k: int) -> np.ndarray:
+        """Run the tanh layers on u; they write blocks k ^ 1, k, k ^ 1, ..."""
+        for layer in layers:
+            k ^= 1
+            h = np.matmul(u, weights[layer].swapaxes(-1, -2), out=block(k, specs[layer].fan_out))
+            h += base.biases[layer]
+            np.tanh(h, out=h)
+            if scratch is None:
+                inputs.append(u)
+                outputs.append(h)
+            u = h
+        return u
+
+    fused = block(2, specs[modality_count * per_mod].fan_in)
+    offset = 0
+    for m, features in enumerate(batch.features):
+        u = np.concatenate([features, batch.presence[m][..., None]], axis=-1, out=block(0, features.shape[-1] + 1))
+        u = chain(range(m * per_mod, (m + 1) * per_mod), u, 0)
+        fused[..., offset : offset + u.shape[-1]] = u
+        offset += u.shape[-1]
+    u = chain(range(modality_count * per_mod, head), fused, 1)
     logits = u @ weights[head].swapaxes(-1, -2)
     logits += base.biases[head]
-    inputs.append(u)
-    outputs.append(None)
+    if scratch is None:
+        inputs.append(u)
+        outputs.append(None)
     return logits, inputs, outputs
 
 
@@ -321,13 +343,14 @@ def forward(
     delta: AdapterDelta,
     batch: Batch,
     weights: list[np.ndarray] | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Class logits, shape (len(batch), class_count). A caller scoring
     several batches with one delta passes effective_weights(base, delta)
-    so they are composed once."""
+    so they are composed once, and one forward_scratch(base, rows) for all."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    logits, _, _ = _run_forward(base, effective_weights(base, delta) if weights is None else weights, batch)
+    logits, _, _ = _run_forward(base, effective_weights(base, delta) if weights is None else weights, batch, scratch)
     return logits
 
 
@@ -389,28 +412,30 @@ def loss_and_grad(
         grad.up[layer][...] += scale * (dw @ delta.down[layer].swapaxes(-1, -2))
         grad.down[layer][...] += scale * (delta.up[layer].swapaxes(-1, -2) @ dw)
 
-    def backprop(layers: range, d: np.ndarray) -> np.ndarray:
+    def backprop(layers: range, d: np.ndarray, to_input: bool) -> np.ndarray:
         """Carry d, the gradient at the output of the tanh chain `layers`,
-        back to the chain's input, accumulating every layer's factors."""
+        back through it, accumulating every layer's factors; the gradient
+        at the chain's input is computed only when to_input asks for it."""
         for layer in reversed(layers):
             h = outputs[layer]
             dz = d * (1.0 - h * h)
             accumulate(layer, dz)
-            d = dz @ weights[layer]
+            if to_input or layer != layers[0]:
+                d = dz @ weights[layer]
         return d
 
     modality_count = len(batch.features)
     per_mod = _encoder_depth(specs, modality_count)
     head = len(specs) - 1
     accumulate(head, dlogits)
-    dstream = backprop(range(modality_count * per_mod, head), dlogits @ weights[head])
+    dstream = backprop(range(modality_count * per_mod, head), dlogits @ weights[head], per_mod > 0)
     if per_mod > 0:
         # dstream spans the concatenated encodings, one stack's fan_out each
         offset = 0
         for m in range(modality_count):
             stack = range(m * per_mod, (m + 1) * per_mod)
             width = specs[stack[-1]].fan_out
-            backprop(stack, dstream[..., offset : offset + width])
+            backprop(stack, dstream[..., offset : offset + width], False)
             offset += width
 
     if reg_value is not None:

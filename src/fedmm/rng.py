@@ -39,20 +39,19 @@ def substream(master_seed: int, *labels: object) -> np.random.Generator:
     return stream(seed_for(master_seed, *labels))
 
 
-def normal(gen: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
-    """Box-Muller normal variates with mean 0 and the given standard deviation.
+def box_muller(uniforms: np.ndarray, count: int) -> np.ndarray:
+    """`count` standard normals per uniform block along the last axis: the
+    halves u1, u2 map to r * (cos, sin)(2 pi u2), r = sqrt(-2 ln(1 - u1)),
+    cosines first; 1 - u1 stays in (0, 1] though gen.random() may give 0."""
+    pairs = uniforms.shape[-1] // 2
+    radius = np.sqrt(-2.0 * np.log1p(-uniforms[..., :pairs]))
+    angle = 2.0 * np.pi * uniforms[..., pairs:]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[..., :count]
 
-    Draws two uniform blocks u1, u2 and maps them through
-    r = sqrt(-2 ln(1 - u1)), z = r * (cos, sin)(2 pi u2); the cosine block
-    precedes the sine block in the output. 1 - u1 keeps the log argument
-    in (0, 1] since gen.random() can return exactly 0.
-    """
+
+def normal(gen: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
+    """Box-Muller normal variates with mean 0 and the given standard
+    deviation, from one block of (count + 1) // 2 pairs of uniforms."""
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
     count = int(np.prod(shape)) if shape else 1
-    pairs = (count + 1) // 2
-    u1 = gen.random(pairs)
-    u2 = gen.random(pairs)
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    angle = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
-    return (scale * z).reshape(shape)
+    return (scale * box_muller(gen.random(2 * ((count + 1) // 2)), count)).reshape(shape)

@@ -56,8 +56,8 @@ DEFAULT_SERVER_LR = {"plain_avg": 1.0, "avgm": 0.1, "adagrad": 0.01, "adam": 0.0
 # Most clients one lockstep group trains at once (local_train). Each
 # member adds its working arrays to the peak memory of training. Median
 # peak RSS of `bench/run.py --workload many_clients` (2-core host, numpy
-# 2.4.6) over one-at-a-time training: +0.7 % at 4, +0.6 % at 6, +1.3 % at
-# 8, +3.9 % at 16. That workload's 1,500 client steps take 508 group steps
+# 2.4.6) over one-at-a-time training: +0.7 % at 4, +1.5 % at 6, +2.1 % at
+# 8, +4.5 % at 16. That workload's 1,500 client steps take 508 group steps
 # at 4, 346 at 8 and 299 with no bound.
 LOCKSTEP_WIDTH = 8
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import manual_manifest, tiny_manifest
+from fedmm import rng
 from fedmm.data import (
+    SPLITS,
     CountTable,
     DatasetManifest,
     ModalityDescriptor,
@@ -109,6 +111,37 @@ def test_synth_splits_share_centroids_but_not_noise():
     a = synth_generate(quiet, "train")
     b = synth_generate(quiet, "test")
     assert np.array_equal(a.samples[0].features["image"], b.samples[0].features["image"])
+
+
+def per_sample_synth_features(cfg: SynthConfig, split: str) -> list[list[np.ndarray]]:
+    """Reference for synth_generate's features: per sample, per modality,
+    two uniform draws of (dim + 1) // 2 and the Box-Muller mapping."""
+    centroids = synth_centroids(cfg)
+    gen = rng.substream(cfg.seed, "synth", "noise", split)
+    rows = []
+    for c in range(cfg.class_count):
+        for _ in range(cfg.samples_per_class):
+            row = []
+            for name, dim in zip(cfg.modalities, cfg.dims):
+                u1 = gen.random((dim + 1) // 2)
+                u2 = gen.random((dim + 1) // 2)
+                radius = np.sqrt(-2.0 * np.log1p(-u1))
+                angle = 2.0 * np.pi * u2
+                z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:dim]
+                row.append(centroids[(c, name)] + cfg.noise_scale * z)
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("dims", [(16, 16), (5, 16, 9), (1,), (3, 2, 7)])
+def test_synth_matches_per_sample_reference(dims):
+    names = tuple(f"m{i}" for i in range(len(dims)))
+    cfg = SynthConfig(class_count=3, modalities=names, dims=dims, samples_per_class=40, noise_scale=1.5, seed=11)
+    for split in SPLITS:
+        manifest = synth_generate(cfg, split)
+        for sample, expected in zip(manifest.samples, per_sample_synth_features(cfg, split), strict=True):
+            for name, features in zip(names, expected):
+                assert np.array_equal(sample.features[name], features)
 
 
 def nearest_centroid_accuracy(train: DatasetManifest, test: DatasetManifest) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,6 +237,24 @@ def test_evaluate_prebuilt_chunks_match_fresh_build():
     assert [len(batch) for batch in small] == [7, 7, 7, 7, 2]
     assert evaluate(base, delta, manifest, chunks=small) == evaluate(base, delta, manifest, chunk=7)
     assert not any(a.flags.writeable for b in small for a in (*b.features, *b.presence, b.labels))
+
+
+def test_evaluate_keeps_no_activations():
+    # Ten more trunk layers add their composed weights to the transient
+    # peak, but not one 512 x 32 float64 activation.
+    manifest = synth_generate(SynthConfig(samples_per_class=500, seed=0), split="test")
+    chunks = eval_chunks(manifest)
+    peaks = []
+    for trunk_depth in (2, 12):
+        base, delta = init_model(ModelConfig(trunk_depth=trunk_depth))
+        evaluate(base, delta, manifest, chunks=chunks)
+        tracemalloc.start()
+        try:
+            evaluate(base, delta, manifest, chunks=chunks)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 512 * 32 * 8
 
 
 def test_evaluate_rejects_auc_for_multiclass():

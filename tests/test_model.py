@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import manual_manifest, randomize_delta, tiny_manifest
+from fedmm.data import SynthConfig, synth_generate
+from fedmm.metrics import eval_chunks
 from fedmm.model import (
     AdapterDelta,
     BaseWeights,
@@ -17,6 +19,7 @@ from fedmm.model import (
     compose_delta,
     effective_weights,
     forward,
+    forward_scratch,
     init_model,
     layer_specs,
     load_checkpoint,
@@ -201,6 +204,25 @@ def test_forward_with_precomposed_weights(tiny_model):
     manifest = tiny_manifest(class_count=3, dims=(4, 3), per_class=4, seed=2)
     batch = make_batch(manifest, [s.id for s in manifest.samples])
     assert np.array_equal(forward(base, delta, batch, effective_weights(base, delta)), forward(base, delta, batch))
+
+
+@pytest.mark.parametrize(
+    "dims, enc, trunk",
+    [((16, 16), 3, 4), ((3,), 2, 4), ((5, 4), 0, 2), ((5, 16, 9), 2, 2)],
+    ids=["default", "one_modality", "no_encoder", "three_unequal"],
+)
+@pytest.mark.parametrize("chunk", [7, 512])
+def test_forward_with_scratch_is_bit_exact(dims, enc, trunk, chunk):
+    # 600 rows: the last chunk is shorter than the scratch in both sizes
+    base, delta = init_model(ModelConfig(modality_dims=dims, encoder_depth=enc, trunk_depth=trunk, seed=3))
+    delta = randomize_delta(delta, seed=1)
+    synth = SynthConfig(modalities=tuple(f"m{i}" for i in range(len(dims))), dims=dims, samples_per_class=150, seed=3)
+    chunks = eval_chunks(synth_generate(synth, split="test"), chunk)
+    assert len(chunks[-1]) < chunk
+    weights = effective_weights(base, delta)
+    scratch = forward_scratch(base, chunk)
+    for batch in chunks:
+        assert np.array_equal(forward(base, delta, batch, weights, scratch), forward(base, delta, batch, weights))
 
 
 def test_make_batch_rejects_absent_request():
