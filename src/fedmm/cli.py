@@ -30,7 +30,6 @@ from pathlib import Path
 
 from .config import SCHEMA, ExperimentConfig, render_value
 from .data import DatasetManifest, load_manifest, modality_stats, save_manifest, synth_generate
-from .metrics import evaluate
 from .model import save_checkpoint
 from .partitioner import build_scenario, save_partition
 from .promptgen import CRISIS_MMD, HATEFUL_MEMES, TaskSpec, export_partition
@@ -117,7 +116,7 @@ def cmd_export_instructions(cfg: ExperimentConfig) -> int:
     train, _ = _load_data(cfg)
     partition = build_scenario(train, cfg.scenario_spec())
     task = _task_for(train)
-    count = export_partition(partition, train, task, cfg.agnostic, out / "instructions")
+    count = export_partition(partition, train, task, cfg["prompt.agnostic"], out / "instructions")
     print(f"export-instructions: {count} client files -> {out / 'instructions'}")
     return 0
 

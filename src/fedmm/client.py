@@ -223,33 +223,31 @@ def cosine_lr(step: int, total_steps: int, warmup_ratio: float, lr0: float) -> f
 def local_train(
     base: BaseWeights,
     global_delta: AdapterDelta,
-    batches: list[Batch],
+    clients: list[ClientData],
     train_cfg: LocalTrainConfig,
     seeds: list[int],
     reg_ctx: RegContext | None = None,
-    gammas: list[float] | None = None,
 ) -> list[tuple[AdapterDelta, list[float]]]:
     """Train one copy of the global delta per client of a lockstep group,
-    each on its own shard (`batches`, all of one size) with its own
+    each on its own shard (`clients`, all of one shard size) with its own
     shuffle stream (`seeds`); each minibatch is a row-take of the shard.
     reg_ctx, when given, holds the round's proximal targets and mask, and
-    gammas each client's strength; a group whose gammas are all 0 runs
-    no proximal term.
+    each client's ClientData its gamma; a group whose gammas are all 0
+    runs no proximal term.
 
     The group trains as one (C, P) parameter matrix, a group of one as a
     bare vector. Returns each client's trained delta and per-epoch mean
     training loss. Neither the base weights, the supplied global delta
-    nor the batches are mutated; epochs=0 returns untouched copies and
+    nor the shards are mutated; epochs=0 returns untouched copies and
     empty traces.
     """
     train_cfg.validate()
-    width = len(batches)
-    gammas = [0.0] * width if gammas is None else gammas
-    if width < 1 or len(seeds) != width or len(gammas) != width:
-        raise ValueError("need one seed and one gamma per shard")
-    n = len(batches[0])
-    if any(len(batch) != n for batch in batches):
-        raise ValueError(f"lockstep shards must have one size, got {[len(b) for b in batches]}")
+    width = len(clients)
+    if width < 1 or len(seeds) != width:
+        raise ValueError("need one seed per client")
+    n = len(clients[0].batch)
+    if any(len(c.batch) != n for c in clients):
+        raise ValueError(f"lockstep shards must have one size, got {[len(c.batch) for c in clients]}")
     if n == 0:
         raise ValueError("client has no samples")
     arrays = np.zeros((6, width, global_delta.flat.size))
@@ -258,9 +256,9 @@ def local_train(
     delta = replace(global_delta, flat=params)
     grad = replace(global_delta, flat=grad_flat)
     ctx = None
-    if reg_ctx is not None and any(gammas):
-        ctx = replace(reg_ctx, gamma=gammas[0] if width == 1 else np.array(gammas))
-    shard = batches[0] if width == 1 else _stack_batches(batches)
+    if reg_ctx is not None and any(c.gamma for c in clients):
+        ctx = replace(reg_ctx, gamma=clients[0].gamma if width == 1 else np.array([c.gamma for c in clients]))
+    shard = clients[0].batch if width == 1 else _stack_batches([c.batch for c in clients])
     traces: list[list[float]] = [[] for _ in range(width)]
     batches_per_epoch = math.ceil(n / train_cfg.batch_size)
     total_steps = train_cfg.epochs * batches_per_epoch

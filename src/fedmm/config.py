@@ -18,14 +18,15 @@ a run's outputs gives a snapshot that reproduces the run exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import rng
 from .client import LocalTrainConfig, RegularizerConfig
 from .data import SynthConfig
 from .model import ModelConfig
-from .partitioner import ScenarioSpec
+from .metrics import METRIC_KINDS
+from .partitioner import SCENARIO_KINDS, SCENARIO_KNOBS, ScenarioSpec
 from .server import AGGREGATOR_KINDS, FLRunConfig
 
 _UNSET = object()
@@ -41,7 +42,7 @@ class KeySpec:
 SCHEMA: dict[str, KeySpec] = {
     "seed": KeySpec("int", 0, "master seed; all streams derive from it"),
     "out_dir": KeySpec("str", "run", "output directory, relative paths live under $FEDMM_OUT"),
-    "metric": KeySpec("str", "auto", "auto | roc_auc | macro_f1"),
+    "metric": KeySpec("str", "auto", " | ".join(METRIC_KINDS)),
     "prompt.agnostic": KeySpec("bool", True, "splice the modality-agnostic clause into prompts"),
     "data.source": KeySpec("str", "synth", "synth | manifest"),
     "data.train_manifest": KeySpec("opt_str", None, "train manifest path (manifest mode)"),
@@ -53,7 +54,7 @@ SCHEMA: dict[str, KeySpec] = {
     "synth.test_samples_per_class": KeySpec("int", 100, "test samples per class"),
     "synth.centroid_scale": KeySpec("float", 3.0, "class centroid std"),
     "synth.noise_scale": KeySpec("float", 1.0, "per-sample noise std"),
-    "scenario.kind": KeySpec("str", "aligned", "aligned | missing | cross | hybrid"),
+    "scenario.kind": KeySpec("str", "aligned", " | ".join(SCENARIO_KINDS)),
     "scenario.clients": KeySpec("int", 10, "client count"),
     "scenario.alpha": KeySpec("float", 0.5, "Dirichlet concentration for label skew"),
     "scenario.beta": KeySpec("float", 0.5, "missing: per-slot drop probability"),
@@ -180,12 +181,10 @@ class ExperimentConfig:
             for key in ("data.train_manifest", "data.test_manifest"):
                 if not self[key]:
                     raise ValueError(f"data.source=manifest requires {key}")
-        if self["metric"] not in ("auto", "roc_auc", "macro_f1"):
-            raise ValueError(f"metric must be auto/roc_auc/macro_f1, got {self['metric']!r}")
+        if self["metric"] not in METRIC_KINDS:
+            raise ValueError(f"metric must be one of {METRIC_KINDS}, got {self['metric']!r}")
         self.scenario_spec().validate()
-        self.local_config().validate()
-        self.reg_config().validate()
-        self.fl_config().validate()
+        self.fl_config().validate()  # and its local and reg sections
         if self["data.source"] == "synth":
             self.synth_config().validate()
         self.sweep_axes()
@@ -194,10 +193,6 @@ class ExperimentConfig:
     def seed(self) -> int:
         return int(self.values["seed"])
 
-    @property
-    def agnostic(self) -> bool:
-        return bool(self.values["prompt.agnostic"])
-
     def out_dir(self) -> Path:
         configured = Path(str(self.values["out_dir"]))
         if configured.is_absolute():
@@ -205,71 +200,55 @@ class ExperimentConfig:
         root = Path(os.environ.get("FEDMM_OUT", "."))
         return root / configured
 
+    def _section(self, cls: type, prefix: str, **given: object) -> object:
+        """cls with each field read from the key `prefix.<field>`; a field
+        in `given` takes that value instead, and a field with no key keeps
+        its default."""
+        for f in fields(cls):
+            key = f"{prefix}.{f.name}"
+            if f.name not in given and key in SCHEMA:
+                given[f.name] = self[key]
+        return cls(**given)
+
     def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            class_count=int(self["synth.classes"]),
+        return self._section(
+            SynthConfig,
+            "synth",
+            class_count=self["synth.classes"],
             modalities=tuple(self["synth.modalities"]),
             dims=tuple(self["synth.dims"]),
-            samples_per_class=int(self["synth.samples_per_class"]),
-            centroid_scale=float(self["synth.centroid_scale"]),
-            noise_scale=float(self["synth.noise_scale"]),
             seed=rng.seed_for(self.seed, "data"),
         )
 
     def scenario_spec(self) -> ScenarioSpec:
-        kind = str(self["scenario.kind"])
-        extras: dict[str, object] = {}
-        if kind == "missing":
-            extras["beta"] = float(self["scenario.beta"])
-        elif kind == "cross":
-            extras["image_only_clients"] = int(self["scenario.image_only_clients"])
-        elif kind == "hybrid":
-            extras["keep_prob"] = float(self["scenario.keep_prob"])
-        return ScenarioSpec(
-            kind=kind,
-            clients=int(self["scenario.clients"]),
-            alpha=float(self["scenario.alpha"]),
-            seed=rng.seed_for(self.seed, "scenario"),
-            **extras,
-        )
+        """The spec of scenario.kind, with the knobs that kind does not
+        read left unset."""
+        knob = SCENARIO_KNOBS.get(self["scenario.kind"])
+        unread = {name: None for name in filter(None, SCENARIO_KNOBS.values()) if name != knob}
+        return self._section(ScenarioSpec, "scenario", seed=rng.seed_for(self.seed, "scenario"), **unread)
 
     def model_config(self, modality_dims: tuple[int, ...], class_count: int) -> ModelConfig:
-        return ModelConfig(
+        return self._section(
+            ModelConfig,
+            "model",
             modality_dims=modality_dims,
-            hidden=int(self["model.hidden"]),
-            encoder_depth=int(self["model.encoder_depth"]),
-            trunk_depth=int(self["model.trunk_depth"]),
             class_count=class_count,
-            rank=int(self["model.rank"]),
-            adapter_alpha=float(self["model.adapter_alpha"]),
             seed=rng.seed_for(self.seed, "model"),
         )
 
     def local_config(self) -> LocalTrainConfig:
-        return LocalTrainConfig(
-            epochs=int(self["local.epochs"]),
-            batch_size=int(self["local.batch_size"]),
-            lr=float(self["local.lr"]),
-            warmup_ratio=float(self["local.warmup_ratio"]),
-        )
+        return self._section(LocalTrainConfig, "local")
 
     def reg_config(self) -> RegularizerConfig:
-        return RegularizerConfig(
-            enabled=bool(self["reg.enabled"]),
-            gamma_max=float(self["reg.gamma_max"]),
-            margin=int(self["reg.margin"]),
-        )
+        return self._section(RegularizerConfig, "reg")
 
     def fl_config(self) -> FLRunConfig:
-        return FLRunConfig(
-            rounds=int(self["fl.rounds"]),
-            clients_per_round=int(self["fl.clients_per_round"]),
-            aggregator=str(self["fl.aggregator"]),
+        return self._section(
+            FLRunConfig,
+            "fl",
             local=self.local_config(),
             reg=self.reg_config(),
-            server_lr=self["fl.server_lr"],
-            eval_every=int(self["fl.eval_every"]),
-            metric=str(self["metric"]),
+            metric=self["metric"],
             seed=rng.seed_for(self.seed, "fl"),
         )
 

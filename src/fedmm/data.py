@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
+from .tensorio import Entries
 
 SPLITS = ("train", "test")
 
@@ -117,18 +118,30 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
+def _manifest_line(path: str | Path, lineno: int, text: str) -> Entries:
+    """A manifest line's JSON object; looking up a key it lacks raises
+    ValueError naming the file, the line and the key."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}:{lineno}: {err}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+    return Entries(f"{path}:{lineno}", "key", obj)
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty manifest file")
-    head = json.loads(lines[0])
+    head = _manifest_line(path, 1, lines[0])
     modalities = tuple(ModalityDescriptor(m["name"], int(m["dim"])) for m in head["modalities"])
     samples = []
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
-        rec = json.loads(ln)
+        rec = _manifest_line(path, lineno, ln)
         feats = {k: np.asarray(v, dtype=np.float64) for k, v in rec["features"].items()}
         samples.append(Sample(id=rec["id"], label=int(rec["label"]), features=feats))
     manifest = DatasetManifest(

@@ -113,6 +113,10 @@ class BaseWeights:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
+    def __post_init__(self) -> None:
+        for array in (*self.weights, *self.biases):
+            array.flags.writeable = False
+
 
 def adapter_size(specs: tuple[LayerSpec, ...], rank: int) -> int:
     """Number of adapter parameters: one up and one down factor per layer."""
@@ -188,12 +192,8 @@ def init_model(cfg: ModelConfig) -> tuple[BaseWeights, AdapterDelta]:
     delta = AdapterDelta(specs, cfg.rank, cfg.adapter_alpha, np.zeros(adapter_size(specs, cfg.rank)))
     weights, biases = [], []
     for i, spec in enumerate(specs):
-        w = rng.normal(gen, (spec.fan_out, spec.fan_in), scale=1.0 / np.sqrt(spec.fan_in))
-        b = np.zeros(spec.fan_out)
-        w.flags.writeable = False
-        b.flags.writeable = False
-        weights.append(w)
-        biases.append(b)
+        weights.append(rng.normal(gen, (spec.fan_out, spec.fan_in), scale=1.0 / np.sqrt(spec.fan_in)))
+        biases.append(np.zeros(spec.fan_out))
         delta.down[i][...] = rng.normal(gen, (cfg.rank, spec.fan_in), scale=0.02)
     base = BaseWeights(specs=specs, weights=weights, biases=biases)
     return base, delta
@@ -487,12 +487,6 @@ def load_checkpoint(path: str | Path) -> tuple[BaseWeights, AdapterDelta]:
     if meta.get("kind") != "model":
         raise ValueError(f"{path}: not a model checkpoint")
     delta = adapter_from_file(meta, arrays)
-    weights, biases = [], []
-    for s in delta.specs:
-        w = arrays[f"{s.name}.weight"]
-        b = arrays[f"{s.name}.bias"]
-        w.flags.writeable = False
-        b.flags.writeable = False
-        weights.append(w)
-        biases.append(b)
+    weights = [arrays[f"{s.name}.weight"] for s in delta.specs]
+    biases = [arrays[f"{s.name}.bias"] for s in delta.specs]
     return BaseWeights(specs=delta.specs, weights=weights, biases=biases), delta

@@ -20,7 +20,7 @@ skew and modality damage compose.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,10 @@ import numpy as np
 from . import rng
 from .data import DatasetManifest
 
-SCENARIO_KINDS = ("aligned", "missing", "cross", "hybrid")
+# The heterogeneity knob each scenario kind reads besides alpha (aligned
+# reads alpha alone); ScenarioSpec takes that knob and no other.
+SCENARIO_KNOBS = {"aligned": None, "missing": "beta", "cross": "image_only_clients", "hybrid": "keep_prob"}
+SCENARIO_KINDS = tuple(SCENARIO_KNOBS)
 CLIENT_KINDS = ("aligned", "partial_missing", "single_modality")
 
 
@@ -36,8 +39,9 @@ CLIENT_KINDS = ("aligned", "partial_missing", "single_modality")
 class ScenarioSpec:
     """Which constructor to run and with what knobs.
 
-    alpha always applies (label skew comes first); exactly one of beta,
-    image_only_clients, keep_prob may be set, matching kind.
+    alpha always applies (label skew comes first); of beta,
+    image_only_clients and keep_prob, exactly the kind's SCENARIO_KNOBS
+    entry is set.
     """
 
     kind: str
@@ -55,44 +59,26 @@ class ScenarioSpec:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        extras = {
-            "aligned": None,
-            "missing": "beta",
-            "cross": "image_only_clients",
-            "hybrid": "keep_prob",
-        }
-        needed = extras[self.kind]
-        for name in ("beta", "image_only_clients", "keep_prob"):
+        needed = SCENARIO_KNOBS[self.kind]
+        for name in filter(None, SCENARIO_KNOBS.values()):
             value = getattr(self, name)
             if name == needed and value is None:
                 raise ValueError(f"scenario {self.kind!r} requires {name}")
             if name != needed and value is not None:
                 raise ValueError(f"scenario {self.kind!r} does not take {name}")
-        if self.beta is not None and not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.image_only_clients is not None and not 0 <= self.image_only_clients <= self.clients:
-            raise ValueError(
-                f"image_only_clients must lie in [0, {self.clients}], got {self.image_only_clients}"
-            )
-        if self.keep_prob is not None and not 0.0 <= self.keep_prob <= 1.0:
-            raise ValueError(f"keep_prob must lie in [0, 1], got {self.keep_prob}")
+        # a count of clients, or a probability
+        high = self.clients if needed == "image_only_clients" else 1
+        if needed is not None and not 0 <= self.level() <= high:
+            raise ValueError(f"{needed} must lie in [0, {high}], got {self.level()}")
 
     def level(self) -> float | int:
-        """The kind's own heterogeneity knob, for sweep/report labeling."""
-        return {
-            "aligned": self.alpha,
-            "missing": self.beta,
-            "cross": self.image_only_clients,
-            "hybrid": self.keep_prob,
-        }[self.kind]
+        """The kind's own heterogeneity knob (alpha for aligned), for
+        sweep/report labeling."""
+        return getattr(self, SCENARIO_KNOBS[self.kind] or "alpha")
 
     def to_json_obj(self) -> dict:
-        obj = {"kind": self.kind, "clients": self.clients, "alpha": self.alpha, "seed": self.seed}
-        for name in ("beta", "image_only_clients", "keep_prob"):
-            value = getattr(self, name)
-            if value is not None:
-                obj[name] = value
-        return obj
+        """Every field in declaration order, leaving out unset knobs."""
+        return {name: value for name, value in asdict(self).items() if value is not None}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScenarioSpec":
@@ -101,9 +87,7 @@ class ScenarioSpec:
             clients=int(obj["clients"]),
             alpha=float(obj["alpha"]),
             seed=int(obj["seed"]),
-            beta=obj.get("beta"),
-            image_only_clients=obj.get("image_only_clients"),
-            keep_prob=obj.get("keep_prob"),
+            **{name: obj.get(name) for name in filter(None, SCENARIO_KNOBS.values())},
         )
         spec.validate()
         return spec
@@ -267,17 +251,16 @@ def apply_hybrid(partition: ClientPartition, keep_prob: float, seed: int) -> Cli
     return ClientPartition(clients=out)
 
 
+_MODALITY_TREATMENT = {"missing": apply_missing, "cross": apply_cross, "hybrid": apply_hybrid}
+
+
 def build_scenario(manifest: DatasetManifest, spec: ScenarioSpec) -> ClientPartition:
     """Aligned Dirichlet split, then the scenario's modality treatment."""
     spec.validate()
     base = dirichlet_partition(manifest, spec.clients, spec.alpha, rng.seed_for(spec.seed, "labels"))
     if spec.kind == "aligned":
         return base
-    if spec.kind == "missing":
-        return apply_missing(base, spec.beta, rng.seed_for(spec.seed, "modality"))
-    if spec.kind == "cross":
-        return apply_cross(base, spec.image_only_clients, rng.seed_for(spec.seed, "modality"))
-    return apply_hybrid(base, spec.keep_prob, rng.seed_for(spec.seed, "modality"))
+    return _MODALITY_TREATMENT[spec.kind](base, spec.level(), rng.seed_for(spec.seed, "modality"))
 
 
 def client_missing_rate(slot: ClientSlot, modality_count: int) -> float:

@@ -40,7 +40,6 @@ from .metrics import EvalResult, eval_chunks, evaluate
 from .model import (
     AdapterDelta,
     BaseWeights,
-    Batch,
     ModelConfig,
     adapter_from_file,
     adapter_meta,
@@ -60,6 +59,11 @@ DEFAULT_SERVER_LR = {"plain_avg": 1.0, "avgm": 0.1, "adagrad": 0.01, "adam": 0.0
 # 8, +4.5 % at 16. That workload's 1,500 client steps take 508 group steps
 # at 4, 346 at 8 and 299 with no bound.
 LOCKSTEP_WIDTH = 8
+# What server_state.bin holds beside the aggregator and the adapter: the
+# ServerState scalars in header order, then the moment buffers in array
+# order.
+SERVER_STATE_SCALARS = ("round", "lr", "beta1", "beta2", "tau", "momentum")
+SERVER_STATE_BUFFERS = ("first_moment", "second_moment", "momentum_buf")
 
 
 @dataclass(frozen=True)
@@ -88,9 +92,7 @@ def init_server_state(kind: str, delta: AdapterDelta, lr: float | None = None) -
     return ServerState(
         kind=kind,
         global_delta=replace(delta, flat=delta.flat.copy()),
-        first_moment=np.zeros(width),
-        second_moment=np.zeros(width),
-        momentum_buf=np.zeros(width),
+        **{name: np.zeros(width) for name in SERVER_STATE_BUFFERS},
         round=0,
         lr=DEFAULT_SERVER_LR[kind] if lr is None else lr,
     )
@@ -126,25 +128,24 @@ def lockstep_groups(sizes: list[int]) -> list[list[int]]:
 def train_clients(
     base: BaseWeights,
     global_delta: AdapterDelta,
-    batches: list[Batch],
+    clients: list[ClientData],
     train_cfg: LocalTrainConfig,
     seeds: list[int],
     reg_ctx: RegContext | None = None,
-    gammas: list[float] | None = None,
 ) -> list[tuple[AdapterDelta, list[float]]]:
-    """local_train for every shard, equal-size shards in lockstep groups
-    (lockstep_groups), all sharing the round's proximal context reg_ctx
-    with each client's own gamma. Results come back in input order."""
-    results: list[tuple[AdapterDelta, list[float]]] = [None] * len(batches)
-    for group in lockstep_groups([len(batch) for batch in batches]):
+    """local_train for every client, clients of equal shard size in
+    lockstep groups (lockstep_groups), all sharing the round's proximal
+    context reg_ctx with each client's own gamma. Results come back in
+    input order."""
+    results: list[tuple[AdapterDelta, list[float]]] = [None] * len(clients)
+    for group in lockstep_groups([len(c.batch) for c in clients]):
         trained = local_train(
             base,
             global_delta,
-            [batches[i] for i in group],
+            [clients[i] for i in group],
             train_cfg,
             [seeds[i] for i in group],
             reg_ctx,
-            None if gammas is None else [gammas[i] for i in group],
         )
         for i, result in zip(group, trained):
             results[i] = result
@@ -284,11 +285,6 @@ def run_rounds(
     """
     cfg.validate()
     sizes = partition.sizes()
-    nonempty = sum(1 for n in sizes if n > 0)
-    if not 1 <= cfg.clients_per_round <= nonempty:
-        raise ValueError(
-            f"clients_per_round {cfg.clients_per_round} outside [1, {nonempty} nonempty clients]"
-        )
     base, delta0 = init_model(model_cfg)
     state = init_server_state(cfg.aggregator, delta0, cfg.server_lr)
     clients: dict[int, ClientData] = {}
@@ -301,14 +297,13 @@ def run_rounds(
             if k not in clients:
                 clients[k] = client_data(train_manifest, partition.clients[k], cfg.reg)
         deltas, losses = [], {}
-        batches = [clients[k].batch for k in picked]
+        sampled = [clients[k] for k in picked]
         seeds = [rng.seed_for(cfg.seed, "local", t, k) for k in picked]
-        gammas = [clients[k].gamma for k in picked]
-        ctx = round_reg_context(state.global_delta, cfg.reg.margin, gammas)
+        ctx = round_reg_context(state.global_delta, cfg.reg.margin, [c.gamma for c in sampled])
         # the results list stays unnamed, so last round's deltas are freed
         # before this round trains
         for k, (trained, trace) in zip(
-            picked, train_clients(base, state.global_delta, batches, cfg.local, seeds, ctx, gammas)
+            picked, train_clients(base, state.global_delta, sampled, cfg.local, seeds, ctx)
         ):
             if not np.isfinite(trace).all() or not np.isfinite(trained.flat).all():
                 raise ValueError(f"round {t}, client {k}: training loss or adapter is not finite (epoch losses {trace})")
@@ -358,11 +353,11 @@ def local_baseline(
     nonempty = [k for k, n in enumerate(sizes) if n > 0]
     if not nonempty:
         raise ValueError("no nonempty clients to train")
-    shards = [client_data(train_manifest, partition.clients[k], RegularizerConfig(enabled=False)).batch for k in nonempty]
+    clients = [client_data(train_manifest, partition.clients[k], RegularizerConfig(enabled=False)) for k in nonempty]
     seeds = [rng.seed_for(seed, "baseline", k) for k in nonempty]
     per_client = {
         str(k): _eval_obj(evaluate(base, trained, test_manifest, metric, chunks=test_chunks))
-        for k, (trained, _) in zip(nonempty, train_clients(base, delta0, shards, local_cfg, seeds))
+        for k, (trained, _) in zip(nonempty, train_clients(base, delta0, clients, local_cfg, seeds))
     }
     values = [r["value"] for r in per_client.values()]
     accs = [r["accuracy"] for r in per_client.values()]
@@ -379,21 +374,14 @@ def save_server_state(path: str | Path, state: ServerState) -> None:
     meta = {
         "kind": "server",
         "aggregator": state.kind,
-        "round": state.round,
-        "lr": state.lr,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "tau": state.tau,
-        "momentum": state.momentum,
+        **{name: getattr(state, name) for name in SERVER_STATE_SCALARS},
         **adapter_meta(delta),
     }
     arrays: list[tuple[str, np.ndarray]] = []
     for i, s in enumerate(delta.specs):
         arrays.append((f"{s.name}.up", delta.up[i]))
         arrays.append((f"{s.name}.down", delta.down[i]))
-    arrays.append(("first_moment", state.first_moment))
-    arrays.append(("second_moment", state.second_moment))
-    arrays.append(("momentum_buf", state.momentum_buf))
+    arrays.extend((name, getattr(state, name)) for name in SERVER_STATE_BUFFERS)
     write_tensor_file(path, meta, arrays)
 
 
@@ -406,19 +394,12 @@ def load_server_state(path: str | Path) -> ServerState:
     if meta["aggregator"] not in AGGREGATOR_KINDS:
         raise ValueError(f"{path}: aggregator must be one of {AGGREGATOR_KINDS}, got {meta['aggregator']!r}")
     delta = adapter_from_file(meta, arrays)
-    for name in ("first_moment", "second_moment", "momentum_buf"):
+    for name in SERVER_STATE_BUFFERS:
         if arrays[name].shape != delta.flat.shape:
             raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, expected {delta.flat.shape}")
     return ServerState(
         kind=meta["aggregator"],
         global_delta=delta,
-        first_moment=arrays["first_moment"],
-        second_moment=arrays["second_moment"],
-        momentum_buf=arrays["momentum_buf"],
-        round=int(meta["round"]),
-        lr=float(meta["lr"]),
-        beta1=float(meta["beta1"]),
-        beta2=float(meta["beta2"]),
-        tau=float(meta["tau"]),
-        momentum=float(meta["momentum"]),
+        **{name: arrays[name] for name in SERVER_STATE_BUFFERS},
+        **{name: (int if name == "round" else float)(meta[name]) for name in SERVER_STATE_SCALARS},
     )

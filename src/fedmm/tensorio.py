@@ -30,9 +30,9 @@ def write_tensor_file(path: str | Path, meta: dict, arrays: list[tuple[str, np.n
             fh.write(blob)
 
 
-class _Entries(dict):
-    """A tensor file's header keys or arrays; looking up one the file
-    lacks raises ValueError naming the file and the key."""
+class Entries(dict):
+    """A file's header keys or arrays; looking up one the file lacks
+    raises ValueError naming the file and the key."""
 
     def __init__(self, path: str | Path, what: str, entries: dict) -> None:
         super().__init__(entries)
@@ -67,4 +67,4 @@ def read_tensor_file(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         offset += nbytes
     if offset != len(payload):
         raise ValueError(f"{path}: {len(payload) - offset} trailing bytes after last array")
-    return _Entries(path, "header key", header), _Entries(path, "array", arrays)
+    return Entries(path, "header key", header), Entries(path, "array", arrays)

@@ -24,7 +24,7 @@ def train_client(base, delta, manifest, slot, cfg, reg_cfg, seed):
     run_rounds drives it."""
     client = client_data(manifest, slot, reg_cfg)
     ctx = round_reg_context(delta, reg_cfg.margin, [client.gamma])
-    [result] = local_train(base, delta, [client.batch], cfg, [seed], ctx, [client.gamma])
+    [result] = local_train(base, delta, [client], cfg, [seed], ctx)
     return result
 
 

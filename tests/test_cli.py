@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 import fedmm
+from conftest import tiny_manifest
 from fedmm.cli import build_parser, run, summary_lines, sweep_configs
 from fedmm.config import SCHEMA, ExperimentConfig, parse_value
-from fedmm.data import load_manifest
+from fedmm.data import load_manifest, save_manifest
 from fedmm.partitioner import load_partition
+from test_data import rewrite_line
 
 FAST_KEYS = [
     "synth.samples_per_class = 6",
@@ -41,6 +43,18 @@ def write_config(path, extra=()):
     lines = FAST_KEYS + list(extra)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+@pytest.mark.parametrize("lineno,key", [(1, "modalities"), (2, "label")])
+def test_malformed_manifest_exits_2(tmp_path, capsys, lineno, key):
+    bad, good = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    save_manifest(tiny_manifest(split="train"), bad)
+    save_manifest(tiny_manifest(split="test"), good)
+    rewrite_line(bad, lineno, lambda obj: json.dumps({k: v for k, v in obj.items() if k != key}))
+    argv = ["train", "--set", "data.source=manifest", "--set", f"data.train_manifest={bad}",
+            "--set", f"data.test_manifest={good}", "--set", f"out_dir={tmp_path / 'out'}"]
+    assert run(argv) == 2
+    assert f"{bad}:{lineno}: no key '{key}'" in capsys.readouterr().err
 
 
 def test_partition_conserves_samples(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import manual_manifest, randomize_delta, tiny_manifest, train_client
 from fedmm.client import (
+    ClientData,
     LocalTrainConfig,
     RegContext,
     RegularizerConfig,
@@ -289,14 +290,14 @@ def test_client_batch_read_only_and_untouched_by_training():
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         client.batch.features[0][0, 0] = 1.0
-    local_train(base, delta, [client.batch], LocalTrainConfig(epochs=2, batch_size=5), seeds=[4])
+    local_train(base, delta, [client], LocalTrainConfig(epochs=2, batch_size=5), seeds=[4])
     assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
 
 
 def test_local_train_empty_batch_rejected():
     manifest, base, delta, _ = make_setup()
     with pytest.raises(ValueError, match="no samples"):
-        local_train(base, delta, [make_batch(manifest, [])], LocalTrainConfig(), seeds=[1])
+        local_train(base, delta, [ClientData(make_batch(manifest, []), 0.0, 0.0)], LocalTrainConfig(), seeds=[1])
 
 
 def test_reg_contexts_compose_targets_once():

@@ -1,9 +1,15 @@
+from dataclasses import MISSING, fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedmm import rng
+from fedmm.client import LocalTrainConfig, RegularizerConfig
 from fedmm.config import SCHEMA, ExperimentConfig, parse_config_text, parse_value, render_value
-from fedmm.server import AGGREGATOR_KINDS
+from fedmm.data import SynthConfig
+from fedmm.model import ModelConfig
+from fedmm.partitioner import SCENARIO_KNOBS
+from fedmm.server import AGGREGATOR_KINDS, FLRunConfig
 
 
 def test_parse_scalars():
@@ -128,6 +134,39 @@ def test_scenario_spec_kind_fields():
         None, ["scenario.kind=hybrid", "scenario.keep_prob=0.8"]
     ).scenario_spec()
     assert hybrid.keep_prob == 0.8
+
+
+SECTIONS = {"local": LocalTrainConfig, "reg": RegularizerConfig, "model": ModelConfig, "fl": FLRunConfig, "synth": SynthConfig}
+# synth keys that feed no SynthConfig field of their own name
+NOT_FIELDS = {"synth.classes": "class_count", "synth.test_samples_per_class": None}
+
+
+def test_section_keys_name_fields_with_the_same_default():
+    checked = 0
+    for key, spec in SCHEMA.items():
+        prefix, _, name = key.partition(".")
+        if prefix not in SECTIONS:
+            continue
+        name = NOT_FIELDS.get(key, name)
+        if name is None:
+            continue
+        defaults = {f.name: f.default for f in fields(SECTIONS[prefix]) if f.default is not MISSING}
+        assert name in defaults, f"{key} names no field of {SECTIONS[prefix].__name__}"
+        default = list(defaults[name]) if isinstance(defaults[name], tuple) else defaults[name]
+        assert spec.default == default and type(spec.default) is type(default), key
+        checked += 1
+    assert checked == 23
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KNOBS)
+def test_scenario_spec_sets_exactly_the_kinds_knob(kind):
+    knobs = {"alpha": 0.7, "beta": 0.3, "image_only_clients": 4, "keep_prob": 0.6}
+    cfg = ExperimentConfig.from_sources(None, [f"scenario.kind={kind}"] + [f"scenario.{k}={v}" for k, v in knobs.items()])
+    spec = cfg.scenario_spec()
+    knob = SCENARIO_KNOBS[kind]
+    for name in filter(None, SCENARIO_KNOBS.values()):
+        assert getattr(spec, name) == (knobs[name] if name == knob else None), name
+    assert spec.level() == knobs[knob or "alpha"]
 
 
 def test_sweep_axes_parse_by_key_kind():

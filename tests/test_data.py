@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,35 @@ def test_header_line_shape(tmp_path, manifest):
         "class_count": 3,
         "split": "train",
     }
+
+
+def rewrite_line(path, lineno, edit):
+    """Replace one manifest line by edit(its JSON object), as JSON text."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[lineno - 1] = edit(json.loads(lines[lineno - 1]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "lineno,key",
+    [(1, "modalities"), (1, "class_count"), (1, "split"), (2, "label"), (3, "id"), (4, "features")],
+)
+def test_load_manifest_names_file_line_and_missing_key(tmp_path, manifest, lineno, key):
+    path = tmp_path / "m.jsonl"
+    save_manifest(manifest, path)
+    rewrite_line(path, lineno, lambda obj: json.dumps({k: v for k, v in obj.items() if k != key}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: no key '{key}'$"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("lineno", [1, 2])
+@pytest.mark.parametrize("text,phrase", [("[1, 2]", "expected a JSON object, got list"), ("{", "Expecting")])
+def test_load_manifest_rejects_line_that_is_not_an_object(tmp_path, manifest, lineno, text, phrase):
+    path = tmp_path / "m.jsonl"
+    save_manifest(manifest, path)
+    rewrite_line(path, lineno, lambda obj: text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: {phrase}"):
+        load_manifest(path)
 
 
 def test_validate_rejects_empty_sample():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import lockstep_reference as reference
 from conftest import randomize_delta, run_config
 from fedmm import client, server
-from fedmm.client import LocalTrainConfig, local_train, round_reg_context
+from fedmm.client import ClientData, LocalTrainConfig, local_train, round_reg_context
 from fedmm.model import AdapterDelta, Batch, ModelConfig, init_model
 from fedmm.server import lockstep_groups, run_rounds
 
@@ -69,9 +69,10 @@ def test_lockstep_equals_each_client_alone(case):
     contexts = [replace(shared, gamma=gamma) if gamma > 0.0 else None for gamma in case["gammas"]]
     train_cfg = LocalTrainConfig(epochs=case["epochs"], batch_size=case["batch_size"], lr=0.05, warmup_ratio=0.3)
 
+    clients = [ClientData(b, 0.0, gamma) for b, gamma in zip(batches, case["gammas"])]
     want = [reference.local_train(base, start, b, train_cfg, s, ctx) for b, s, ctx in zip(batches, seeds, contexts)]
     for _ in range(2):  # a second call on the same inputs gives the same bytes
-        got = local_train(base, start, batches, train_cfg, seeds, shared, case["gammas"])
+        got = local_train(base, start, clients, train_cfg, seeds, shared)
         for (got_delta, got_trace), (want_delta, want_trace) in zip(got, want):
             assert np.array_equal(got_delta.flat, want_delta.flat)
             assert got_trace == want_trace
@@ -82,7 +83,7 @@ def test_lockstep_rejects_mixed_shard_sizes():
     base, delta = init_model(ModelConfig(modality_dims=(2, 2), hidden=4, encoder_depth=1, trunk_depth=1, class_count=2, rank=1))
     batches = [client_batch(gen, (2, 2), 2, n, "aligned") for n in (3, 4)]
     with pytest.raises(ValueError, match="one size"):
-        local_train(base, delta, batches, LocalTrainConfig(), [1, 2])
+        local_train(base, delta, [ClientData(b, 0.0, 0.0) for b in batches], LocalTrainConfig(), [1, 2])
 
 
 def test_stacked_delta_views_carry_client_axis(tiny_model):

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -362,6 +362,40 @@ def test_server_state_checkpoint_round_trip(tmp_path):
     assert np.array_equal(loaded.first_moment, state.first_moment)
     assert np.array_equal(loaded.second_moment, state.second_moment)
     assert np.array_equal(loaded.momentum_buf, state.momentum_buf)
+    second = tmp_path / "state2.bin"
+    save_server_state(second, loaded)
+    assert path.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_server_state_round_trips_every_field(tmp_path, tiny_delta, kind):
+    # distinct non-default values, so a field the checkpoint drops, or
+    # reads under another field's name, fails
+    gen = np.random.default_rng(3)
+    width = tiny_delta.flat.size
+    state = replace(
+        init_server_state(kind, randomize_delta(tiny_delta, seed=3), lr=0.37),
+        first_moment=gen.normal(size=width),
+        second_moment=gen.random(width),
+        momentum_buf=gen.normal(size=width),
+        round=17,
+        beta1=0.81,
+        beta2=0.93,
+        tau=2.5e-4,
+        momentum=0.55,
+    )
+    path = tmp_path / "state.bin"
+    save_server_state(path, state)
+    loaded = load_server_state(path)
+    for f in fields(ServerState):
+        want, got = getattr(state, f.name), getattr(loaded, f.name)
+        if f.name == "global_delta":
+            assert (got.specs, got.rank, got.adapter_alpha) == (want.specs, want.rank, want.adapter_alpha)
+            assert np.array_equal(got.flat, want.flat)
+        elif isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), f.name
+        else:
+            assert got == want and type(got) is type(want), f.name
     second = tmp_path / "state2.bin"
     save_server_state(second, loaded)
     assert path.read_bytes() == second.read_bytes()
