@@ -13,15 +13,20 @@ last `margin` depths off, leaving only middle layers constrained.
 
 A run classifies each client once, when it is first sampled, and keeps
 its shard as one write-protected Batch (ClientData). A round composes the
-proximal targets once (round_reg_context) for all of its clients.
+proximal targets once (round_reg_context) for all of its clients, as
+shape-group stacks, and plans where the term acts: the depth mask is one
+interval of depths and the groups are depth-ordered (model.shape_groups),
+so each group's masked-in layers are one slice, and each product of the
+term is one stacked call per slice (masked_slices).
 
 Clients with equal shard sizes train in lockstep (local_train): the
 group's adapters are the rows of one (C, P) matrix, each layer's
 products are stacked np.matmul calls, and Adam runs elementwise on the
-whole matrix, in place through two rows of step temporaries: an Adam
-step allocates no (C, P) array. Each client keeps its own shuffle
-stream and gamma. A group of one trains on a bare vector, with no
-client axis.
+whole matrix, in place through two rows of step temporaries. One block
+per call holds those rows and the step's grouped weights, so a step
+allocates no (C, P) or weight-shaped array. Each client keeps its own
+shuffle stream and gamma. A group of one trains on a bare vector, with
+no client axis.
 """
 
 from __future__ import annotations
@@ -34,7 +39,16 @@ import numpy as np
 
 from . import rng
 from .data import DatasetManifest
-from .model import AdapterDelta, BaseWeights, Batch, compose_delta, loss_and_grad, make_batch
+from .model import (
+    AdapterDelta,
+    BaseWeights,
+    Batch,
+    ShapeGroup,
+    StepBuffers,
+    compose_updates,
+    loss_and_grad,
+    make_batch,
+)
 from .partitioner import CLIENT_KINDS, ClientSlot, classify_client, client_missing_rate
 
 
@@ -109,15 +123,53 @@ def gamma_for_client(gamma_max: float, kind: str, missing_rate: float) -> float:
     return gamma_max * missing_rate
 
 
+@dataclass(frozen=True)
+class MaskedSlices:
+    """Where the proximal term acts: for each shape group holding
+    masked-in layers, (group index, slice of its layers, their stacked
+    targets), and `order`, which puts those layers, concatenated slice by
+    slice, in layer order."""
+
+    slices: tuple[tuple[int, slice, np.ndarray], ...]
+    order: np.ndarray
+
+
+def masked_slices(
+    groups: tuple[ShapeGroup, ...],
+    mask: np.ndarray,
+    targets: list[np.ndarray],
+    stacked: list[np.ndarray] | None = None,
+) -> MaskedSlices:
+    """The slices of a depth mask, which must switch on one interval of
+    depths, so a depth-ordered group's masked-in layers are one slice.
+    Targets are sliced from their group stacks when given, else stacked."""
+    on = np.flatnonzero(mask)
+    if on.size and on[-1] - on[0] + 1 != on.size:
+        raise ValueError(f"mask must switch on one interval of depths, got {mask.tolist()}")
+    slices, layers = [], []
+    for g, group in enumerate(groups):
+        span = group.span(on[0], on[-1] + 1) if on.size else slice(0, 0)
+        if span.start == span.stop:
+            continue
+        target = np.stack([targets[i] for i in group.layers[span]]) if stacked is None else stacked[g][span]
+        slices.append((g, span, target))
+        layers += group.layers[span]
+    return MaskedSlices(tuple(slices), np.argsort(layers))
+
+
 @dataclass
 class RegContext:
     """Frozen per-round inputs of the proximal term: composed global
     per-layer updates, the depth mask, and the client's gamma (for a
-    lockstep group, one gamma per client as a (C,) vector)."""
+    lockstep group, one gamma per client as a (C,) vector).
+    make_reg_context also plans where the term acts (`plan`, the
+    masked_slices of targets and mask); a context without one plans on
+    every call."""
 
     targets: list[np.ndarray]
     mask: np.ndarray
     gamma: float | np.ndarray
+    plan: MaskedSlices | None = None
 
     def value_and_grad(
         self,
@@ -130,8 +182,10 @@ class RegContext:
 
 def make_reg_context(global_delta: AdapterDelta, margin: int, gamma: float) -> RegContext:
     depth = max(s.depth for s in global_delta.specs) + 1
-    targets = [compose_delta(global_delta, i) for i in range(len(global_delta.specs))]
-    return RegContext(targets=targets, mask=mask_vector(depth, margin), gamma=gamma)
+    mask = mask_vector(depth, margin)
+    composed = compose_updates(global_delta)
+    plan = masked_slices(global_delta.groups, mask, composed.layers, composed.stacks)
+    return RegContext(targets=composed.layers, mask=mask, gamma=gamma, plan=plan)
 
 
 def round_reg_context(global_delta: AdapterDelta, margin: int, gammas: list[float]) -> RegContext | None:
@@ -173,9 +227,16 @@ def reg_value_and_grad(
     grad: AdapterDelta | None = None,
 ) -> tuple[float | np.ndarray, AdapterDelta]:
     """gamma * sum over unmasked layers of ||composed - target||_F^2, with
-    its exact gradient through the low-rank factors added into grad (a
-    fresh zero buffer when none is given). composed, when given, holds
-    every layer's scale * up @ down, as loss_and_grad builds them.
+    its exact gradient through the low-rank factors written into grad's
+    masked-in slots (grad is a fresh zero buffer when none is given; other
+    slots are left as they are). composed, when given, holds the group
+    stacks of every layer's scale * up @ down (compose_updates); its
+    masked-in slots serve as scratch and are recomposed, bit for bit,
+    before the call returns, so the term needs no memory of its own.
+
+    Each product runs once per shape group, on its masked-in slice
+    (ctx.plan). The value still sums the layers one by one in layer
+    order.
 
     With a client axis on delta, gamma is one value per client and so is
     the result; a client with gamma 0 adds exactly nothing, so clients
@@ -188,18 +249,33 @@ def reg_value_and_grad(
         raise ValueError("target count does not match layer count")
     if np.shape(ctx.gamma) != delta.flat.shape[:-1]:
         raise ValueError(f"need one gamma per client, got shape {np.shape(ctx.gamma)}")
+    plan = ctx.plan if ctx.plan is not None else masked_slices(delta.groups, ctx.mask, ctx.targets)
     if grad is None:
         grad = replace(delta, flat=np.zeros_like(delta.flat))
-    value = 0.0
-    coef = (2.0 * np.asarray(ctx.gamma) * delta.scale)[..., None, None]
-    for i, spec in enumerate(delta.specs):
-        if not ctx.mask[spec.depth]:
-            continue
-        diff = (compose_delta(delta, i) if composed is None else composed[i]) - ctx.targets[i]
-        value = value + ctx.gamma * (diff * diff).sum(axis=(-2, -1))
-        grad.up[i][...] += coef * (diff @ delta.down[i].swapaxes(-1, -2))
-        grad.down[i][...] += coef * (delta.up[i].swapaxes(-1, -2) @ diff)
-    return value, grad
+    if not plan.slices:
+        return 0.0, grad
+    borrowed = composed is not None
+    if not borrowed:
+        composed = compose_updates(delta).stacks
+    gamma = np.asarray(ctx.gamma)
+    coef = (2.0 * gamma * delta.scale)[..., None, None, None]
+    squares = []
+    for g, span, target in plan.slices:
+        update = composed[g][..., span, :, :]
+        diff = np.subtract(update, target, out=update)
+        (ups, downs), (dups, ddowns) = delta.stacks[g], grad.stacks[g]
+        up_grad = np.matmul(diff, downs[..., span, :, :].swapaxes(-1, -2), out=dups[..., span, :, :])
+        up_grad *= coef
+        down_grad = np.matmul(ups[..., span, :, :].swapaxes(-1, -2), diff, out=ddowns[..., span, :, :])
+        down_grad *= coef
+        squares.append(np.multiply(diff, diff, out=diff).sum(axis=(-2, -1)))
+        if borrowed:
+            np.matmul(ups[..., span, :, :], downs[..., span, :, :], out=update)
+            update *= delta.scale
+    terms = np.concatenate(squares, axis=-1)[..., plan.order]
+    terms *= gamma[..., None]
+    # 0 + t0 + t1 + ..., left to right, as a loop over the layers sums
+    return np.add.accumulate(terms, axis=-1)[..., -1], grad
 
 
 def cosine_lr(step: int, total_steps: int, warmup_ratio: float, lr0: float) -> float:
@@ -250,11 +326,19 @@ def local_train(
         raise ValueError(f"lockstep shards must have one size, got {[len(c.batch) for c in clients]}")
     if n == 0:
         raise ValueError("client has no samples")
-    arrays = np.zeros((6, width, global_delta.flat.size))
+    # One block per call holds every array a step writes, Adam's rows and
+    # the grouped weights (StepBuffers): several blocks per call, freed
+    # together, get trimmed by glibc and faulted back in on the next call.
+    size, weight_size = global_delta.flat.size, base.flat.size
+    block = np.empty(width * (6 * size + weight_size))
+    arrays = block[: 6 * width * size].reshape(6, width, size)
+    arrays[2:4] = 0.0
     params, grad_flat, first, second, t1, t2 = arrays[:, 0] if width == 1 else arrays
     params[...] = global_delta.flat
     delta = replace(global_delta, flat=params)
     grad = replace(global_delta, flat=grad_flat)
+    # t1 is free while loss_and_grad runs, so it holds the proximal gradient
+    buffers = StepBuffers(base, delta, block[6 * width * size :].reshape(*params.shape[:-1], weight_size), t1)
     ctx = None
     if reg_ctx is not None and any(c.gamma for c in clients):
         ctx = replace(reg_ctx, gamma=clients[0].gamma if width == 1 else np.array([c.gamma for c in clients]))
@@ -271,7 +355,7 @@ def local_train(
         loss_sum = 0.0
         for b in range(batches_per_epoch):
             minibatch = shard.take(order[..., b * train_cfg.batch_size : (b + 1) * train_cfg.batch_size])
-            loss, _ = loss_and_grad(base, delta, minibatch, ctx, grad)
+            loss, _ = loss_and_grad(base, delta, minibatch, ctx, grad, buffers)
             loss_sum += loss * len(minibatch)
             step += 1
             lr = cosine_lr(step - 1, total_steps, train_cfg.warmup_ratio, train_cfg.lr)

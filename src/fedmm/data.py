@@ -130,26 +130,49 @@ def _manifest_line(path: str | Path, lineno: int, text: str) -> Entries:
     return Entries(f"{path}:{lineno}", "key", obj)
 
 
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(where: str, value: object, what: str, kind: type):
+    """value, which must be of exactly this JSON type (true is not an
+    integer); else ValueError naming where and what."""
+    if type(value) is not kind:
+        raise ValueError(f"{where}: {what} must be {_JSON_KINDS[kind]}, got {json.dumps(value)[:80]}")
+    return value
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
+    """Read a manifest, raising ValueError naming the file and the line
+    for anything that is not one: bad JSON, a missing key, a value of the
+    wrong type, or a manifest validate_manifest rejects."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty manifest file")
+    at = f"{path}:1"
     head = _manifest_line(path, 1, lines[0])
-    modalities = tuple(ModalityDescriptor(m["name"], int(m["dim"])) for m in head["modalities"])
+    modalities = []
+    for i, entry in enumerate(_typed(at, head["modalities"], "modalities", list)):
+        what = f"modalities[{i}]"
+        m = Entries(f"{at}: {what}", "key", _typed(at, entry, what, dict))
+        modalities.append(ModalityDescriptor(_typed(at, m["name"], f"{what}.name", str), _typed(at, m["dim"], f"{what}.dim", int)))
+    class_count = _typed(at, head["class_count"], "class_count", int)
+    split = _typed(at, head["split"], "split", str)
     samples = []
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
+        at = f"{path}:{lineno}"
         rec = _manifest_line(path, lineno, ln)
-        feats = {k: np.asarray(v, dtype=np.float64) for k, v in rec["features"].items()}
-        samples.append(Sample(id=rec["id"], label=int(rec["label"]), features=feats))
-    manifest = DatasetManifest(
-        modalities=modalities,
-        class_count=int(head["class_count"]),
-        split=head["split"],
-        samples=samples,
-    )
+        feats = {}
+        for name, values in _typed(at, rec["features"], "features", dict).items():
+            try:
+                feats[name] = np.asarray(values, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"{at}: features[{name!r}] is not a list of numbers") from None
+        sample_id = _typed(at, rec["id"], "id", str)
+        samples.append(Sample(id=sample_id, label=_typed(at, rec["label"], "label", int), features=feats))
+    manifest = DatasetManifest(modalities=tuple(modalities), class_count=class_count, split=split, samples=samples)
     validate_manifest(manifest)
     return manifest
 

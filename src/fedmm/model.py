@@ -10,24 +10,43 @@ low-rank pair (up: fan_out x rank, down: rank x fan_in); the effective
 weight is base + (adapter_alpha / rank) * up @ down. Only the pairs train,
 and only the pairs travel between clients and server.
 
-All pairs live in one contiguous float64 vector, AdapterDelta.flat: up
-then down, layer by layer, which is also the order of the server's moment
-buffers. Per-layer factors are views into it, so local Adam, aggregation
-and the server rules work on the vector directly, without conversions.
-
 Depth indexing for layer masks: encoder layers of all modalities share
 depth 0..encoder_depth-1, trunk layers follow, the head is last, so the
 total depth is encoder_depth + trunk_depth + 1. The forward and backward
 passes read that layout from the LayerSpec fields, not from layer names.
 
+Layers of one (fan_out, fan_in) shape form a shape group (shape_groups),
+ordered by (depth, layer index), so any interval of depths is one slice
+of a group; the default model has four: 2 x (32 x 17), 7 x (32 x 32),
+1 x (32 x 64) and the 4 x 32 head. All pairs live in one contiguous
+float64 vector, AdapterDelta.flat, group by group: the group's ups, then
+its downs. Per-layer factors and per-group stacks are views into it, so
+local Adam, aggregation and the server rules, all elementwise, work on
+the vector directly. Weight-shaped vectors (BaseWeights.flat, composed
+updates, weight gradients) are grouped the same way. Composing the
+updates, adding the base weights, and turning weight gradients into
+factor gradients each take one stacked call per group instead of one per
+layer; every stacked product is, item by item, the same gemm on the same
+operand layout as the per-layer product, so the bytes do not change.
+
 Forward and backward are written out by hand in float64; gradients are
-exact, not approximated.
+exact, not approximated. Two kinds of work are skipped because they
+cannot change a byte. A bias that is all zero is not added (init_model
+makes every bias zero, and biases are frozen): a gemm result is never
+-0, so adding +0 leaves it as it is. A modality's encoder stack is not
+run when its whole input is zero in every row of the batch (a client
+without that modality) and all its biases are zero: a zero row gives a
++0 pre-activation, since BLAS accumulates from +0, tanh(+0) = +0, and
+the stack's weight gradients are then +0 too; its slice of the trunk
+input is written +0 and its weight-gradient slots are zeroed instead.
 
 make_batch assembles a client's whole shard, or a chunk of the test set,
 once per run; minibatches are row-takes of a shard (Batch.take).
 Evaluation keeps no activations and reuses one forward_scratch: a
 512-row, 32-wide activation is 128 KiB, glibc's mmap threshold, so a
 fresh one per layer would be mapped, or trimmed away, and faulted in.
+For the same reason a training loop allocates the step's weight-shaped
+buffers once (StepBuffers) instead of once per step.
 
 An AdapterDelta may hold a (C, P) matrix and a Batch a leading client
 axis; loss_and_grad is written over that optional axis, so one code path
@@ -39,9 +58,12 @@ summation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,17 +127,90 @@ def layer_specs(cfg: ModelConfig) -> tuple[LayerSpec, ...]:
     return tuple(specs)
 
 
+@dataclass(frozen=True)
+class ShapeGroup:
+    """The layers of one (fan_out, fan_in) shape, in (depth, layer index)
+    order, so the layers of any interval of depths are one slice."""
+
+    fan_out: int
+    fan_in: int
+    layers: tuple[int, ...]
+    depths: tuple[int, ...]
+
+    def span(self, lo: int, hi: int) -> slice:
+        """Positions of the layers with lo <= depth < hi."""
+        return slice(bisect_left(self.depths, lo), bisect_left(self.depths, hi))
+
+
+def shape_groups(specs: tuple[LayerSpec, ...]) -> tuple[ShapeGroup, ...]:
+    """Layers grouped by shape, groups in order of first appearance."""
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, s in enumerate(specs):
+        by_shape.setdefault((s.fan_out, s.fan_in), []).append(i)
+    groups = []
+    for (fan_out, fan_in), layers in by_shape.items():
+        layers.sort(key=lambda i: (specs[i].depth, i))
+        groups.append(ShapeGroup(fan_out, fan_in, tuple(layers), tuple(specs[i].depth for i in layers)))
+    return tuple(groups)
+
+
+def _carve(vec: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of vec's last axis, shaped (*leading axes, *shape)."""
+    lead, views, offset = vec.shape[:-1], [], 0
+    for shape in shapes:
+        end = offset + math.prod(shape)
+        views.append(vec[..., offset:end].reshape(*lead, *shape))
+        offset = end
+    return views
+
+
+def _per_layer(groups: tuple[ShapeGroup, ...], stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """Every layer's view into its group's stack, in layer order."""
+    views = [None] * sum(len(g.layers) for g in groups)
+    for group, stack in zip(groups, stacks):
+        for pos, layer in enumerate(group.layers):
+            views[layer] = stack[..., pos, :, :]
+    return views
+
+
+class Grouped(NamedTuple):
+    """A weight-shaped vector (..., W), laid out group by group
+    (shape_groups), with each group's stack (..., layers, fan_out, fan_in)
+    and every layer's (..., fan_out, fan_in), in layer order, as views."""
+
+    vec: np.ndarray
+    stacks: list[np.ndarray]
+    layers: list[np.ndarray]
+
+
+def grouped(groups: tuple[ShapeGroup, ...], vec: np.ndarray) -> Grouped:
+    """vec with its group stacks and per-layer views."""
+    stacks = _carve(vec, [(len(g.layers), g.fan_out, g.fan_in) for g in groups])
+    return Grouped(vec, stacks, _per_layer(groups, stacks))
+
+
 @dataclass
 class BaseWeights:
-    """Frozen affine parameters; arrays are write-protected at init."""
+    """Frozen affine parameters. The weights are copied into `flat`, one
+    vector grouped by shape_groups, and weights[i] becomes layer i's view
+    into it; every array is write-protected. zero_bias[i] says whether
+    layer i's bias is all zero, so the forward pass can skip adding it."""
 
     specs: tuple[LayerSpec, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    groups: tuple[ShapeGroup, ...] = field(init=False, repr=False)
+    flat: np.ndarray = field(init=False, repr=False)
+    zero_bias: tuple[bool, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for array in (*self.weights, *self.biases):
-            array.flags.writeable = False
+        self.groups = shape_groups(self.specs)
+        self.flat = np.concatenate([np.stack([self.weights[i] for i in g.layers]).reshape(-1) for g in self.groups])
+        self.flat.flags.writeable = False
+        self.weights = grouped(self.groups, self.flat).layers
+        for bias in self.biases:
+            bias.flags.writeable = False
+        self.zero_bias = tuple(not bias.any() for bias in self.biases)
 
 
 def adapter_size(specs: tuple[LayerSpec, ...], rank: int) -> int:
@@ -127,9 +222,12 @@ def adapter_size(specs: tuple[LayerSpec, ...], rank: int) -> int:
 class AdapterDelta:
     """Trainable low-rank pairs for every layer, plus composition scale.
 
-    The parameters live in one contiguous float64 vector `flat`, ordered
-    up then down, layer by layer. `up[i]` (fan_out x rank) and `down[i]`
-    (rank x fan_in) are tuples of views into it: writing through a view
+    The parameters live in one contiguous float64 vector `flat`, shape
+    group by shape group (`groups`, derived from specs and carried along
+    by replace): the group's ups, then its downs. `stacks[g]` is group g's
+    (ups, downs), shaped (layers, fan_out, rank) and (layers, rank,
+    fan_in); `up[i]` (fan_out x rank) and `down[i]` (rank x fan_in) are
+    layer i's factors. All are views into flat: writing through a view
     changes `flat`, while rebinding a view is an error.
 
     `flat` may also be a (C, P) matrix holding C clients' adapters, one
@@ -142,35 +240,32 @@ class AdapterDelta:
     rank: int
     adapter_alpha: float
     flat: np.ndarray
+    groups: tuple[ShapeGroup, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not self.groups:
+            object.__setattr__(self, "groups", shape_groups(self.specs))
         expected = adapter_size(self.specs, self.rank)
         if self.flat.dtype != np.float64 or self.flat.ndim not in (1, 2) or self.flat.shape[-1] != expected:
             raise ValueError(
                 f"need float64 rows of length {expected}, got {self.flat.dtype} of shape {self.flat.shape}"
             )
 
-    def _views(self, which: int) -> tuple[np.ndarray, ...]:
-        """Every layer's up (which=0) or down (which=1) factor."""
-        lead, rank = self.flat.shape[:-1], self.rank
-        views, offset = [], 0
-        for s in self.specs:
-            mid = offset + s.fan_out * rank
-            end = mid + rank * s.fan_in
-            if which == 0:
-                views.append(self.flat[..., offset:mid].reshape(*lead, s.fan_out, rank))
-            else:
-                views.append(self.flat[..., mid:end].reshape(*lead, rank, s.fan_in))
-            offset = end
-        return tuple(views)
+    @cached_property
+    def stacks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        shapes = []
+        for g in self.groups:
+            shapes += [(len(g.layers), g.fan_out, self.rank), (len(g.layers), self.rank, g.fan_in)]
+        views = _carve(self.flat, shapes)
+        return tuple(zip(views[0::2], views[1::2]))
 
     @cached_property
     def up(self) -> tuple[np.ndarray, ...]:
-        return self._views(0)
+        return tuple(_per_layer(self.groups, [ups for ups, _ in self.stacks]))
 
     @cached_property
     def down(self) -> tuple[np.ndarray, ...]:
-        return self._views(1)
+        return tuple(_per_layer(self.groups, [downs for _, downs in self.stacks]))
 
     @property
     def scale(self) -> float:
@@ -199,12 +294,46 @@ def init_model(cfg: ModelConfig) -> tuple[BaseWeights, AdapterDelta]:
     return base, delta
 
 
+def compose_updates(delta: AdapterDelta, out: Grouped | None = None) -> Grouped:
+    """Every layer's scale * up @ down, one stacked product per shape
+    group, written into out or a new grouped vector; layer i's view holds
+    scale * (up[i] @ down[i]) bit for bit."""
+    if out is None:
+        size = sum(s.fan_out * s.fan_in for s in delta.specs)
+        out = grouped(delta.groups, np.empty((*delta.flat.shape[:-1], size)))
+    for (ups, downs), stack in zip(delta.stacks, out.stacks):
+        np.matmul(ups, downs, out=stack)
+    np.multiply(out.vec, delta.scale, out=out.vec)
+    return out
+
+
 def compose_delta(delta: AdapterDelta, layer: int) -> np.ndarray:
-    """The dense weight update of one layer: scale * up @ down, as a new
-    array."""
-    update = delta.up[layer] @ delta.down[layer]
-    update *= delta.scale
-    return update
+    """The dense weight update of one layer, scale * up @ down, as a view
+    into a new grouped vector."""
+    return compose_updates(delta).layers[layer]
+
+
+class StepBuffers:
+    """The arrays loss_and_grad writes every step, for deltas shaped like
+    `delta`: `weights`, one grouped weight-shaped vector that holds the
+    composed updates, then the effective weights, then, as backprop
+    leaves each weight behind, that layer's weight gradient; and `prox`,
+    an adapter-shaped buffer for the proximal term's gradient. Both live
+    in the given arrays or in new ones. A training loop builds them once:
+    with a client axis they outgrow glibc's 128 KiB mmap threshold, so a
+    fresh set per step would be mapped and faulted in every step."""
+
+    def __init__(
+        self,
+        base: BaseWeights,
+        delta: AdapterDelta,
+        weights: np.ndarray | None = None,
+        prox: np.ndarray | None = None,
+    ) -> None:
+        if weights is None:
+            weights = np.empty((*delta.flat.shape[:-1], base.flat.size))
+        self.weights = grouped(base.groups, weights)
+        self.prox = replace(delta, flat=np.empty_like(delta.flat) if prox is None else prox)
 
 
 @dataclass
@@ -269,8 +398,11 @@ def make_batch(
 
 
 def effective_weights(base: BaseWeights, delta: AdapterDelta) -> list[np.ndarray]:
-    """Every layer's base weight plus its composed adapter update."""
-    return [base.weights[i] + compose_delta(delta, i) for i in range(len(base.specs))]
+    """Every layer's base weight plus its composed adapter update, as
+    views into one grouped vector."""
+    weights = compose_updates(delta)
+    np.add(weights.vec, base.flat, out=weights.vec)
+    return weights.layers
 
 
 def _encoder_depth(specs: tuple[LayerSpec, ...], modality_count: int) -> int:
@@ -283,6 +415,16 @@ def _encoder_depth(specs: tuple[LayerSpec, ...], modality_count: int) -> int:
     return (len(specs) - len({s.depth for s in specs})) // (modality_count - 1)
 
 
+def _stack_is_idle(base: BaseWeights, stack: range, batch: Batch, modality: int) -> bool:
+    """Whether a modality's encoder stack maps this batch to exact +0:
+    its input is zero in every row and none of its biases is nonzero."""
+    return (
+        all(base.zero_bias[layer] for layer in stack)
+        and not batch.presence[modality].any()
+        and not batch.features[modality].any()
+    )
+
+
 def forward_scratch(base: BaseWeights, rows: int) -> np.ndarray:
     """Three blocks as wide as the widest layer, for up to `rows` rows."""
     return np.empty((3, rows * max(max(s.fan_in, s.fan_out) for s in base.specs)))
@@ -290,9 +432,13 @@ def forward_scratch(base: BaseWeights, rows: int) -> np.ndarray:
 
 def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch, scratch: np.ndarray | None = None):
     """Logits plus each layer's input and post-tanh output (None for the
-    head), in layer_specs order. With a client axis on the batch and the
-    weights, np.matmul runs every client's product in one call, each
-    bit for bit the 2-D product of that client alone.
+    head, and for both of every layer of an idle encoder stack), in
+    layer_specs order. With a client axis on the batch and the weights,
+    np.matmul runs every client's product in one call, each bit for bit
+    the 2-D product of that client alone.
+
+    An idle stack (_stack_is_idle) is not run; its slice of the trunk
+    input is written +0, the value running it would give.
 
     With scratch (forward_scratch) the lists stay empty: tanh layers
     alternate between blocks 0 and 1, and the encodings are copied side by
@@ -302,7 +448,7 @@ def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch, scr
     modality_count = len(batch.features)
     per_mod = _encoder_depth(specs, modality_count)
     head = len(specs) - 1
-    inputs: list[np.ndarray] = []
+    inputs: list[np.ndarray | None] = []
     outputs: list[np.ndarray | None] = []
 
     def block(k: int, width: int) -> np.ndarray:
@@ -314,7 +460,8 @@ def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch, scr
         for layer in layers:
             k ^= 1
             h = np.matmul(u, weights[layer].swapaxes(-1, -2), out=block(k, specs[layer].fan_out))
-            h += base.biases[layer]
+            if not base.zero_bias[layer]:
+                h += base.biases[layer]
             np.tanh(h, out=h)
             if scratch is None:
                 inputs.append(u)
@@ -325,13 +472,21 @@ def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch, scr
     fused = block(2, specs[modality_count * per_mod].fan_in)
     offset = 0
     for m, features in enumerate(batch.features):
-        u = np.concatenate([features, batch.presence[m][..., None]], axis=-1, out=block(0, features.shape[-1] + 1))
-        u = chain(range(m * per_mod, (m + 1) * per_mod), u, 0)
-        fused[..., offset : offset + u.shape[-1]] = u
-        offset += u.shape[-1]
+        stack = range(m * per_mod, (m + 1) * per_mod)
+        width = specs[stack[-1]].fan_out if per_mod else features.shape[-1] + 1
+        if per_mod and _stack_is_idle(base, stack, batch, m):
+            fused[..., offset : offset + width] = 0.0
+            if scratch is None:
+                inputs += [None] * per_mod
+                outputs += [None] * per_mod
+        else:
+            u = np.concatenate([features, batch.presence[m][..., None]], axis=-1, out=block(0, features.shape[-1] + 1))
+            fused[..., offset : offset + width] = chain(stack, u, 0)
+        offset += width
     u = chain(range(modality_count * per_mod, head), fused, 1)
     logits = u @ weights[head].swapaxes(-1, -2)
-    logits += base.biases[head]
+    if not base.zero_bias[head]:
+        logits += base.biases[head]
     if scratch is None:
         inputs.append(u)
         outputs.append(None)
@@ -362,13 +517,14 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
 
 def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy over the rows (one per client along a leading
-    axis) and its gradient with respect to the logits."""
+    axis) and its gradient with respect to the logits. The mean is the sum
+    divided by the row count, as np.mean computes it."""
     probs = softmax_probs(logits)
     n = logits.shape[-2]
     rows = probs.reshape(-1, probs.shape[-1])
     at = (np.arange(rows.shape[0]), labels.reshape(-1))
     picked = rows[at].reshape(labels.shape)
-    loss = -np.mean(np.log(picked), axis=-1)
+    loss = -(np.log(picked).sum(axis=-1) / n)
     rows[at] -= 1.0
     return loss, probs / n
 
@@ -379,66 +535,79 @@ def loss_and_grad(
     batch: Batch,
     reg_ctx=None,
     grad: AdapterDelta | None = None,
+    buffers: StepBuffers | None = None,
 ) -> tuple[float | np.ndarray, AdapterDelta]:
     """Mean softmax cross-entropy (plus the proximal term when reg_ctx is
     given) and its exact gradient with respect to every adapter pair.
 
     A delta with a client axis, (C, P), trains C clients in lockstep on a
     batch with the same leading axis; the loss is then a (C,) vector.
-    grad, when given, is a buffer shaped like delta that is zeroed and
-    filled, so a training loop allocates it and its views once.
+    grad and buffers (StepBuffers), when given, are overwritten, so a
+    training loop allocates them and their views once.
 
-    Each layer's update is composed once and serves both the proximal
-    term and the effective weight. reg_ctx, when supplied, must expose
-    value_and_grad(delta, composed, grad), which returns its value and
-    adds its gradient into grad.
+    The updates are composed once per shape group and serve both the
+    proximal term and the effective weights. reg_ctx, when supplied, must
+    expose value_and_grad(delta, composed, grad), which returns its value
+    and writes its gradient into the zeroed grad it is given. Backprop
+    writes each layer's weight gradient over that layer's weight, which
+    it no longer needs; the factor gradients are then one stacked product
+    per group, and the proximal gradient is added last (a sum of two
+    terms, so the order does not change its bytes).
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
     if grad is None:
-        grad = replace(delta, flat=np.zeros_like(delta.flat))
-    else:
-        grad.flat.fill(0.0)
-    specs = base.specs
-    updates = [compose_delta(delta, i) for i in range(len(specs))]
-    reg_value = None if reg_ctx is None else reg_ctx.value_and_grad(delta, updates, grad)[0]
-    weights = [np.add(base.weights[i], u, out=u) for i, u in enumerate(updates)]
+        grad = replace(delta, flat=np.empty_like(delta.flat))
+    if buffers is None:
+        buffers = StepBuffers(base, delta)
+    composed = compose_updates(delta, out=buffers.weights)
+    reg_value = None
+    if reg_ctx is not None:
+        buffers.prox.flat.fill(0.0)
+        reg_value = reg_ctx.value_and_grad(delta, composed.stacks, buffers.prox)[0]
+    np.add(composed.vec, base.flat, out=composed.vec)
+    weights = composed.layers
     logits, inputs, outputs = _run_forward(base, weights, batch)
     loss, dlogits = _softmax_xent(logits, batch.labels)
-    scale = delta.scale
-
-    def accumulate(layer: int, dz: np.ndarray) -> None:
-        dw = dz.swapaxes(-1, -2) @ inputs[layer]
-        grad.up[layer][...] += scale * (dw @ delta.down[layer].swapaxes(-1, -2))
-        grad.down[layer][...] += scale * (delta.up[layer].swapaxes(-1, -2) @ dw)
 
     def backprop(layers: range, d: np.ndarray, to_input: bool) -> np.ndarray:
         """Carry d, the gradient at the output of the tanh chain `layers`,
-        back through it, accumulating every layer's factors; the gradient
-        at the chain's input is computed only when to_input asks for it."""
+        back through it, writing every layer's weight gradient over its
+        weight; the gradient at the chain's input is computed only when
+        to_input asks for it."""
         for layer in reversed(layers):
             h = outputs[layer]
             dz = d * (1.0 - h * h)
-            accumulate(layer, dz)
             if to_input or layer != layers[0]:
                 d = dz @ weights[layer]
+            np.matmul(dz.swapaxes(-1, -2), inputs[layer], out=weights[layer])
         return d
 
+    specs = base.specs
     modality_count = len(batch.features)
     per_mod = _encoder_depth(specs, modality_count)
     head = len(specs) - 1
-    accumulate(head, dlogits)
-    dstream = backprop(range(modality_count * per_mod, head), dlogits @ weights[head], per_mod > 0)
-    if per_mod > 0:
-        # dstream spans the concatenated encodings, one stack's fan_out each
-        offset = 0
-        for m in range(modality_count):
-            stack = range(m * per_mod, (m + 1) * per_mod)
-            width = specs[stack[-1]].fan_out
+    dstream = dlogits @ weights[head]
+    np.matmul(dlogits.swapaxes(-1, -2), inputs[head], out=weights[head])
+    dstream = backprop(range(modality_count * per_mod, head), dstream, per_mod > 0)
+    # dstream spans the concatenated encodings, one stack's fan_out each
+    offset = 0
+    for m in range(modality_count if per_mod else 0):
+        stack = range(m * per_mod, (m + 1) * per_mod)
+        width = specs[stack[-1]].fan_out
+        if inputs[stack[0]] is None:  # idle: its weight gradients are +0
+            for layer in stack:
+                weights[layer][...] = 0.0
+        else:
             backprop(stack, dstream[..., offset : offset + width], False)
-            offset += width
+        offset += width
+    for (ups, downs), (dups, ddowns), dw in zip(delta.stacks, grad.stacks, composed.stacks):
+        np.matmul(dw, downs.swapaxes(-1, -2), out=dups)
+        np.matmul(ups.swapaxes(-1, -2), dw, out=ddowns)
+    np.multiply(grad.flat, delta.scale, out=grad.flat)
 
     if reg_value is not None:
+        np.add(grad.flat, buffers.prox.flat, out=grad.flat)
         loss = loss + reg_value
     return loss, grad
 
@@ -470,6 +639,14 @@ def adapter_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> AdapterDelta
                 raise ValueError(f"array {name!r} has shape {arrays[name].shape}, expected {view.shape}")
             view[...] = arrays[name]
     return delta
+
+
+def layer_order(delta: AdapterDelta) -> np.ndarray:
+    """The flat positions of every layer's up and then down factor, layer
+    by layer: vec[layer_order(delta)] lists a parameter vector in layer
+    order, whatever the grouping."""
+    index = replace(delta, flat=np.arange(delta.flat.shape[-1], dtype=np.float64))
+    return np.concatenate([f.reshape(-1) for pair in zip(index.up, index.down) for f in pair]).astype(np.intp)
 
 
 def save_checkpoint(path: str | Path, base: BaseWeights, delta: AdapterDelta) -> None:

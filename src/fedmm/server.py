@@ -44,6 +44,7 @@ from .model import (
     adapter_from_file,
     adapter_meta,
     init_model,
+    layer_order,
 )
 from .partitioner import ClientPartition
 from .tensorio import read_tensor_file, write_tensor_file
@@ -220,6 +221,8 @@ class FLRunConfig:
     def validate(self) -> None:
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.clients_per_round < 1:
+            raise ValueError(f"clients_per_round must be >= 1, got {self.clients_per_round}")
         if self.aggregator not in AGGREGATOR_KINDS:
             raise ValueError(f"aggregator must be one of {AGGREGATOR_KINDS}, got {self.aggregator!r}")
         if self.eval_every < 1:
@@ -381,7 +384,9 @@ def save_server_state(path: str | Path, state: ServerState) -> None:
     for i, s in enumerate(delta.specs):
         arrays.append((f"{s.name}.up", delta.up[i]))
         arrays.append((f"{s.name}.down", delta.down[i]))
-    arrays.extend((name, getattr(state, name)) for name in SERVER_STATE_BUFFERS)
+    # the moment buffers in layer order, as the per-layer arrays above
+    order = layer_order(delta)
+    arrays.extend((name, getattr(state, name)[order]) for name in SERVER_STATE_BUFFERS)
     write_tensor_file(path, meta, arrays)
 
 
@@ -397,9 +402,10 @@ def load_server_state(path: str | Path) -> ServerState:
     for name in SERVER_STATE_BUFFERS:
         if arrays[name].shape != delta.flat.shape:
             raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, expected {delta.flat.shape}")
+    from_layer_order = np.argsort(layer_order(delta))
     return ServerState(
         kind=meta["aggregator"],
         global_delta=delta,
-        **{name: arrays[name] for name in SERVER_STATE_BUFFERS},
+        **{name: arrays[name][from_layer_order] for name in SERVER_STATE_BUFFERS},
         **{name: (int if name == "round" else float)(meta[name]) for name in SERVER_STATE_SCALARS},
     )

@@ -57,6 +57,17 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, lineno, key):
     assert f"{bad}:{lineno}: no key '{key}'" in capsys.readouterr().err
 
 
+def test_manifest_modality_without_dim_exits_2(tmp_path, capsys):
+    bad, good = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    save_manifest(tiny_manifest(split="train"), bad)
+    save_manifest(tiny_manifest(split="test"), good)
+    rewrite_line(bad, 1, lambda obj: json.dumps({**obj, "modalities": [{"name": "image"}, {"name": "text", "dim": 3}]}))
+    argv = ["train", "--set", "data.source=manifest", "--set", f"data.train_manifest={bad}",
+            "--set", f"data.test_manifest={good}", "--set", f"out_dir={tmp_path / 'out'}"]
+    assert run(argv) == 2
+    assert f"{bad}:1: modalities[0]: no key 'dim'" in capsys.readouterr().err
+
+
 def test_partition_conserves_samples(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", [f"out_dir = {tmp_path / 'out'}"])
     assert run(["partition", "--config", cfg]) == 0
@@ -298,6 +309,7 @@ def test_sweep_reg_grid_prints_paired_difference(tmp_path, capsys):
         "synth.dims=4|8",  # list key
         "seed=1|2, seed=3",  # repeated axis
         "scenario.kind=cross, scenario.image_only_clients=1|20",  # a cell with more image-only clients than clients
+        "fl.clients_per_round=2|0",  # a cell that samples no client
         "",  # empty grid
     ],
 )

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import manual_manifest, tiny_manifest
 from fedmm import rng
@@ -82,6 +83,83 @@ def test_load_manifest_rejects_line_that_is_not_an_object(tmp_path, manifest, li
     rewrite_line(path, lineno, lambda obj: text)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: {phrase}"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "lineno,key,value,phrase",
+    [
+        (1, "modalities", [{"name": "image"}, {"name": "text", "dim": 3}], "modalities[0]: no key 'dim'"),
+        (1, "modalities", [{"name": "image", "dim": "4"}, {"name": "text", "dim": 3}], "modalities[0].dim must be an integer"),
+        (1, "modalities", [{"name": "image", "dim": 4}, {"name": "text", "dim": 3.0}], "modalities[1].dim must be an integer"),
+        (1, "modalities", [{"name": "image", "dim": 4}, 3], "modalities[1] must be an object"),
+        (1, "modalities", {"image": 4, "text": 3}, "modalities must be a list"),
+        (1, "class_count", "3", "class_count must be an integer"),
+        (2, "features", [[0.0, 1.0, 2.0, 3.0]], "features must be an object"),
+        (2, "features", {"image": {"x": 1}}, "features['image'] is not a list of numbers"),
+        (2, "label", [1], "label must be an integer"),
+        (3, "id", 7, "id must be a string"),
+    ],
+    ids=["no-dim", "str-dim", "float-dim", "entry-not-object", "modalities-not-list", "str-class-count",
+         "features-not-object", "feature-not-numbers", "list-label", "int-id"],
+)
+def test_load_manifest_names_file_line_and_bad_value(tmp_path, manifest, lineno, key, value, phrase):
+    path = tmp_path / "m.jsonl"
+    save_manifest(manifest, path)
+    rewrite_line(path, lineno, lambda obj: json.dumps({**obj, key: value}))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{lineno}: {phrase}')}"):
+        load_manifest(path)
+
+
+_json_value = st.recursive(
+    st.one_of(st.integers(-2, 4), st.booleans(), st.floats(allow_infinity=False), st.text(max_size=2), st.none()),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _manifest_lines(draw):
+    """A well-formed manifest's header and records as JSON objects, with
+    at most a few values, at any depth, swapped for arbitrary JSON."""
+    dims = draw(st.dictionaries(st.sampled_from(["a", "b"]), st.integers(1, 2), min_size=1))
+    classes = draw(st.integers(2, 3))
+    header = {"modalities": [{"name": k, "dim": d} for k, d in dims.items()], "class_count": classes, "split": "train"}
+    records = []
+    for i in range(draw(st.integers(0, 3))):
+        present = draw(st.lists(st.sampled_from(sorted(dims)), min_size=1, max_size=len(dims), unique=True))
+        features = {k: draw(st.lists(st.floats(-2, 2), min_size=dims[k], max_size=dims[k])) for k in present}
+        records.append({"id": f"r{i}", "label": draw(st.integers(0, classes - 1)), "features": features})
+    for _ in range(draw(st.integers(0, 2))):
+        obj = draw(st.sampled_from([header, *records]))
+        while True:  # walk down to some nested object or list, then replace one of its entries
+            keys = list(obj) if isinstance(obj, dict) else list(range(len(obj)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            if isinstance(obj[key], (dict, list)) and obj[key] and draw(st.booleans()):
+                obj = obj[key]
+                continue
+            obj[key] = draw(_json_value)
+            break
+    return [header, *records]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_manifest_lines())
+def test_load_manifest_rejects_or_round_trips(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("manifest") / "m.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+    try:
+        manifest = load_manifest(path)
+    except ValueError:
+        return
+    again = path.with_name("again.jsonl")
+    save_manifest(manifest, again)
+    reloaded = load_manifest(again)
+    assert (reloaded.modalities, reloaded.class_count, reloaded.split) == (manifest.modalities, manifest.class_count, manifest.split)
+    assert [(s.id, s.label, sorted(s.features)) for s in reloaded.samples] == [(s.id, s.label, sorted(s.features)) for s in manifest.samples]
+    for got, want in zip(reloaded.samples, manifest.samples):
+        assert all(np.array_equal(got.features[k], want.features[k]) for k in want.features)
 
 
 def test_validate_rejects_empty_sample():

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import lockstep_reference as reference
 from conftest import randomize_delta, run_config
 from fedmm import client, server
-from fedmm.client import ClientData, LocalTrainConfig, local_train, round_reg_context
-from fedmm.model import AdapterDelta, Batch, ModelConfig, init_model
+from fedmm.client import ClientData, LocalTrainConfig, local_train, make_reg_context, round_reg_context
+from fedmm.model import AdapterDelta, BaseWeights, Batch, ModelConfig, init_model, loss_and_grad
 from fedmm.server import lockstep_groups, run_rounds
 
 
@@ -144,3 +144,37 @@ def test_run_rounds_reaches_reg_value_and_grad(monkeypatch, kind, reg_runs):
     run_rounds(*run_config(f"scenario.kind={kind}", "scenario.clients=6", "fl.clients_per_round=4", "fl.rounds=3",
                            "scenario.image_only_clients=3", "synth.samples_per_class=12", "synth.test_samples_per_class=5"))
     assert bool(calls) == reg_runs
+
+
+def with_stack(base, modality, weight=None, bias=None):
+    """base with every weight of one modality's encoder stack replaced by
+    `weight` and its first layer's first bias entry by `bias`."""
+    stack = [i for i, spec in enumerate(base.specs) if spec.name.startswith(f"enc{modality}.")]
+    weights = [np.full_like(w, weight) if weight is not None and i in stack else w.copy() for i, w in enumerate(base.weights)]
+    biases = [b.copy() for b in base.biases]
+    if bias is not None:
+        biases[stack[0]][0] = bias
+    return BaseWeights(base.specs, weights, biases)
+
+
+@pytest.mark.parametrize("with_reg", [False, True])
+def test_absent_encoder_stack_is_never_read(with_reg):
+    cfg = ModelConfig(modality_dims=(5, 4), hidden=6, encoder_depth=2, trunk_depth=2, class_count=3, rank=2, seed=4)
+    base, delta = init_model(cfg)
+    delta = randomize_delta(delta, seed=4, scale=0.3)
+    # margin 1 masks in depth 1, so the absent stack's last layer carries the proximal term
+    ctx = make_reg_context(randomize_delta(delta, seed=5), margin=1, gamma=0.7) if with_reg else None
+    batch = client_batch(np.random.default_rng(4), cfg.modality_dims, cfg.class_count, 7, "single")
+    assert not batch.presence[1].any()
+
+    want_loss, want_grad = reference.loss_and_grad(base, delta, batch, ctx)
+    loss, grad = loss_and_grad(with_stack(base, 1, weight=np.nan), delta, batch, ctx)
+    assert np.isfinite(loss) and np.isfinite(grad.flat).all()
+    assert loss == want_loss and np.array_equal(grad.flat, want_grad.flat)
+
+    # a nonzero bias makes the stack's output nonzero, so it must run
+    biased = with_stack(base, 1, bias=0.25)
+    want_loss, want_grad = reference.loss_and_grad(biased, delta, batch, ctx)
+    loss, grad = loss_and_grad(biased, delta, batch, ctx)
+    assert loss == want_loss and np.array_equal(grad.flat, want_grad.flat)
+    assert np.isnan(loss_and_grad(with_stack(base, 1, weight=np.nan, bias=0.25), delta, batch, ctx)[0])

@@ -16,6 +16,7 @@ from fedmm.model import (
     Batch,
     LayerSpec,
     ModelConfig,
+    adapter_size,
     compose_delta,
     effective_weights,
     forward,
@@ -129,11 +130,44 @@ def test_factor_views_share_flat_vector(tiny_model):
     delta.up[1][0, 0] += 1.0
     changed = np.flatnonzero(delta.flat != before)
     assert changed.size == 1 and delta.flat[changed[0]] == before[changed[0]] + 1.0
-    assert changed[0] == delta.up[0].size + delta.down[0].size  # up then down, layer by layer
+    assert changed[0] == delta.up[0].size + delta.down[0].size  # layer 0's group holds only it: up, then down
     with pytest.raises(TypeError):
         delta.up[1] = np.zeros_like(delta.up[1])
     with pytest.raises(ValueError, match="length"):
         replace(delta, flat=delta.flat[:-1])
+
+
+@st.composite
+def _model_configs(draw):
+    return ModelConfig(
+        modality_dims=tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))),
+        hidden=draw(st.integers(1, 6)),
+        encoder_depth=draw(st.integers(0, 3)),
+        trunk_depth=draw(st.integers(0, 3)),
+        class_count=draw(st.integers(2, 4)),
+        rank=draw(st.integers(1, 3)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_model_configs(), clients=st.sampled_from([None, 1, 3]))
+def test_layer_views_tile_the_flat_vector_once(cfg, clients):
+    specs = layer_specs(cfg)
+    size = adapter_size(specs, cfg.rank)
+    flat = np.arange(size, dtype=np.float64)
+    delta = AdapterDelta(specs, cfg.rank, 1.0, flat if clients is None else np.tile(flat, (clients, 1)))
+    lead = () if clients is None else (clients,)
+    seen = []
+    for spec, up, down in zip(specs, delta.up, delta.down):
+        assert up.shape == (*lead, spec.fan_out, cfg.rank) and down.shape == (*lead, cfg.rank, spec.fan_in)
+        assert np.shares_memory(up, delta.flat) and np.shares_memory(down, delta.flat)
+        for factor in (up, down):
+            rows = factor.reshape(*lead, -1)
+            if clients is not None:  # every client's row holds the same positions
+                assert (rows == rows[:1]).all()
+                rows = rows[0]
+            seen.extend(rows.astype(int).tolist())
+    assert sorted(seen) == list(range(size))
 
 
 # ---------- forward ----------

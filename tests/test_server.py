@@ -87,6 +87,12 @@ def test_sample_too_few_nonempty():
         sample_clients([4, 0, 0], 2, round_idx=0, seed=0)
 
 
+@pytest.mark.parametrize("per_round", [0, -1])
+def test_fl_config_rejects_sampling_no_client(per_round):
+    with pytest.raises(ValueError, match="clients_per_round must be >= 1"):
+        FLRunConfig(clients_per_round=per_round).validate()
+
+
 def test_sample_frequency_uniform():
     counts = np.zeros(10)
     rounds = 10_000
@@ -405,6 +411,30 @@ def rewrite_tensor_file(path, edit):
     meta, arrays = read_tensor_file(path)
     edit(meta, arrays)
     write_tensor_file(path, meta, list(arrays.items()))
+
+
+def test_server_state_writes_moments_in_layer_order(tmp_path, tiny_delta):
+    # moments whose per-layer views read 0, 1, ..., P - 1, up then down, layer by layer
+    size = tiny_delta.flat.size
+    moments = replace(tiny_delta, flat=np.empty(size))
+    start = 0
+    for up, down in zip(moments.up, moments.down):
+        for factor in (up, down):
+            factor[...] = np.arange(start, start + factor.size).reshape(factor.shape)
+            start += factor.size
+    state = replace(
+        init_server_state("yogi", tiny_delta),
+        first_moment=moments.flat, second_moment=2.0 * moments.flat, momentum_buf=3.0 * moments.flat,
+    )
+    path = tmp_path / "server_state.bin"
+    save_server_state(path, state)
+    _, arrays = read_tensor_file(path)
+    for name, factor in (("first_moment", 1.0), ("second_moment", 2.0), ("momentum_buf", 3.0)):
+        assert np.array_equal(arrays[name], factor * np.arange(size))
+    loaded = load_server_state(path)
+    for name in ("first_moment", "second_moment", "momentum_buf"):
+        assert np.array_equal(getattr(loaded, name), getattr(state, name))
+    assert np.array_equal(loaded.global_delta.flat, state.global_delta.flat)
 
 
 def test_load_server_state_rejects_unknown_aggregator(tmp_path, tiny_delta):
