@@ -14,6 +14,10 @@ Every run directory receives config.resolved, a full snapshot of the
 resolved flat config; rerunning any subcommand from the snapshot
 reproduces the directory's deterministic outputs byte for byte (wall
 times live in timing.jsonl, which is the one file allowed to differ).
+A command makes its directory only after its data load, partition and
+training have succeeded, so a failed run leaves no directory behind.
+`fedmm sweep` checks its grid first, but not each cell's data, so a
+cell that fails stops the sweep after the cells before it were written.
 """
 
 from __future__ import annotations
@@ -64,9 +68,9 @@ def _prepare_out(cfg: ExperimentConfig) -> Path:
 
 
 def cmd_partition(cfg: ExperimentConfig) -> int:
-    out = _prepare_out(cfg)
     train, test = _load_data(cfg)
     partition = build_scenario(train, cfg.scenario_spec())
+    out = _prepare_out(cfg)
     if cfg["data.source"] == "synth":
         save_manifest(train, out / "train_manifest.jsonl")
         save_manifest(test, out / "test_manifest.jsonl")
@@ -77,12 +81,12 @@ def cmd_partition(cfg: ExperimentConfig) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
-    out = _prepare_out(cfg)
     train, test = _load_data(cfg)
     partition = build_scenario(train, cfg.scenario_spec())
     model_cfg = cfg.model_config(tuple(m.dim for m in train.modalities), train.class_count)
     timings: list[float] = []
     log, state, base = run_rounds(cfg.fl_config(), model_cfg, partition, train, test, timings=timings)
+    out = _prepare_out(cfg)
     log.write(out / "runlog.jsonl")
     save_server_state(out / "server_state.bin", state)
     save_checkpoint(out / "model.bin", base, state.global_delta)
@@ -95,7 +99,6 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 
 def cmd_baseline(cfg: ExperimentConfig) -> int:
-    out = _prepare_out(cfg)
     train, test = _load_data(cfg)
     partition = build_scenario(train, cfg.scenario_spec())
     model_cfg = cfg.model_config(tuple(m.dim for m in train.modalities), train.class_count)
@@ -105,6 +108,7 @@ def cmd_baseline(cfg: ExperimentConfig) -> int:
         local_cfg=local_cfg, metric=str(cfg["metric"]),
         seed=cfg.fl_config().seed,
     )
+    out = _prepare_out(cfg)
     with open(out / "baseline.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(result, ensure_ascii=False, indent=1, allow_nan=False) + "\n")
     print(f"baseline: mean value {result['mean_value']:.4f}, mean accuracy {result['mean_accuracy']:.4f} -> {out}")
@@ -112,10 +116,10 @@ def cmd_baseline(cfg: ExperimentConfig) -> int:
 
 
 def cmd_export_instructions(cfg: ExperimentConfig) -> int:
-    out = _prepare_out(cfg)
     train, _ = _load_data(cfg)
     partition = build_scenario(train, cfg.scenario_spec())
     task = _task_for(train)
+    out = _prepare_out(cfg)
     count = export_partition(partition, train, task, cfg["prompt.agnostic"], out / "instructions")
     print(f"export-instructions: {count} client files -> {out / 'instructions'}")
     return 0

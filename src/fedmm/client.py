@@ -13,20 +13,23 @@ last `margin` depths off, leaving only middle layers constrained.
 
 A run classifies each client once, when it is first sampled, and keeps
 its shard as one write-protected Batch (ClientData). A round composes the
-proximal targets once (round_reg_context) for all of its clients, as
-shape-group stacks, and plans where the term acts: the depth mask is one
+proximal targets once (round_reg_context) for all of its clients and
+keeps only the masked-in ones (RegContext): the depth mask is one
 interval of depths and the groups are depth-ordered (model.shape_groups),
 so each group's masked-in layers are one slice, and each product of the
-term is one stacked call per slice (masked_slices).
+term is one stacked call per slice. The term runs last in a step
+(model.loss_and_grad): it composes its slices into the weight buffer
+that backprop has finished with and adds its gradient into the factor
+gradients.
 
-Clients with equal shard sizes train in lockstep (local_train): the
-group's adapters are the rows of one (C, P) matrix, each layer's
-products are stacked np.matmul calls, and Adam runs elementwise on the
-whole matrix, in place through two rows of step temporaries. One block
-per call holds those rows and the step's grouped weights, so a step
-allocates no (C, P) or weight-shaped array. Each client keeps its own
-shuffle stream and gamma. A group of one trains on a bare vector, with
-no client axis.
+Every lockstep group of clients with equal shard sizes, a group of one
+included, trains the same way (local_train): the group's adapters are
+the rows of one (C, P) matrix, its shards are stacked along a client
+axis, each layer's products are stacked np.matmul calls, and Adam runs
+elementwise on the whole matrix, in place through two rows of step
+temporaries. One block per call holds those rows and the step's grouped
+weights, so a step allocates no (C, P) or weight-shaped array. Each
+client keeps its own shuffle stream and gamma.
 """
 
 from __future__ import annotations
@@ -43,9 +46,8 @@ from .model import (
     AdapterDelta,
     BaseWeights,
     Batch,
-    ShapeGroup,
-    StepBuffers,
     compose_updates,
+    grouped,
     loss_and_grad,
     make_batch,
 )
@@ -124,73 +126,47 @@ def gamma_for_client(gamma_max: float, kind: str, missing_rate: float) -> float:
 
 
 @dataclass(frozen=True)
-class MaskedSlices:
-    """Where the proximal term acts: for each shape group holding
-    masked-in layers, (group index, slice of its layers, their stacked
-    targets), and `order`, which puts those layers, concatenated slice by
-    slice, in layer order."""
+class RegContext:
+    """Frozen per-round inputs of the proximal term, built by
+    make_reg_context: for each shape group holding masked-in layers,
+    (group index, slice of its layers, their stacked composed global
+    updates); `order`, which puts those layers, concatenated slice by
+    slice, in layer order; and the client's gamma (for a lockstep group,
+    one gamma per client as a (C,) vector)."""
 
     slices: tuple[tuple[int, slice, np.ndarray], ...]
     order: np.ndarray
-
-
-def masked_slices(
-    groups: tuple[ShapeGroup, ...],
-    mask: np.ndarray,
-    targets: list[np.ndarray],
-    stacked: list[np.ndarray] | None = None,
-) -> MaskedSlices:
-    """The slices of a depth mask, which must switch on one interval of
-    depths, so a depth-ordered group's masked-in layers are one slice.
-    Targets are sliced from their group stacks when given, else stacked."""
-    on = np.flatnonzero(mask)
-    if on.size and on[-1] - on[0] + 1 != on.size:
-        raise ValueError(f"mask must switch on one interval of depths, got {mask.tolist()}")
-    slices, layers = [], []
-    for g, group in enumerate(groups):
-        span = group.span(on[0], on[-1] + 1) if on.size else slice(0, 0)
-        if span.start == span.stop:
-            continue
-        target = np.stack([targets[i] for i in group.layers[span]]) if stacked is None else stacked[g][span]
-        slices.append((g, span, target))
-        layers += group.layers[span]
-    return MaskedSlices(tuple(slices), np.argsort(layers))
-
-
-@dataclass
-class RegContext:
-    """Frozen per-round inputs of the proximal term: composed global
-    per-layer updates, the depth mask, and the client's gamma (for a
-    lockstep group, one gamma per client as a (C,) vector).
-    make_reg_context also plans where the term acts (`plan`, the
-    masked_slices of targets and mask); a context without one plans on
-    every call."""
-
-    targets: list[np.ndarray]
-    mask: np.ndarray
     gamma: float | np.ndarray
-    plan: MaskedSlices | None = None
 
     def value_and_grad(
         self,
         delta: AdapterDelta,
-        composed: list[np.ndarray] | None = None,
         grad: AdapterDelta | None = None,
+        scratch: list[np.ndarray] | None = None,
     ) -> tuple[float | np.ndarray, AdapterDelta]:
-        return reg_value_and_grad(delta, self, composed, grad)
+        return reg_value_and_grad(delta, self, grad, scratch)
 
 
 def make_reg_context(global_delta: AdapterDelta, margin: int, gamma: float) -> RegContext:
+    """The composed global updates of the layers mask_vector switches on.
+    Its mask is one interval of depths, so each depth-ordered group's
+    masked-in layers are one slice."""
     depth = max(s.depth for s in global_delta.specs) + 1
-    mask = mask_vector(depth, margin)
+    on = np.flatnonzero(mask_vector(depth, margin))
+    lo, hi = (on[0], on[-1] + 1) if on.size else (0, 0)
     composed = compose_updates(global_delta)
-    plan = masked_slices(global_delta.groups, mask, composed.layers, composed.stacks)
-    return RegContext(targets=composed.layers, mask=mask, gamma=gamma, plan=plan)
+    slices, layers = [], []
+    for g, group in enumerate(global_delta.groups):
+        span = group.span(lo, hi)
+        if span.start < span.stop:
+            slices.append((g, span, composed.stacks[g][span]))
+            layers += group.layers[span]
+    return RegContext(tuple(slices), np.argsort(layers), gamma)
 
 
 def round_reg_context(global_delta: AdapterDelta, margin: int, gammas: list[float]) -> RegContext | None:
     """The proximal context a round's clients share: the composed global
-    targets and the depth mask, built once, or None when no client's
+    targets of the masked-in layers, built once, or None when no client's
     gamma is positive. local_train replaces its gamma with each group's."""
     if not any(gamma > 0.0 for gamma in gammas):
         return None
@@ -223,56 +199,48 @@ def client_data(manifest: DatasetManifest, slot: ClientSlot, reg_cfg: Regularize
 def reg_value_and_grad(
     delta: AdapterDelta,
     ctx: RegContext,
-    composed: list[np.ndarray] | None = None,
     grad: AdapterDelta | None = None,
+    scratch: list[np.ndarray] | None = None,
 ) -> tuple[float | np.ndarray, AdapterDelta]:
-    """gamma * sum over unmasked layers of ||composed - target||_F^2, with
-    its exact gradient through the low-rank factors written into grad's
+    """gamma * sum over masked-in layers of ||composed - target||_F^2, with
+    its exact gradient through the low-rank factors added into grad's
     masked-in slots (grad is a fresh zero buffer when none is given; other
-    slots are left as they are). composed, when given, holds the group
-    stacks of every layer's scale * up @ down (compose_updates); its
-    masked-in slots serve as scratch and are recomposed, bit for bit,
-    before the call returns, so the term needs no memory of its own.
+    slots are left as they are). scratch, when given, holds weight-shaped
+    group stacks (Grouped.stacks) whose contents the caller no longer
+    needs; the masked-in updates are composed there instead of into new
+    arrays.
 
     Each product runs once per shape group, on its masked-in slice
-    (ctx.plan). The value still sums the layers one by one in layer
+    (ctx.slices). The value still sums the layers one by one in layer
     order.
 
     With a client axis on delta, gamma is one value per client and so is
     the result; a client with gamma 0 adds exactly nothing, so clients
     with and without the proximal term can train in one group.
     """
-    depth = max(s.depth for s in delta.specs) + 1
-    if ctx.mask.shape != (depth,):
-        raise ValueError(f"mask length {ctx.mask.shape[0]} does not match depth {depth}")
-    if len(ctx.targets) != len(delta.specs):
-        raise ValueError("target count does not match layer count")
     if np.shape(ctx.gamma) != delta.flat.shape[:-1]:
         raise ValueError(f"need one gamma per client, got shape {np.shape(ctx.gamma)}")
-    plan = ctx.plan if ctx.plan is not None else masked_slices(delta.groups, ctx.mask, ctx.targets)
     if grad is None:
         grad = replace(delta, flat=np.zeros_like(delta.flat))
-    if not plan.slices:
+    if not ctx.slices:
         return 0.0, grad
-    borrowed = composed is not None
-    if not borrowed:
-        composed = compose_updates(delta).stacks
     gamma = np.asarray(ctx.gamma)
     coef = (2.0 * gamma * delta.scale)[..., None, None, None]
     squares = []
-    for g, span, target in plan.slices:
-        update = composed[g][..., span, :, :]
-        diff = np.subtract(update, target, out=update)
+    for g, span, target in ctx.slices:
         (ups, downs), (dups, ddowns) = delta.stacks[g], grad.stacks[g]
-        up_grad = np.matmul(diff, downs[..., span, :, :].swapaxes(-1, -2), out=dups[..., span, :, :])
+        ups, downs = ups[..., span, :, :], downs[..., span, :, :]
+        diff = np.matmul(ups, downs, out=None if scratch is None else scratch[g][..., span, :, :])
+        diff *= delta.scale
+        diff -= target
+        up_grad = np.matmul(diff, downs.swapaxes(-1, -2))
         up_grad *= coef
-        down_grad = np.matmul(ups[..., span, :, :].swapaxes(-1, -2), diff, out=ddowns[..., span, :, :])
+        dups[..., span, :, :] += up_grad
+        down_grad = np.matmul(ups.swapaxes(-1, -2), diff)
         down_grad *= coef
+        ddowns[..., span, :, :] += down_grad
         squares.append(np.multiply(diff, diff, out=diff).sum(axis=(-2, -1)))
-        if borrowed:
-            np.matmul(ups[..., span, :, :], downs[..., span, :, :], out=update)
-            update *= delta.scale
-    terms = np.concatenate(squares, axis=-1)[..., plan.order]
+    terms = np.concatenate(squares, axis=-1)[..., ctx.order]
     terms *= gamma[..., None]
     # 0 + t0 + t1 + ..., left to right, as a loop over the layers sums
     return np.add.accumulate(terms, axis=-1)[..., -1], grad
@@ -307,15 +275,15 @@ def local_train(
     """Train one copy of the global delta per client of a lockstep group,
     each on its own shard (`clients`, all of one shard size) with its own
     shuffle stream (`seeds`); each minibatch is a row-take of the shard.
-    reg_ctx, when given, holds the round's proximal targets and mask, and
+    reg_ctx, when given, holds the round's masked-in proximal targets, and
     each client's ClientData its gamma; a group whose gammas are all 0
     runs no proximal term.
 
-    The group trains as one (C, P) parameter matrix, a group of one as a
-    bare vector. Returns each client's trained delta and per-epoch mean
-    training loss. Neither the base weights, the supplied global delta
-    nor the shards are mutated; epochs=0 returns untouched copies and
-    empty traces.
+    The group, a group of one included, trains as one (C, P) parameter
+    matrix on its shards stacked along a client axis. Returns each
+    client's trained delta and per-epoch mean training loss. Neither the
+    base weights, the supplied global delta nor the shards are mutated;
+    epochs=0 returns untouched copies and empty traces.
     """
     train_cfg.validate()
     width = len(clients)
@@ -327,22 +295,21 @@ def local_train(
     if n == 0:
         raise ValueError("client has no samples")
     # One block per call holds every array a step writes, Adam's rows and
-    # the grouped weights (StepBuffers): several blocks per call, freed
-    # together, get trimmed by glibc and faulted back in on the next call.
+    # the grouped weights: several blocks per call, freed together, get
+    # trimmed by glibc and faulted back in on the next call.
     size, weight_size = global_delta.flat.size, base.flat.size
     block = np.empty(width * (6 * size + weight_size))
     arrays = block[: 6 * width * size].reshape(6, width, size)
     arrays[2:4] = 0.0
-    params, grad_flat, first, second, t1, t2 = arrays[:, 0] if width == 1 else arrays
+    params, grad_flat, first, second, t1, t2 = arrays
     params[...] = global_delta.flat
     delta = replace(global_delta, flat=params)
     grad = replace(global_delta, flat=grad_flat)
-    # t1 is free while loss_and_grad runs, so it holds the proximal gradient
-    buffers = StepBuffers(base, delta, block[6 * width * size :].reshape(*params.shape[:-1], weight_size), t1)
+    weights = grouped(base.groups, block[6 * width * size :].reshape(width, weight_size))
     ctx = None
     if reg_ctx is not None and any(c.gamma for c in clients):
-        ctx = replace(reg_ctx, gamma=clients[0].gamma if width == 1 else np.array([c.gamma for c in clients]))
-    shard = clients[0].batch if width == 1 else _stack_batches([c.batch for c in clients])
+        ctx = replace(reg_ctx, gamma=np.array([c.gamma for c in clients]))
+    shard = _stack_batches([c.batch for c in clients])
     traces: list[list[float]] = [[] for _ in range(width)]
     batches_per_epoch = math.ceil(n / train_cfg.batch_size)
     total_steps = train_cfg.epochs * batches_per_epoch
@@ -351,11 +318,11 @@ def local_train(
 
     step = 0
     for _ in range(train_cfg.epochs):
-        order = gens[0].permutation(n) if width == 1 else np.stack([gen.permutation(n) for gen in gens])
+        order = np.stack([gen.permutation(n) for gen in gens])
         loss_sum = 0.0
         for b in range(batches_per_epoch):
-            minibatch = shard.take(order[..., b * train_cfg.batch_size : (b + 1) * train_cfg.batch_size])
-            loss, _ = loss_and_grad(base, delta, minibatch, ctx, grad, buffers)
+            minibatch = shard.take(order[:, b * train_cfg.batch_size : (b + 1) * train_cfg.batch_size])
+            loss, _ = loss_and_grad(base, delta, minibatch, ctx, grad, weights)
             loss_sum += loss * len(minibatch)
             step += 1
             lr = cosine_lr(step - 1, total_steps, train_cfg.warmup_ratio, train_cfg.lr)
@@ -374,9 +341,9 @@ def local_train(
             t2 += train_cfg.eps
             t1 /= t2
             params -= t1
-        for trace, value in zip(traces, np.reshape(loss_sum / n, width).tolist()):
+        for trace, value in zip(traces, (loss_sum / n).tolist()):
             trace.append(value)
-    return [(replace(global_delta, flat=row.copy()), trace) for row, trace in zip(params.reshape(width, -1), traces)]
+    return [(replace(global_delta, flat=row.copy()), trace) for row, trace in zip(params, traces)]
 
 
 def _stack_batches(batches: list[Batch]) -> Batch:

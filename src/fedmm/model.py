@@ -41,16 +41,18 @@ the stack's weight gradients are then +0 too; its slice of the trunk
 input is written +0 and its weight-gradient slots are zeroed instead.
 
 make_batch assembles a client's whole shard, or a chunk of the test set,
-once per run; minibatches are row-takes of a shard (Batch.take).
+once per run; a lockstep group stacks its shards along a client axis,
+and its minibatches are row-takes of that stack (Batch.take).
 Evaluation keeps no activations and reuses one forward_scratch: a
 512-row, 32-wide activation is 128 KiB, glibc's mmap threshold, so a
 fresh one per layer would be mapped, or trimmed away, and faulted in.
-For the same reason a training loop allocates the step's weight-shaped
-buffers once (StepBuffers) instead of once per step.
+For the same reason a training loop allocates the step's grouped weights
+once and hands them to every loss_and_grad call.
 
 An AdapterDelta may hold a (C, P) matrix and a Batch a leading client
-axis; loss_and_grad is written over that optional axis, so one code path
-trains one client or a lockstep group of C (client.local_train).
+axis; loss_and_grad is written over that optional axis. Training always
+has it (client.local_train), a group of one as C = 1, so one code path
+trains every group.
 Minibatches are never padded to a common row count: rows are the inner
 dimension of the weight-gradient products, so padding would change their
 summation.
@@ -307,35 +309,6 @@ def compose_updates(delta: AdapterDelta, out: Grouped | None = None) -> Grouped:
     return out
 
 
-def compose_delta(delta: AdapterDelta, layer: int) -> np.ndarray:
-    """The dense weight update of one layer, scale * up @ down, as a view
-    into a new grouped vector."""
-    return compose_updates(delta).layers[layer]
-
-
-class StepBuffers:
-    """The arrays loss_and_grad writes every step, for deltas shaped like
-    `delta`: `weights`, one grouped weight-shaped vector that holds the
-    composed updates, then the effective weights, then, as backprop
-    leaves each weight behind, that layer's weight gradient; and `prox`,
-    an adapter-shaped buffer for the proximal term's gradient. Both live
-    in the given arrays or in new ones. A training loop builds them once:
-    with a client axis they outgrow glibc's 128 KiB mmap threshold, so a
-    fresh set per step would be mapped and faulted in every step."""
-
-    def __init__(
-        self,
-        base: BaseWeights,
-        delta: AdapterDelta,
-        weights: np.ndarray | None = None,
-        prox: np.ndarray | None = None,
-    ) -> None:
-        if weights is None:
-            weights = np.empty((*delta.flat.shape[:-1], base.flat.size))
-        self.weights = grouped(base.groups, weights)
-        self.prox = replace(delta, flat=np.empty_like(delta.flat) if prox is None else prox)
-
-
 @dataclass
 class Batch:
     """Per-modality feature matrices with zero rows where absent, 0/1
@@ -352,9 +325,9 @@ class Batch:
         return int(self.labels.shape[-1])
 
     def take(self, rows: np.ndarray) -> "Batch":
-        """The rows at the given positions, in that order, as a new batch.
-        With a client axis, rows is (C, k) and client c takes rows[c]."""
-        index = (rows,) if rows.ndim == 1 else (np.arange(rows.shape[0])[:, None], rows)
+        """A batch with a client axis, client c's rows at positions
+        rows[c], in that order, as a new batch; rows is (C, k)."""
+        index = (np.arange(rows.shape[0])[:, None], rows)
         return Batch(
             features=[f[index] for f in self.features],
             presence=[p[index] for p in self.presence],
@@ -535,36 +508,32 @@ def loss_and_grad(
     batch: Batch,
     reg_ctx=None,
     grad: AdapterDelta | None = None,
-    buffers: StepBuffers | None = None,
+    weights: Grouped | None = None,
 ) -> tuple[float | np.ndarray, AdapterDelta]:
     """Mean softmax cross-entropy (plus the proximal term when reg_ctx is
     given) and its exact gradient with respect to every adapter pair.
 
     A delta with a client axis, (C, P), trains C clients in lockstep on a
     batch with the same leading axis; the loss is then a (C,) vector.
-    grad and buffers (StepBuffers), when given, are overwritten, so a
-    training loop allocates them and their views once.
+    grad and weights, a grouped weight-shaped vector with delta's leading
+    axes, are overwritten when given, so a training loop allocates them
+    and their views once: with a client axis they outgrow glibc's 128 KiB
+    mmap threshold, so fresh ones per step would be mapped and faulted in
+    every step.
 
-    The updates are composed once per shape group and serve both the
-    proximal term and the effective weights. reg_ctx, when supplied, must
-    expose value_and_grad(delta, composed, grad), which returns its value
-    and writes its gradient into the zeroed grad it is given. Backprop
-    writes each layer's weight gradient over that layer's weight, which
-    it no longer needs; the factor gradients are then one stacked product
-    per group, and the proximal gradient is added last (a sum of two
-    terms, so the order does not change its bytes).
+    weights holds the composed updates, then the effective weights, then,
+    as backprop leaves each weight behind, that layer's weight gradient;
+    the factor gradients are then one stacked product per group. The
+    proximal term runs last: reg_ctx, when supplied, must expose
+    value_and_grad(delta, grad, scratch), which returns its value and
+    adds its gradient into grad (a sum of two terms, so which comes first
+    does not change a byte), using the spent weights as scratch.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
     if grad is None:
         grad = replace(delta, flat=np.empty_like(delta.flat))
-    if buffers is None:
-        buffers = StepBuffers(base, delta)
-    composed = compose_updates(delta, out=buffers.weights)
-    reg_value = None
-    if reg_ctx is not None:
-        buffers.prox.flat.fill(0.0)
-        reg_value = reg_ctx.value_and_grad(delta, composed.stacks, buffers.prox)[0]
+    composed = compose_updates(delta, out=weights)
     np.add(composed.vec, base.flat, out=composed.vec)
     weights = composed.layers
     logits, inputs, outputs = _run_forward(base, weights, batch)
@@ -605,10 +574,8 @@ def loss_and_grad(
         np.matmul(dw, downs.swapaxes(-1, -2), out=dups)
         np.matmul(ups.swapaxes(-1, -2), dw, out=ddowns)
     np.multiply(grad.flat, delta.scale, out=grad.flat)
-
-    if reg_value is not None:
-        np.add(grad.flat, buffers.prox.flat, out=grad.flat)
-        loss = loss + reg_value
+    if reg_ctx is not None:
+        loss = loss + reg_ctx.value_and_grad(delta, grad, composed.stacks)[0]
     return loss, grad
 
 

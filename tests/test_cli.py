@@ -55,6 +55,7 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, lineno, key):
             "--set", f"data.test_manifest={good}", "--set", f"out_dir={tmp_path / 'out'}"]
     assert run(argv) == 2
     assert f"{bad}:{lineno}: no key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_manifest_modality_without_dim_exits_2(tmp_path, capsys):
@@ -66,6 +67,7 @@ def test_manifest_modality_without_dim_exits_2(tmp_path, capsys):
             "--set", f"data.test_manifest={good}", "--set", f"out_dir={tmp_path / 'out'}"]
     assert run(argv) == 2
     assert f"{bad}:1: modalities[0]: no key 'dim'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_partition_conserves_samples(tmp_path, capsys):
@@ -179,10 +181,18 @@ def test_train_divergence_exits_2_without_infinity(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "round" in err and "client" in err and "not finite" in err
+    assert not out.exists()
     assert not (out / "runlog.jsonl").exists()
     for path in out.rglob("*"):
         assert b"Infinity" not in path.read_bytes()
         assert b"NaN" not in path.read_bytes()
+
+
+def test_train_oversampling_exits_2_without_out_dir(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["train", "--set", "scenario.clients=10", "--set", "fl.clients_per_round=11", "--set", f"out_dir={out}"]) == 2
+    assert "cannot sample 11 of 10" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_does_not_touch_config_file(tmp_path):

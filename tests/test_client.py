@@ -9,7 +9,6 @@ from conftest import manual_manifest, randomize_delta, tiny_manifest, train_clie
 from fedmm.client import (
     ClientData,
     LocalTrainConfig,
-    RegContext,
     RegularizerConfig,
     client_data,
     cosine_lr,
@@ -20,7 +19,7 @@ from fedmm.client import (
     round_reg_context,
     reg_value_and_grad,
 )
-from fedmm.model import AdapterDelta, LayerSpec, ModelConfig, compose_delta, init_model, make_batch
+from fedmm.model import AdapterDelta, Batch, LayerSpec, ModelConfig, compose_updates, grouped, init_model, make_batch
 from fedmm.partitioner import ClientSlot, dirichlet_partition
 from test_model import central_difference, relative_errors
 
@@ -69,8 +68,8 @@ def one_by_one_delta(up, down, alpha=1.0):
 def test_reg_hand_case_scalar():
     # composed update 0.2, target 0, gamma 10: value = 10 * 0.04
     delta = one_by_one_delta(0.4, 0.5)
-    assert compose_delta(delta, 0)[0, 0] == pytest.approx(0.2)
-    ctx = RegContext(targets=[np.zeros((1, 1))], mask=np.array([True]), gamma=10.0)
+    assert compose_updates(delta).layers[0][0, 0] == pytest.approx(0.2)
+    ctx = make_reg_context(one_by_one_delta(0.0, 0.0), margin=0, gamma=10.0)
     value, grad = reg_value_and_grad(delta, ctx)
     assert value == pytest.approx(0.4)
     # d/dup of gamma*(s*u*d)^2 = 2*gamma*(s*u*d)*s*d
@@ -80,7 +79,7 @@ def test_reg_hand_case_scalar():
 
 def test_reg_zero_at_target():
     delta = one_by_one_delta(0.4, 0.5)
-    ctx = RegContext(targets=[compose_delta(delta, 0)], mask=np.array([True]), gamma=5.0)
+    ctx = make_reg_context(delta, margin=0, gamma=5.0)
     value, grad = reg_value_and_grad(delta, ctx)
     assert value == 0.0
     assert np.array_equal(grad.flat, np.zeros(2))
@@ -88,7 +87,8 @@ def test_reg_zero_at_target():
 
 def test_reg_masked_layer_contributes_nothing():
     delta = one_by_one_delta(0.4, 0.5)
-    ctx = RegContext(targets=[np.zeros((1, 1))], mask=np.array([False]), gamma=10.0)
+    with pytest.warns(UserWarning, match="inert"):
+        ctx = make_reg_context(one_by_one_delta(0.0, 0.0), margin=1, gamma=10.0)
     value, grad = reg_value_and_grad(delta, ctx)
     assert value == 0.0
     assert np.array_equal(grad.flat, np.zeros(2))
@@ -117,6 +117,43 @@ def test_reg_gradient_matches_central_differences(tiny_model):
     numeric = central_difference(fn, delta.flat)
     errs = relative_errors(grad.flat, numeric)
     assert errs.max() < 1e-4
+
+
+def masked_in_slots(delta, margin):
+    """Which of delta's parameters belong to a layer the depth mask of
+    `margin` switches on."""
+    mask = mask_vector(max(s.depth for s in delta.specs) + 1, margin)
+    marker = replace(delta, flat=np.zeros(delta.flat.shape[-1]))
+    for i, spec in enumerate(delta.specs):
+        marker.up[i][...] = marker.down[i][...] = mask[spec.depth]
+    return marker.flat == 1.0
+
+
+def test_reg_adds_into_masked_in_slots_only(tiny_model):
+    _, _, delta = tiny_model
+    rows = np.stack([randomize_delta(delta, seed=s, scale=0.3).flat for s in (11, 12)])
+    clients = replace(delta, flat=rows)
+    ctx = replace(make_reg_context(randomize_delta(delta, seed=13), margin=1, gamma=0.7), gamma=np.array([0.7, 0.2]))
+    inside = masked_in_slots(delta, margin=1)
+    assert inside.any() and not inside.all()
+    fresh_value, fresh = reg_value_and_grad(clients, ctx)
+    prefill = np.random.default_rng(14).normal(size=rows.shape)
+    value, grad = reg_value_and_grad(clients, ctx, replace(clients, flat=prefill.copy()))
+    assert np.array_equal(value, fresh_value)
+    assert np.array_equal(grad.flat[:, ~inside], prefill[:, ~inside])
+    assert np.array_equal(grad.flat[:, inside], prefill[:, inside] + fresh.flat[:, inside])
+
+
+def test_reg_scratch_changes_no_byte(tiny_model):
+    _, base, delta = tiny_model
+    delta = randomize_delta(delta, seed=15, scale=0.3)
+    ctx = make_reg_context(randomize_delta(delta, seed=16), margin=1, gamma=0.7)
+    want_value, want = reg_value_and_grad(delta, ctx)
+    # NaN scratch: the term must write its slices before reading them
+    scratch = grouped(base.groups, np.full(base.flat.size, np.nan)).stacks
+    value, grad = reg_value_and_grad(delta, ctx, scratch=scratch)
+    assert value == want_value
+    assert np.array_equal(grad.flat, want.flat)
 
 
 @pytest.fixture
@@ -274,12 +311,14 @@ def test_client_batch_row_take_matches_make_batch():
     client = client_data(manifest, slot, RegularizerConfig(gamma_max=0.4))
     assert client.missing_rate == 3 / 8
     assert client.gamma == gamma_for_client(0.4, "partial_missing", 3 / 8)
+    # the shard as a lockstep group of one, with a client axis
+    shard = Batch([f[None] for f in client.batch.features], [p[None] for p in client.batch.presence], client.batch.labels[None])
     for rows in (np.array([2, 0, 3]), np.array([1, 1, 0, 3, 2]), np.arange(4)):
-        got = client.batch.take(rows)
+        got = shard.take(rows[None])
         want = make_batch(manifest, [slot.sample_ids[i] for i in rows], [slot.masks[i] for i in rows])
         for a, b in zip([*got.features, *got.presence, got.labels], [*want.features, *want.presence, want.labels]):
             assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
+            assert np.array_equal(a[0], b)
 
 
 def test_client_batch_read_only_and_untouched_by_training():
@@ -305,6 +344,8 @@ def test_reg_contexts_compose_targets_once():
     start = randomize_delta(delta, seed=3)
     shared = round_reg_context(start, 1, [0.0, 0.3, 0.0, 0.7])
     own = make_reg_context(start, 1, 0.7)
-    assert all(np.array_equal(x, y) for x, y in zip(shared.targets, own.targets))
-    assert np.array_equal(shared.mask, own.mask)
+    assert [(g, span) for g, span, _ in shared.slices] == [(g, span) for g, span, _ in own.slices]
+    assert all(np.array_equal(x, y) for (_, _, x), (_, _, y) in zip(shared.slices, own.slices))
+    assert np.array_equal(shared.order, own.order)
+    assert shared.gamma == 0.7
     assert round_reg_context(start, 1, [0.0, 0.0]) is None

@@ -2,6 +2,7 @@
 axis must give every client exactly the bytes it gets training alone."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import lockstep_reference as reference
 from conftest import randomize_delta, run_config
 from fedmm import client, server
-from fedmm.client import ClientData, LocalTrainConfig, local_train, make_reg_context, round_reg_context
+from fedmm.client import ClientData, LocalTrainConfig, local_train, make_reg_context, mask_vector, round_reg_context
 from fedmm.model import AdapterDelta, BaseWeights, Batch, ModelConfig, init_model, loss_and_grad
 from fedmm.server import lockstep_groups, run_rounds
 
@@ -29,6 +30,13 @@ def client_batch(gen, dims, classes, n, kind):
         presence=list(presence),
         labels=gen.integers(0, classes, n),
     )
+
+
+def reference_context(target, margin, gamma):
+    """The proximal inputs the frozen reference reads: targets composed by
+    its own compose_delta, the depth mask and gamma."""
+    targets = [reference.compose_delta(target, i) for i in range(len(target.specs))]
+    return SimpleNamespace(targets=targets, mask=mask_vector(max(s.depth for s in target.specs) + 1, margin), gamma=gamma)
 
 
 @st.composite
@@ -66,7 +74,7 @@ def test_lockstep_equals_each_client_alone(case):
     seeds = [case["seed"] * 7 + c for c in range(len(batches))]
     margin = case["margin"] if 2 * case["margin"] < model_cfg.depth else 0
     shared = round_reg_context(start, margin, case["gammas"])
-    contexts = [replace(shared, gamma=gamma) if gamma > 0.0 else None for gamma in case["gammas"]]
+    contexts = [reference_context(start, margin, gamma) if gamma > 0.0 else None for gamma in case["gammas"]]
     train_cfg = LocalTrainConfig(epochs=case["epochs"], batch_size=case["batch_size"], lr=0.05, warmup_ratio=0.3)
 
     clients = [ClientData(b, 0.0, gamma) for b, gamma in zip(batches, case["gammas"])]
@@ -163,18 +171,20 @@ def test_absent_encoder_stack_is_never_read(with_reg):
     base, delta = init_model(cfg)
     delta = randomize_delta(delta, seed=4, scale=0.3)
     # margin 1 masks in depth 1, so the absent stack's last layer carries the proximal term
-    ctx = make_reg_context(randomize_delta(delta, seed=5), margin=1, gamma=0.7) if with_reg else None
+    target = randomize_delta(delta, seed=5)
+    ctx = make_reg_context(target, margin=1, gamma=0.7) if with_reg else None
+    want_ctx = reference_context(target, margin=1, gamma=0.7) if with_reg else None
     batch = client_batch(np.random.default_rng(4), cfg.modality_dims, cfg.class_count, 7, "single")
     assert not batch.presence[1].any()
 
-    want_loss, want_grad = reference.loss_and_grad(base, delta, batch, ctx)
+    want_loss, want_grad = reference.loss_and_grad(base, delta, batch, want_ctx)
     loss, grad = loss_and_grad(with_stack(base, 1, weight=np.nan), delta, batch, ctx)
     assert np.isfinite(loss) and np.isfinite(grad.flat).all()
     assert loss == want_loss and np.array_equal(grad.flat, want_grad.flat)
 
     # a nonzero bias makes the stack's output nonzero, so it must run
     biased = with_stack(base, 1, bias=0.25)
-    want_loss, want_grad = reference.loss_and_grad(biased, delta, batch, ctx)
+    want_loss, want_grad = reference.loss_and_grad(biased, delta, batch, want_ctx)
     loss, grad = loss_and_grad(biased, delta, batch, ctx)
     assert loss == want_loss and np.array_equal(grad.flat, want_grad.flat)
     assert np.isnan(loss_and_grad(with_stack(base, 1, weight=np.nan, bias=0.25), delta, batch, ctx)[0])

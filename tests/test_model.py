@@ -17,7 +17,7 @@ from fedmm.model import (
     LayerSpec,
     ModelConfig,
     adapter_size,
-    compose_delta,
+    compose_updates,
     effective_weights,
     forward,
     forward_scratch,
@@ -76,7 +76,7 @@ def test_init_deterministic_and_zero_composition(tiny_model):
     for i in range(len(delta.up)):
         assert np.array_equal(delta.up[i], np.zeros_like(delta.up[i]))
         assert np.array_equal(delta.down[i], delta2.down[i])
-        assert np.array_equal(compose_delta(delta, i), np.zeros((delta.specs[i].fan_out, delta.specs[i].fan_in)))
+        assert np.array_equal(compose_updates(delta).layers[i], np.zeros((delta.specs[i].fan_out, delta.specs[i].fan_in)))
 
 
 def test_base_weights_frozen(tiny_model):
@@ -97,7 +97,7 @@ def test_compose_rank_one_hand_product():
         adapter_alpha=1.0,
         flat=np.array([2.0, 0.0, 3.0, 4.0]),
     )
-    assert np.array_equal(compose_delta(delta, 0), np.array([[6.0, 8.0], [0.0, 0.0]]))
+    assert np.array_equal(compose_updates(delta).layers[0], np.array([[6.0, 8.0], [0.0, 0.0]]))
 
 
 def test_compose_alpha_scaling(tiny_model):
@@ -110,7 +110,7 @@ def test_compose_alpha_scaling(tiny_model):
         flat=delta.flat.copy(),
     )
     for i in range(len(delta.up)):
-        assert np.allclose(2.0 * compose_delta(delta, i), compose_delta(doubled, i))
+        assert np.allclose(2.0 * compose_updates(delta).layers[i], compose_updates(doubled).layers[i])
 
 
 def test_compose_linear_in_up(tiny_model):
@@ -120,7 +120,7 @@ def test_compose_linear_in_up(tiny_model):
     for u in scaled.up:
         u *= 3.0
     for i in range(len(delta.up)):
-        assert np.allclose(3.0 * compose_delta(delta, i), compose_delta(scaled, i))
+        assert np.allclose(3.0 * compose_updates(delta).layers[i], compose_updates(scaled).layers[i])
 
 
 def test_factor_views_share_flat_vector(tiny_model):
