@@ -16,8 +16,9 @@ reproduces the directory's deterministic outputs byte for byte (wall
 times live in timing.jsonl, which is the one file allowed to differ).
 A command makes its directory only after its data load, partition and
 training have succeeded, so a failed run leaves no directory behind.
-`fedmm sweep` checks its grid first, but not each cell's data, so a
-cell that fails stops the sweep after the cells before it were written.
+`fedmm sweep` first loads and partitions every cell's data and checks
+its client sampling and model config, so a cell that cannot start
+stops the sweep before any directory exists.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from pathlib import Path
 
 from .config import SCHEMA, ExperimentConfig, render_value
 from .data import DatasetManifest, load_manifest, modality_stats, save_manifest, synth_generate
-from .model import save_checkpoint
+from .model import init_model, save_checkpoint
 from .partitioner import build_scenario, save_partition
 from .promptgen import CRISIS_MMD, HATEFUL_MEMES, TaskSpec, export_partition
-from .server import RunLog, local_baseline, run_rounds, save_server_state
+from .server import RunLog, local_baseline, run_rounds, sample_clients, save_server_state
 
 
 def _load_data(cfg: ExperimentConfig) -> tuple[DatasetManifest, DatasetManifest]:
@@ -218,8 +219,20 @@ def sweep_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     return list(subs.values())
 
 
+def preflight(cfg: ExperimentConfig) -> None:
+    """Raise what a run of cfg would raise before its first round: its
+    data load, partition, first client sample and model config."""
+    train, _ = _load_data(cfg)
+    partition = build_scenario(train, cfg.scenario_spec())
+    fl = cfg.fl_config()
+    sample_clients(partition.sizes(), fl.clients_per_round, 1, fl.seed)
+    init_model(cfg.model_config(tuple(m.dim for m in train.modalities), train.class_count))
+
+
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     subs = sweep_configs(cfg)
+    for sub in subs:
+        preflight(sub)
     out = _prepare_out(cfg)
     for sub in subs:
         cmd_train(sub)

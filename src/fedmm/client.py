@@ -22,14 +22,19 @@ term is one stacked call per slice. The term runs last in a step
 that backprop has finished with and adds its gradient into the factor
 gradients.
 
-Every lockstep group of clients with equal shard sizes, a group of one
-included, trains the same way (local_train): the group's adapters are
-the rows of one (C, P) matrix, its shards are stacked along a client
-axis, each layer's products are stacked np.matmul calls, and Adam runs
-elementwise on the whole matrix, in place through two rows of step
-temporaries. One block per call holds those rows and the step's grouped
-weights, so a step allocates no (C, P) or weight-shaped array. Each
-client keeps its own shuffle stream and gamma.
+One call trains a round (local_train). Its clients train in lockstep
+groups of equal shard size, a group of one included: the group's
+adapters are the rows of one (C, P) matrix, its shards are stacked along
+a client axis, each layer's products are stacked np.matmul calls, and
+Adam runs elementwise on the whole matrix, in place through two rows of
+step temporaries. One block per call, sized for the widest group, holds
+those rows and the step's grouped weights, so a step allocates no (C, P)
+or weight-shaped array; every group trains in its first rows. Each
+client keeps its own shuffle stream, drawn for all epochs up front from
+one re-keyed generator (rng.permutations), and its own gamma; the
+trained adapters come back as one (K, P) matrix. The proximal term is
+exactly zero while an adapter still equals the global one, so a
+client's first step skips its arithmetic.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .model import (
     AdapterDelta,
     BaseWeights,
     Batch,
+    Grouped,
     compose_updates,
     grouped,
     loss_and_grad,
@@ -53,6 +59,13 @@ from .model import (
 )
 from .partitioner import CLIENT_KINDS, ClientSlot, classify_client, client_missing_rate
 
+# Most clients one lockstep group trains at once (local_train). Each
+# member adds its working arrays to the peak memory of training. Median
+# peak RSS of `bench/run.py --workload many_clients` (2-core host, numpy
+# 2.4.6) over one-at-a-time training: +0.7 % at 4, +1.5 % at 6, +2.1 % at
+# 8, +4.5 % at 16. That workload's 1,500 client steps take 508 group steps
+# at 4, 346 at 8 and 299 with no bound.
+LOCKSTEP_WIDTH = 8
 
 @dataclass(frozen=True)
 class RegularizerConfig:
@@ -131,12 +144,14 @@ class RegContext:
     make_reg_context: for each shape group holding masked-in layers,
     (group index, slice of its layers, their stacked composed global
     updates); `order`, which puts those layers, concatenated slice by
-    slice, in layer order; and the client's gamma (for a lockstep group,
-    one gamma per client as a (C,) vector)."""
+    slice, in layer order; the client's gamma (for a lockstep group, one
+    gamma per client as a (C,) vector); and `origin`, the global flat
+    vector the targets were composed from."""
 
     slices: tuple[tuple[int, slice, np.ndarray], ...]
     order: np.ndarray
     gamma: float | np.ndarray
+    origin: np.ndarray
 
     def value_and_grad(
         self,
@@ -161,7 +176,7 @@ def make_reg_context(global_delta: AdapterDelta, margin: int, gamma: float) -> R
         if span.start < span.stop:
             slices.append((g, span, composed.stacks[g][span]))
             layers += group.layers[span]
-    return RegContext(tuple(slices), np.argsort(layers), gamma)
+    return RegContext(tuple(slices), np.argsort(layers), gamma, global_delta.flat.copy())
 
 
 def round_reg_context(global_delta: AdapterDelta, margin: int, gammas: list[float]) -> RegContext | None:
@@ -217,12 +232,19 @@ def reg_value_and_grad(
     With a client axis on delta, gamma is one value per client and so is
     the result; a client with gamma 0 adds exactly nothing, so clients
     with and without the proximal term can train in one group.
+
+    While every row of delta still equals ctx.origin (a client's first
+    step) it returns 0.0 and grad as it is: each stacked compose item is
+    the same gemm as its target's, so every difference would be +0, and
+    the term would add +0 to the loss and to every gradient entry. That
+    could only turn a -0 entry into +0, a sign Adam's moments, which
+    start at +0, never keep.
     """
     if np.shape(ctx.gamma) != delta.flat.shape[:-1]:
         raise ValueError(f"need one gamma per client, got shape {np.shape(ctx.gamma)}")
     if grad is None:
         grad = replace(delta, flat=np.zeros_like(delta.flat))
-    if not ctx.slices:
+    if not ctx.slices or (delta.flat == ctx.origin).all():
         return 0.0, grad
     gamma = np.asarray(ctx.gamma)
     coef = (2.0 * gamma * delta.scale)[..., None, None, None]
@@ -264,6 +286,20 @@ def cosine_lr(step: int, total_steps: int, warmup_ratio: float, lr0: float) -> f
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+def lockstep_groups(sizes: list[int]) -> list[list[int]]:
+    """Positions of equal shard size grouped together, at most
+    LOCKSTEP_WIDTH per group, groups in order of first appearance and
+    positions in order within a group."""
+    by_size: dict[int, list[int]] = {}
+    for i, n in enumerate(sizes):
+        by_size.setdefault(n, []).append(i)
+    return [
+        members[i : i + LOCKSTEP_WIDTH]
+        for members in by_size.values()
+        for i in range(0, len(members), LOCKSTEP_WIDTH)
+    ]
+
+
 def local_train(
     base: BaseWeights,
     global_delta: AdapterDelta,
@@ -271,79 +307,92 @@ def local_train(
     train_cfg: LocalTrainConfig,
     seeds: list[int],
     reg_ctx: RegContext | None = None,
-) -> list[tuple[AdapterDelta, list[float]]]:
-    """Train one copy of the global delta per client of a lockstep group,
-    each on its own shard (`clients`, all of one shard size) with its own
-    shuffle stream (`seeds`); each minibatch is a row-take of the shard.
-    reg_ctx, when given, holds the round's masked-in proximal targets, and
-    each client's ClientData its gamma; a group whose gammas are all 0
-    runs no proximal term.
+) -> tuple[AdapterDelta, list[list[float]]]:
+    """Train one copy of the global delta per client, each on its own
+    shard with its own shuffle stream (`seeds`); each minibatch is a
+    row-take of the shard. reg_ctx, when given, holds the round's
+    masked-in proximal targets, and each client's ClientData its gamma; a
+    group whose gammas are all 0 runs no proximal term.
 
-    The group, a group of one included, trains as one (C, P) parameter
-    matrix on its shards stacked along a client axis. Returns each
-    client's trained delta and per-epoch mean training loss. Neither the
-    base weights, the supplied global delta nor the shards are mutated;
-    epochs=0 returns untouched copies and empty traces.
+    Clients of equal shard size train in lockstep groups (lockstep_groups),
+    a group of one included, each as one (C, P) parameter matrix on its
+    shards stacked along a client axis. Returns the trained deltas as one
+    AdapterDelta with a (K, P) client axis and each client's per-epoch mean
+    training loss, both in the order of `clients`. Neither the base
+    weights, the supplied global delta nor the shards are mutated;
+    epochs=0 returns copies of the global delta and empty traces.
     """
     train_cfg.validate()
-    width = len(clients)
-    if width < 1 or len(seeds) != width:
+    if not clients or len(seeds) != len(clients):
         raise ValueError("need one seed per client")
-    n = len(clients[0].batch)
-    if any(len(c.batch) != n for c in clients):
-        raise ValueError(f"lockstep shards must have one size, got {[len(c.batch) for c in clients]}")
-    if n == 0:
+    sizes = [len(c.batch) for c in clients]
+    if 0 in sizes:
         raise ValueError("client has no samples")
-    # One block per call holds every array a step writes, Adam's rows and
-    # the grouped weights: several blocks per call, freed together, get
-    # trimmed by glibc and faulted back in on the next call.
+    groups = lockstep_groups(sizes)
+    # One block per call, sized for the widest group, holds every array a
+    # step writes, Adam's rows and the grouped weights; a group trains in
+    # its first rows, through views built once per width. A block per
+    # group would be trimmed by glibc when freed and faulted back in by
+    # the next group.
+    cap = max(len(group) for group in groups)
     size, weight_size = global_delta.flat.size, base.flat.size
-    block = np.empty(width * (6 * size + weight_size))
-    arrays = block[: 6 * width * size].reshape(6, width, size)
-    arrays[2:4] = 0.0
-    params, grad_flat, first, second, t1, t2 = arrays
-    params[...] = global_delta.flat
-    delta = replace(global_delta, flat=params)
-    grad = replace(global_delta, flat=grad_flat)
-    weights = grouped(base.groups, block[6 * width * size :].reshape(width, weight_size))
-    ctx = None
-    if reg_ctx is not None and any(c.gamma for c in clients):
-        ctx = replace(reg_ctx, gamma=np.array([c.gamma for c in clients]))
-    shard = _stack_batches([c.batch for c in clients])
-    traces: list[list[float]] = [[] for _ in range(width)]
-    batches_per_epoch = math.ceil(n / train_cfg.batch_size)
-    total_steps = train_cfg.epochs * batches_per_epoch
-    gens = [rng.stream(seed) for seed in seeds]
+    block = np.empty(cap * (6 * size + weight_size))
+    arrays = block[: 6 * cap * size].reshape(6, cap, size)
+    weight_rows = block[6 * cap * size :].reshape(cap, weight_size)
+    views: dict[int, tuple[AdapterDelta, AdapterDelta, Grouped]] = {}
+    trained = np.empty((len(clients), size))
+    traces: list[list[float]] = [[] for _ in clients]
+    shuffles = rng.permutations(seeds, sizes, train_cfg.epochs)
     b1, b2 = train_cfg.beta1, train_cfg.beta2
 
-    step = 0
-    for _ in range(train_cfg.epochs):
-        order = np.stack([gen.permutation(n) for gen in gens])
-        loss_sum = 0.0
-        for b in range(batches_per_epoch):
-            minibatch = shard.take(order[:, b * train_cfg.batch_size : (b + 1) * train_cfg.batch_size])
-            loss, _ = loss_and_grad(base, delta, minibatch, ctx, grad, weights)
-            loss_sum += loss * len(minibatch)
-            step += 1
-            lr = cosine_lr(step - 1, total_steps, train_cfg.warmup_ratio, train_cfg.lr)
-            # params -= lr * m_hat / (sqrt(v_hat) + eps), in place in that order
-            first *= b1
-            np.multiply(grad_flat, 1.0 - b1, out=t1)
-            first += t1
-            second *= b2
-            np.multiply(grad_flat, 1.0 - b2, out=t1)
-            t1 *= grad_flat
-            second += t1
-            np.divide(first, 1.0 - b1**step, out=t1)
-            np.divide(second, 1.0 - b2**step, out=t2)
-            t1 *= lr
-            np.sqrt(t2, out=t2)
-            t2 += train_cfg.eps
-            t1 /= t2
-            params -= t1
-        for trace, value in zip(traces, (loss_sum / n).tolist()):
-            trace.append(value)
-    return [(replace(global_delta, flat=row.copy()), trace) for row, trace in zip(params, traces)]
+    for group in groups:
+        width, n = len(group), sizes[group[0]]
+        params, grad_flat, first, second, t1, t2 = arrays[:, :width]
+        if width not in views:
+            views[width] = (
+                replace(global_delta, flat=params),
+                replace(global_delta, flat=grad_flat),
+                grouped(base.groups, weight_rows[:width]),
+            )
+        delta, grad, weights = views[width]
+        params[...] = global_delta.flat
+        first[...] = 0.0
+        second[...] = 0.0
+        ctx = None
+        if reg_ctx is not None and any(clients[i].gamma for i in group):
+            ctx = replace(reg_ctx, gamma=np.array([clients[i].gamma for i in group]))
+        shard = _stack_batches([clients[i].batch for i in group])
+        orders = np.stack([shuffles[i] for i in group], axis=1)
+        batches_per_epoch = math.ceil(n / train_cfg.batch_size)
+        total_steps = train_cfg.epochs * batches_per_epoch
+        step = 0
+        for order in orders:
+            loss_sum = 0.0
+            for b in range(batches_per_epoch):
+                minibatch = shard.take(order[:, b * train_cfg.batch_size : (b + 1) * train_cfg.batch_size])
+                loss, _ = loss_and_grad(base, delta, minibatch, ctx, grad, weights)
+                loss_sum += loss * len(minibatch)
+                step += 1
+                lr = cosine_lr(step - 1, total_steps, train_cfg.warmup_ratio, train_cfg.lr)
+                # params -= lr * m_hat / (sqrt(v_hat) + eps), in place in that order
+                first *= b1
+                np.multiply(grad_flat, 1.0 - b1, out=t1)
+                first += t1
+                second *= b2
+                np.multiply(grad_flat, 1.0 - b2, out=t1)
+                t1 *= grad_flat
+                second += t1
+                np.divide(first, 1.0 - b1**step, out=t1)
+                np.divide(second, 1.0 - b2**step, out=t2)
+                t1 *= lr
+                np.sqrt(t2, out=t2)
+                t2 += train_cfg.eps
+                t1 /= t2
+                params -= t1
+            for i, value in zip(group, (loss_sum / n).tolist()):
+                traces[i].append(value)
+        trained[group] = params
+    return replace(global_delta, flat=trained), traces
 
 
 def _stack_batches(batches: list[Batch]) -> Batch:

@@ -39,6 +39,24 @@ def substream(master_seed: int, *labels: object) -> np.random.Generator:
     return stream(seed_for(master_seed, *labels))
 
 
+def permutations(seeds: list[int], sizes: list[int], count: int) -> list[np.ndarray]:
+    """For each (seed, size), a (count, size) array whose rows are the
+    orders `count` calls of stream(seed).permutation(size) give, in turn.
+    One Philox generator draws them all, re-keyed per seed by setting its
+    state to a fresh stream's, which costs far less than building one."""
+    gen = stream(0)
+    fresh = gen.bit_generator.state
+    out = []
+    for seed, size in zip(seeds, sizes):
+        key = np.array([seed & (2**64 - 1), seed >> 64], dtype=np.uint64)
+        gen.bit_generator.state = {**fresh, "state": {**fresh["state"], "key": key}}
+        orders = np.empty((count, size), dtype=np.int64)
+        for row in orders:
+            row[...] = gen.permutation(size)
+        out.append(orders)
+    return out
+
+
 def box_muller(uniforms: np.ndarray, count: int) -> np.ndarray:
     """`count` standard normals per uniform block along the last axis: the
     halves u1, u2 map to r * (cos, sin)(2 pi u2), r = sqrt(-2 ln(1 - u1)),

@@ -29,7 +29,6 @@ from . import rng
 from .client import (
     ClientData,
     LocalTrainConfig,
-    RegContext,
     RegularizerConfig,
     client_data,
     local_train,
@@ -53,13 +52,6 @@ AGGREGATOR_KINDS = ("plain_avg", "avgm", "adagrad", "adam", "yogi")
 # avgm's steady-state step is lr / (1 - momentum) times the averaged
 # delta, so 0.1 with momentum 0.9 moves as far as plain_avg.
 DEFAULT_SERVER_LR = {"plain_avg": 1.0, "avgm": 0.1, "adagrad": 0.01, "adam": 0.01, "yogi": 0.01}
-# Most clients one lockstep group trains at once (local_train). Each
-# member adds its working arrays to the peak memory of training. Median
-# peak RSS of `bench/run.py --workload many_clients` (2-core host, numpy
-# 2.4.6) over one-at-a-time training: +0.7 % at 4, +1.5 % at 6, +2.1 % at
-# 8, +4.5 % at 16. That workload's 1,500 client steps take 508 group steps
-# at 4, 346 at 8 and 299 with no bound.
-LOCKSTEP_WIDTH = 8
 # What server_state.bin holds beside the aggregator and the adapter: the
 # ServerState scalars in header order, then the moment buffers in array
 # order.
@@ -112,62 +104,24 @@ def sample_clients(sizes: list[int], per_round: int, round_idx: int, seed: int) 
     return sorted(eligible[int(i)] for i in pick)
 
 
-def lockstep_groups(sizes: list[int]) -> list[list[int]]:
-    """Positions of equal shard size grouped together, at most
-    LOCKSTEP_WIDTH per group, groups in order of first appearance and
-    positions in order within a group."""
-    by_size: dict[int, list[int]] = {}
-    for i, n in enumerate(sizes):
-        by_size.setdefault(n, []).append(i)
-    return [
-        members[i : i + LOCKSTEP_WIDTH]
-        for members in by_size.values()
-        for i in range(0, len(members), LOCKSTEP_WIDTH)
-    ]
-
-
-def train_clients(
-    base: BaseWeights,
-    global_delta: AdapterDelta,
-    clients: list[ClientData],
-    train_cfg: LocalTrainConfig,
-    seeds: list[int],
-    reg_ctx: RegContext | None = None,
-) -> list[tuple[AdapterDelta, list[float]]]:
-    """local_train for every client, clients of equal shard size in
-    lockstep groups (lockstep_groups), all sharing the round's proximal
-    context reg_ctx with each client's own gamma. Results come back in
-    input order."""
-    results: list[tuple[AdapterDelta, list[float]]] = [None] * len(clients)
-    for group in lockstep_groups([len(c.batch) for c in clients]):
-        trained = local_train(
-            base,
-            global_delta,
-            [clients[i] for i in group],
-            train_cfg,
-            [seeds[i] for i in group],
-            reg_ctx,
-        )
-        for i, result in zip(group, trained):
-            results[i] = result
-    return results
-
-
 def pseudo_gradient(
-    client_deltas: list[AdapterDelta],
+    trained: AdapterDelta,
     client_sizes: list[int],
     global_delta: AdapterDelta,
 ) -> AdapterDelta:
-    """Size-weighted mean of client movement away from the global delta."""
-    if not client_deltas or len(client_deltas) != len(client_sizes):
+    """Size-weighted mean of client movement away from the global delta;
+    trained holds one client per row of its (K, P) matrix, summed row by
+    row in that order."""
+    rows = trained.flat
+    if rows.ndim != 2 or not len(rows) or len(rows) != len(client_sizes):
         raise ValueError("need one size per client delta")
     if any(n <= 0 for n in client_sizes):
         raise ValueError(f"client sizes must be positive, got {client_sizes}")
     total = float(sum(client_sizes))
     w0 = global_delta.flat
     acc = np.zeros_like(w0)
-    for delta, n in zip(client_deltas, client_sizes):
-        acc += (n / total) * (delta.flat - w0)
+    for row, n in zip(rows, client_sizes):
+        acc += (n / total) * (row - w0)
     return replace(global_delta, flat=acc)
 
 
@@ -280,11 +234,10 @@ def run_rounds(
 
     Each client's shard is assembled and classified the first time the
     client is sampled, and the test set once per run; both caches die
-    with the call. A round's clients train in lockstep groups of equal
-    shard size (train_clients), and their results are checked and
-    aggregated in sampled order. A non-finite client loss or adapter, or
-    a non-finite global adapter after aggregation, raises ValueError
-    naming the round.
+    with the call. One local_train call trains a round's clients, and
+    their results are checked and aggregated in sampled order. A
+    non-finite client loss or adapter, or a non-finite global adapter
+    after aggregation, raises ValueError naming the round.
     """
     cfg.validate()
     sizes = partition.sizes()
@@ -299,20 +252,16 @@ def run_rounds(
         for k in picked:
             if k not in clients:
                 clients[k] = client_data(train_manifest, partition.clients[k], cfg.reg)
-        deltas, losses = [], {}
         sampled = [clients[k] for k in picked]
         seeds = [rng.seed_for(cfg.seed, "local", t, k) for k in picked]
         ctx = round_reg_context(state.global_delta, cfg.reg.margin, [c.gamma for c in sampled])
-        # the results list stays unnamed, so last round's deltas are freed
-        # before this round trains
-        for k, (trained, trace) in zip(
-            picked, train_clients(base, state.global_delta, sampled, cfg.local, seeds, ctx)
-        ):
-            if not np.isfinite(trace).all() or not np.isfinite(trained.flat).all():
-                raise ValueError(f"round {t}, client {k}: training loss or adapter is not finite (epoch losses {trace})")
-            deltas.append(trained)
-            losses[str(k)] = trace
-        grad = pseudo_gradient(deltas, [sizes[k] for k in picked], state.global_delta)
+        trained, traces = local_train(base, state.global_delta, sampled, cfg.local, seeds, ctx)
+        if not (np.isfinite(trained.flat).all() and np.isfinite(traces).all()):
+            for k, row, trace in zip(picked, trained.flat, traces):
+                if not (np.isfinite(row).all() and np.isfinite(trace).all()):
+                    raise ValueError(f"round {t}, client {k}: training loss or adapter is not finite (epoch losses {trace})")
+        grad = pseudo_gradient(trained, [sizes[k] for k in picked], state.global_delta)
+        del trained  # freed before the next round trains
         state = server_step(state, grad)
         if not np.isfinite(state.global_delta.flat).all():
             raise ValueError(f"round {t}: global adapter is not finite after aggregating clients {picked}")
@@ -328,7 +277,7 @@ def run_rounds(
                 "n_k": {str(k): sizes[k] for k in picked},
                 "beta": {str(k): clients[k].missing_rate for k in picked},
                 "gamma": {str(k): clients[k].gamma for k in picked},
-                "client_loss": losses,
+                "client_loss": {str(k): trace for k, trace in zip(picked, traces)},
                 "eval": eval_obj,
             }
         )
@@ -358,9 +307,10 @@ def local_baseline(
         raise ValueError("no nonempty clients to train")
     clients = [client_data(train_manifest, partition.clients[k], RegularizerConfig(enabled=False)) for k in nonempty]
     seeds = [rng.seed_for(seed, "baseline", k) for k in nonempty]
+    trained, _ = local_train(base, delta0, clients, local_cfg, seeds)
     per_client = {
-        str(k): _eval_obj(evaluate(base, trained, test_manifest, metric, chunks=test_chunks))
-        for k, (trained, _) in zip(nonempty, train_clients(base, delta0, clients, local_cfg, seeds))
+        str(k): _eval_obj(evaluate(base, replace(delta0, flat=row), test_manifest, metric, chunks=test_chunks))
+        for k, row in zip(nonempty, trained.flat)
     }
     values = [r["value"] for r in per_client.values()]
     accs = [r["accuracy"] for r in per_client.values()]

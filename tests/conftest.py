@@ -21,11 +21,11 @@ def round_robin_partition(manifest, clients):
 
 def train_client(base, delta, manifest, slot, cfg, reg_cfg, seed):
     """local_train on one client, a lockstep group of one, the way
-    run_rounds drives it."""
+    run_rounds drives it; returns its trained delta and trace."""
     client = client_data(manifest, slot, reg_cfg)
     ctx = round_reg_context(delta, reg_cfg.margin, [client.gamma])
-    [result] = local_train(base, delta, [client], cfg, [seed], ctx)
-    return result
+    trained, [trace] = local_train(base, delta, [client], cfg, [seed], ctx)
+    return replace(trained, flat=trained.flat[0]), trace
 
 
 def run_config(*overrides):

@@ -183,9 +183,7 @@ def test_train_divergence_exits_2_without_infinity(tmp_path, capsys):
     assert "round" in err and "client" in err and "not finite" in err
     assert not out.exists()
     assert not (out / "runlog.jsonl").exists()
-    for path in out.rglob("*"):
-        assert b"Infinity" not in path.read_bytes()
-        assert b"NaN" not in path.read_bytes()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_oversampling_exits_2_without_out_dir(tmp_path, capsys):
@@ -332,6 +330,22 @@ def test_sweep_bad_grid_exits_2_without_run_dirs(tmp_path, capsys, grid):
     assert not out.exists()
     if not grid:
         assert "fedmm train" in err
+
+
+def test_sweep_cell_without_data_exits_2_before_any_run_dir(tmp_path, capsys):
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    save_manifest(tiny_manifest(split="train"), train)
+    save_manifest(tiny_manifest(split="test"), test)
+    out, missing = tmp_path / "sweep", tmp_path / "missing.jsonl"
+    cfg = write_config(tmp_path / "run.cfg", [
+        f"out_dir = {out}", "data.source = manifest", f"data.test_manifest = {test}",
+        f"data.train_manifest = {train}", f"sweep.grid = data.train_manifest={train}|{missing}",
+    ])
+    assert run(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fedmm sweep: ") and str(missing) in err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "test.jsonl", "train.jsonl"]
 
 
 @pytest.mark.parametrize("line", ["sweep.levels = 5.0,1.0", "sweep.aggregators = adam,yogi", "sweep.seeds = 1,2"])

@@ -156,6 +156,31 @@ def test_reg_scratch_changes_no_byte(tiny_model):
     assert np.array_equal(grad.flat, want.flat)
 
 
+def test_reg_at_origin_returns_zero_and_leaves_grad(tiny_model):
+    _, _, delta = tiny_model
+    origin = randomize_delta(delta, seed=21, scale=0.3)
+    ctx = replace(make_reg_context(origin, margin=1, gamma=0.7), gamma=np.array([0.7, 0.2]))
+    rows = np.stack([origin.flat, origin.flat])
+    prefill = np.random.default_rng(22).normal(size=rows.shape)
+    value, grad = reg_value_and_grad(replace(origin, flat=rows), ctx, replace(origin, flat=prefill.copy()))
+    assert value == 0.0
+    assert grad.flat.tobytes() == prefill.tobytes()
+
+    # one element off the origin runs the full term
+    rows[1, np.flatnonzero(masked_in_slots(origin, margin=1))[0]] += 0.05
+    moved = replace(origin, flat=rows)
+    value, grad = reg_value_and_grad(moved, ctx, replace(origin, flat=prefill.copy()))
+    composed, target = compose_updates(moved), compose_updates(origin)
+    mask = mask_vector(max(s.depth for s in origin.specs) + 1, 1)
+    want = 0.2 * sum(
+        np.sum((composed.layers[i][1] - target.layers[i]) ** 2) for i, s in enumerate(origin.specs) if mask[s.depth]
+    )
+    assert value[0] == 0.0 and value[1] > 0.0
+    assert value[1] == pytest.approx(want, rel=1e-12)
+    assert np.array_equal(grad.flat[0], prefill[0])
+    assert not np.array_equal(grad.flat[1], prefill[1])
+
+
 @pytest.fixture
 def tiny_model():
     cfg = ModelConfig(

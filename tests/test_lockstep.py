@@ -1,8 +1,10 @@
-"""Lockstep training: a group of equal-size clients trained along a client
-axis must give every client exactly the bytes it gets training alone."""
+"""Lockstep training: a round's clients, trained in groups of equal shard
+size along a client axis, must give every client exactly the bytes it
+gets training alone."""
 
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +12,18 @@ from hypothesis import given, settings, strategies as st
 
 import lockstep_reference as reference
 from conftest import randomize_delta, run_config
-from fedmm import client, server
-from fedmm.client import ClientData, LocalTrainConfig, local_train, make_reg_context, mask_vector, round_reg_context
+from fedmm import client
+from fedmm.client import (
+    ClientData,
+    LocalTrainConfig,
+    local_train,
+    lockstep_groups,
+    make_reg_context,
+    mask_vector,
+    round_reg_context,
+)
 from fedmm.model import AdapterDelta, BaseWeights, Batch, ModelConfig, init_model, loss_and_grad
-from fedmm.server import lockstep_groups, run_rounds
+from fedmm.server import run_rounds
 
 
 def client_batch(gen, dims, classes, n, kind):
@@ -49,7 +59,8 @@ def lockstep_cases(draw):
         "trunk": draw(st.integers(0, 2)),
         "classes": draw(st.integers(2, 4)),
         "rank": draw(st.integers(1, 2)),
-        "n": draw(st.integers(1, 9)),
+        "sizes": draw(st.lists(st.integers(1, 5), min_size=width, max_size=width)),
+        "cap": draw(st.integers(1, 4)),
         "batch_size": draw(st.integers(1, 5)),
         "epochs": draw(st.integers(0, 3)),
         "kinds": draw(st.lists(st.sampled_from(["aligned", "partial", "single"]), min_size=width, max_size=width)),
@@ -70,7 +81,7 @@ def test_lockstep_equals_each_client_alone(case):
     base, delta = init_model(model_cfg)
     start = randomize_delta(delta, seed=case["seed"], scale=0.3)
     gen = np.random.default_rng(case["seed"])
-    batches = [client_batch(gen, dims, classes, case["n"], kind) for kind in case["kinds"]]
+    batches = [client_batch(gen, dims, classes, n, kind) for n, kind in zip(case["sizes"], case["kinds"])]
     seeds = [case["seed"] * 7 + c for c in range(len(batches))]
     margin = case["margin"] if 2 * case["margin"] < model_cfg.depth else 0
     shared = round_reg_context(start, margin, case["gammas"])
@@ -80,18 +91,13 @@ def test_lockstep_equals_each_client_alone(case):
     clients = [ClientData(b, 0.0, gamma) for b, gamma in zip(batches, case["gammas"])]
     want = [reference.local_train(base, start, b, train_cfg, s, ctx) for b, s, ctx in zip(batches, seeds, contexts)]
     for _ in range(2):  # a second call on the same inputs gives the same bytes
-        got = local_train(base, start, clients, train_cfg, seeds, shared)
-        for (got_delta, got_trace), (want_delta, want_trace) in zip(got, want):
-            assert np.array_equal(got_delta.flat, want_delta.flat)
+        # groups of at most `cap` clients, so some calls train groups of several widths
+        with mock.patch.object(client, "LOCKSTEP_WIDTH", case["cap"]):
+            got, traces = local_train(base, start, clients, train_cfg, seeds, shared)
+        assert got.flat.shape == (len(clients), start.flat.size)
+        for row, got_trace, (want_delta, want_trace) in zip(got.flat, traces, want):
+            assert np.array_equal(row, want_delta.flat)
             assert got_trace == want_trace
-
-
-def test_lockstep_rejects_mixed_shard_sizes():
-    gen = np.random.default_rng(0)
-    base, delta = init_model(ModelConfig(modality_dims=(2, 2), hidden=4, encoder_depth=1, trunk_depth=1, class_count=2, rank=1))
-    batches = [client_batch(gen, (2, 2), 2, n, "aligned") for n in (3, 4)]
-    with pytest.raises(ValueError, match="one size"):
-        local_train(base, delta, [ClientData(b, 0.0, 0.0) for b in batches], LocalTrainConfig(), [1, 2])
 
 
 def test_stacked_delta_views_carry_client_axis(tiny_model):
@@ -111,9 +117,9 @@ def test_stacked_delta_views_carry_client_axis(tiny_model):
 
 def test_lockstep_groups_by_shard_size(monkeypatch):
     sizes = [3, 5, 3, 3, 4, 5, 3, 3, 3]
-    monkeypatch.setattr(server, "LOCKSTEP_WIDTH", 4)
+    monkeypatch.setattr(client, "LOCKSTEP_WIDTH", 4)
     assert lockstep_groups(sizes) == [[0, 2, 3, 6], [7, 8], [1, 5], [4]]
-    monkeypatch.setattr(server, "LOCKSTEP_WIDTH", 1)
+    monkeypatch.setattr(client, "LOCKSTEP_WIDTH", 1)
     assert lockstep_groups(sizes) == [[i] for i in (0, 2, 3, 6, 7, 8, 1, 5, 4)]
 
 
@@ -130,7 +136,7 @@ def test_run_rounds_same_bytes_at_any_lockstep_width(monkeypatch):
     assert len(set(sizes)) < len(sizes)  # some clients share a shard size
     runs = []
     for width in (1, 3, 12):
-        monkeypatch.setattr(server, "LOCKSTEP_WIDTH", width)
+        monkeypatch.setattr(client, "LOCKSTEP_WIDTH", width)
         log, state, _ = run_rounds(*args)
         runs.append((log.records, state.global_delta.flat, state.first_moment, state.second_moment))
     for records, flat, first, second in runs[1:]:

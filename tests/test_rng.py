@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fedmm import rng
 
@@ -50,3 +50,19 @@ def test_normal_odd_count():
 def test_normal_scale_zero():
     z = rng.normal(rng.stream(9), 5, scale=0.0)
     assert np.array_equal(z, np.zeros(5))
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 12)), max_size=4),
+    st.integers(0, 3),
+)
+@example([(2**64 - 1, 1), (0, 1)], 0)
+@example([(2**64 - 1, 1), (0, 7), (2**63, 1)], 3)
+def test_permutations_equal_repeated_stream_draws(pairs, count):
+    got = rng.permutations([seed for seed, _ in pairs], [n for _, n in pairs], count)
+    assert len(got) == len(pairs)
+    for (seed, n), orders in zip(pairs, got):
+        gen = rng.stream(seed)
+        want = np.array([gen.permutation(n) for _ in range(count)], dtype=np.int64).reshape(count, n)
+        assert orders.dtype == want.dtype
+        assert np.array_equal(orders, want)

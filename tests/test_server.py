@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import randomize_delta, round_robin_partition, run_config, tiny_manifest, train_client
-from fedmm import rng
+from fedmm import rng, server
 from fedmm.client import LocalTrainConfig, RegularizerConfig
 from fedmm.model import ModelConfig, init_model, load_checkpoint, loss_and_grad, make_batch, save_checkpoint
 from fedmm.partitioner import ClientPartition, ClientSlot, dirichlet_partition
@@ -105,10 +105,16 @@ def test_sample_frequency_uniform():
 
 # ---------- pseudo gradient ----------
 
+def stacked(*deltas):
+    """The clients' deltas as one delta with a (K, P) client axis, as
+    local_train returns them."""
+    return replace(deltas[0], flat=np.stack([d.flat for d in deltas]))
+
+
 def test_pseudo_gradient_single_client(tiny_delta):
     g = randomize_delta(tiny_delta, seed=1)
     w = randomize_delta(tiny_delta, seed=2)
-    out = pseudo_gradient([w], [5], g)
+    out = pseudo_gradient(stacked(w), [5], g)
     assert np.allclose(out.flat, w.flat - g.flat)
 
 
@@ -117,7 +123,7 @@ def test_pseudo_gradient_symmetry_cancels(tiny_delta):
     d = randomize_delta(replace(tiny_delta, flat=np.zeros_like(tiny_delta.flat)), seed=4)
     plus = replace(g, flat=g.flat + d.flat)
     minus = replace(g, flat=g.flat - d.flat)
-    out = pseudo_gradient([plus, minus], [7, 7], g)
+    out = pseudo_gradient(stacked(plus, minus), [7, 7], g)
     assert np.allclose(out.flat, 0.0, atol=1e-12)
 
 
@@ -125,13 +131,13 @@ def test_pseudo_gradient_weighted_hand_case(tiny_delta):
     g = replace(tiny_delta, flat=np.zeros_like(tiny_delta.flat))
     four = replace(g, flat=np.full_like(g.flat, 4.0))
     zero = replace(g, flat=np.zeros_like(g.flat))
-    out = pseudo_gradient([four, zero], [1, 3], g)
+    out = pseudo_gradient(stacked(four, zero), [1, 3], g)
     assert np.allclose(out.flat, 1.0)
 
 
 def test_pseudo_gradient_zero_total_size(tiny_delta):
     with pytest.raises(ValueError, match="positive"):
-        pseudo_gradient([tiny_delta], [0], tiny_delta)
+        pseudo_gradient(stacked(tiny_delta), [0], tiny_delta)
 
 
 @pytest.fixture
@@ -255,7 +261,7 @@ def test_plain_avg_matches_centralized_descent():
         sizes.append(len(slot))
 
     state = init_server_state("plain_avg", delta)
-    state = server_step(state, pseudo_gradient(client_deltas, sizes, delta))
+    state = server_step(state, pseudo_gradient(stacked(*client_deltas), sizes, delta))
 
     ids = [sid for slot in partition.clients for sid in slot.sample_ids]
     masks = [m for slot in partition.clients for m in slot.masks]
@@ -293,6 +299,24 @@ def test_run_rounds_single_client_composition():
         cfg.local, cfg.reg, seed=rng.seed_for(cfg.seed, "local", 1, picked),
     )
     assert np.array_equal(state.global_delta.flat, want.flat)
+
+
+def test_run_rounds_names_first_non_finite_client(monkeypatch):
+    model_cfg, _, train, test = run_setup(seed=9)
+    partition = round_robin_partition(train, 3)
+    cfg = FLRunConfig(rounds=1, clients_per_round=3, local=LocalTrainConfig(epochs=1, batch_size=8), seed=9)
+    real = server.local_train
+
+    def second_goes_nan(*args, **kwargs):
+        trained, traces = real(*args, **kwargs)
+        trained.flat[1, 0] = np.nan
+        traces[2][0] = math.inf
+        return trained, traces
+
+    monkeypatch.setattr(server, "local_train", second_goes_nan)
+    picked = sample_clients(partition.sizes(), 3, 1, cfg.seed)
+    with pytest.raises(ValueError, match=f"^round 1, client {picked[1]}: training loss or adapter is not finite"):
+        run_rounds(cfg, model_cfg, partition, train, test)
 
 
 def test_runlog_write_rejects_non_finite(tmp_path):
