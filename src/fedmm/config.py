@@ -3,7 +3,7 @@
 Grammar: UTF-8 text, one `key = value` pair per line, `#` starts a
 comment line, blank lines ignored. Keys are dotted names from the schema
 below; unknown keys are rejected. Values parse by the key's declared
-type: ints, floats, true/false booleans, bare strings, and comma
+type: ints, finite floats, true/false booleans, bare strings, and comma
 separated lists. Optional keys read as absent when the value is empty.
 
 A single master `seed` drives everything: data generation, partitioning,
@@ -17,6 +17,7 @@ a run's outputs gives a snapshot that reproduces the run exactly.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -84,6 +85,7 @@ SCHEMA: dict[str, KeySpec] = {
 
 def parse_value(kind: str, text: str) -> object:
     text = text.strip()
+    text.encode("utf-8")  # a lone surrogate raises here, not when the snapshot is written
     if kind.startswith("opt_") and text == "":
         return None
     if kind in ("opt_str", "str"):
@@ -91,7 +93,10 @@ def parse_value(kind: str, text: str) -> object:
     if kind == "int":
         return int(text)
     if kind in ("opt_float", "float"):
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {text!r}")
+        return value
     if kind == "bool":
         if text.lower() in ("true", "1", "yes"):
             return True

@@ -10,6 +10,12 @@ Constraints the rest of the package relies on:
   - present vectors match the declared dim exactly and are finite,
   - labels lie in [0, class_count),
   - save_manifest(load_manifest(p)) reproduces p byte for byte.
+
+validate_manifest checks them in array passes: every id through one
+set, the labels in one pass, one union of the modality names the samples
+carry, and per modality one concatenation of its vectors and one
+finiteness test. The per-sample loop runs only when a pass fails, to
+name the first offending sample.
 """
 
 from __future__ import annotations
@@ -78,6 +84,39 @@ def validate_manifest(manifest: DatasetManifest) -> None:
     if manifest.split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {manifest.split!r}")
     dims = {m.name: m.dim for m in manifest.modalities}
+    if not _valid_in_bulk(manifest, dims):
+        _check_each_sample(manifest, dims)
+
+
+def _valid_in_bulk(manifest: DatasetManifest, dims: dict[str, int]) -> bool:
+    """True only if every sample passes _check_each_sample's checks, shown
+    with a few passes over the whole manifest; False when a pass fails or
+    cannot run, and the per-sample loop must decide."""
+    samples = manifest.samples
+    features = [s.features for s in samples]
+    try:
+        if len({s.id for s in samples}) != len(samples) or not all(features):
+            return False
+        # the loop's own comparison: a label of -0.5 or nan fails here too
+        if not all(0 <= s.label < manifest.class_count for s in samples):
+            return False
+        if not set().union(*features) <= dims.keys():
+            return False
+        for name, dim in dims.items():
+            vecs = [f[name] for f in features if name in f]
+            if not vecs:
+                continue
+            if {type(v) for v in vecs} != {np.ndarray} or {v.shape for v in vecs} != {(dim,)}:
+                return False
+            if not np.isfinite(np.concatenate(vecs)).all():
+                return False
+    except (TypeError, ValueError):  # an id, label or vector of the wrong kind; the loop names it
+        return False
+    return True
+
+
+def _check_each_sample(manifest: DatasetManifest, dims: dict[str, int]) -> None:
+    """Check sample by sample, in order, raising for the first violation."""
     seen: set[str] = set()
     for s in manifest.samples:
         if s.id in seen:
@@ -237,9 +276,8 @@ def synth_generate(cfg: SynthConfig, split: str = "train", samples_per_class: in
     for c in range(cfg.class_count):
         rows = slice(c * per_class, (c + 1) * per_class)
         feats = [centroids[(c, name)] + block[rows] for name, block in zip(cfg.modalities, noise)]
-        for j in range(per_class):
-            features = {name: f[j] for name, f in zip(cfg.modalities, feats)}
-            samples.append(Sample(id=f"{split}-{c:02d}-{j:05d}", label=c, features=features))
+        for j, row in enumerate(zip(*feats)):
+            samples.append(Sample(id=f"{split}-{c:02d}-{j:05d}", label=c, features=dict(zip(cfg.modalities, row))))
     manifest = DatasetManifest(
         modalities=tuple(ModalityDescriptor(n, d) for n, d in zip(cfg.modalities, cfg.dims)),
         class_count=cfg.class_count,

@@ -1,8 +1,9 @@
 """Evaluation metrics.
 
-roc_auc uses the rank-sum identity with average ranks on ties, one sort
-instead of all-pairs comparison. macro_f1 averages one-vs-rest F1 across
-every class index, counting classes nobody predicted or possessed as 0.
+roc_auc uses the rank-sum identity with average ranks on ties: one sort
+and array passes over the tie groups instead of all-pairs comparison.
+macro_f1 averages one-vs-rest F1 across every class index, counting
+classes nobody predicted or possessed as 0.
 
 A run that evaluates repeatedly assembles its test set once with
 eval_chunks and hands the chunks to every evaluate call.
@@ -45,15 +46,12 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     if neg == 0:
         raise ValueError("no negative samples present")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # tie groups of the sorted scores, first i to last j; nan equals nothing
+    first = np.flatnonzero(np.concatenate([[True], sorted_scores[1:] != sorted_scores[:-1]]))
+    last = np.append(first[1:], scores.size) - 1
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 

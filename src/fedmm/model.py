@@ -53,9 +53,12 @@ An AdapterDelta may hold a (C, P) matrix and a Batch a leading client
 axis; loss_and_grad is written over that optional axis. Training always
 has it (client.local_train), a group of one as C = 1, so one code path
 trains every group.
-Minibatches are never padded to a common row count: rows are the inner
-dimension of the weight-gradient products, so padding would change their
-summation.
+Minibatches are never padded to a common row count. Padding changes
+bytes in the products themselves, not only in the weight-gradient sums
+whose inner dimension the rows are: with OpenBLAS on one thread, d @ W
+on the 32x17 layer differs at 7 to 12 of the 16 real row counts 1-16
+padded to 16 (50 random draws), and every product differs at one real
+row.
 """
 
 from __future__ import annotations

@@ -115,7 +115,10 @@ class ClientPartition:
         return sum(self.sizes())
 
 
-def _check_assignment(manifest: DatasetManifest, partition: ClientPartition) -> None:
+def _check_assignment(
+    manifest: DatasetManifest, partition: ClientPartition, presence: dict[str, tuple[bool, ...]]
+) -> None:
+    """presence maps every manifest sample id to its Sample.presence."""
     seen: set[str] = set()
     for k, slot in enumerate(partition.clients):
         if len(slot.sample_ids) != len(slot.masks):
@@ -124,11 +127,11 @@ def _check_assignment(manifest: DatasetManifest, partition: ClientPartition) -> 
             if sid in seen:
                 raise ValueError(f"sample {sid!r} assigned to more than one client")
             seen.add(sid)
-            sample = manifest.by_id(sid)
-            present = sample.presence(manifest.modalities)
+            if sid not in presence:
+                raise ValueError(f"unknown sample id {sid!r}")
             if not any(mask):
                 raise ValueError(f"sample {sid!r} on client {k} has an empty mask")
-            if any(m and not p for m, p in zip(mask, present)):
+            if any(m and not p for m, p in zip(mask, presence[sid])):
                 raise ValueError(f"sample {sid!r} on client {k} masks in an absent modality")
     if len(seen) != len(manifest.samples):
         raise ValueError(f"partition covers {len(seen)} of {len(manifest.samples)} samples")
@@ -157,6 +160,9 @@ def dirichlet_partition(manifest: DatasetManifest, clients: int, alpha: float, s
         raise ValueError(f"alpha must be > 0, got {alpha}")
     gen = rng.substream(seed, "dirichlet")
     slots = [ClientSlot() for _ in range(clients)]
+    names = [m.name for m in manifest.modalities]
+    ids = [s.id for s in manifest.samples]
+    presence = [tuple(map(s.features.__contains__, names)) for s in manifest.samples]  # each Sample.presence
     by_class: dict[int, list[int]] = {c: [] for c in range(manifest.class_count)}
     for i, sample in enumerate(manifest.samples):
         by_class[sample.label].append(i)
@@ -169,13 +175,12 @@ def dirichlet_partition(manifest: DatasetManifest, clients: int, alpha: float, s
         counts = largest_remainder(shares, idx.size)
         start = 0
         for k in range(clients):
-            for i in idx[start : start + counts[k]]:
-                sample = manifest.samples[int(i)]
-                slots[k].sample_ids.append(sample.id)
-                slots[k].masks.append(sample.presence(manifest.modalities))
+            chosen = idx[start : start + counts[k]].tolist()
+            slots[k].sample_ids.extend(ids[i] for i in chosen)
+            slots[k].masks.extend(presence[i] for i in chosen)
             start += counts[k]
     partition = ClientPartition(clients=slots)
-    _check_assignment(manifest, partition)
+    _check_assignment(manifest, partition, dict(zip(ids, presence)))
     return partition
 
 

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fedmm
 from conftest import tiny_manifest
@@ -424,6 +425,43 @@ def test_report_reads_train_dirs(tmp_path, capsys):
     assert {row[7] for row in rows[1:]} == {"true"}
     values = [float(row[5]) for row in rows[1:]]
     assert f"all runs: roc_auc n=2 {sum(values) / 2:.4f} +- {abs(values[0] - values[1]) / 2:.4f}" in capsys.readouterr().out
+
+
+# Text with no decimal digit cannot parse as a number, so no drawn value
+# can make a run bigger than the tiny config.
+_BAD_VALUES = st.one_of(
+    st.sampled_from(["", "-1", "0", "nan", "inf", "1e400", "true", "[]"]),
+    st.text(st.characters(exclude_categories=("Nd",)), max_size=12),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(key=st.sampled_from([key for key in SCHEMA if key != "out_dir"]), value=_BAD_VALUES)
+def test_any_key_any_value_exits_0_or_2_without_out_dir(tmp_path_factory, key, value):
+    out = tmp_path_factory.mktemp("run") / "out"
+    argv = ["train"]
+    for item in [*FAST_KEYS, "fl.rounds = 1", f"{key}={value}", f"out_dir={out}"]:
+        argv += ["--set", item]
+    code = run(argv)
+    assert code in (0, 2)
+    assert code == 0 or not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("key", [key for key, spec in SCHEMA.items() if spec.kind in ("float", "opt_float")])
+def test_non_finite_float_exits_2(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    assert run(["train", "--set", f"{key}={value}", "--set", f"out_dir={out}"]) == 2
+    assert f"key {key!r}: expected a finite number, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_value_that_is_not_utf8_exits_2_without_out_dir(tmp_path, capsys):
+    # a non-UTF-8 argv byte reaches Python as a lone surrogate; the snapshot could not hold it
+    out = tmp_path / "out"
+    assert run(["train", "--set", "data.train_manifest=\udcff", "--set", f"out_dir={out}"]) == 2
+    assert "key 'data.train_manifest'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_key_fails_with_diagnostic(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import validate_reference as reference
 from conftest import manual_manifest, tiny_manifest
 from fedmm import rng
 from fedmm.data import (
@@ -187,6 +188,78 @@ def test_validate_rejects_label_out_of_range():
     manifest = manual_manifest()
     manifest.samples[0].label = 2
     with pytest.raises(ValueError, match="label"):
+        validate_manifest(manifest)
+
+
+_FAULTS = ("non_finite", "wrong_length", "negative_label", "fractional_label", "large_label", "duplicate_id",
+           "undeclared", "empty", "list_vector")
+
+
+@st.composite
+def _faulty_manifests(draw):
+    """A well-formed manifest of 1-3 modalities with random dims, classes
+    and presence, then up to two faults, each on a drawn sample."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    names = [f"m{i}" for i in range(len(dims))]
+    classes = draw(st.integers(2, 4))
+    samples = []
+    for i in range(draw(st.integers(1, 6))):
+        present = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True))
+        features = {}
+        for name in present:
+            dim = dims[names.index(name)]
+            features[name] = np.array(draw(st.lists(st.floats(-3, 3), min_size=dim, max_size=dim)))
+        samples.append(Sample(f"s{i}", draw(st.integers(0, classes - 1)), features))
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(_FAULTS))
+        sample = draw(st.sampled_from(samples))
+        # a vector fault lands on a declared, still well-formed vector, if any
+        vectors = sorted(n for n, v in sample.features.items() if n in names and isinstance(v, np.ndarray) and v.size)
+        name = draw(st.sampled_from(vectors)) if vectors else None
+        if fault == "non_finite" and name:
+            vec = sample.features[name].copy()
+            vec[draw(st.integers(0, vec.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            sample.features[name] = vec
+        elif fault == "wrong_length" and name:
+            size = draw(st.integers(0, 5).filter(lambda n: n != dims[names.index(name)]))
+            sample.features[name] = np.zeros(size)
+        elif fault == "negative_label":
+            sample.label = draw(st.sampled_from([-1, -2, float("-inf")]))
+        elif fault == "fractional_label":
+            # in range or not; an integer cast would accept -0.5, which the loop rejects
+            sample.label = draw(st.sampled_from([-0.5, -1e-9, 0.5, classes - 0.5, classes + 0.5, float("nan")]))
+        elif fault == "large_label":
+            sample.label = draw(st.sampled_from([classes, classes + 1, 10**20]))
+        elif fault == "duplicate_id":
+            sample.id = draw(st.sampled_from([other for other in samples if other is not sample] or samples)).id
+        elif fault == "undeclared":
+            sample.features["zz"] = np.zeros(1)
+        elif fault == "empty":
+            sample.features = {}
+        elif fault == "list_vector" and name:
+            sample.features[name] = sample.features[name].tolist()
+    mods = tuple(ModalityDescriptor(n, d) for n, d in zip(names, dims))
+    return DatasetManifest(modalities=mods, class_count=classes, split="train", samples=samples)
+
+
+def _verdict(check, manifest):
+    try:
+        check(manifest)
+    except Exception as err:  # the type and message are the verdict
+        return type(err), str(err)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(manifest=_faulty_manifests())
+def test_validate_matches_per_sample_reference(manifest):
+    assert _verdict(validate_manifest, manifest) == _verdict(reference.validate_manifest, manifest)
+
+
+def test_validate_rejects_negative_fractional_label():
+    manifest = manual_manifest()
+    manifest.samples[2].label = -0.5
+    with pytest.raises(ValueError, match=r"^sample 'c' label -0.5 outside \[0, 2\)$"):
         validate_manifest(manifest)
 
 
