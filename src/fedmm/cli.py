@@ -36,20 +36,21 @@ from pathlib import Path
 from .config import SCHEMA, ExperimentConfig, render_value
 from .data import DatasetManifest, load_manifest, modality_stats, save_manifest, synth_generate
 from .model import init_model, save_checkpoint
-from .partitioner import build_scenario, save_partition
+from .partitioner import ClientPartition, build_scenario, save_partition
 from .promptgen import CRISIS_MMD, HATEFUL_MEMES, TaskSpec, export_partition
 from .server import RunLog, local_baseline, run_rounds, sample_clients, save_server_state
 
 
-def _load_data(cfg: ExperimentConfig) -> tuple[DatasetManifest, DatasetManifest]:
+def _setup(cfg: ExperimentConfig) -> tuple[DatasetManifest, DatasetManifest, ClientPartition]:
+    """A run's train and test manifests and its partition of the train set."""
     if cfg["data.source"] == "synth":
         synth = cfg.synth_config()
         train = synth_generate(synth, split="train")
         test = synth_generate(synth, split="test", samples_per_class=int(cfg["synth.test_samples_per_class"]))
-        return train, test
-    train = load_manifest(str(cfg["data.train_manifest"]))
-    test = load_manifest(str(cfg["data.test_manifest"]))
-    return train, test
+    else:
+        train = load_manifest(str(cfg["data.train_manifest"]))
+        test = load_manifest(str(cfg["data.test_manifest"]))
+    return train, test, build_scenario(train, cfg.scenario_spec())
 
 
 def _task_for(manifest: DatasetManifest) -> TaskSpec:
@@ -69,8 +70,7 @@ def _prepare_out(cfg: ExperimentConfig) -> Path:
 
 
 def cmd_partition(cfg: ExperimentConfig) -> int:
-    train, test = _load_data(cfg)
-    partition = build_scenario(train, cfg.scenario_spec())
+    train, test, partition = _setup(cfg)
     out = _prepare_out(cfg)
     if cfg["data.source"] == "synth":
         save_manifest(train, out / "train_manifest.jsonl")
@@ -82,11 +82,9 @@ def cmd_partition(cfg: ExperimentConfig) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
-    train, test = _load_data(cfg)
-    partition = build_scenario(train, cfg.scenario_spec())
-    model_cfg = cfg.model_config(tuple(m.dim for m in train.modalities), train.class_count)
+    train, test, partition = _setup(cfg)
     timings: list[float] = []
-    log, state, base = run_rounds(cfg.fl_config(), model_cfg, partition, train, test, timings=timings)
+    log, state, base = run_rounds(cfg.fl_config(), cfg.model_config(train), partition, train, test, timings=timings)
     out = _prepare_out(cfg)
     log.write(out / "runlog.jsonl")
     save_server_state(out / "server_state.bin", state)
@@ -100,12 +98,10 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 
 def cmd_baseline(cfg: ExperimentConfig) -> int:
-    train, test = _load_data(cfg)
-    partition = build_scenario(train, cfg.scenario_spec())
-    model_cfg = cfg.model_config(tuple(m.dim for m in train.modalities), train.class_count)
+    train, test, partition = _setup(cfg)
     local_cfg = dataclasses.replace(cfg.local_config(), epochs=int(cfg["baseline.epochs"]))
     result = local_baseline(
-        model_cfg, partition, train, test,
+        cfg.model_config(train), partition, train, test,
         local_cfg=local_cfg, metric=str(cfg["metric"]),
         seed=cfg.fl_config().seed,
     )
@@ -117,8 +113,7 @@ def cmd_baseline(cfg: ExperimentConfig) -> int:
 
 
 def cmd_export_instructions(cfg: ExperimentConfig) -> int:
-    train, _ = _load_data(cfg)
-    partition = build_scenario(train, cfg.scenario_spec())
+    train, _, partition = _setup(cfg)
     task = _task_for(train)
     out = _prepare_out(cfg)
     count = export_partition(partition, train, task, cfg["prompt.agnostic"], out / "instructions")
@@ -222,11 +217,10 @@ def sweep_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
 def preflight(cfg: ExperimentConfig) -> None:
     """Raise what a run of cfg would raise before its first round: its
     data load, partition, first client sample and model config."""
-    train, _ = _load_data(cfg)
-    partition = build_scenario(train, cfg.scenario_spec())
+    train, _, partition = _setup(cfg)
     fl = cfg.fl_config()
     sample_clients(partition.sizes(), fl.clients_per_round, 1, fl.seed)
-    init_model(cfg.model_config(tuple(m.dim for m in train.modalities), train.class_count))
+    init_model(cfg.model_config(train))
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:

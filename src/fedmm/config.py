@@ -4,7 +4,8 @@ Grammar: UTF-8 text, one `key = value` pair per line, `#` starts a
 comment line, blank lines ignored. Keys are dotted names from the schema
 below; unknown keys are rejected. Values parse by the key's declared
 type: ints, finite floats, true/false booleans, bare strings, and comma
-separated lists. Optional keys read as absent when the value is empty.
+separated lists, none holding a line break (a str.splitlines break).
+Optional keys read as absent when the value is empty.
 
 A single master `seed` drives everything: data generation, partitioning,
 model init, client sampling, and local training each hash it with a
@@ -24,13 +25,11 @@ from pathlib import Path
 
 from . import rng
 from .client import LocalTrainConfig, RegularizerConfig
-from .data import SynthConfig
+from .data import DatasetManifest, SynthConfig
 from .model import ModelConfig
 from .metrics import METRIC_KINDS
 from .partitioner import SCENARIO_KINDS, SCENARIO_KNOBS, ScenarioSpec
 from .server import AGGREGATOR_KINDS, FLRunConfig
-
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -86,6 +85,8 @@ SCHEMA: dict[str, KeySpec] = {
 def parse_value(kind: str, text: str) -> object:
     text = text.strip()
     text.encode("utf-8")  # a lone surrogate raises here, not when the snapshot is written
+    if "".join(text.splitlines()) != text:  # the snapshot holds one value per line
+        raise ValueError(f"a value cannot hold a line break, got {text!r}")
     if kind.startswith("opt_") and text == "":
         return None
     if kind in ("opt_str", "str"):
@@ -123,19 +124,25 @@ def render_value(kind: str, value: object) -> str:
     return str(value)
 
 
+def _key_value(item: str, where: str, form: str) -> tuple[str, str]:
+    """item split at its first `=` into a SCHEMA key and the value text,
+    both stripped; an error starts with where and names the expected form."""
+    key, sep, value = item.partition("=")
+    key = key.strip()
+    if not sep:
+        raise ValueError(f"{where}: expected {form}, got {item!r}")
+    if key not in SCHEMA:
+        raise ValueError(f"{where}: unknown key {key!r}")
+    return key, value.strip()
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{source}:{lineno}: expected `key = value`, got {line!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in SCHEMA:
-            raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
-        raw[key] = value.strip()
+        if stripped and not stripped.startswith("#"):
+            key, value = _key_value(line, f"{source}:{lineno}", "`key = value`")
+            raw[key] = value
     return raw
 
 
@@ -156,13 +163,8 @@ class ExperimentConfig:
             text = Path(config_path).read_text(encoding="utf-8")
             raw.update(parse_config_text(text, source=str(config_path)))
         for item in overrides or []:
-            if "=" not in item:
-                raise ValueError(f"--set needs key=value, got {item!r}")
-            key, _, value = item.partition("=")
-            key = key.strip()
-            if key not in SCHEMA:
-                raise ValueError(f"--set: unknown key {key!r}")
-            raw[key] = value.strip()
+            key, value = _key_value(item, "--set", "key=value")
+            raw[key] = value
         values: dict[str, object] = {}
         for key, spec in SCHEMA.items():
             if key in raw:
@@ -232,12 +234,13 @@ class ExperimentConfig:
         unread = {name: None for name in filter(None, SCENARIO_KNOBS.values()) if name != knob}
         return self._section(ScenarioSpec, "scenario", seed=rng.seed_for(self.seed, "scenario"), **unread)
 
-    def model_config(self, modality_dims: tuple[int, ...], class_count: int) -> ModelConfig:
+    def model_config(self, train: DatasetManifest) -> ModelConfig:
+        """The model for train's modality dims and class count."""
         return self._section(
             ModelConfig,
             "model",
-            modality_dims=modality_dims,
-            class_count=class_count,
+            modality_dims=tuple(m.dim for m in train.modalities),
+            class_count=train.class_count,
             seed=rng.seed_for(self.seed, "model"),
         )
 
@@ -266,12 +269,7 @@ class ExperimentConfig:
         """
         axes: dict[str, list[object]] = {}
         for item in self["sweep.grid"]:
-            key, sep, text = item.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ValueError(f"sweep.grid: expected KEY=V1|V2|..., got {item!r}")
-            if key not in SCHEMA:
-                raise ValueError(f"sweep.grid: unknown key {key!r}")
+            key, text = _key_value(item, "sweep.grid", "KEY=V1|V2|...")
             kind = SCHEMA[key].kind
             if kind.endswith("_list") or key == "out_dir":
                 raise ValueError(f"sweep.grid: {key!r} cannot be an axis")

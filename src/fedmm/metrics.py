@@ -99,14 +99,14 @@ def evaluate(
     delta: AdapterDelta,
     manifest: DatasetManifest,
     metric: str = "auto",
-    chunk: int = 512,
     chunks: list[Batch] | None = None,
 ) -> EvalResult:
     """Run the model over a manifest and score it.
 
-    chunks, when given, must be eval_chunks(manifest, chunk), built once
-    by a caller that evaluates the same manifest many times. Each layer's
-    effective weight and one forward_scratch serve every chunk of a call.
+    chunks, when given, must be eval_chunks(manifest, ...), built once by
+    a caller that evaluates the same manifest many times; without them,
+    evaluate builds eval_chunks(manifest). Each layer's effective weight
+    and one forward_scratch serve every chunk of a call.
 
     auto resolves to roc_auc for two classes (positive-class probability
     as the score) and macro_f1 otherwise. Accuracy always rides along.
@@ -118,7 +118,7 @@ def evaluate(
     if metric == "auto":
         metric = "roc_auc" if manifest.class_count == 2 else "macro_f1"
     if chunks is None:
-        chunks = eval_chunks(manifest, chunk)
+        chunks = eval_chunks(manifest)
     weights = effective_weights(base, delta)
     scratch = forward_scratch(base, max(len(batch) for batch in chunks))
     prob = np.concatenate([softmax_probs(forward(base, delta, batch, weights, scratch)) for batch in chunks], axis=0)

@@ -43,7 +43,7 @@ input is written +0 and its weight-gradient slots are zeroed instead.
 make_batch assembles a client's whole shard, or a chunk of the test set,
 once per run; a lockstep group stacks its shards along a client axis,
 and its minibatches are row-takes of that stack (Batch.take).
-Evaluation keeps no activations and reuses one forward_scratch: a
+Evaluation writes activations only into one reused forward_scratch: a
 512-row, 32-wide activation is 128 KiB, glibc's mmap threshold, so a
 fresh one per layer would be mapped, or trimmed away, and faulted in.
 For the same reason a training loop allocates the step's grouped weights
@@ -74,7 +74,7 @@ import numpy as np
 
 from . import rng
 from .data import DatasetManifest
-from .tensorio import read_tensor_file, write_tensor_file
+from .tensorio import Entries, read_tensor_file, write_tensor_file
 
 
 @dataclass(frozen=True)
@@ -416,10 +416,10 @@ def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch, scr
     An idle stack (_stack_is_idle) is not run; its slice of the trunk
     input is written +0, the value running it would give.
 
-    With scratch (forward_scratch) the lists stay empty: tanh layers
-    alternate between blocks 0 and 1, and the encodings are copied side by
-    side into block 2, the trunk's input. Each block is a contiguous view
-    shaped like the fresh array it replaces, so the bytes stay the same."""
+    With scratch (forward_scratch) they are views that later layers
+    overwrite: tanh layers alternate between blocks 0 and 1, and the
+    encodings are copied side by side into block 2, the trunk's input. Each
+    block is a contiguous view shaped like the fresh array it replaces."""
     specs = base.specs
     modality_count = len(batch.features)
     per_mod = _encoder_depth(specs, modality_count)
@@ -439,9 +439,8 @@ def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch, scr
             if not base.zero_bias[layer]:
                 h += base.biases[layer]
             np.tanh(h, out=h)
-            if scratch is None:
-                inputs.append(u)
-                outputs.append(h)
+            inputs.append(u)
+            outputs.append(h)
             u = h
         return u
 
@@ -452,9 +451,8 @@ def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch, scr
         width = specs[stack[-1]].fan_out if per_mod else features.shape[-1] + 1
         if per_mod and _stack_is_idle(base, stack, batch, m):
             fused[..., offset : offset + width] = 0.0
-            if scratch is None:
-                inputs += [None] * per_mod
-                outputs += [None] * per_mod
+            inputs += [None] * per_mod
+            outputs += [None] * per_mod
         else:
             u = np.concatenate([features, batch.presence[m][..., None]], axis=-1, out=block(0, features.shape[-1] + 1))
             fused[..., offset : offset + width] = chain(stack, u, 0)
@@ -463,9 +461,8 @@ def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch, scr
     logits = u @ weights[head].swapaxes(-1, -2)
     if not base.zero_bias[head]:
         logits += base.biases[head]
-    if scratch is None:
-        inputs.append(u)
-        outputs.append(None)
+    inputs.append(u)
+    outputs.append(None)
     return logits, inputs, outputs
 
 
@@ -594,21 +591,45 @@ def adapter_meta(delta: AdapterDelta) -> dict:
     }
 
 
-def adapter_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> AdapterDelta:
-    """Rebuild the flat delta from adapter_meta and per-layer `.up`/`.down`
-    arrays, rejecting any array whose shape disagrees with the metadata."""
-    specs = tuple(
-        LayerSpec(e["name"], int(e["fan_in"]), int(e["fan_out"]), int(e["depth"]))
-        for e in meta["layers"]
-    )
-    rank = int(meta["rank"])
+def layer_arrays(delta: AdapterDelta, base: BaseWeights | None = None) -> list[tuple[str, np.ndarray]]:
+    """Each layer's named checkpoint arrays in file order: its base weight
+    and bias when base is given, then its up and down factors."""
+    arrays = []
+    for i, s in enumerate(delta.specs):
+        if base is not None:
+            arrays += [(f"{s.name}.weight", base.weights[i]), (f"{s.name}.bias", base.biases[i])]
+        arrays += [(f"{s.name}.up", delta.up[i]), (f"{s.name}.down", delta.down[i])]
+    return arrays
+
+
+def read_checkpoint(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray], AdapterDelta]:
+    """A checkpoint of `kind`: its header, its arrays, and its adapter
+    rebuilt from adapter_meta. Every `layers` entry must be an object with
+    the LayerSpec fields, the rank and every fan and depth a non-negative
+    int, and each array of layer_arrays (base ones too in a model
+    checkpoint) the shape its entry gives it."""
+    meta, arrays = read_tensor_file(path)
+    if meta.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind} checkpoint")
+    layers = meta["layers"]
+    if not isinstance(layers, list) or not all(isinstance(e, dict) for e in layers):
+        raise ValueError(f"{path}: header key 'layers' is not a list of objects")
+    entries = (Entries(path, "layer key", e) for e in layers)
+    specs = tuple(LayerSpec(e["name"], e["fan_in"], e["fan_out"], e["depth"]) for e in entries)
+    rank = meta["rank"]
+    sizes = [rank] + [v for s in specs for v in (s.fan_in, s.fan_out, s.depth)]
+    if not all(type(v) is int and v >= 0 for v in sizes):  # bool is an int subclass; a JSON true is no size
+        raise ValueError(f"{path}: header key 'rank' or 'layers' holds a size that is not a non-negative int")
     delta = AdapterDelta(specs, rank, float(meta["adapter_alpha"]), np.zeros(adapter_size(specs, rank)))
-    for i, s in enumerate(specs):
-        for name, view in ((f"{s.name}.up", delta.up[i]), (f"{s.name}.down", delta.down[i])):
-            if arrays[name].shape != view.shape:
-                raise ValueError(f"array {name!r} has shape {arrays[name].shape}, expected {view.shape}")
-            view[...] = arrays[name]
-    return delta
+    base = None
+    if kind == "model":  # zero base arrays in the shapes the file's must have
+        base = BaseWeights(specs, [np.zeros((s.fan_out, s.fan_in)) for s in specs], [np.zeros(s.fan_out) for s in specs])
+    for name, like in layer_arrays(delta, base):
+        if arrays[name].shape != like.shape:
+            raise ValueError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {like.shape}")
+    for name, view in layer_arrays(delta):
+        view[...] = arrays[name]
+    return meta, arrays, delta
 
 
 def layer_order(delta: AdapterDelta) -> np.ndarray:
@@ -620,20 +641,10 @@ def layer_order(delta: AdapterDelta) -> np.ndarray:
 
 
 def save_checkpoint(path: str | Path, base: BaseWeights, delta: AdapterDelta) -> None:
-    arrays = []
-    for i, s in enumerate(base.specs):
-        arrays.append((f"{s.name}.weight", base.weights[i]))
-        arrays.append((f"{s.name}.bias", base.biases[i]))
-        arrays.append((f"{s.name}.up", delta.up[i]))
-        arrays.append((f"{s.name}.down", delta.down[i]))
-    write_tensor_file(path, {"kind": "model", **adapter_meta(delta)}, arrays)
+    write_tensor_file(path, {"kind": "model", **adapter_meta(delta)}, layer_arrays(delta, base))
 
 
 def load_checkpoint(path: str | Path) -> tuple[BaseWeights, AdapterDelta]:
-    meta, arrays = read_tensor_file(path)
-    if meta.get("kind") != "model":
-        raise ValueError(f"{path}: not a model checkpoint")
-    delta = adapter_from_file(meta, arrays)
-    weights = [arrays[f"{s.name}.weight"] for s in delta.specs]
-    biases = [arrays[f"{s.name}.bias"] for s in delta.specs]
-    return BaseWeights(specs=delta.specs, weights=weights, biases=biases), delta
+    _, arrays, delta = read_checkpoint(path, "model")
+    specs = delta.specs
+    return BaseWeights(specs, [arrays[f"{s.name}.weight"] for s in specs], [arrays[f"{s.name}.bias"] for s in specs]), delta

@@ -40,13 +40,14 @@ from .model import (
     AdapterDelta,
     BaseWeights,
     ModelConfig,
-    adapter_from_file,
     adapter_meta,
     init_model,
+    layer_arrays,
     layer_order,
+    read_checkpoint,
 )
 from .partitioner import ClientPartition
-from .tensorio import read_tensor_file, write_tensor_file
+from .tensorio import write_tensor_file
 
 AGGREGATOR_KINDS = ("plain_avg", "avgm", "adagrad", "adam", "yogi")
 # avgm's steady-state step is lr / (1 - momentum) times the averaged
@@ -289,7 +290,7 @@ def local_baseline(
     partition: ClientPartition,
     train_manifest: DatasetManifest,
     test_manifest: DatasetManifest,
-    local_cfg: LocalTrainConfig | None = None,
+    local_cfg: LocalTrainConfig,
     metric: str = "auto",
     seed: int = 0,
 ) -> dict:
@@ -298,7 +299,6 @@ def local_baseline(
     value and accuracy, and which clients were skipped as empty. Clients
     of equal shard size train in lockstep groups, as in run_rounds. The
     test set is assembled once and scored for every client."""
-    local_cfg = local_cfg if local_cfg is not None else LocalTrainConfig(epochs=5)
     base, delta0 = init_model(model_cfg)
     test_chunks = eval_chunks(test_manifest)
     sizes = partition.sizes()
@@ -330,25 +330,18 @@ def save_server_state(path: str | Path, state: ServerState) -> None:
         **{name: getattr(state, name) for name in SERVER_STATE_SCALARS},
         **adapter_meta(delta),
     }
-    arrays: list[tuple[str, np.ndarray]] = []
-    for i, s in enumerate(delta.specs):
-        arrays.append((f"{s.name}.up", delta.up[i]))
-        arrays.append((f"{s.name}.down", delta.down[i]))
-    # the moment buffers in layer order, as the per-layer arrays above
+    # the moment buffers in layer order, as the per-layer arrays before them
     order = layer_order(delta)
-    arrays.extend((name, getattr(state, name)[order]) for name in SERVER_STATE_BUFFERS)
-    write_tensor_file(path, meta, arrays)
+    buffers = [(name, getattr(state, name)[order]) for name in SERVER_STATE_BUFFERS]
+    write_tensor_file(path, meta, layer_arrays(delta) + buffers)
 
 
 def load_server_state(path: str | Path) -> ServerState:
     """Read a server checkpoint, rejecting an unknown aggregator and any
     moment buffer whose width differs from the adapter's."""
-    meta, arrays = read_tensor_file(path)
-    if meta.get("kind") != "server":
-        raise ValueError(f"{path}: not a server checkpoint")
+    meta, arrays, delta = read_checkpoint(path, "server")
     if meta["aggregator"] not in AGGREGATOR_KINDS:
         raise ValueError(f"{path}: aggregator must be one of {AGGREGATOR_KINDS}, got {meta['aggregator']!r}")
-    delta = adapter_from_file(meta, arrays)
     for name in SERVER_STATE_BUFFERS:
         if arrays[name].shape != delta.flat.shape:
             raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, expected {delta.flat.shape}")

@@ -36,8 +36,7 @@ def run_config(*overrides):
     train = synth_generate(synth, split="train")
     test = synth_generate(synth, split="test", samples_per_class=int(cfg["synth.test_samples_per_class"]))
     partition = build_scenario(train, cfg.scenario_spec())
-    model_cfg = cfg.model_config(tuple(m.dim for m in train.modalities), train.class_count)
-    return cfg.fl_config(), model_cfg, partition, train, test
+    return cfg.fl_config(), cfg.model_config(train), partition, train, test
 
 
 def tiny_manifest(class_count=3, dims=(4, 3), per_class=10, split="train", seed=0):

@@ -17,6 +17,7 @@ from fedmm.cli import build_parser, run, summary_lines, sweep_configs
 from fedmm.config import SCHEMA, ExperimentConfig, parse_value
 from fedmm.data import load_manifest, save_manifest
 from fedmm.partitioner import load_partition
+from test_config import LINE_BREAKS
 from test_data import rewrite_line
 
 FAST_KEYS = [
@@ -461,6 +462,16 @@ def test_value_that_is_not_utf8_exits_2_without_out_dir(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["train", "--set", "data.train_manifest=\udcff", "--set", f"out_dir={out}"]) == 2
     assert "key 'data.train_manifest'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("brk", [*LINE_BREAKS, "\r\n"])
+def test_value_with_line_break_exits_2_without_out_dir(tmp_path, capsys, brk):
+    # the snapshot holds one value per line, so it could not replay this run
+    out = tmp_path / "out"
+    argv = ["train", "--set", f"data.train_manifest=a{brk}b", "--set", "fl.rounds=1", "--set", f"out_dir={out}"]
+    assert run(argv) == 2
+    assert "key 'data.train_manifest': a value cannot hold a line break" in capsys.readouterr().err
     assert not out.exists()
 
 

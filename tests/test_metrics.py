@@ -215,8 +215,8 @@ def test_evaluate_explicit_metric_and_chunking():
         class_count=3, rank=2, adapter_alpha=2.0, seed=4,
     )
     base, delta = init_model(cfg)
-    small = evaluate(base, delta, manifest, metric="macro_f1", chunk=7)
-    big = evaluate(base, delta, manifest, metric="macro_f1", chunk=512)
+    small = evaluate(base, delta, manifest, metric="macro_f1", chunks=eval_chunks(manifest, 7))
+    big = evaluate(base, delta, manifest, metric="macro_f1", chunks=eval_chunks(manifest, 512))
     assert small.value == big.value
     assert small.accuracy == big.accuracy
     assert small.metric == "macro_f1"
@@ -236,7 +236,7 @@ def test_evaluate_prebuilt_chunks_match_fresh_build():
     assert evaluate(base, delta, manifest, chunks=chunks) == fresh
     small = eval_chunks(manifest, 7)
     assert [len(batch) for batch in small] == [7, 7, 7, 7, 2]
-    assert evaluate(base, delta, manifest, chunks=small) == evaluate(base, delta, manifest, chunk=7)
+    assert evaluate(base, delta, manifest, chunks=small) == fresh
     assert not any(a.flags.writeable for b in small for a in (*b.features, *b.presence, b.labels))
 
 

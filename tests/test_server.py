@@ -478,21 +478,62 @@ def test_load_server_state_rejects_moment_width(tmp_path, tiny_delta, name):
         load_server_state(path)
 
 
+def saved_checkpoint(tmp_path, kind, cfg=ModelConfig(modality_dims=(3, 2), hidden=4, encoder_depth=1, trunk_depth=1, class_count=2, rank=2)):
+    """A model or server checkpoint of a fresh model, and its loader."""
+    base, delta = init_model(cfg)
+    path = tmp_path / f"{kind}.bin"
+    if kind == "model":
+        save_checkpoint(path, base, delta)
+        return path, load_checkpoint
+    save_server_state(path, init_server_state("adam", delta))
+    return path, load_server_state
+
+
 @pytest.mark.parametrize(
     "kind,key",
     [("model", "head.bias"), ("model", "head.up"), ("model", "rank"), ("server", "momentum_buf"), ("server", "lr")],
 )
 def test_loaders_name_file_and_missing_key(tmp_path, kind, key):
-    base, delta = init_model(ModelConfig(modality_dims=(3, 2), hidden=4, encoder_depth=1, trunk_depth=1, class_count=2, rank=2))
-    path = tmp_path / f"{kind}.bin"
-    if kind == "model":
-        save_checkpoint(path, base, delta)
-        load = load_checkpoint
-    else:
-        save_server_state(path, init_server_state("adam", delta))
-        load = load_server_state
+    path, load = saved_checkpoint(tmp_path, kind)
     rewrite_tensor_file(path, lambda meta, arrays: (meta if key in meta else arrays).pop(key))
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{re.escape(repr(key))}"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", ["model", "server"])
+@pytest.mark.parametrize(
+    "edit,key",
+    [
+        pytest.param(lambda meta: meta["layers"].__setitem__(0, 5), "layers", id="not-an-object"),
+        pytest.param(lambda meta: meta["layers"][0].pop("depth"), "depth", id="no-depth"),
+        pytest.param(lambda meta: meta["layers"][0].update(fan_in=None), "layers", id="null-fan"),
+        pytest.param(lambda meta: meta["layers"][0].update(fan_in=meta["layers"][0]["fan_in"] + 0.5), "layers", id="fractional-fan"),
+        pytest.param(lambda meta: meta.update(rank=meta["rank"] + 0.5), "rank", id="fractional-rank"),
+    ],
+)
+def test_loaders_reject_malformed_layer_entry(tmp_path, kind, edit, key):
+    path, load = saved_checkpoint(tmp_path, kind)
+    rewrite_tensor_file(path, lambda meta, arrays: edit(meta))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{re.escape(repr(key))}"):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "edit,name",
+    [
+        # the default model's two 32 x 17 first-layer weights share a shape group
+        pytest.param(
+            lambda arrays: arrays.update({n: arrays[n].T.copy() for n in ("enc0.0.weight", "enc1.0.weight")}),
+            "enc0.0.weight",
+            id="first-layer-weights-transposed",
+        ),
+        pytest.param(lambda arrays: arrays.update({"head.bias": arrays["head.bias"].reshape(2, 2)}), "head.bias", id="head-bias-2x2"),
+    ],
+)
+def test_load_checkpoint_rejects_misshapen_base(tmp_path, edit, name):
+    path, load = saved_checkpoint(tmp_path, "model", ModelConfig())
+    rewrite_tensor_file(path, lambda meta, arrays: edit(arrays))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: array {re.escape(repr(name))} has shape"):
         load(path)
 
 
