@@ -1,8 +1,10 @@
 """Datasets as feature manifests.
 
 A manifest is the unit of data exchange: named modalities with fixed
-feature dims, a class count, a split tag, and per-sample records holding
-dense float64 vectors for whichever modalities the sample has. Raw media
+feature dims, a class count, a split tag, and the samples stored as
+columns: the id list, one int64 label vector, per modality one (N, dim)
+float64 matrix (+0.0 in the rows of samples without that modality) and
+one (N, M) bool presence matrix, every array write-protected. Raw media
 never enters the package; features are precomputed elsewhere.
 
 Constraints the rest of the package relies on:
@@ -11,18 +13,24 @@ Constraints the rest of the package relies on:
   - labels lie in [0, class_count),
   - save_manifest(load_manifest(p)) reproduces p byte for byte.
 
-validate_manifest checks them in array passes: every id through one
-set, the labels in one pass, one union of the modality names the samples
-carry, and per modality one concatenation of its vectors and one
-finiteness test. The per-sample loop runs only when a pass fails, to
-name the first offending sample.
+A manifest is built from columns (synth_generate: one noise block and one
+centroid add per modality, no per-sample object) or from records
+(DatasetManifest.from_records, which load_manifest uses): the records are
+checked in array passes, every id through one set, the labels in one
+pass, one union of the modality names the samples carry, and per
+modality one concatenation of its vectors and one finiteness test; the
+per-sample loop runs only when a pass fails, to name the first offending
+sample. The checked records are then stacked once per modality.
+validate_manifest checks a manifest's columns in array passes alone.
+Sample is the record type; by_id and samples hand out rows as records
+of read-only views, built on each call and never kept.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,54 +59,127 @@ class Sample:
         return tuple(m.name in self.features for m in modalities)
 
 
-@dataclass
+@dataclass(eq=False)
 class DatasetManifest:
+    """A dataset's samples as columns (see the module docstring): `ids`,
+    `labels` (N,), `features[i]` (N, modalities[i].dim) and `presence`
+    (N, M). The arrays are write-protected as given; the id -> row index
+    is built here, once."""
+
     modalities: tuple[ModalityDescriptor, ...]
     class_count: int
     split: str
-    samples: list[Sample] = field(default_factory=list)
+    ids: tuple[str, ...]
+    labels: np.ndarray
+    features: tuple[np.ndarray, ...]
+    presence: np.ndarray
 
-    _id_index: dict[str, int] | None = field(default=None, repr=False, compare=False)
+    def __post_init__(self) -> None:
+        self.ids, self.features = tuple(self.ids), tuple(self.features)
+        for array in (self.labels, *self.features, self.presence):
+            array.flags.writeable = False
+        self._index = dict(zip(self.ids, range(len(self.ids))))
+
+    @classmethod
+    def from_records(
+        cls, modalities: tuple[ModalityDescriptor, ...], class_count: int, split: str, samples: list[Sample]
+    ) -> "DatasetManifest":
+        """The records as columns, after the checks validate_manifest
+        makes, run on the records: a ValueError names the first offending
+        sample. Labels are stored as int64."""
+        modalities, samples = tuple(modalities), list(samples)
+        dims = _check_header(modalities, class_count, split)
+        if not _valid_in_bulk(samples, class_count, dims):
+            _check_each_sample(samples, class_count, dims)
+        n = len(samples)
+        presence = np.array([s.presence(modalities) for s in samples], dtype=bool).reshape(n, len(modalities))
+        features = []
+        for m, present in zip(modalities, presence.T):
+            matrix = np.zeros((n, m.dim))
+            if present.any():
+                matrix[present] = np.stack([s.features[m.name] for s in samples if m.name in s.features])
+            features.append(matrix)
+        labels = np.array([s.label for s in samples], dtype=np.int64)
+        return cls(modalities, class_count, split, [s.id for s in samples], labels, features, presence)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
     def index_of(self, sample_id: str) -> int:
-        if self._id_index is None or len(self._id_index) != len(self.samples):
-            self._id_index = {s.id: i for i, s in enumerate(self.samples)}
         try:
-            return self._id_index[sample_id]
+            return self._index[sample_id]
         except KeyError:
             raise ValueError(f"unknown sample id {sample_id!r}") from None
 
+    def record(self, index: int) -> Sample:
+        """Row `index` as a record: its id, its label as an int, and a
+        read-only view of each vector it has."""
+        features = zip(self.modalities, self.features, self.presence[index])
+        return Sample(self.ids[index], int(self.labels[index]), {m.name: f[index] for m, f, has in features if has})
+
+    def rows(self, sample_ids: list[str]) -> np.ndarray:
+        """Each id's row, in order; ValueError naming an unknown id."""
+        try:
+            return np.array([self._index[sid] for sid in sample_ids], dtype=np.intp)
+        except KeyError as err:
+            raise ValueError(f"unknown sample id {err.args[0]!r}") from None
+
     def by_id(self, sample_id: str) -> Sample:
-        return self.samples[self.index_of(sample_id)]
+        return self.record(self.index_of(sample_id))
+
+    @property
+    def samples(self) -> list[Sample]:
+        """Every row as a record, in order."""
+        return [self.record(i) for i in range(len(self.ids))]
+
+
+def _check_header(modalities: tuple[ModalityDescriptor, ...], class_count: int, split: str) -> dict[str, int]:
+    """Check everything but the samples; return each modality's dim by name."""
+    names = [m.name for m in modalities]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate modality names: {names}")
+    if not modalities:
+        raise ValueError("manifest declares no modalities")
+    if class_count < 2:
+        raise ValueError(f"class_count must be >= 2, got {class_count}")
+    if split not in SPLITS:
+        raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
+    return {m.name: m.dim for m in modalities}
 
 
 def validate_manifest(manifest: DatasetManifest) -> None:
-    """Raise ValueError naming the offending sample on any format violation."""
-    names = [m.name for m in manifest.modalities]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate modality names: {names}")
-    if not manifest.modalities:
-        raise ValueError("manifest declares no modalities")
-    if manifest.class_count < 2:
-        raise ValueError(f"class_count must be >= 2, got {manifest.class_count}")
-    if manifest.split not in SPLITS:
-        raise ValueError(f"split must be one of {SPLITS}, got {manifest.split!r}")
-    dims = {m.name: m.dim for m in manifest.modalities}
-    if not _valid_in_bulk(manifest, dims):
-        _check_each_sample(manifest, dims)
+    """Raise ValueError naming the offending sample on any format
+    violation, in array passes over the columns."""
+    dims = _check_header(manifest.modalities, manifest.class_count, manifest.split)
+    ids = manifest.ids
+    if len(manifest._index) != len(ids):
+        seen: set[str] = set()
+        for sid in ids:
+            if sid in seen:
+                raise ValueError(f"duplicate sample id {sid!r}")
+            seen.add(sid)
+    bad = np.flatnonzero((manifest.labels < 0) | (manifest.labels >= manifest.class_count))
+    if bad.size:
+        raise ValueError(f"sample {ids[bad[0]]!r} label {manifest.labels[bad[0]]} outside [0, {manifest.class_count})")
+    bad = np.flatnonzero(~manifest.presence.any(axis=1))
+    if bad.size:
+        raise ValueError(f"sample {ids[bad[0]]!r} has no modalities")
+    for name, matrix, present in zip(dims, manifest.features, manifest.presence.T):
+        bad = np.flatnonzero(present & ~np.isfinite(matrix).all(axis=1))
+        if bad.size:
+            raise ValueError(f"sample {ids[bad[0]]!r} modality {name!r} has non-finite entries")
 
 
-def _valid_in_bulk(manifest: DatasetManifest, dims: dict[str, int]) -> bool:
+def _valid_in_bulk(samples: list[Sample], class_count: int, dims: dict[str, int]) -> bool:
     """True only if every sample passes _check_each_sample's checks, shown
-    with a few passes over the whole manifest; False when a pass fails or
+    with a few passes over the whole list; False when a pass fails or
     cannot run, and the per-sample loop must decide."""
-    samples = manifest.samples
     features = [s.features for s in samples]
     try:
         if len({s.id for s in samples}) != len(samples) or not all(features):
             return False
         # the loop's own comparison: a label of -0.5 or nan fails here too
-        if not all(0 <= s.label < manifest.class_count for s in samples):
+        if not all(0 <= s.label < class_count for s in samples):
             return False
         if not set().union(*features) <= dims.keys():
             return False
@@ -115,17 +196,17 @@ def _valid_in_bulk(manifest: DatasetManifest, dims: dict[str, int]) -> bool:
     return True
 
 
-def _check_each_sample(manifest: DatasetManifest, dims: dict[str, int]) -> None:
+def _check_each_sample(samples: list[Sample], class_count: int, dims: dict[str, int]) -> None:
     """Check sample by sample, in order, raising for the first violation."""
     seen: set[str] = set()
-    for s in manifest.samples:
+    for s in samples:
         if s.id in seen:
             raise ValueError(f"duplicate sample id {s.id!r}")
         seen.add(s.id)
         if not s.features:
             raise ValueError(f"sample {s.id!r} has no modalities")
-        if not (0 <= s.label < manifest.class_count):
-            raise ValueError(f"sample {s.id!r} label {s.label} outside [0, {manifest.class_count})")
+        if not (0 <= s.label < class_count):
+            raise ValueError(f"sample {s.id!r} label {s.label} outside [0, {class_count})")
         for name, vec in s.features.items():
             if name not in dims:
                 raise ValueError(f"sample {s.id!r} carries undeclared modality {name!r}")
@@ -211,9 +292,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                 raise ValueError(f"{at}: features[{name!r}] is not a list of numbers") from None
         sample_id = _typed(at, rec["id"], "id", str)
         samples.append(Sample(id=sample_id, label=_typed(at, rec["label"], "label", int), features=feats))
-    manifest = DatasetManifest(modalities=tuple(modalities), class_count=class_count, split=split, samples=samples)
-    validate_manifest(manifest)
-    return manifest
+    return DatasetManifest.from_records(tuple(modalities), class_count, split, samples)
 
 
 @dataclass(frozen=True)
@@ -271,18 +350,23 @@ def synth_generate(cfg: SynthConfig, split: str = "train", samples_per_class: in
     widths = [2 * ((dim + 1) // 2) for dim in cfg.dims]
     starts = np.cumsum([0, *widths])
     uniforms = rng.substream(cfg.seed, "synth", "noise", split).random((cfg.class_count * per_class, starts[-1]))
-    noise = [cfg.noise_scale * rng.box_muller(uniforms[:, a : a + w], dim) for dim, a, w in zip(cfg.dims, starts, widths)]
-    samples = []
-    for c in range(cfg.class_count):
-        rows = slice(c * per_class, (c + 1) * per_class)
-        feats = [centroids[(c, name)] + block[rows] for name, block in zip(cfg.modalities, noise)]
-        for j, row in enumerate(zip(*feats)):
-            samples.append(Sample(id=f"{split}-{c:02d}-{j:05d}", label=c, features=dict(zip(cfg.modalities, row))))
+    labels = np.repeat(np.arange(cfg.class_count, dtype=np.int64), per_class)
+    heads = [f"{split}-{c:02d}-" for c in range(cfg.class_count)]
+    tails = [f"{j:05d}" for j in range(per_class)]
+    features = []
+    for name, dim, a, w in zip(cfg.modalities, cfg.dims, starts, widths):
+        block = cfg.noise_scale * rng.box_muller(uniforms[:, a : a + w], dim)
+        # noise + centroid: the same sum, bit for bit, as centroid + noise
+        block += np.stack([centroids[(c, name)] for c in range(cfg.class_count)])[labels]
+        features.append(block)
     manifest = DatasetManifest(
         modalities=tuple(ModalityDescriptor(n, d) for n, d in zip(cfg.modalities, cfg.dims)),
         class_count=cfg.class_count,
         split=split,
-        samples=samples,
+        ids=[head + tail for head in heads for tail in tails],
+        labels=labels,
+        features=features,
+        presence=np.ones((labels.size, len(cfg.dims)), dtype=bool),
     )
     validate_manifest(manifest)
     return manifest
@@ -333,13 +417,14 @@ def modality_stats(partition, manifest: DatasetManifest) -> CountTable:
     """
     patterns = pattern_labels(manifest.modalities)
     counts: dict[tuple[int, int, str], int] = {}
+    labels = manifest.labels.tolist()
     for k, slot in enumerate(partition.clients):
         for sid, mask in zip(slot.sample_ids, slot.masks):
-            sample = manifest.by_id(sid)
+            row = manifest.index_of(sid)
             label = _pattern_of(mask, manifest.modalities)
             if not label:
                 raise ValueError(f"sample {sid!r} has an all-false mask")
-            key = (k, sample.label, label)
+            key = (k, labels[row], label)
             counts[key] = counts.get(key, 0) + 1
     return CountTable(
         patterns=patterns,

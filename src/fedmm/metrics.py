@@ -90,7 +90,7 @@ def eval_chunks(manifest: DatasetManifest, chunk: int = 512) -> list[Batch]:
     most `chunk` rows."""
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    ids = [s.id for s in manifest.samples]
+    ids = manifest.ids
     return [make_batch(manifest, ids[start : start + chunk]).freeze() for start in range(0, len(ids), chunk)]
 
 
@@ -113,7 +113,7 @@ def evaluate(
     """
     if metric not in METRIC_KINDS:
         raise ValueError(f"metric must be one of {METRIC_KINDS}, got {metric!r}")
-    if not manifest.samples:
+    if not len(manifest):
         raise ValueError("empty manifest")
     if metric == "auto":
         metric = "roc_auc" if manifest.class_count == 2 else "macro_f1"

@@ -40,9 +40,10 @@ without that modality) and all its biases are zero: a zero row gives a
 the stack's weight gradients are then +0 too; its slice of the trunk
 input is written +0 and its weight-gradient slots are zeroed instead.
 
-make_batch assembles a client's whole shard, or a chunk of the test set,
-once per run; a lockstep group stacks its shards along a client axis,
-and its minibatches are row-takes of that stack (Batch.take).
+make_batch gathers a client's whole shard, or a chunk of the test set,
+from the manifest's columns once per run; a lockstep group stacks its
+shards along a client axis, and its minibatches are row-takes of that
+stack (Batch.take).
 Evaluation writes activations only into one reused forward_scratch: a
 512-row, 32-wide activation is 128 KiB, glibc's mmap threshold, so a
 fresh one per layer would be mapped, or trimmed away, and faulted in.
@@ -350,27 +351,38 @@ def make_batch(
     sample_ids: list[str],
     masks: list[tuple[bool, ...]] | None = None,
 ) -> Batch:
-    """Assemble a batch in the given id order; masks default to manifest
-    presence and may only switch present modalities off, never on."""
-    mods = manifest.modalities
-    n = len(sample_ids)
-    feats = [np.zeros((n, m.dim)) for m in mods]
-    pres = [np.zeros(n) for _ in mods]
-    labels = np.zeros(n, dtype=np.int64)
+    """The rows of sample_ids, in that order, gathered from the manifest's
+    columns. masks default to manifest presence and may only switch
+    present modalities off, never on; a masked-off row's features are
+    assigned +0.0 (multiplying by the mask would leave -0.0 where a
+    feature is negative). Raises ValueError for the first id, in order,
+    that is unknown, whose mask is empty, or whose mask asks for a
+    modality its sample lacks."""
+    try:
+        rows = manifest.rows(sample_ids)
+        present = manifest.presence[rows]
+        mask = present if masks is None else np.array(masks, dtype=bool).reshape(len(masks), present.shape[1])
+    except ValueError:  # an unknown id or a mask of the wrong shape
+        rows = present = mask = None
+    if mask is None or mask.shape != present.shape or not mask.any(axis=1).all() or (mask > present).any():
+        _raise_first_fault(manifest, sample_ids, masks)
+    features = [matrix[rows] for matrix in manifest.features]
+    for matrix, keep in zip(features, mask.T):
+        matrix[~keep] = 0.0
+    return Batch(features=features, presence=[keep.astype(np.float64) for keep in mask.T], labels=manifest.labels[rows])
+
+
+def _raise_first_fault(manifest: DatasetManifest, sample_ids: list[str], masks: list[tuple[bool, ...]] | None) -> None:
+    """make_batch's error for the first faulty id, checked id by id."""
     for row, sid in enumerate(sample_ids):
-        sample = manifest.by_id(sid)
-        manifest_mask = sample.presence(mods)
-        mask = manifest_mask if masks is None else masks[row]
+        present = manifest.presence[manifest.index_of(sid)]
+        mask = present if masks is None else masks[row]
         if not any(mask):
             raise ValueError(f"sample {sid!r}: empty effective mask")
-        labels[row] = sample.label
-        for i, m in enumerate(mods):
-            if mask[i]:
-                if not manifest_mask[i]:
-                    raise ValueError(f"sample {sid!r}: mask requests absent modality {m.name!r}")
-                feats[i][row] = sample.features[m.name]
-                pres[i][row] = 1.0
-    return Batch(features=feats, presence=pres, labels=labels)
+        for m, want, has in zip(manifest.modalities, mask, present):
+            if want and not has:
+                raise ValueError(f"sample {sid!r}: mask requests absent modality {m.name!r}")
+    raise ValueError(f"need one mask of {len(manifest.modalities)} flags per sample id")
 
 
 def effective_weights(base: BaseWeights, delta: AdapterDelta) -> list[np.ndarray]:
@@ -406,26 +418,33 @@ def forward_scratch(base: BaseWeights, rows: int) -> np.ndarray:
     return np.empty((3, rows * max(max(s.fan_in, s.fan_out) for s in base.specs)))
 
 
-def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch, scratch: np.ndarray | None = None):
-    """Logits plus each layer's input and post-tanh output (None for the
-    head, and for both of every layer of an idle encoder stack), in
-    layer_specs order. With a client axis on the batch and the weights,
-    np.matmul runs every client's product in one call, each bit for bit
-    the 2-D product of that client alone.
+def _run_forward(
+    base: BaseWeights,
+    weights: list[np.ndarray],
+    batch: Batch,
+    scratch: np.ndarray | None = None,
+    tape: list | None = None,
+) -> np.ndarray:
+    """Logits. With a client axis on the batch and the weights, np.matmul
+    runs every client's product in one call, each bit for bit the 2-D
+    product of that client alone.
 
-    An idle stack (_stack_is_idle) is not run; its slice of the trunk
-    input is written +0, the value running it would give.
+    tape, when given, receives one (input, post-tanh output) pair per
+    layer in layer_specs order: the head's output is None, and both of
+    every layer of an idle encoder stack (_stack_is_idle, which is not
+    run; its slice of the trunk input is written +0, the value running it
+    would give). Only the backward pass reads them, so evaluation records
+    nothing.
 
-    With scratch (forward_scratch) they are views that later layers
-    overwrite: tanh layers alternate between blocks 0 and 1, and the
-    encodings are copied side by side into block 2, the trunk's input. Each
-    block is a contiguous view shaped like the fresh array it replaces."""
+    With scratch (forward_scratch) activations are views that later
+    layers overwrite: tanh layers alternate between blocks 0 and 1, and
+    the encodings are copied side by side into block 2, the trunk's input.
+    Each block is a contiguous view shaped like the fresh array it
+    replaces."""
     specs = base.specs
     modality_count = len(batch.features)
     per_mod = _encoder_depth(specs, modality_count)
     head = len(specs) - 1
-    inputs: list[np.ndarray | None] = []
-    outputs: list[np.ndarray | None] = []
 
     def block(k: int, width: int) -> np.ndarray:
         shape = (*batch.labels.shape, width)
@@ -439,8 +458,8 @@ def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch, scr
             if not base.zero_bias[layer]:
                 h += base.biases[layer]
             np.tanh(h, out=h)
-            inputs.append(u)
-            outputs.append(h)
+            if tape is not None:
+                tape.append((u, h))
             u = h
         return u
 
@@ -451,8 +470,8 @@ def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch, scr
         width = specs[stack[-1]].fan_out if per_mod else features.shape[-1] + 1
         if per_mod and _stack_is_idle(base, stack, batch, m):
             fused[..., offset : offset + width] = 0.0
-            inputs += [None] * per_mod
-            outputs += [None] * per_mod
+            if tape is not None:
+                tape += [(None, None)] * per_mod
         else:
             u = np.concatenate([features, batch.presence[m][..., None]], axis=-1, out=block(0, features.shape[-1] + 1))
             fused[..., offset : offset + width] = chain(stack, u, 0)
@@ -461,9 +480,9 @@ def _run_forward(base: BaseWeights, weights: list[np.ndarray], batch: Batch, scr
     logits = u @ weights[head].swapaxes(-1, -2)
     if not base.zero_bias[head]:
         logits += base.biases[head]
-    inputs.append(u)
-    outputs.append(None)
-    return logits, inputs, outputs
+    if tape is not None:
+        tape.append((u, None))
+    return logits
 
 
 def forward(
@@ -478,8 +497,7 @@ def forward(
     so they are composed once, and one forward_scratch(base, rows) for all."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    logits, _, _ = _run_forward(base, effective_weights(base, delta) if weights is None else weights, batch, scratch)
-    return logits
+    return _run_forward(base, effective_weights(base, delta) if weights is None else weights, batch, scratch)
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
@@ -536,7 +554,8 @@ def loss_and_grad(
     composed = compose_updates(delta, out=weights)
     np.add(composed.vec, base.flat, out=composed.vec)
     weights = composed.layers
-    logits, inputs, outputs = _run_forward(base, weights, batch)
+    tape: list[tuple[np.ndarray | None, np.ndarray | None]] = []
+    logits = _run_forward(base, weights, batch, tape=tape)
     loss, dlogits = _softmax_xent(logits, batch.labels)
 
     def backprop(layers: range, d: np.ndarray, to_input: bool) -> np.ndarray:
@@ -545,11 +564,11 @@ def loss_and_grad(
         weight; the gradient at the chain's input is computed only when
         to_input asks for it."""
         for layer in reversed(layers):
-            h = outputs[layer]
+            u, h = tape[layer]
             dz = d * (1.0 - h * h)
             if to_input or layer != layers[0]:
                 d = dz @ weights[layer]
-            np.matmul(dz.swapaxes(-1, -2), inputs[layer], out=weights[layer])
+            np.matmul(dz.swapaxes(-1, -2), u, out=weights[layer])
         return d
 
     specs = base.specs
@@ -557,14 +576,14 @@ def loss_and_grad(
     per_mod = _encoder_depth(specs, modality_count)
     head = len(specs) - 1
     dstream = dlogits @ weights[head]
-    np.matmul(dlogits.swapaxes(-1, -2), inputs[head], out=weights[head])
+    np.matmul(dlogits.swapaxes(-1, -2), tape[head][0], out=weights[head])
     dstream = backprop(range(modality_count * per_mod, head), dstream, per_mod > 0)
     # dstream spans the concatenated encodings, one stack's fan_out each
     offset = 0
     for m in range(modality_count if per_mod else 0):
         stack = range(m * per_mod, (m + 1) * per_mod)
         width = specs[stack[-1]].fan_out
-        if inputs[stack[0]] is None:  # idle: its weight gradients are +0
+        if tape[stack[0]][0] is None:  # idle: its weight gradients are +0
             for layer in stack:
                 weights[layer][...] = 0.0
         else:

@@ -115,10 +115,20 @@ class ClientPartition:
         return sum(self.sizes())
 
 
-def _check_assignment(
-    manifest: DatasetManifest, partition: ClientPartition, presence: dict[str, tuple[bool, ...]]
-) -> None:
-    """presence maps every manifest sample id to its Sample.presence."""
+def _check_assignment(manifest: DatasetManifest, partition: ClientPartition) -> None:
+    """Every manifest sample on exactly one client, each mask nonempty and
+    within its sample's presence; checked in array passes, and sample by
+    sample only to name the first fault."""
+    ids = [sid for slot in partition.clients for sid in slot.sample_ids]
+    in_step = all(len(slot.sample_ids) == len(slot.masks) for slot in partition.clients)
+    if in_step and len(set(ids)) == len(ids) == len(manifest):
+        try:
+            masks = [mask for slot in partition.clients for mask in slot.masks]
+            mask = np.array(masks, dtype=bool).reshape(len(ids), len(manifest.modalities))
+            if mask.any(axis=1).all() and not (mask > manifest.presence[manifest.rows(ids)]).any():
+                return
+        except ValueError:  # an unknown id or a mask of the wrong length; the loop names it
+            pass
     seen: set[str] = set()
     for k, slot in enumerate(partition.clients):
         if len(slot.sample_ids) != len(slot.masks):
@@ -127,14 +137,13 @@ def _check_assignment(
             if sid in seen:
                 raise ValueError(f"sample {sid!r} assigned to more than one client")
             seen.add(sid)
-            if sid not in presence:
-                raise ValueError(f"unknown sample id {sid!r}")
+            present = manifest.presence[manifest.index_of(sid)]
             if not any(mask):
                 raise ValueError(f"sample {sid!r} on client {k} has an empty mask")
-            if any(m and not p for m, p in zip(mask, presence[sid])):
+            if any(m and not p for m, p in zip(mask, present)):
                 raise ValueError(f"sample {sid!r} on client {k} masks in an absent modality")
-    if len(seen) != len(manifest.samples):
-        raise ValueError(f"partition covers {len(seen)} of {len(manifest.samples)} samples")
+    if len(seen) != len(manifest):
+        raise ValueError(f"partition covers {len(seen)} of {len(manifest)} samples")
 
 
 def largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -160,14 +169,10 @@ def dirichlet_partition(manifest: DatasetManifest, clients: int, alpha: float, s
         raise ValueError(f"alpha must be > 0, got {alpha}")
     gen = rng.substream(seed, "dirichlet")
     slots = [ClientSlot() for _ in range(clients)]
-    names = [m.name for m in manifest.modalities]
-    ids = [s.id for s in manifest.samples]
-    presence = [tuple(map(s.features.__contains__, names)) for s in manifest.samples]  # each Sample.presence
-    by_class: dict[int, list[int]] = {c: [] for c in range(manifest.class_count)}
-    for i, sample in enumerate(manifest.samples):
-        by_class[sample.label].append(i)
+    ids = manifest.ids
+    presence = list(map(tuple, manifest.presence.tolist()))
     for c in range(manifest.class_count):
-        idx = np.array(by_class[c], dtype=np.int64)
+        idx = np.flatnonzero(manifest.labels == c)
         if idx.size == 0:
             continue
         idx = idx[gen.permutation(idx.size)]
@@ -180,7 +185,7 @@ def dirichlet_partition(manifest: DatasetManifest, clients: int, alpha: float, s
             slots[k].masks.extend(presence[i] for i in chosen)
             start += counts[k]
     partition = ClientPartition(clients=slots)
-    _check_assignment(manifest, partition, dict(zip(ids, presence)))
+    _check_assignment(manifest, partition)
     return partition
 
 

@@ -84,8 +84,9 @@ def randomize_delta(delta, seed=0, scale=0.1):
     return out
 
 
-def manual_manifest():
-    """Two modalities, some samples missing one, for mask-sensitive tests."""
+def manual_records():
+    """manual_manifest's modalities and records, for tests that build a
+    manifest from edited records."""
     mods = (ModalityDescriptor("image", 2), ModalityDescriptor("text", 2))
     samples = [
         Sample("a", 0, {"image": np.array([1.0, 0.0]), "text": np.array([0.5, 0.5])}),
@@ -93,4 +94,11 @@ def manual_manifest():
         Sample("c", 0, {"text": np.array([1.0, 1.0])}),
         Sample("d", 1, {"image": np.array([2.0, 0.5]), "text": np.array([0.1, 0.9])}),
     ]
-    return DatasetManifest(modalities=mods, class_count=2, split="train", samples=samples)
+    return mods, samples
+
+
+def manual_manifest(samples=None):
+    """Two modalities, some samples missing one, for mask-sensitive tests;
+    samples, when given, replace manual_records' records."""
+    mods, records = manual_records()
+    return DatasetManifest.from_records(mods, 2, "train", records if samples is None else samples)

@@ -119,7 +119,7 @@ def test_01_gradient_correctness(capsys):
                     )
                 )
                 masks.append(tuple(bool(k) for k in keep))
-            manifest = DatasetManifest(
+            manifest = DatasetManifest.from_records(
                 modalities=tuple(
                     ModalityDescriptor(names[j], shape["modality_dims"][j]) for j in range(m)
                 ),

@@ -176,6 +176,78 @@ def test_baseline_output_hash_pinned(tmp_path, case):
     assert hashlib.sha256((tmp_path / "baseline.json").read_bytes()).hexdigest() == want
 
 
+TINY_MISSING = [
+    "synth.samples_per_class=4", "synth.test_samples_per_class=2", "scenario.clients=3",
+    "scenario.kind=missing", "scenario.beta=0.3",
+]
+
+# sha256 of every file `fedmm partition` and `fedmm export-instructions`
+# write apart from config.resolved (which holds out_dir), for the default
+# config and a tiny missing-modality one: the manifests, the partition,
+# its count table and the instruction files pin the data path as the
+# training pins pin the model.
+GOLDEN_DATA = {
+    ("partition", "default"): {
+        "counts.csv": "d509412eefa52b54cf58f94ed62ca1af06a579b51c1262684a6f8c72ef823ddf",
+        "partition.json": "fd495a0f14627f72d41eab9abacb5ae58681334d84a1ca7fdc7b8571ee72e2db",
+        "test_manifest.jsonl": "20d8c35ea8a3e3cb6ff899efbe96cb1673753c697d09ccfbfe40655e322787e8",
+        "train_manifest.jsonl": "c1e400c62fd380de5f2a2c9f1698cfad9555816e1dee6125322f7a18abcd0b2c",
+    },
+    ("partition", "tiny_missing"): {
+        "counts.csv": "afc808467774d6d310dc4d3a3e01e6ac21477f5751cfd0405476059f08a7357f",
+        "partition.json": "fb7dd1727c19f5cdc2c26c038218a0b8bc66732d23fbd39b4a474dee6d39a973",
+        "test_manifest.jsonl": "0663715301df0aef10e951767613719e9a47daa80cfd95ef952cadb2c7d9e957",
+        "train_manifest.jsonl": "f78552228d63b9d9b293c93d712a247e1f793eb2ac378f8202d38e64e7ad57ba",
+    },
+    ("export-instructions", "default"): {
+        "instructions/client_00.jsonl": "f35d5452e2a16ca3ec9b2aab0e164a5d7e2e05b6024cfc995f08979f821a18d5",
+        "instructions/client_01.jsonl": "1a4a14d84ccfa70c81dc544238741bb9cce19acc8e04a37d537fa68629772fa5",
+        "instructions/client_02.jsonl": "14f2aaa6d4689d149be984144843c298f5b8d1ddc2c2a9194d5d8b3a9d41dd39",
+        "instructions/client_03.jsonl": "59bcb88faf17775b65217b61ac396a52fb3f0749a712446d94a1d9830451270b",
+        "instructions/client_04.jsonl": "792282b29c4b523d62f1ac37629b3fed53dc0c94356e6bb4509e2eaeb565127f",
+        "instructions/client_05.jsonl": "f1fde2b3a206c0af23ea3fe8c2c59d9d9ee10c19e753545ff439265276530ece",
+        "instructions/client_06.jsonl": "a6025ff122be8839a7155e330b4ed375877946479c4244cac10da6f341330b03",
+        "instructions/client_07.jsonl": "158df70ca7b70e080294d2370f4a77c440592a85b89fad3a703b6d6562df8ce5",
+        "instructions/client_08.jsonl": "c2b196361f6a4168880f26048356995cfc9e81fc2c1f78aa72cb62744a48000a",
+        "instructions/client_09.jsonl": "f7043a25bc114232efd2411cf6d04c5b6e3ee05fdba6e971130747185fc38d47",
+    },
+    ("export-instructions", "tiny_missing"): {
+        "instructions/client_00.jsonl": "ef74978b7f4b511c760221f093fe8991e79a94cc4c0725bfdb2d95b726c6531c",
+        "instructions/client_01.jsonl": "3f8d4fc05586cf8d068d1d9d452f55b72f797fd0f92a5bf487632f2354dc7817",
+        "instructions/client_02.jsonl": "62f33a0dee1066e023a50b694e29eaefdd7afd31509f6d246e6a1b58c3789727",
+    },
+}
+
+
+@pytest.mark.parametrize("command,case", sorted(GOLDEN_DATA))
+def test_data_output_hashes_pinned(tmp_path, command, case):
+    argv = [command, "--set", f"out_dir={tmp_path}"]
+    for item in TINY_MISSING if case == "tiny_missing" else []:
+        argv += ["--set", item]
+    assert run(argv) == 0
+    written = sorted(p for p in tmp_path.rglob("*") if p.is_file() and p.name != "config.resolved")
+    got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+    assert got == GOLDEN_DATA[command, case]
+
+
+def test_train_from_saved_manifests_equals_train_from_synth(tmp_path):
+    """The record path (load_manifest) and the column path
+    (synth_generate) give the same data, so the same run."""
+    common = [*TINY_MISSING, "fl.rounds=5", "fl.eval_every=1"]
+
+    def argv(command, out, *extra):
+        items = [*common, *extra, f"out_dir={out}"]
+        return [command, *(arg for item in items for arg in ("--set", item))]
+
+    assert run(argv("partition", tmp_path / "data")) == 0
+    assert run(argv("train", tmp_path / "synth")) == 0
+    assert run(argv("train", tmp_path / "loaded", "data.source=manifest",
+                    f"data.train_manifest={tmp_path / 'data' / 'train_manifest.jsonl'}",
+                    f"data.test_manifest={tmp_path / 'data' / 'test_manifest.jsonl'}")) == 0
+    for name in ("runlog.jsonl", "server_state.bin", "model.bin"):
+        assert (tmp_path / "loaded" / name).read_bytes() == (tmp_path / "synth" / name).read_bytes(), name
+
+
 @pytest.mark.filterwarnings("ignore:divide by zero encountered in log:RuntimeWarning")
 def test_train_divergence_exits_2_without_infinity(tmp_path, capsys):
     out = tmp_path / "out"

@@ -1,12 +1,13 @@
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import validate_reference as reference
-from conftest import manual_manifest, tiny_manifest
+from conftest import manual_manifest, manual_records, tiny_manifest
 from fedmm import rng
 from fedmm.data import (
     SPLITS,
@@ -164,31 +165,31 @@ def test_load_manifest_rejects_or_round_trips(tmp_path_factory, lines):
 
 
 def test_validate_rejects_empty_sample():
-    manifest = manual_manifest()
-    manifest.samples.append(Sample("empty", 0, {}))
+    _, samples = manual_records()
+    samples.append(Sample("empty", 0, {}))
     with pytest.raises(ValueError, match="empty"):
-        validate_manifest(manifest)
+        manual_manifest(samples)
 
 
 def test_validate_rejects_bad_dim():
-    manifest = manual_manifest()
-    manifest.samples[0].features["image"] = np.zeros(3)
+    _, samples = manual_records()
+    samples[0].features["image"] = np.zeros(3)
     with pytest.raises(ValueError, match="'a'"):
-        validate_manifest(manifest)
+        manual_manifest(samples)
 
 
 def test_validate_rejects_nan():
-    manifest = manual_manifest()
-    manifest.samples[3].features["text"] = np.array([np.nan, 1.0])
+    _, samples = manual_records()
+    samples[3].features["text"] = np.array([np.nan, 1.0])
     with pytest.raises(ValueError, match="non-finite"):
-        validate_manifest(manifest)
+        manual_manifest(samples)
 
 
 def test_validate_rejects_label_out_of_range():
-    manifest = manual_manifest()
-    manifest.samples[0].label = 2
+    _, samples = manual_records()
+    samples[0].label = 2
     with pytest.raises(ValueError, match="label"):
-        validate_manifest(manifest)
+        manual_manifest(samples)
 
 
 _FAULTS = ("non_finite", "wrong_length", "negative_label", "fractional_label", "large_label", "duplicate_id",
@@ -196,9 +197,10 @@ _FAULTS = ("non_finite", "wrong_length", "negative_label", "fractional_label", "
 
 
 @st.composite
-def _faulty_manifests(draw):
-    """A well-formed manifest of 1-3 modalities with random dims, classes
-    and presence, then up to two faults, each on a drawn sample."""
+def _faulty_records(draw):
+    """A well-formed manifest's header (modalities, class count) and
+    records, of 1-3 modalities with random dims, classes and presence,
+    then up to two faults, each on a drawn record."""
     dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     names = [f"m{i}" for i in range(len(dims))]
     classes = draw(st.integers(2, 4))
@@ -239,28 +241,77 @@ def _faulty_manifests(draw):
         elif fault == "list_vector" and name:
             sample.features[name] = sample.features[name].tolist()
     mods = tuple(ModalityDescriptor(n, d) for n, d in zip(names, dims))
-    return DatasetManifest(modalities=mods, class_count=classes, split="train", samples=samples)
+    return mods, classes, samples
 
 
-def _verdict(check, manifest):
+def _verdict(check, *args):
     try:
-        check(manifest)
+        check(*args)
     except Exception as err:  # the type and message are the verdict
         return type(err), str(err)
     return None
 
 
 @settings(max_examples=400, deadline=None)
-@given(manifest=_faulty_manifests())
-def test_validate_matches_per_sample_reference(manifest):
-    assert _verdict(validate_manifest, manifest) == _verdict(reference.validate_manifest, manifest)
+@given(records=_faulty_records())
+def test_validate_matches_per_sample_reference(records):
+    """Building a manifest from records accepts exactly what the frozen
+    per-sample validator accepts, and otherwise raises its error; an
+    accepted manifest's columns hold the records bit for bit."""
+    mods, classes, samples = records
+    header = {"modalities": mods, "class_count": classes, "split": "train"}
+    built = []
+    verdict = _verdict(lambda: built.append(DatasetManifest.from_records(samples=samples, **header)))
+    assert verdict == _verdict(reference.validate_manifest, SimpleNamespace(samples=samples, **header))
+    if verdict is None:
+        validate_manifest(built[0])
+        for got, want in zip(built[0].samples, samples, strict=True):
+            assert got.id == want.id and sorted(got.features) == sorted(want.features)
+            assert all(got.features[k].view(np.uint64).tolist() == want.features[k].view(np.uint64).tolist() for k in want.features)
 
 
 def test_validate_rejects_negative_fractional_label():
-    manifest = manual_manifest()
-    manifest.samples[2].label = -0.5
+    _, samples = manual_records()
+    samples[2].label = -0.5
     with pytest.raises(ValueError, match=r"^sample 'c' label -0.5 outside \[0, 2\)$"):
+        manual_manifest(samples)
+
+
+def _column(columns, name):
+    """A column by key, or a modality's feature matrix by modality name."""
+    return columns[name] if name in columns else columns["features"][("image", "text").index(name)]
+
+
+def _manual_columns():
+    """manual_manifest's columns, as fresh writable arrays."""
+    m = manual_manifest()
+    return {"ids": list(m.ids), "labels": m.labels.copy(), "features": [f.copy() for f in m.features],
+            "presence": m.presence.copy()}
+
+
+@pytest.mark.parametrize(
+    "column,at,value,message",
+    [
+        ("ids", 2, "b", "duplicate sample id 'b'"),
+        ("labels", 1, 2, "sample 'b' label 2 outside [0, 2)"),
+        ("labels", 3, -1, "sample 'd' label -1 outside [0, 2)"),
+        ("presence", (2, 1), False, "sample 'c' has no modalities"),
+        ("text", (3, 0), np.inf, "sample 'd' modality 'text' has non-finite entries"),
+    ],
+)
+def test_validate_names_faulty_column_entry(column, at, value, message):
+    columns = _manual_columns()
+    _column(columns, column)[at] = value
+    manifest = DatasetManifest(manual_manifest().modalities, 2, "train", **columns)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         validate_manifest(manifest)
+
+
+def test_manifest_columns_are_write_protected():
+    manifest = manual_manifest()
+    for array in (manifest.labels, manifest.presence, *manifest.features, manifest.by_id("a").features["image"]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
 
 
 def test_synth_deterministic():

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import manual_manifest, randomize_delta, tiny_manifest
-from fedmm.data import SynthConfig, synth_generate
+import make_batch_reference as batch_reference
+from conftest import manual_manifest, manual_records, randomize_delta, tiny_manifest
+from fedmm.data import DatasetManifest, ModalityDescriptor, Sample, SynthConfig, synth_generate
 from fedmm.metrics import eval_chunks
 from fedmm.model import (
     AdapterDelta,
@@ -224,8 +225,9 @@ def test_absent_modality_features_ignored():
     assert batch.presence[1][0] == 0.0
     assert np.array_equal(batch.features[1][0], np.zeros(2))
     # masking a modality off makes stored feature values irrelevant
-    other = manual_manifest()
-    other.samples[3].features["text"] = np.array([-7.0, 4.0])
+    _, samples = manual_records()
+    samples[3].features["text"] = np.array([-7.0, 4.0])
+    other = manual_manifest(samples)
     mask = [(True, False)]
     a = forward(base, delta, make_batch(manifest, ["d"], mask))
     b = forward(base, delta, make_batch(other, ["d"], mask))
@@ -265,6 +267,65 @@ def test_make_batch_rejects_absent_request():
         make_batch(manifest, ["b"], [(True, True)])
     with pytest.raises(ValueError, match="empty"):
         make_batch(manifest, ["a"], [(False, False)])
+
+
+@st.composite
+def _batch_requests(draw):
+    """A manifest of 1-3 modalities whose samples lack some, then ids in a
+    random order (repeats allowed, now and then an unknown one) and either
+    no masks or one per id: a nonempty subset of the sample's modalities,
+    any flags at all, or its modalities plus any others."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    mods = tuple(ModalityDescriptor(f"m{i}", d) for i, d in enumerate(dims))
+    records = []
+    for i in range(draw(st.integers(1, 6))):
+        present = draw(st.lists(st.sampled_from(mods), min_size=1, max_size=len(mods), unique=True))
+        features = {m.name: np.array(draw(st.lists(st.floats(-3, 3), min_size=m.dim, max_size=m.dim))) for m in present}
+        records.append(Sample(f"s{i}", draw(st.integers(0, 2)), features))
+    manifest = DatasetManifest.from_records(mods, 3, "train", records)
+    ids = []
+    for _ in range(draw(st.integers(1, 8))):
+        ids.append("ghost" if draw(st.integers(0, 29)) == 7 else draw(st.sampled_from(records)).id)
+    if draw(st.booleans()):
+        return manifest, ids, None
+    masks = []
+    for sid in ids:
+        flags = draw(st.lists(st.booleans(), min_size=len(mods), max_size=len(mods)))
+        kind = "any" if sid == "ghost" else draw(st.sampled_from(["subset", "any", "superset"]))
+        if kind != "any":
+            has = manifest.by_id(sid).presence(mods)
+            flags = [f or h if kind == "superset" else f and h for f, h in zip(flags, has)]
+            flags[has.index(True)] |= not any(flags)
+        masks.append(tuple(flags))
+    return manifest, ids, masks
+
+
+@settings(max_examples=400, deadline=None)
+@given(request=_batch_requests())
+def test_make_batch_matches_per_row_reference(request):
+    """The column gather equals the frozen per-row assembly bit for bit
+    (a -0.0 where the reference has +0.0 fails), or raises its error."""
+    def verdict(assemble):
+        try:
+            return assemble(*request)
+        except Exception as err:  # the type and message are the verdict
+            return type(err), str(err)
+
+    got, want = verdict(make_batch), verdict(batch_reference.make_batch)
+    if not isinstance(want, Batch):
+        assert got == want
+        return
+    for g, w in zip([*got.features, *got.presence, got.labels], [*want.features, *want.presence, want.labels], strict=True):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+@pytest.mark.parametrize("masks", [None, []])
+def test_make_batch_of_no_ids_matches_reference(masks):
+    manifest = manual_manifest()
+    got, want = make_batch(manifest, [], masks), batch_reference.make_batch(manifest, [], masks)
+    for g, w in zip([*got.features, *got.presence, got.labels], [*want.features, *want.presence, want.labels], strict=True):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
 
 
 # ---------- loss ----------
