@@ -73,7 +73,7 @@ class RegularizerConfig:
     gamma_max: float = 0.1
     margin: int = 2  # depths masked off at each end; 4 suits ~30-layer stacks
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.gamma_max < 0:
             raise ValueError(f"gamma_max must be >= 0, got {self.gamma_max}")
         if self.margin < 0:
@@ -90,7 +90,7 @@ class LocalTrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -202,7 +202,6 @@ class ClientData:
 
 def client_data(manifest: DatasetManifest, slot: ClientSlot, reg_cfg: RegularizerConfig) -> ClientData:
     """Classify a client once and assemble its shard."""
-    reg_cfg.validate()
     missing_rate = client_missing_rate(slot, len(manifest.modalities))
     gamma = 0.0
     if reg_cfg.enabled:
@@ -322,7 +321,6 @@ def local_train(
     weights, the supplied global delta nor the shards are mutated;
     epochs=0 returns copies of the global delta and empty traces.
     """
-    train_cfg.validate()
     if not clients or len(seeds) != len(clients):
         raise ValueError("need one seed per client")
     sizes = [len(c.batch) for c in clients]

@@ -148,7 +148,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 @dataclass
 class ExperimentConfig:
-    """A fully resolved flat config; typed sub-configs derive on demand."""
+    """A fully resolved flat config, checked when it is built, its
+    scenario, FL and synth sections by deriving them; typed sub-configs
+    derive on demand."""
 
     values: dict[str, object]
 
@@ -174,14 +176,12 @@ class ExperimentConfig:
                     raise ValueError(f"key {key!r}: {err}") from None
             else:
                 values[key] = spec.default
-        cfg = cls(values=values)
-        cfg.validate()
-        return cfg
+        return cls(values=values)
 
     def __getitem__(self, key: str) -> object:
         return self.values[key]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self["data.source"] not in ("synth", "manifest"):
             raise ValueError(f"data.source must be synth or manifest, got {self['data.source']!r}")
         if self["data.source"] == "manifest":
@@ -190,10 +190,10 @@ class ExperimentConfig:
                     raise ValueError(f"data.source=manifest requires {key}")
         if self["metric"] not in METRIC_KINDS:
             raise ValueError(f"metric must be one of {METRIC_KINDS}, got {self['metric']!r}")
-        self.scenario_spec().validate()
-        self.fl_config().validate()  # and its local and reg sections
+        self.scenario_spec()
+        self.fl_config()  # and its local and reg sections
         if self["data.source"] == "synth":
-            self.synth_config().validate()
+            self.synth_config()
         self.sweep_axes()
 
     @property
@@ -290,9 +290,7 @@ class ExperimentConfig:
             if key not in SCHEMA:
                 raise ValueError(f"unknown key {key!r}")
             merged[key] = value
-        cfg = ExperimentConfig(values=merged)
-        cfg.validate()
-        return cfg
+        return ExperimentConfig(values=merged)
 
     def resolved_text(self) -> str:
         lines = [f"{key} = {render_value(SCHEMA[key].kind, self.values[key])}" for key in sorted(SCHEMA)]

@@ -20,10 +20,12 @@ checked in array passes, every id through one set, the labels in one
 pass, one union of the modality names the samples carry, and per
 modality one concatenation of its vectors and one finiteness test; the
 per-sample loop runs only when a pass fails, to name the first offending
-sample. The checked records are then stacked once per modality.
-validate_manifest checks a manifest's columns in array passes alone.
-Sample is the record type; by_id and samples hand out rows as records
-of read-only views, built on each call and never kept.
+sample. The checked records are then stacked once per modality. Either
+way the constructor checks the columns (validate_manifest, in array
+passes alone), so a DatasetManifest is valid once it exists and nothing
+downstream checks it again. Sample is the record type; by_id and
+samples hand out rows as records of read-only views, built on each call
+and never kept.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ class DatasetManifest:
     """A dataset's samples as columns (see the module docstring): `ids`,
     `labels` (N,), `features[i]` (N, modalities[i].dim) and `presence`
     (N, M). The arrays are write-protected as given; the id -> row index
-    is built here, once."""
+    is built here, once, and then the columns are checked
+    (validate_manifest)."""
 
     modalities: tuple[ModalityDescriptor, ...]
     class_count: int
@@ -79,14 +82,17 @@ class DatasetManifest:
         for array in (self.labels, *self.features, self.presence):
             array.flags.writeable = False
         self._index = dict(zip(self.ids, range(len(self.ids))))
+        validate_manifest(self)
 
     @classmethod
     def from_records(
         cls, modalities: tuple[ModalityDescriptor, ...], class_count: int, split: str, samples: list[Sample]
     ) -> "DatasetManifest":
-        """The records as columns, after the checks validate_manifest
-        makes, run on the records: a ValueError names the first offending
-        sample. Labels are stored as int64."""
+        """The records as columns. The records are checked before they are
+        stacked, with the checks validate_manifest makes on columns, so a
+        ValueError names the first offending sample in record order; the
+        constructor's column check then passes. Labels are stored as
+        int64."""
         modalities, samples = tuple(modalities), list(samples)
         dims = _check_header(modalities, class_count, split)
         if not _valid_in_bulk(samples, class_count, dims):
@@ -144,6 +150,9 @@ def _check_header(modalities: tuple[ModalityDescriptor, ...], class_count: int, 
         raise ValueError(f"class_count must be >= 2, got {class_count}")
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
+    for m in modalities:
+        if m.dim < 1:
+            raise ValueError(f"modality {m.name!r} dim must be >= 1, got {m.dim}")
     return {m.name: m.dim for m in modalities}
 
 
@@ -228,7 +237,6 @@ def _header_obj(manifest: DatasetManifest) -> dict:
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     """Write header line plus one record line per sample, UTF-8 JSONL."""
-    validate_manifest(manifest)
     order = [m.name for m in manifest.modalities]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(_header_obj(manifest), ensure_ascii=False) + "\n")
@@ -264,7 +272,7 @@ def _typed(where: str, value: object, what: str, kind: type):
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Read a manifest, raising ValueError naming the file and the line
     for anything that is not one: bad JSON, a missing key, a value of the
-    wrong type, or a manifest validate_manifest rejects."""
+    wrong type, or a manifest DatasetManifest.from_records rejects."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -313,7 +321,7 @@ class SynthConfig:
     noise_scale: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.class_count < 2:
             raise ValueError(f"class_count must be >= 2, got {self.class_count}")
         if len(self.modalities) != len(self.dims):
@@ -330,7 +338,6 @@ class SynthConfig:
 
 def synth_centroids(cfg: SynthConfig) -> dict[tuple[int, str], np.ndarray]:
     """Class/modality centroids as the generator draws them."""
-    cfg.validate()
     gen = rng.substream(cfg.seed, "synth", "centroids")
     out: dict[tuple[int, str], np.ndarray] = {}
     for c in range(cfg.class_count):
@@ -341,7 +348,6 @@ def synth_centroids(cfg: SynthConfig) -> dict[tuple[int, str], np.ndarray]:
 
 def synth_generate(cfg: SynthConfig, split: str = "train", samples_per_class: int | None = None) -> DatasetManifest:
     """Fully aligned synthetic manifest; same cfg and split give identical output."""
-    cfg.validate()
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
     per_class = cfg.samples_per_class if samples_per_class is None else samples_per_class
@@ -359,7 +365,7 @@ def synth_generate(cfg: SynthConfig, split: str = "train", samples_per_class: in
         # noise + centroid: the same sum, bit for bit, as centroid + noise
         block += np.stack([centroids[(c, name)] for c in range(cfg.class_count)])[labels]
         features.append(block)
-    manifest = DatasetManifest(
+    return DatasetManifest(
         modalities=tuple(ModalityDescriptor(n, d) for n, d in zip(cfg.modalities, cfg.dims)),
         class_count=cfg.class_count,
         split=split,
@@ -368,8 +374,6 @@ def synth_generate(cfg: SynthConfig, split: str = "train", samples_per_class: in
         features=features,
         presence=np.ones((labels.size, len(cfg.dims)), dtype=bool),
     )
-    validate_manifest(manifest)
-    return manifest
 
 
 def pattern_labels(modalities: tuple[ModalityDescriptor, ...]) -> list[str]:

@@ -93,7 +93,7 @@ class ModelConfig:
     def depth(self) -> int:
         return self.encoder_depth + self.trunk_depth + 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.modality_dims or any(d < 1 for d in self.modality_dims):
             raise ValueError(f"modality_dims must be positive, got {self.modality_dims}")
         if self.hidden < 1:
@@ -117,7 +117,6 @@ class LayerSpec:
 
 
 def layer_specs(cfg: ModelConfig) -> tuple[LayerSpec, ...]:
-    cfg.validate()
     m = len(cfg.modality_dims)
     specs: list[LayerSpec] = []
     for i, dim in enumerate(cfg.modality_dims):

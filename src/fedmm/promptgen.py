@@ -46,7 +46,7 @@ class TaskSpec:
     style: str = "stacked"
     answer_tail: str = ANSWER_TAIL
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.options) < 2:
             raise ValueError(f"need at least 2 options, got {len(self.options)}")
         if len(self.options) > 26:
@@ -122,7 +122,6 @@ def format_record(
 ) -> InstructionRecord:
     """Render one sample. mask, aligned with modality_names, narrows which
     modalities count as present; it defaults to the sample's own keys."""
-    task.validate()
     if not 0 <= sample.label < len(task.options):
         raise ValueError(f"sample {sample.id!r} label {sample.label} has no option")
     if mask is None:
@@ -157,7 +156,6 @@ def export_partition(
 ) -> int:
     """One UTF-8 JSONL file per client, empty clients included as empty
     files. Returns the number of files written."""
-    task.validate()
     if manifest.class_count != len(task.options):
         raise ValueError(
             f"manifest has {manifest.class_count} classes but task has {len(task.options)} options"

@@ -173,7 +173,7 @@ class FLRunConfig:
     metric: str = "auto"
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.clients_per_round < 1:
@@ -182,8 +182,6 @@ class FLRunConfig:
             raise ValueError(f"aggregator must be one of {AGGREGATOR_KINDS}, got {self.aggregator!r}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        self.local.validate()
-        self.reg.validate()
 
 
 @dataclass
@@ -240,7 +238,6 @@ def run_rounds(
     non-finite client loss or adapter, or a non-finite global adapter
     after aggregation, raises ValueError naming the round.
     """
-    cfg.validate()
     sizes = partition.sizes()
     base, delta0 = init_model(model_cfg)
     state = init_server_state(cfg.aggregator, delta0, cfg.server_lr)

@@ -72,6 +72,39 @@ def test_manifest_modality_without_dim_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_manifest_modality_dim_below_one_exits_2(tmp_path, capsys, dim):
+    bad, good = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    save_manifest(tiny_manifest(split="train"), bad)
+    save_manifest(tiny_manifest(split="test"), good)
+    rewrite_line(bad, 1, lambda obj: json.dumps({**obj, "modalities": [{"name": "image", "dim": dim}, {"name": "text", "dim": 3}]}))
+    argv = ["partition", "--set", "data.source=manifest", "--set", f"data.train_manifest={bad}",
+            "--set", f"data.test_manifest={good}", "--set", f"out_dir={tmp_path / 'out'}"]
+    assert run(argv) == 2
+    assert f"modality 'image' dim must be >= 1, got {dim}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_DEGENERATE_DRAW = "alpha=1e+308 draws degenerate Dirichlet shares for class 0"
+
+
+@pytest.mark.parametrize(
+    "command,override,message",
+    [
+        ("export-instructions", "synth.classes=27", "more options than letters"),
+        ("partition", "scenario.alpha=1e308", _DEGENERATE_DRAW),
+        ("baseline", "scenario.alpha=1e308", _DEGENERATE_DRAW),
+        ("export-instructions", "scenario.alpha=1e308", _DEGENERATE_DRAW),
+    ],
+    ids=["export-instructions-27-classes", "partition-alpha-1e308", "baseline-alpha-1e308", "export-instructions-alpha-1e308"],
+)
+def test_command_that_cannot_succeed_exits_2_without_out_dir(tmp_path, capsys, command, override, message):
+    out = tmp_path / "out"
+    assert run([command, "--set", override, "--set", f"out_dir={out}"]) == 2
+    assert f"fedmm {command}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_partition_conserves_samples(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", [f"out_dir = {tmp_path / 'out'}"])
     assert run(["partition", "--config", cfg]) == 0

@@ -1,4 +1,5 @@
-from dataclasses import MISSING, fields
+import re
+from dataclasses import MISSING, fields, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +9,9 @@ from fedmm.client import LocalTrainConfig, RegularizerConfig
 from fedmm.config import SCHEMA, ExperimentConfig, parse_config_text, parse_value, render_value
 from fedmm.data import SynthConfig, synth_generate
 from fedmm.model import ModelConfig
-from fedmm.partitioner import SCENARIO_KNOBS
+from fedmm.metrics import METRIC_KINDS
+from fedmm.partitioner import SCENARIO_KNOBS, ScenarioSpec
+from fedmm.promptgen import STYLES, TaskSpec
 from fedmm.server import AGGREGATOR_KINDS, FLRunConfig
 
 
@@ -72,6 +75,35 @@ def test_validate_rejects_bad_values():
     ]:
         with pytest.raises(ValueError, match=phrase):
             ExperimentConfig.from_sources(None, [override])
+
+
+# One bad field per checked type, with the message its check gives.
+_BAD_FIELDS = [
+    (RegularizerConfig(), "gamma_max", -1.0, "gamma_max must be >= 0, got -1.0"),
+    (LocalTrainConfig(), "batch_size", 0, "batch_size must be >= 1, got 0"),
+    (SynthConfig(), "class_count", 1, "class_count must be >= 2, got 1"),
+    (ModelConfig(), "rank", 0, "rank must be >= 1, got 0"),
+    (ScenarioSpec(kind="aligned", clients=4, alpha=0.5, seed=0), "alpha", 0.0, "alpha must be > 0, got 0.0"),
+    (TaskSpec(question="q", options=("a", "b")), "style", "fancy", f"style must be one of {STYLES}, got 'fancy'"),
+    (FLRunConfig(), "eval_every", 0, "eval_every must be >= 1, got 0"),
+    (
+        ExperimentConfig.from_sources(),
+        "values",
+        {**ExperimentConfig.from_sources().values, "metric": "brier"},
+        f"metric must be one of {METRIC_KINDS}, got 'brier'",
+    ),
+]
+
+
+@pytest.mark.parametrize("valid,field,bad,message", _BAD_FIELDS, ids=[type(case[0]).__name__ for case in _BAD_FIELDS])
+def test_checked_types_check_themselves_when_built(valid, field, bad, message):
+    """Each checked type raises for a bad field when it is built, directly
+    or through dataclasses.replace; nothing has to call a check later."""
+    given = {f.name: getattr(valid, f.name) for f in fields(valid)}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        type(valid)(**{**given, field: bad})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(valid, **{field: bad})
 
 
 def test_manifest_source_requires_paths():

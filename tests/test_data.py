@@ -112,6 +112,15 @@ def test_load_manifest_names_file_line_and_bad_value(tmp_path, manifest, lineno,
         load_manifest(path)
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_load_manifest_rejects_dim_below_one(tmp_path, manifest, dim):
+    path = tmp_path / "m.jsonl"
+    save_manifest(manifest, path)
+    rewrite_line(path, 1, lambda obj: json.dumps({**obj, "modalities": [{"name": "image", "dim": dim}, {"name": "text", "dim": 3}]}))
+    with pytest.raises(ValueError, match=f"^modality 'image' dim must be >= 1, got {dim}$"):
+        load_manifest(path)
+
+
 _json_value = st.recursive(
     st.one_of(st.integers(-2, 4), st.booleans(), st.floats(allow_infinity=False), st.text(max_size=2), st.none()),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
@@ -302,9 +311,8 @@ def _manual_columns():
 def test_validate_names_faulty_column_entry(column, at, value, message):
     columns = _manual_columns()
     _column(columns, column)[at] = value
-    manifest = DatasetManifest(manual_manifest().modalities, 2, "train", **columns)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        validate_manifest(manifest)
+        DatasetManifest(manual_manifest().modalities, 2, "train", **columns)
 
 
 def test_manifest_columns_are_write_protected():

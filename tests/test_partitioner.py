@@ -229,13 +229,13 @@ def test_classify_client_cases():
 # ---------- scenario spec + persistence ----------
 
 def test_scenario_spec_field_exclusivity():
-    ScenarioSpec(kind="aligned", clients=4, alpha=0.5, seed=0).validate()
+    ScenarioSpec(kind="aligned", clients=4, alpha=0.5, seed=0)
     with pytest.raises(ValueError, match="requires beta"):
-        ScenarioSpec(kind="missing", clients=4, alpha=0.5, seed=0).validate()
+        ScenarioSpec(kind="missing", clients=4, alpha=0.5, seed=0)
     with pytest.raises(ValueError, match="does not take"):
-        ScenarioSpec(kind="aligned", clients=4, alpha=0.5, seed=0, beta=0.5).validate()
+        ScenarioSpec(kind="aligned", clients=4, alpha=0.5, seed=0, beta=0.5)
     with pytest.raises(ValueError, match="does not take"):
-        ScenarioSpec(kind="cross", clients=4, alpha=0.5, seed=0, image_only_clients=2, keep_prob=0.5).validate()
+        ScenarioSpec(kind="cross", clients=4, alpha=0.5, seed=0, image_only_clients=2, keep_prob=0.5)
 
 
 def test_build_scenario_and_roundtrip(tmp_path, manifest):

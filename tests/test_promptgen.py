@@ -147,11 +147,11 @@ def test_label_outside_options_rejected():
 
 def test_task_validation():
     with pytest.raises(ValueError, match="options"):
-        TaskSpec(question="q", options=("only",)).validate()
+        TaskSpec(question="q", options=("only",))
     with pytest.raises(ValueError, match="style"):
-        TaskSpec(question="q", options=("a", "b"), style="fancy").validate()
+        TaskSpec(question="q", options=("a", "b"), style="fancy")
     with pytest.raises(ValueError, match="letters"):
-        TaskSpec(question="q", options=tuple(str(i) for i in range(27))).validate()
+        TaskSpec(question="q", options=tuple(str(i) for i in range(27)))
 
 
 def test_letters_run_from_a():

@@ -90,7 +90,7 @@ def test_sample_too_few_nonempty():
 @pytest.mark.parametrize("per_round", [0, -1])
 def test_fl_config_rejects_sampling_no_client(per_round):
     with pytest.raises(ValueError, match="clients_per_round must be >= 1"):
-        FLRunConfig(clients_per_round=per_round).validate()
+        FLRunConfig(clients_per_round=per_round)
 
 
 def test_sample_frequency_uniform():
