@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import itertools
 import json
 import re
@@ -34,23 +33,23 @@ import sys
 from pathlib import Path
 
 from .config import SCHEMA, ExperimentConfig, render_value
-from .data import DatasetManifest, load_manifest, modality_stats, save_manifest, synth_generate
-from .model import init_model, save_checkpoint
+from .data import SPLITS, DatasetManifest, load_manifest, modality_stats, save_manifest, synth_generate
+from .model import ModelConfig, save_checkpoint
 from .partitioner import ClientPartition, build_scenario, save_partition
 from .promptgen import CRISIS_MMD, HATEFUL_MEMES, TaskSpec, export_partition
 from .server import RunLog, local_baseline, run_rounds, sample_clients, save_server_state
 
 
-def _setup(cfg: ExperimentConfig) -> tuple[DatasetManifest, DatasetManifest, ClientPartition]:
-    """A run's train and test manifests and its partition of the train set."""
+def _setup(cfg: ExperimentConfig) -> tuple[DatasetManifest, DatasetManifest, ClientPartition, ModelConfig]:
+    """A run's train and test manifests, its partition of the train set,
+    and its model config, which needs the train manifest's dims, so every
+    command rejects the same configs before it makes a directory."""
     if cfg["data.source"] == "synth":
-        synth = cfg.synth_config()
-        train = synth_generate(synth, split="train")
-        test = synth_generate(synth, split="test", samples_per_class=int(cfg["synth.test_samples_per_class"]))
+        train, test = (synth_generate(cfg.synth_config(split), split=split) for split in SPLITS)
     else:
         train = load_manifest(str(cfg["data.train_manifest"]))
         test = load_manifest(str(cfg["data.test_manifest"]))
-    return train, test, build_scenario(train, cfg.scenario_spec())
+    return train, test, build_scenario(train, cfg.scenario_spec()), cfg.model_config(train)
 
 
 def _task_for(manifest: DatasetManifest) -> TaskSpec:
@@ -70,7 +69,7 @@ def _prepare_out(cfg: ExperimentConfig) -> Path:
 
 
 def cmd_partition(cfg: ExperimentConfig) -> int:
-    train, test, partition = _setup(cfg)
+    train, test, partition, _ = _setup(cfg)
     out = _prepare_out(cfg)
     if cfg["data.source"] == "synth":
         save_manifest(train, out / "train_manifest.jsonl")
@@ -82,9 +81,9 @@ def cmd_partition(cfg: ExperimentConfig) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
-    train, test, partition = _setup(cfg)
+    train, test, partition, model_cfg = _setup(cfg)
     timings: list[float] = []
-    log, state, base = run_rounds(cfg.fl_config(), cfg.model_config(train), partition, train, test, timings=timings)
+    log, state, base = run_rounds(cfg.fl_config(), model_cfg, partition, train, test, timings=timings)
     out = _prepare_out(cfg)
     log.write(out / "runlog.jsonl")
     save_server_state(out / "server_state.bin", state)
@@ -98,11 +97,10 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 
 def cmd_baseline(cfg: ExperimentConfig) -> int:
-    train, test, partition = _setup(cfg)
-    local_cfg = dataclasses.replace(cfg.local_config(), epochs=int(cfg["baseline.epochs"]))
+    train, test, partition, model_cfg = _setup(cfg)
     result = local_baseline(
-        cfg.model_config(train), partition, train, test,
-        local_cfg=local_cfg, metric=str(cfg["metric"]),
+        model_cfg, partition, train, test,
+        local_cfg=cfg.baseline_config(), metric=str(cfg["metric"]),
         seed=cfg.fl_config().seed,
     )
     out = _prepare_out(cfg)
@@ -113,7 +111,7 @@ def cmd_baseline(cfg: ExperimentConfig) -> int:
 
 
 def cmd_export_instructions(cfg: ExperimentConfig) -> int:
-    train, _, partition = _setup(cfg)
+    train, _, partition, _ = _setup(cfg)
     task = _task_for(train)
     out = _prepare_out(cfg)
     count = export_partition(partition, train, task, cfg["prompt.agnostic"], out / "instructions")
@@ -216,11 +214,10 @@ def sweep_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
 
 def preflight(cfg: ExperimentConfig) -> None:
     """Raise what a run of cfg would raise before its first round: its
-    data load, partition, first client sample and model config."""
-    train, _, partition = _setup(cfg)
+    set-up (data load, partition, model config) and first client sample."""
+    _, _, partition, _ = _setup(cfg)
     fl = cfg.fl_config()
     sample_clients(partition.sizes(), fl.clients_per_round, 1, fl.seed)
-    init_model(cfg.model_config(train))
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:

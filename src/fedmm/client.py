@@ -107,10 +107,6 @@ def mask_vector(depth: int, margin: int) -> np.ndarray:
     When 2 * margin >= depth nothing remains; that degenerate all-false
     mask is returned with a warning since it silences the regularizer.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
     mask = np.zeros(depth, dtype=bool)
     if 2 * margin >= depth:
         warnings.warn(
@@ -127,8 +123,6 @@ def gamma_for_client(gamma_max: float, kind: str, missing_rate: float) -> float:
     missing rate between."""
     if kind not in CLIENT_KINDS:
         raise ValueError(f"kind must be one of {CLIENT_KINDS}, got {kind!r}")
-    if gamma_max < 0:
-        raise ValueError(f"gamma_max must be >= 0, got {gamma_max}")
     if not 0.0 <= missing_rate <= 1.0:
         raise ValueError(f"missing_rate must lie in [0, 1], got {missing_rate}")
     if kind == "aligned":
@@ -274,10 +268,6 @@ def cosine_lr(step: int, total_steps: int, warmup_ratio: float, lr0: float) -> f
         raise ValueError(f"total_steps must be >= 1, got {total_steps}")
     if not 0 <= step < total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps})")
-    if lr0 <= 0:
-        raise ValueError(f"lr0 must be > 0, got {lr0}")
-    if not 0.0 <= warmup_ratio <= 1.0:
-        raise ValueError(f"warmup_ratio must lie in [0, 1], got {warmup_ratio}")
     warmup = math.ceil(warmup_ratio * total_steps)
     if step < warmup:
         return lr0 * (step + 1) / warmup

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import rng
 from .client import LocalTrainConfig, RegularizerConfig
-from .data import DatasetManifest, SynthConfig
+from .data import SPLITS, DatasetManifest, SynthConfig
 from .model import ModelConfig
 from .metrics import METRIC_KINDS
 from .partitioner import SCENARIO_KINDS, SCENARIO_KNOBS, ScenarioSpec
@@ -149,8 +149,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 @dataclass
 class ExperimentConfig:
     """A fully resolved flat config, checked when it is built, its
-    scenario, FL and synth sections by deriving them; typed sub-configs
-    derive on demand."""
+    scenario, FL, baseline and synth sections by deriving them; typed
+    sub-configs derive on demand. Only the model section, which needs the
+    train manifest's dims, is checked later, by cli._setup."""
 
     values: dict[str, object]
 
@@ -192,8 +193,10 @@ class ExperimentConfig:
             raise ValueError(f"metric must be one of {METRIC_KINDS}, got {self['metric']!r}")
         self.scenario_spec()
         self.fl_config()  # and its local and reg sections
+        self.baseline_config()
         if self["data.source"] == "synth":
-            self.synth_config()
+            for split in SPLITS:
+                self.synth_config(split)
         self.sweep_axes()
 
     @property
@@ -217,11 +220,14 @@ class ExperimentConfig:
                 given[f.name] = self[key]
         return cls(**given)
 
-    def synth_config(self) -> SynthConfig:
+    def synth_config(self, split: str = "train") -> SynthConfig:
+        """The generator of split's manifest: the two splits differ only in
+        samples_per_class."""
         return self._section(
             SynthConfig,
             "synth",
             class_count=self["synth.classes"],
+            samples_per_class=self["synth.samples_per_class" if split == "train" else "synth.test_samples_per_class"],
             modalities=tuple(self["synth.modalities"]),
             dims=tuple(self["synth.dims"]),
             seed=rng.seed_for(self.seed, "data"),
@@ -246,6 +252,11 @@ class ExperimentConfig:
 
     def local_config(self) -> LocalTrainConfig:
         return self._section(LocalTrainConfig, "local")
+
+    def baseline_config(self) -> LocalTrainConfig:
+        """The local section with baseline.epochs: the isolated-client
+        baseline's training."""
+        return self._section(LocalTrainConfig, "local", epochs=self["baseline.epochs"])
 
     def reg_config(self) -> RegularizerConfig:
         return self._section(RegularizerConfig, "reg")

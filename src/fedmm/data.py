@@ -10,28 +10,29 @@ never enters the package; features are precomputed elsewhere.
 Constraints the rest of the package relies on:
   - every sample carries at least one modality,
   - present vectors match the declared dim exactly and are finite,
-  - labels lie in [0, class_count),
+  - labels are integers in [0, class_count),
   - save_manifest(load_manifest(p)) reproduces p byte for byte.
 
 A manifest is built from columns (synth_generate: one noise block and one
 centroid add per modality, no per-sample object) or from records
-(DatasetManifest.from_records, which load_manifest uses): the records are
-checked in array passes, every id through one set, the labels in one
-pass, one union of the modality names the samples carry, and per
-modality one concatenation of its vectors and one finiteness test; the
-per-sample loop runs only when a pass fails, to name the first offending
-sample. The checked records are then stacked once per modality. Either
-way the constructor checks the columns (validate_manifest, in array
-passes alone), so a DatasetManifest is valid once it exists and nothing
-downstream checks it again. Sample is the record type; by_id and
-samples hand out rows as records of read-only views, built on each call
-and never kept.
+(DatasetManifest.from_records, which load_manifest uses): the records
+are stacked once per modality, checking only what stacking needs (an
+integer label, declared modality names, arrays of the declared dim).
+Either way the constructor checks the columns (validate_manifest, in
+array passes alone), so a DatasetManifest is valid once it exists and
+nothing downstream checks it again. When stacking or the column check
+fails on records, a per-sample loop names the first offending sample in
+record order; a pass over columns cannot, since a record's faults are
+reported in the order of its feature dict, not of the modalities. Sample
+is the record type; by_id and samples hand out rows as records of
+read-only views, built on each call and never kept.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,25 +89,14 @@ class DatasetManifest:
     def from_records(
         cls, modalities: tuple[ModalityDescriptor, ...], class_count: int, split: str, samples: list[Sample]
     ) -> "DatasetManifest":
-        """The records as columns. The records are checked before they are
-        stacked, with the checks validate_manifest makes on columns, so a
-        ValueError names the first offending sample in record order; the
-        constructor's column check then passes. Labels are stored as
-        int64."""
+        """The records as columns, labels stored as int64. On any fault the
+        ValueError names the first offending sample in record order."""
         modalities, samples = tuple(modalities), list(samples)
-        dims = _check_header(modalities, class_count, split)
-        if not _valid_in_bulk(samples, class_count, dims):
-            _check_each_sample(samples, class_count, dims)
-        n = len(samples)
-        presence = np.array([s.presence(modalities) for s in samples], dtype=bool).reshape(n, len(modalities))
-        features = []
-        for m, present in zip(modalities, presence.T):
-            matrix = np.zeros((n, m.dim))
-            if present.any():
-                matrix[present] = np.stack([s.features[m.name] for s in samples if m.name in s.features])
-            features.append(matrix)
-        labels = np.array([s.label for s in samples], dtype=np.int64)
-        return cls(modalities, class_count, split, [s.id for s in samples], labels, features, presence)
+        try:
+            return cls(modalities, class_count, split, *_stacked(modalities, samples))
+        except (TypeError, ValueError, OverflowError):
+            _check_each_sample(samples, class_count, _check_header(modalities, class_count, split))
+            raise
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -179,30 +169,26 @@ def validate_manifest(manifest: DatasetManifest) -> None:
             raise ValueError(f"sample {ids[bad[0]]!r} modality {name!r} has non-finite entries")
 
 
-def _valid_in_bulk(samples: list[Sample], class_count: int, dims: dict[str, int]) -> bool:
-    """True only if every sample passes _check_each_sample's checks, shown
-    with a few passes over the whole list; False when a pass fails or
-    cannot run, and the per-sample loop must decide."""
-    features = [s.features for s in samples]
-    try:
-        if len({s.id for s in samples}) != len(samples) or not all(features):
-            return False
-        # the loop's own comparison: a label of -0.5 or nan fails here too
-        if not all(0 <= s.label < class_count for s in samples):
-            return False
-        if not set().union(*features) <= dims.keys():
-            return False
-        for name, dim in dims.items():
-            vecs = [f[name] for f in features if name in f]
-            if not vecs:
-                continue
-            if {type(v) for v in vecs} != {np.ndarray} or {v.shape for v in vecs} != {(dim,)}:
-                return False
-            if not np.isfinite(np.concatenate(vecs)).all():
-                return False
-    except (TypeError, ValueError):  # an id, label or vector of the wrong kind; the loop names it
-        return False
-    return True
+def _stacked(modalities: tuple[ModalityDescriptor, ...], samples: list[Sample]) -> tuple:
+    """The records' ids, labels, feature matrices and presence, for the
+    constructor, which checks them; raises on a record that cannot be
+    stacked: a label that is not an integer, an undeclared modality, or a
+    vector that is not an array of its modality's dim."""
+    n, features = len(samples), [s.features for s in samples]
+    presence = np.array([s.presence(modalities) for s in samples], dtype=bool).reshape(n, len(modalities))
+    if presence.sum() != sum(map(len, features)):
+        raise ValueError("a sample carries an undeclared modality")
+    matrices = []
+    for m, present in zip(modalities, presence.T):
+        vecs = [f[m.name] for f in features if m.name in f]
+        if {getattr(v, "shape", None) for v in vecs} - {(m.dim,)}:
+            raise ValueError(f"modality {m.name!r} holds a vector that is not an array of shape ({m.dim},)")
+        matrix = np.zeros((n, m.dim))
+        if vecs:
+            matrix[present] = np.stack(vecs)
+        matrices.append(matrix)
+    labels = np.array([operator.index(s.label) for s in samples], dtype=np.int64)
+    return [s.id for s in samples], labels, matrices, presence
 
 
 def _check_each_sample(samples: list[Sample], class_count: int, dims: dict[str, int]) -> None:
@@ -216,6 +202,10 @@ def _check_each_sample(samples: list[Sample], class_count: int, dims: dict[str, 
             raise ValueError(f"sample {s.id!r} has no modalities")
         if not (0 <= s.label < class_count):
             raise ValueError(f"sample {s.id!r} label {s.label} outside [0, {class_count})")
+        try:
+            operator.index(s.label)
+        except TypeError:
+            raise ValueError(f"sample {s.id!r} label {s.label} is not an integer") from None
         for name, vec in s.features.items():
             if name not in dims:
                 raise ValueError(f"sample {s.id!r} carries undeclared modality {name!r}")
@@ -348,8 +338,6 @@ def synth_centroids(cfg: SynthConfig) -> dict[tuple[int, str], np.ndarray]:
 
 def synth_generate(cfg: SynthConfig, split: str = "train", samples_per_class: int | None = None) -> DatasetManifest:
     """Fully aligned synthetic manifest; same cfg and split give identical output."""
-    if split not in SPLITS:
-        raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
     per_class = cfg.samples_per_class if samples_per_class is None else samples_per_class
     centroids = synth_centroids(cfg)
     # One draw for the split, in the order per-sample rng.normal calls take it

@@ -106,6 +106,9 @@ class ModelConfig:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.adapter_alpha <= 0:
             raise ValueError(f"adapter_alpha must be > 0, got {self.adapter_alpha}")
+        for spec in layer_specs(self):
+            if self.rank > min(spec.fan_in, spec.fan_out):
+                raise ValueError(f"rank {self.rank} exceeds fan of layer {spec.name!r} ({spec.fan_out}x{spec.fan_in})")
 
 
 @dataclass(frozen=True)
@@ -282,12 +285,6 @@ def init_model(cfg: ModelConfig) -> tuple[BaseWeights, AdapterDelta]:
     up pairs zero (so the initial delta composes to nothing), down pairs
     Normal(0, 0.02^2)."""
     specs = layer_specs(cfg)
-    for spec in specs:
-        if cfg.rank > min(spec.fan_in, spec.fan_out):
-            raise ValueError(
-                f"rank {cfg.rank} exceeds fan of layer {spec.name!r} "
-                f"({spec.fan_out}x{spec.fan_in})"
-            )
     gen = rng.substream(cfg.seed, "model-init")
     delta = AdapterDelta(specs, cfg.rank, cfg.adapter_alpha, np.zeros(adapter_size(specs, cfg.rank)))
     weights, biases = [], []

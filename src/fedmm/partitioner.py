@@ -14,7 +14,8 @@ manifest sample actually carries, never empty). Four constructors:
             one modality chosen uniformly.
 
 The non-aligned constructors start from an aligned partition, so label
-skew and modality damage compose.
+skew and modality damage compose. They take their knobs as ScenarioSpec
+checked them when it was built, and do not check them again.
 """
 
 from __future__ import annotations
@@ -130,10 +131,6 @@ def largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
 
 def dirichlet_partition(manifest: DatasetManifest, clients: int, alpha: float, seed: int) -> ClientPartition:
     """Label-skewed split: per class, client shares ~ Dirichlet(alpha * 1_K)."""
-    if clients < 1:
-        raise ValueError(f"clients must be >= 1, got {clients}")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
     gen = rng.substream(seed, "dirichlet")
     slots = [ClientSlot() for _ in range(clients)]
     ids = manifest.ids
@@ -178,8 +175,6 @@ def apply_missing(partition: ClientPartition, beta: float, seed: int) -> ClientP
     A sample that would lose every modality keeps one chosen uniformly, so
     masks stay nonempty even at beta = 1.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
     width = _require_aligned(partition, "apply_missing")
     gen = rng.substream(seed, "missing")
     out = []
@@ -199,11 +194,8 @@ def apply_cross(partition: ClientPartition, image_only_clients: int, seed: int) 
     width = _require_aligned(partition, "apply_cross")
     if width != 2:
         raise ValueError(f"apply_cross needs exactly 2 modalities, got {width}")
-    k = len(partition.clients)
-    if not 0 <= image_only_clients <= k:
-        raise ValueError(f"image_only_clients must lie in [0, {k}], got {image_only_clients}")
     gen = rng.substream(seed, "cross")
-    chosen = set(int(i) for i in gen.choice(k, size=image_only_clients, replace=False))
+    chosen = set(int(i) for i in gen.choice(len(partition.clients), size=image_only_clients, replace=False))
     out = []
     for idx, slot in enumerate(partition.clients):
         mask = (True, False) if idx in chosen else (False, True)
@@ -217,8 +209,6 @@ def apply_hybrid(partition: ClientPartition, keep_prob: float, seed: int) -> Cli
     A client flipping everything away retains one modality chosen
     uniformly. Every sample of a client shares the client's mask.
     """
-    if not 0.0 <= keep_prob <= 1.0:
-        raise ValueError(f"keep_prob must lie in [0, 1], got {keep_prob}")
     width = _require_aligned(partition, "apply_hybrid")
     gen = rng.substream(seed, "hybrid")
     out = []

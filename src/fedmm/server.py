@@ -96,8 +96,6 @@ def sample_clients(sizes: list[int], per_round: int, round_idx: int, seed: int) 
     """per_round distinct nonempty-client indices, uniform, deterministic
     in (seed, round_idx); returned ascending."""
     eligible = [k for k, n in enumerate(sizes) if n > 0]
-    if per_round < 1:
-        raise ValueError(f"per_round must be >= 1, got {per_round}")
     if per_round > len(eligible):
         raise ValueError(f"cannot sample {per_round} of {len(eligible)} nonempty clients")
     gen = rng.substream(seed, "sample", round_idx)
@@ -145,12 +143,10 @@ def server_step(state: ServerState, pseudo_grad: AdapterDelta) -> ServerState:
         m = state.beta1 * m + (1.0 - state.beta1) * d
         v = state.beta2 * v + (1.0 - state.beta2) * d * d
         w = w + state.lr * m / (np.sqrt(v) + state.tau)
-    elif state.kind == "yogi":
+    else:  # yogi; init_server_state and load_server_state admit no other kind
         m = state.beta1 * m + (1.0 - state.beta1) * d
         v = v - (1.0 - state.beta2) * d * d * np.sign(v - d * d)
         w = w + state.lr * m / (np.sqrt(v) + state.tau)
-    else:
-        raise ValueError(f"unknown aggregator {state.kind!r}")
     return replace(
         state,
         global_delta=replace(state.global_delta, flat=w),

@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fedmm import cli
 from fedmm.client import client_data, local_train, round_reg_context
 from fedmm.config import ExperimentConfig
 from fedmm.data import DatasetManifest, ModalityDescriptor, Sample, SynthConfig, synth_generate
 from fedmm.model import ModelConfig, init_model
-from fedmm.partitioner import ClientPartition, ClientSlot, build_scenario
+from fedmm.partitioner import ClientPartition, ClientSlot
 
 
 def round_robin_partition(manifest, clients):
@@ -29,14 +30,11 @@ def train_client(base, delta, manifest, slot, cfg, reg_cfg, seed):
 
 
 def run_config(*overrides):
-    """run_rounds arguments for a config of `--set` overrides, built the
-    way `fedmm train` builds them."""
+    """run_rounds arguments for a config of `--set` overrides, built by
+    the set-up `fedmm train` runs."""
     cfg = ExperimentConfig.from_sources(None, list(overrides))
-    synth = cfg.synth_config()
-    train = synth_generate(synth, split="train")
-    test = synth_generate(synth, split="test", samples_per_class=int(cfg["synth.test_samples_per_class"]))
-    partition = build_scenario(train, cfg.scenario_spec())
-    return cfg.fl_config(), cfg.model_config(train), partition, train, test
+    train, test, partition, model_cfg = cli._setup(cfg)
+    return cfg.fl_config(), model_cfg, partition, train, test
 
 
 def tiny_manifest(class_count=3, dims=(4, 3), per_class=10, split="train", seed=0):

@@ -95,8 +95,15 @@ _DEGENERATE_DRAW = "alpha=1e+308 draws degenerate Dirichlet shares for class 0"
         ("partition", "scenario.alpha=1e308", _DEGENERATE_DRAW),
         ("baseline", "scenario.alpha=1e308", _DEGENERATE_DRAW),
         ("export-instructions", "scenario.alpha=1e308", _DEGENERATE_DRAW),
+        ("partition", "model.rank=0", "rank must be >= 1, got 0"),
+        ("partition", "model.rank=5", "rank 5 exceeds fan of layer 'head' (4x32)"),
+        ("export-instructions", "model.rank=5", "rank 5 exceeds fan of layer 'head' (4x32)"),
+        ("partition", "baseline.epochs=-1", "epochs must be >= 0, got -1"),
+        ("partition", "synth.test_samples_per_class=0", "samples_per_class must be >= 1"),
     ],
-    ids=["export-instructions-27-classes", "partition-alpha-1e308", "baseline-alpha-1e308", "export-instructions-alpha-1e308"],
+    ids=["export-instructions-27-classes", "partition-alpha-1e308", "baseline-alpha-1e308", "export-instructions-alpha-1e308",
+         "partition-rank-0", "partition-rank-5", "export-instructions-rank-5", "partition-baseline-epochs--1",
+         "partition-test-samples-0"],
 )
 def test_command_that_cannot_succeed_exits_2_without_out_dir(tmp_path, capsys, command, override, message):
     out = tmp_path / "out"
@@ -544,13 +551,23 @@ _BAD_VALUES = st.one_of(
 @settings(max_examples=120, deadline=None)
 @given(key=st.sampled_from([key for key in SCHEMA if key != "out_dir"]), value=_BAD_VALUES)
 def test_any_key_any_value_exits_0_or_2_without_out_dir(tmp_path_factory, key, value):
-    out = tmp_path_factory.mktemp("run") / "out"
-    argv = ["train"]
-    for item in [*FAST_KEYS, "fl.rounds = 1", f"{key}={value}", f"out_dir={out}"]:
-        argv += ["--set", item]
-    code = run(argv)
-    assert code in (0, 2)
-    assert code == 0 or not out.exists()
+    """`partition` and `train` both exit 2 without an out_dir, or
+    `partition` exits 0 and `train` and `baseline` replay the config from
+    its snapshot: a config one command accepts, every command accepts."""
+    root = tmp_path_factory.mktemp("run")
+    codes = {}
+    for command in ("partition", "train"):
+        argv = [command]
+        for item in [*FAST_KEYS, "fl.rounds = 1", f"{key}={value}", f"out_dir={root / command}"]:
+            argv += ["--set", item]
+        codes[command] = run(argv)
+        assert codes[command] == 0 or (codes[command] == 2 and not (root / command).exists())
+    if codes["partition"] == 2:
+        assert codes["train"] == 2
+        return
+    snapshot = str(root / "partition" / "config.resolved")
+    for command in ("train", "baseline"):
+        assert run([command, "--config", snapshot, "--set", f"out_dir={root / 'replay' / command}"]) == 0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])

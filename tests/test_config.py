@@ -77,13 +77,16 @@ def test_validate_rejects_bad_values():
             ExperimentConfig.from_sources(None, [override])
 
 
-# One bad field per checked type, with the message its check gives.
+_ALIGNED = ScenarioSpec(kind="aligned", clients=4, alpha=0.5, seed=0)
+
+# One bad field per checked type, with the message its check gives; then
+# one row per rule that only the type checks, no function downstream.
 _BAD_FIELDS = [
     (RegularizerConfig(), "gamma_max", -1.0, "gamma_max must be >= 0, got -1.0"),
     (LocalTrainConfig(), "batch_size", 0, "batch_size must be >= 1, got 0"),
     (SynthConfig(), "class_count", 1, "class_count must be >= 2, got 1"),
     (ModelConfig(), "rank", 0, "rank must be >= 1, got 0"),
-    (ScenarioSpec(kind="aligned", clients=4, alpha=0.5, seed=0), "alpha", 0.0, "alpha must be > 0, got 0.0"),
+    (_ALIGNED, "alpha", 0.0, "alpha must be > 0, got 0.0"),
     (TaskSpec(question="q", options=("a", "b")), "style", "fancy", f"style must be one of {STYLES}, got 'fancy'"),
     (FLRunConfig(), "eval_every", 0, "eval_every must be >= 1, got 0"),
     (
@@ -92,10 +95,40 @@ _BAD_FIELDS = [
         {**ExperimentConfig.from_sources().values, "metric": "brier"},
         f"metric must be one of {METRIC_KINDS}, got 'brier'",
     ),
+    (RegularizerConfig(), "margin", -1, "margin must be >= 0, got -1"),
+    (LocalTrainConfig(), "lr", 0.0, "lr must be > 0, got 0.0"),
+    (LocalTrainConfig(), "warmup_ratio", 1.5, "warmup_ratio must lie in [0, 1], got 1.5"),
+    (replace(_ALIGNED, kind="missing", beta=0.5), "beta", 1.5, "beta must lie in [0, 1], got 1.5"),
+    (replace(_ALIGNED, kind="hybrid", keep_prob=0.5), "keep_prob", -0.1, "keep_prob must lie in [0, 1], got -0.1"),
+    (
+        replace(_ALIGNED, kind="cross", image_only_clients=2),
+        "image_only_clients",
+        5,
+        "image_only_clients must lie in [0, 4], got 5",
+    ),
+    (_ALIGNED, "clients", 0, "clients must be >= 1, got 0"),
+    (ModelConfig(), "rank", 5, "rank 5 exceeds fan of layer 'head' (4x32)"),
+    (ModelConfig(), "trunk_depth", -1, "encoder_depth and trunk_depth must be >= 0"),
+    (
+        ExperimentConfig.from_sources(),
+        "values",
+        {**ExperimentConfig.from_sources().values, "baseline.epochs": -1},
+        "epochs must be >= 0, got -1",
+    ),
 ]
 
 
-@pytest.mark.parametrize("valid,field,bad,message", _BAD_FIELDS, ids=[type(case[0]).__name__ for case in _BAD_FIELDS])
+def _case_ids(cases):
+    """Each row's type name, followed by its field from the type's second
+    row on."""
+    ids = []
+    for valid, field, _, _ in cases:
+        name = type(valid).__name__
+        ids.append(f"{name}-{field}" if any(i.startswith(name) for i in ids) else name)
+    return ids
+
+
+@pytest.mark.parametrize("valid,field,bad,message", _BAD_FIELDS, ids=_case_ids(_BAD_FIELDS))
 def test_checked_types_check_themselves_when_built(valid, field, bad, message):
     """Each checked type raises for a bad field when it is built, directly
     or through dataclasses.replace; nothing has to call a check later."""

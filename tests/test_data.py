@@ -237,8 +237,8 @@ def _faulty_records(draw):
         elif fault == "negative_label":
             sample.label = draw(st.sampled_from([-1, -2, float("-inf")]))
         elif fault == "fractional_label":
-            # in range or not; an integer cast would accept -0.5, which the loop rejects
-            sample.label = draw(st.sampled_from([-0.5, -1e-9, 0.5, classes - 0.5, classes + 0.5, float("nan")]))
+            # in range or not, whole or not: an integer cast would accept -0.5 and 1.0
+            sample.label = draw(st.sampled_from([-0.5, -1e-9, 0.5, 1.0, classes - 0.5, classes + 0.5, float("nan")]))
         elif fault == "large_label":
             sample.label = draw(st.sampled_from([classes, classes + 1, 10**20]))
         elif fault == "duplicate_id":
@@ -275,7 +275,7 @@ def test_validate_matches_per_sample_reference(records):
     if verdict is None:
         validate_manifest(built[0])
         for got, want in zip(built[0].samples, samples, strict=True):
-            assert got.id == want.id and sorted(got.features) == sorted(want.features)
+            assert got.id == want.id and got.label == want.label and sorted(got.features) == sorted(want.features)
             assert all(got.features[k].view(np.uint64).tolist() == want.features[k].view(np.uint64).tolist() for k in want.features)
 
 
@@ -284,6 +284,22 @@ def test_validate_rejects_negative_fractional_label():
     samples[2].label = -0.5
     with pytest.raises(ValueError, match=r"^sample 'c' label -0.5 outside \[0, 2\)$"):
         manual_manifest(samples)
+
+
+@pytest.mark.parametrize("label", [0.5, 1.0, np.float64(1.0)], ids=["0.5", "1.0", "float64-1.0"])
+def test_validate_rejects_label_that_is_not_an_integer(label):
+    _, samples = manual_records()
+    samples[1].label = label
+    with pytest.raises(ValueError, match=f"^sample 'b' label {label} is not an integer$"):
+        manual_manifest(samples)
+
+
+@pytest.mark.parametrize("label", [True, np.int64(1), np.uint8(1)], ids=["True", "int64-1", "uint8-1"])
+def test_integer_label_of_any_integer_type_is_stored_as_int64(label):
+    _, samples = manual_records()
+    samples[1].label = label
+    manifest = manual_manifest(samples)
+    assert manifest.labels.dtype == np.int64 and manifest.by_id("b").label == 1
 
 
 def _column(columns, name):
@@ -330,6 +346,11 @@ def test_synth_deterministic():
     for sa, sb in zip(a.samples, b.samples):
         for name in sa.features:
             assert np.array_equal(sa.features[name], sb.features[name])
+
+
+def test_synth_rejects_unknown_split():
+    with pytest.raises(ValueError, match=r"^split must be one of \('train', 'test'\), got 'val'$"):
+        synth_generate(SynthConfig(), split="val")
 
 
 def test_synth_zero_noise_hits_centroids():

@@ -64,9 +64,8 @@ def test_layer_specs_depths():
 
 
 def test_rank_too_large_rejected():
-    cfg = ModelConfig(modality_dims=(2, 2), hidden=4, encoder_depth=1, trunk_depth=1, class_count=2, rank=3)
     with pytest.raises(ValueError, match="rank 3 exceeds"):
-        init_model(cfg)
+        ModelConfig(modality_dims=(2, 2), hidden=4, encoder_depth=1, trunk_depth=1, class_count=2, rank=3)
 
 
 def test_init_deterministic_and_zero_composition(tiny_model):
@@ -140,14 +139,17 @@ def test_factor_views_share_flat_vector(tiny_model):
 
 @st.composite
 def _model_configs(draw):
-    return ModelConfig(
+    """A valid config: its rank, at most 3, is at most its smallest fan."""
+    cfg = ModelConfig(
         modality_dims=tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))),
         hidden=draw(st.integers(1, 6)),
         encoder_depth=draw(st.integers(0, 3)),
         trunk_depth=draw(st.integers(0, 3)),
         class_count=draw(st.integers(2, 4)),
-        rank=draw(st.integers(1, 3)),
+        rank=1,
     )
+    fan = min(min(s.fan_in, s.fan_out) for s in layer_specs(cfg))
+    return replace(cfg, rank=draw(st.integers(1, min(3, fan))))
 
 
 @settings(max_examples=100, deadline=None)

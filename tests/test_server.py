@@ -461,6 +461,12 @@ def test_server_state_writes_moments_in_layer_order(tmp_path, tiny_delta):
     assert np.array_equal(loaded.global_delta.flat, state.global_delta.flat)
 
 
+def test_init_server_state_rejects_unknown_kind(tiny_delta):
+    # with load_server_state's check, this is what makes server_step's kinds exhaustive
+    with pytest.raises(ValueError, match=f"^kind must be one of {re.escape(str(AGGREGATOR_KINDS))}, got 'sgd'$"):
+        init_server_state("sgd", tiny_delta)
+
+
 def test_load_server_state_rejects_unknown_aggregator(tmp_path, tiny_delta):
     path = tmp_path / "state.bin"
     save_server_state(path, init_server_state("adam", tiny_delta))

@@ -4,9 +4,13 @@ This is validate_manifest as it stood before it checked manifests in
 bulk: one loop over the samples, every check on every vector. The bulk
 validator must accept exactly what this accepts and otherwise raise the
 same exception with the same message, so do not edit it along with fedmm.
+Its one later edit is the integer-label check, after the range check: a
+label such as 0.5 or 1.0 was accepted and stored truncated to an int.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -33,6 +37,10 @@ def validate_manifest(manifest: DatasetManifest) -> None:
             raise ValueError(f"sample {s.id!r} has no modalities")
         if not (0 <= s.label < manifest.class_count):
             raise ValueError(f"sample {s.id!r} label {s.label} outside [0, {manifest.class_count})")
+        try:
+            operator.index(s.label)
+        except TypeError:
+            raise ValueError(f"sample {s.id!r} label {s.label} is not an integer") from None
         for name, vec in s.features.items():
             if name not in dims:
                 raise ValueError(f"sample {s.id!r} carries undeclared modality {name!r}")
