@@ -14,11 +14,13 @@ Every run directory receives config.resolved, a full snapshot of the
 resolved flat config; rerunning any subcommand from the snapshot
 reproduces the directory's deterministic outputs byte for byte (wall
 times live in timing.jsonl, which is the one file allowed to differ).
-A command makes its directory only after its data load, partition and
-training have succeeded, so a failed run leaves no directory behind.
-`fedmm sweep` first loads and partitions every cell's data and checks
-its client sampling and model config, so a cell that cannot start
-stops the sweep before any directory exists.
+Every command starts with one set-up: it loads the data, builds the
+test set with the metric that will score it, partitions the train set,
+builds the model config and draws round 1's client sample. A command
+makes its directory only after its set-up and training have succeeded,
+so a failed run leaves no directory behind. `fedmm sweep` runs every
+cell's set-up first, so a cell that cannot start stops the sweep before
+any directory exists.
 """
 
 from __future__ import annotations
@@ -34,22 +36,36 @@ from pathlib import Path
 
 from .config import SCHEMA, ExperimentConfig, render_value
 from .data import SPLITS, DatasetManifest, load_manifest, modality_stats, save_manifest, synth_generate
+from .metrics import EvalSet
 from .model import ModelConfig, save_checkpoint
 from .partitioner import ClientPartition, build_scenario, save_partition
 from .promptgen import CRISIS_MMD, HATEFUL_MEMES, TaskSpec, export_partition
 from .server import RunLog, local_baseline, run_rounds, sample_clients, save_server_state
 
 
-def _setup(cfg: ExperimentConfig) -> tuple[DatasetManifest, DatasetManifest, ClientPartition, ModelConfig]:
-    """A run's train and test manifests, its partition of the train set,
-    and its model config, which needs the train manifest's dims, so every
-    command rejects the same configs before it makes a directory."""
+def _layout(manifest: DatasetManifest) -> str:
+    return f"{', '.join(f'{m.name} ({m.dim})' for m in manifest.modalities)} and {manifest.class_count} classes"
+
+
+def _setup(cfg: ExperimentConfig) -> tuple[DatasetManifest, EvalSet, ClientPartition, ModelConfig]:
+    """A run's train manifest, its test set ready to score, its partition
+    of the train set and its model config; it also draws round 1's client
+    sample. So every command rejects, before it makes a directory, what
+    any command would: a test manifest whose modalities or class count
+    differ from the train manifest's, a metric the test manifest cannot
+    score, a model config the train manifest's dims cannot carry, and
+    more clients per round than there are nonempty clients."""
     if cfg["data.source"] == "synth":
         train, test = (synth_generate(cfg.synth_config(split), split=split) for split in SPLITS)
     else:
         train = load_manifest(str(cfg["data.train_manifest"]))
         test = load_manifest(str(cfg["data.test_manifest"]))
-    return train, test, build_scenario(train, cfg.scenario_spec()), cfg.model_config(train)
+    if (test.modalities, test.class_count) != (train.modalities, train.class_count):
+        raise ValueError(f"the test manifest has {_layout(test)}, the train manifest {_layout(train)}")
+    partition = build_scenario(train, cfg.scenario_spec())
+    fl = cfg.fl_config()
+    sample_clients(partition.sizes(), fl.clients_per_round, 1, fl.seed)
+    return train, EvalSet(test, str(cfg["metric"])), partition, cfg.model_config(train)
 
 
 def _task_for(manifest: DatasetManifest) -> TaskSpec:
@@ -73,7 +89,7 @@ def cmd_partition(cfg: ExperimentConfig) -> int:
     out = _prepare_out(cfg)
     if cfg["data.source"] == "synth":
         save_manifest(train, out / "train_manifest.jsonl")
-        save_manifest(test, out / "test_manifest.jsonl")
+        save_manifest(test.manifest, out / "test_manifest.jsonl")
     save_partition(partition, cfg.scenario_spec(), out / "partition.json")
     modality_stats(partition, train).to_csv(out / "counts.csv")
     print(f"partition: {partition.total()} samples over {len(partition.clients)} clients -> {out}")
@@ -98,11 +114,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 def cmd_baseline(cfg: ExperimentConfig) -> int:
     train, test, partition, model_cfg = _setup(cfg)
-    result = local_baseline(
-        model_cfg, partition, train, test,
-        local_cfg=cfg.baseline_config(), metric=str(cfg["metric"]),
-        seed=cfg.fl_config().seed,
-    )
+    result = local_baseline(model_cfg, partition, train, test, local_cfg=cfg.baseline_config(), seed=cfg.fl_config().seed)
     out = _prepare_out(cfg)
     with open(out / "baseline.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(result, ensure_ascii=False, indent=1, allow_nan=False) + "\n")
@@ -212,18 +224,10 @@ def sweep_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     return list(subs.values())
 
 
-def preflight(cfg: ExperimentConfig) -> None:
-    """Raise what a run of cfg would raise before its first round: its
-    set-up (data load, partition, model config) and first client sample."""
-    _, _, partition, _ = _setup(cfg)
-    fl = cfg.fl_config()
-    sample_clients(partition.sizes(), fl.clients_per_round, 1, fl.seed)
-
-
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     subs = sweep_configs(cfg)
     for sub in subs:
-        preflight(sub)
+        _setup(sub)
     out = _prepare_out(cfg)
     for sub in subs:
         cmd_train(sub)

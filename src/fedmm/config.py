@@ -150,8 +150,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 class ExperimentConfig:
     """A fully resolved flat config, checked when it is built, its
     scenario, FL, baseline and synth sections by deriving them; typed
-    sub-configs derive on demand. Only the model section, which needs the
-    train manifest's dims, is checked later, by cli._setup."""
+    sub-configs derive on demand. What needs the loaded manifests is
+    checked by cli._setup: the model section against the train manifest's
+    dims, and the metric against the test manifest (metrics.EvalSet)."""
 
     values: dict[str, object]
 
@@ -267,7 +268,6 @@ class ExperimentConfig:
             "fl",
             local=self.local_config(),
             reg=self.reg_config(),
-            metric=self["metric"],
             seed=rng.seed_for(self.seed, "fl"),
         )
 

@@ -5,13 +5,14 @@ and array passes over the tie groups instead of all-pairs comparison.
 macro_f1 averages one-vs-rest F1 across every class index, counting
 classes nobody predicted or possessed as 0.
 
-A run that evaluates repeatedly assembles its test set once with
-eval_chunks and hands the chunks to every evaluate call.
+A run builds its test set once, as an EvalSet: the set checks, when it
+is built, that its metric can score it, and every evaluate call scores
+its prebuilt chunks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,15 +20,6 @@ from .data import DatasetManifest
 from .model import AdapterDelta, Batch, BaseWeights, effective_weights, forward, forward_scratch, make_batch, softmax_probs
 
 METRIC_KINDS = ("auto", "roc_auc", "macro_f1")
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    metric: str
-    value: float
-    accuracy: float
-    count: int
-    per_class: tuple[float, ...] | None = None
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -85,50 +77,51 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float((predictions == labels).mean())
 
 
-def eval_chunks(manifest: DatasetManifest, chunk: int = 512) -> list[Batch]:
-    """The manifest's samples in order, as write-protected batches of at
-    most `chunk` rows."""
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    ids = manifest.ids
-    return [make_batch(manifest, ids[start : start + chunk]).freeze() for start in range(0, len(ids), chunk)]
+@dataclass(eq=False)
+class EvalSet:
+    """A test manifest made ready to score, checked when it is built: the
+    metric with auto resolved (roc_auc for two classes, macro_f1
+    otherwise), and the samples in order as write-protected batches of at
+    most `chunk` rows. An empty manifest, and roc_auc on a manifest that
+    is not binary or lacks one of its two classes, are rejected."""
+
+    manifest: DatasetManifest
+    metric: str = "auto"
+    chunk: int = 512
+    chunks: list[Batch] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        manifest, labels = self.manifest, self.manifest.labels
+        if not labels.size:
+            raise ValueError("empty test manifest")
+        if self.metric == "auto":
+            self.metric = "roc_auc" if manifest.class_count == 2 else "macro_f1"
+        if self.metric not in METRIC_KINDS:
+            raise ValueError(f"metric must be one of {METRIC_KINDS}, got {self.metric!r}")
+        if self.metric == "roc_auc":
+            if manifest.class_count != 2:
+                raise ValueError(f"roc_auc needs a binary test manifest, got {manifest.class_count} classes")
+            for name, label in (("negative", 0), ("positive", 1)):
+                if not (labels == label).any():
+                    raise ValueError(f"roc_auc needs both classes, and the test manifest has no {name} samples")
+        if self.chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {self.chunk}")
+        ids = manifest.ids
+        self.chunks = [make_batch(manifest, ids[start : start + self.chunk]).freeze() for start in range(0, len(ids), self.chunk)]
 
 
-def evaluate(
-    base: BaseWeights,
-    delta: AdapterDelta,
-    manifest: DatasetManifest,
-    metric: str = "auto",
-    chunks: list[Batch] | None = None,
-) -> EvalResult:
-    """Run the model over a manifest and score it.
-
-    chunks, when given, must be eval_chunks(manifest, ...), built once by
-    a caller that evaluates the same manifest many times; without them,
-    evaluate builds eval_chunks(manifest). Each layer's effective weight
-    and one forward_scratch serve every chunk of a call.
-
-    auto resolves to roc_auc for two classes (positive-class probability
-    as the score) and macro_f1 otherwise. Accuracy always rides along.
-    """
-    if metric not in METRIC_KINDS:
-        raise ValueError(f"metric must be one of {METRIC_KINDS}, got {metric!r}")
-    if not len(manifest):
-        raise ValueError("empty manifest")
-    if metric == "auto":
-        metric = "roc_auc" if manifest.class_count == 2 else "macro_f1"
-    if chunks is None:
-        chunks = eval_chunks(manifest)
+def evaluate(base: BaseWeights, delta: AdapterDelta, test: EvalSet) -> dict:
+    """Score the model on a prebuilt test set; returns the run log's eval
+    record: the metric, its value and the accuracy, which always rides
+    along. roc_auc scores the positive-class probability. Each layer's
+    effective weight and one forward_scratch serve every chunk."""
     weights = effective_weights(base, delta)
-    scratch = forward_scratch(base, max(len(batch) for batch in chunks))
-    prob = np.concatenate([softmax_probs(forward(base, delta, batch, weights, scratch)) for batch in chunks], axis=0)
-    labels = np.concatenate([batch.labels for batch in chunks])
+    scratch = forward_scratch(base, max(len(batch) for batch in test.chunks))
+    prob = np.concatenate([softmax_probs(forward(base, delta, batch, weights, scratch)) for batch in test.chunks], axis=0)
+    labels = test.manifest.labels
     preds = prob.argmax(axis=1)
-    acc = accuracy(preds, labels)
-    if metric == "roc_auc":
-        if manifest.class_count != 2:
-            raise ValueError("roc_auc needs a binary manifest")
+    if test.metric == "roc_auc":
         value = roc_auc(prob[:, 1], labels)
-        return EvalResult(metric="roc_auc", value=value, accuracy=acc, count=labels.size)
-    value, per_class = macro_f1(preds, labels, manifest.class_count)
-    return EvalResult(metric="macro_f1", value=value, accuracy=acc, count=labels.size, per_class=per_class)
+    else:
+        value, _ = macro_f1(preds, labels, test.manifest.class_count)
+    return {"metric": test.metric, "value": value, "accuracy": accuracy(preds, labels)}

@@ -81,16 +81,6 @@ class ScenarioSpec:
         """Every field in declaration order, leaving out unset knobs."""
         return {name: value for name, value in asdict(self).items() if value is not None}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ScenarioSpec":
-        return cls(
-            kind=obj["kind"],
-            clients=int(obj["clients"]),
-            alpha=float(obj["alpha"]),
-            seed=int(obj["seed"]),
-            **{name: obj.get(name) for name in filter(None, SCENARIO_KNOBS.values())},
-        )
-
 
 @dataclass
 class ClientSlot:
@@ -274,15 +264,3 @@ def save_partition(partition: ClientPartition, spec: ScenarioSpec, path: str | P
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(obj, ensure_ascii=False, indent=1) + "\n")
-
-
-def load_partition(path: str | Path) -> tuple[ScenarioSpec, ClientPartition]:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    spec = ScenarioSpec.from_json_obj(obj["spec"])
-    slots = []
-    for entry in sorted(obj["clients"], key=lambda e: e["id"]):
-        ids = [s["sid"] for s in entry["samples"]]
-        masks = [tuple(bool(b) for b in s["mask"]) for s in entry["samples"]]
-        slots.append(ClientSlot(sample_ids=ids, masks=masks))
-    return spec, ClientPartition(clients=slots)

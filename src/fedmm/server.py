@@ -35,7 +35,7 @@ from .client import (
     round_reg_context,
 )
 from .data import DatasetManifest
-from .metrics import EvalResult, eval_chunks, evaluate
+from .metrics import EvalSet, evaluate
 from .model import (
     AdapterDelta,
     BaseWeights,
@@ -166,7 +166,6 @@ class FLRunConfig:
     reg: RegularizerConfig = field(default_factory=RegularizerConfig)
     server_lr: float | None = None
     eval_every: int = 5
-    metric: str = "auto"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -210,16 +209,12 @@ class RunLog:
         return None
 
 
-def _eval_obj(result: EvalResult) -> dict:
-    return {"metric": result.metric, "value": result.value, "accuracy": result.accuracy}
-
-
 def run_rounds(
     cfg: FLRunConfig,
     model_cfg: ModelConfig,
     partition: ClientPartition,
     train_manifest: DatasetManifest,
-    test_manifest: DatasetManifest,
+    test: EvalSet,
     timings: list[float] | None = None,
 ) -> tuple[RunLog, ServerState, BaseWeights]:
     """The full federated loop. Test samples are only ever scored, inside
@@ -228,17 +223,15 @@ def run_rounds(
     produce identical logs.
 
     Each client's shard is assembled and classified the first time the
-    client is sampled, and the test set once per run; both caches die
-    with the call. One local_train call trains a round's clients, and
-    their results are checked and aggregated in sampled order. A
-    non-finite client loss or adapter, or a non-finite global adapter
-    after aggregation, raises ValueError naming the round.
+    client is sampled; the cache dies with the call. One local_train call
+    trains a round's clients, and their results are checked and aggregated
+    in sampled order. A non-finite client loss or adapter, or a non-finite
+    global adapter after aggregation, raises ValueError naming the round.
     """
     sizes = partition.sizes()
     base, delta0 = init_model(model_cfg)
     state = init_server_state(cfg.aggregator, delta0, cfg.server_lr)
     clients: dict[int, ClientData] = {}
-    test_chunks = eval_chunks(test_manifest)
     log = RunLog()
     for t in range(1, cfg.rounds + 1):
         started = time.perf_counter()
@@ -261,7 +254,7 @@ def run_rounds(
             raise ValueError(f"round {t}: global adapter is not finite after aggregating clients {picked}")
         eval_obj = None
         if t % cfg.eval_every == 0 or t == cfg.rounds:
-            eval_obj = _eval_obj(evaluate(base, state.global_delta, test_manifest, cfg.metric, chunks=test_chunks))
+            eval_obj = evaluate(base, state.global_delta, test)
         if timings is not None:
             timings.append(time.perf_counter() - started)
         log.records.append(
@@ -282,27 +275,23 @@ def local_baseline(
     model_cfg: ModelConfig,
     partition: ClientPartition,
     train_manifest: DatasetManifest,
-    test_manifest: DatasetManifest,
+    test: EvalSet,
     local_cfg: LocalTrainConfig,
-    metric: str = "auto",
     seed: int = 0,
 ) -> dict:
     """Isolated per-client training from the shared init, no aggregation,
     no proximal term. Returns per-client results, their unweighted mean
     value and accuracy, and which clients were skipped as empty. Clients
-    of equal shard size train in lockstep groups, as in run_rounds. The
-    test set is assembled once and scored for every client."""
+    of equal shard size train in lockstep groups, as in run_rounds, and
+    every client is scored on the one prebuilt test set."""
     base, delta0 = init_model(model_cfg)
-    test_chunks = eval_chunks(test_manifest)
     sizes = partition.sizes()
     nonempty = [k for k, n in enumerate(sizes) if n > 0]
-    if not nonempty:
-        raise ValueError("no nonempty clients to train")
     clients = [client_data(train_manifest, partition.clients[k], RegularizerConfig(enabled=False)) for k in nonempty]
     seeds = [rng.seed_for(seed, "baseline", k) for k in nonempty]
     trained, _ = local_train(base, delta0, clients, local_cfg, seeds)
     per_client = {
-        str(k): _eval_obj(evaluate(base, replace(delta0, flat=row), test_manifest, metric, chunks=test_chunks))
+        str(k): evaluate(base, replace(delta0, flat=row), test)
         for k, row in zip(nonempty, trained.flat)
     }
     values = [r["value"] for r in per_client.values()]

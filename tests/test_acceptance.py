@@ -26,7 +26,7 @@ from fedmm.client import (
 )
 from fedmm.cli import run as cli_run
 from fedmm.data import Sample, SynthConfig, synth_generate
-from fedmm.metrics import macro_f1, roc_auc
+from fedmm.metrics import EvalSet, macro_f1, roc_auc
 from fedmm.model import (
     AdapterDelta,
     ModelConfig,
@@ -328,7 +328,7 @@ def fl_versus_local(seed):
         samples_per_class=100, centroid_scale=3.0, noise_scale=1.0, seed=seed,
     )
     train = synth_generate(synth, split="train")
-    test = synth_generate(synth, split="test", samples_per_class=50)
+    test = EvalSet(synth_generate(synth, split="test", samples_per_class=50))
     spec = ScenarioSpec(kind="aligned", clients=10, alpha=0.5, seed=seed)
     partition = build_scenario(train, spec)
     model_cfg = ModelConfig(
@@ -367,7 +367,7 @@ def cross_run(seed, reg_enabled):
         samples_per_class=100, centroid_scale=3.0, noise_scale=3.0, seed=seed,
     )
     train = synth_generate(synth, split="train")
-    test = synth_generate(synth, split="test", samples_per_class=50)
+    test = EvalSet(synth_generate(synth, split="test", samples_per_class=50))
     spec = ScenarioSpec(kind="cross", clients=10, alpha=0.5, seed=seed, image_only_clients=5)
     partition = build_scenario(train, spec)
     model_cfg = ModelConfig(

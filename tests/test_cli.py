@@ -16,7 +16,6 @@ from conftest import tiny_manifest
 from fedmm.cli import build_parser, run, summary_lines, sweep_configs
 from fedmm.config import SCHEMA, ExperimentConfig, parse_value
 from fedmm.data import load_manifest, save_manifest
-from fedmm.partitioner import load_partition
 from test_config import LINE_BREAKS
 from test_data import rewrite_line
 
@@ -72,6 +71,32 @@ def test_manifest_modality_without_dim_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "test_manifest,keep,message",
+    [
+        ({}, lambda record: False, "empty test manifest"),
+        ({}, lambda record: record["label"] == 0, "roc_auc needs both classes, and the test manifest has no positive samples"),
+        ({"class_count": 3}, lambda record: True,
+         "the test manifest has image (4), text (3) and 3 classes, the train manifest image (4), text (3) and 2 classes"),
+        ({"dims": (5, 3)}, lambda record: True,
+         "the test manifest has image (5), text (3) and 2 classes, the train manifest image (4), text (3) and 2 classes"),
+    ],
+    ids=["header-only", "binary-label-0-only", "three-classes", "other-dims"],
+)
+def test_manifest_test_set_the_run_cannot_score_exits_2(tmp_path, capsys, test_manifest, keep, message):
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    save_manifest(tiny_manifest(class_count=2, split="train"), train)
+    save_manifest(tiny_manifest(**{"class_count": 2, "split": "test", **test_manifest}), test)
+    header, *records = test.read_text(encoding="utf-8").splitlines(keepends=True)
+    test.write_text("".join([header, *(line for line in records if keep(json.loads(line)))]), encoding="utf-8")
+    for command in ("partition", "train", "baseline", "export-instructions"):
+        argv = [command, "--set", "data.source=manifest", "--set", f"data.train_manifest={train}",
+                "--set", f"data.test_manifest={test}", "--set", "model.rank=2", "--set", f"out_dir={tmp_path / 'out'}"]
+        assert run(argv) == 2, command
+        assert f"fedmm {command}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("dim", [0, -1])
 def test_manifest_modality_dim_below_one_exits_2(tmp_path, capsys, dim):
     bad, good = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
@@ -86,6 +111,8 @@ def test_manifest_modality_dim_below_one_exits_2(tmp_path, capsys, dim):
 
 
 _DEGENERATE_DRAW = "alpha=1e+308 draws degenerate Dirichlet shares for class 0"
+_NOT_BINARY = "roc_auc needs a binary test manifest, got 4 classes"
+_OVERSAMPLED = "cannot sample 11 of 10 nonempty clients"
 
 
 @pytest.mark.parametrize(
@@ -100,10 +127,18 @@ _DEGENERATE_DRAW = "alpha=1e+308 draws degenerate Dirichlet shares for class 0"
         ("export-instructions", "model.rank=5", "rank 5 exceeds fan of layer 'head' (4x32)"),
         ("partition", "baseline.epochs=-1", "epochs must be >= 0, got -1"),
         ("partition", "synth.test_samples_per_class=0", "samples_per_class must be >= 1"),
+        ("partition", "metric=roc_auc", _NOT_BINARY),
+        ("baseline", "metric=roc_auc", _NOT_BINARY),
+        ("export-instructions", "metric=roc_auc", _NOT_BINARY),
+        ("partition", "fl.clients_per_round=11", _OVERSAMPLED),
+        ("baseline", "fl.clients_per_round=11", _OVERSAMPLED),
+        ("train", "fl.clients_per_round=11", _OVERSAMPLED),
     ],
     ids=["export-instructions-27-classes", "partition-alpha-1e308", "baseline-alpha-1e308", "export-instructions-alpha-1e308",
          "partition-rank-0", "partition-rank-5", "export-instructions-rank-5", "partition-baseline-epochs--1",
-         "partition-test-samples-0"],
+         "partition-test-samples-0", "partition-metric-roc_auc", "baseline-metric-roc_auc",
+         "export-instructions-metric-roc_auc", "partition-clients-per-round-11", "baseline-clients-per-round-11",
+         "train-clients-per-round-11"],
 )
 def test_command_that_cannot_succeed_exits_2_without_out_dir(tmp_path, capsys, command, override, message):
     out = tmp_path / "out"
@@ -118,9 +153,10 @@ def test_partition_conserves_samples(tmp_path, capsys):
     out = tmp_path / "out"
     assert (out / "config.resolved").exists()
     train = load_manifest(out / "train_manifest.jsonl")
-    spec, partition = load_partition(out / "partition.json")
-    assert partition.total() == len(train.samples) == 12
-    assert spec.kind == "aligned"
+    with open(out / "partition.json", encoding="utf-8") as fh:
+        saved = json.load(fh)
+    assert sum(len(entry["samples"]) for entry in saved["clients"]) == len(train) == 12
+    assert saved["spec"]["kind"] == "aligned"
     with open(out / "counts.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["client", "class", "pattern", "count"]
@@ -300,13 +336,6 @@ def test_train_divergence_exits_2_without_infinity(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_train_oversampling_exits_2_without_out_dir(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert run(["train", "--set", "scenario.clients=10", "--set", "fl.clients_per_round=11", "--set", f"out_dir={out}"]) == 2
-    assert "cannot sample 11 of 10" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_train_does_not_touch_config_file(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg = write_config(cfg_path, [f"out_dir = {tmp_path / 'out'}"])
@@ -432,6 +461,7 @@ def test_sweep_reg_grid_prints_paired_difference(tmp_path, capsys):
         "seed=1|2, seed=3",  # repeated axis
         "scenario.kind=cross, scenario.image_only_clients=1|20",  # a cell with more image-only clients than clients
         "fl.clients_per_round=2|0",  # a cell that samples no client
+        "synth.classes=3, metric=auto|roc_auc",  # a cell whose metric cannot score its 3-class test set
         "",  # empty grid
     ],
 )

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import randomize_delta, tiny_manifest
+from conftest import manual_manifest, manual_records, randomize_delta, tiny_manifest
 from fedmm.data import SynthConfig, synth_generate
-from fedmm.metrics import accuracy, eval_chunks, evaluate, macro_f1, roc_auc
+from fedmm.metrics import EvalSet, accuracy, evaluate, macro_f1, roc_auc
 from fedmm.model import ModelConfig, init_model
 
 
@@ -171,10 +171,10 @@ def test_evaluate_auto_picks_auc_for_binary():
         class_count=2, rank=2, adapter_alpha=2.0, seed=1,
     )
     base, delta = init_model(cfg)
-    result = evaluate(base, delta, manifest)
-    assert result.metric == "roc_auc"
-    assert result.count == 40
-    assert 0.0 <= result.value <= 1.0
+    result = evaluate(base, delta, EvalSet(manifest))
+    assert list(result) == ["metric", "value", "accuracy"]
+    assert result["metric"] == "roc_auc"
+    assert 0.0 <= result["value"] <= 1.0
 
 
 def test_evaluate_auto_picks_f1_for_multiclass():
@@ -184,10 +184,11 @@ def test_evaluate_auto_picks_f1_for_multiclass():
         class_count=3, rank=2, adapter_alpha=2.0, seed=2,
     )
     base, delta = init_model(cfg)
-    result = evaluate(base, delta, manifest)
-    assert result.metric == "macro_f1"
-    assert result.per_class is not None
-    assert len(result.per_class) == 3
+    test = EvalSet(manifest)
+    assert test.metric == "macro_f1"
+    result = evaluate(base, delta, test)
+    assert result["metric"] == "macro_f1"
+    assert 0.0 <= result["value"] <= 1.0
 
 
 def test_evaluate_zero_adapter_near_chance_binary():
@@ -204,22 +205,23 @@ def test_evaluate_zero_adapter_near_chance_binary():
             class_count=2, rank=2, adapter_alpha=2.0, seed=seed + 100,
         )
         base, delta = init_model(cfg)
-        values.append(evaluate(base, delta, manifest).value)
+        values.append(evaluate(base, delta, EvalSet(manifest))["value"])
     assert np.mean(values) == pytest.approx(0.5, abs=0.05)
 
 
 def test_evaluate_explicit_metric_and_chunking():
-    manifest = tiny_manifest(class_count=3, per_class=10, seed=4)
-    cfg = ModelConfig(
-        modality_dims=(4, 3), hidden=6, encoder_depth=1, trunk_depth=1,
-        class_count=3, rank=2, adapter_alpha=2.0, seed=4,
-    )
-    base, delta = init_model(cfg)
-    small = evaluate(base, delta, manifest, metric="macro_f1", chunks=eval_chunks(manifest, 7))
-    big = evaluate(base, delta, manifest, metric="macro_f1", chunks=eval_chunks(manifest, 512))
-    assert small.value == big.value
-    assert small.accuracy == big.accuracy
-    assert small.metric == "macro_f1"
+    # 30 rows: chunks of 1, 7 (a short last chunk), 30 and 512 score alike
+    for class_count, metric in [(2, "roc_auc"), (3, "macro_f1"), (2, "macro_f1")]:
+        manifest = tiny_manifest(class_count=class_count, per_class=30 // class_count, seed=4)
+        cfg = ModelConfig(
+            modality_dims=(4, 3), hidden=6, encoder_depth=1, trunk_depth=1,
+            class_count=class_count, rank=2, adapter_alpha=2.0, seed=4,
+        )
+        base, delta = init_model(cfg)
+        delta = randomize_delta(delta, seed=2)
+        results = [evaluate(base, delta, EvalSet(manifest, metric, chunk=chunk)) for chunk in (1, 7, 30, 512)]
+        assert results[0]["metric"] == metric
+        assert all(result == results[0] for result in results)
 
 
 def test_evaluate_prebuilt_chunks_match_fresh_build():
@@ -230,40 +232,57 @@ def test_evaluate_prebuilt_chunks_match_fresh_build():
     )
     base, delta = init_model(cfg)
     delta = randomize_delta(delta, seed=2)
-    fresh = evaluate(base, delta, manifest)
-    chunks = eval_chunks(manifest)
-    assert evaluate(base, delta, manifest, chunks=chunks) == fresh
-    assert evaluate(base, delta, manifest, chunks=chunks) == fresh
-    small = eval_chunks(manifest, 7)
-    assert [len(batch) for batch in small] == [7, 7, 7, 7, 2]
-    assert evaluate(base, delta, manifest, chunks=small) == fresh
-    assert not any(a.flags.writeable for b in small for a in (*b.features, *b.presence, b.labels))
+    test = EvalSet(manifest)
+    fresh = evaluate(base, delta, test)
+    assert evaluate(base, delta, test) == fresh
+    assert evaluate(base, delta, EvalSet(manifest)) == fresh
+    small = EvalSet(manifest, chunk=7)
+    assert [len(batch) for batch in small.chunks] == [7, 7, 7, 7, 2]
+    assert evaluate(base, delta, small) == fresh
+    assert not any(a.flags.writeable for b in small.chunks for a in (*b.features, *b.presence, b.labels))
 
 
 def test_evaluate_keeps_no_activations():
     # Ten more trunk layers add their composed weights to the transient
     # peak, but not one 512 x 32 float64 activation.
-    manifest = synth_generate(SynthConfig(samples_per_class=500, seed=0), split="test")
-    chunks = eval_chunks(manifest)
+    test = EvalSet(synth_generate(SynthConfig(samples_per_class=500, seed=0), split="test"))
     peaks = []
     for trunk_depth in (2, 12):
         base, delta = init_model(ModelConfig(trunk_depth=trunk_depth))
-        evaluate(base, delta, manifest, chunks=chunks)
+        evaluate(base, delta, test)
         tracemalloc.start()
         try:
-            evaluate(base, delta, manifest, chunks=chunks)
+            evaluate(base, delta, test)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 512 * 32 * 8
 
 
-def test_evaluate_rejects_auc_for_multiclass():
-    manifest = tiny_manifest(class_count=3, per_class=4, seed=5)
-    cfg = ModelConfig(
-        modality_dims=(4, 3), hidden=6, encoder_depth=1, trunk_depth=1,
-        class_count=3, rank=2, adapter_alpha=2.0, seed=5,
-    )
-    base, delta = init_model(cfg)
-    with pytest.raises(ValueError, match="binary"):
-        evaluate(base, delta, manifest, metric="roc_auc")
+def _binary_without(label):
+    """manual_manifest's binary records without those of one class."""
+    return manual_manifest([r for r in manual_records()[1] if r.label != label])
+
+
+@pytest.mark.parametrize(
+    "manifest,metric,chunk,message",
+    [
+        (lambda: manual_manifest([]), "auto", 512, "^empty test manifest$"),
+        (lambda: tiny_manifest(class_count=3, per_class=4, seed=5), "roc_auc", 512,
+         "^roc_auc needs a binary test manifest, got 3 classes$"),
+        (lambda: _binary_without(1), "auto", 512, "^roc_auc needs both classes, and the test manifest has no positive samples$"),
+        (lambda: _binary_without(0), "roc_auc", 512, "^roc_auc needs both classes, and the test manifest has no negative samples$"),
+        (lambda: manual_manifest(), "brier", 512, "^metric must be one of"),
+        (lambda: manual_manifest(), "auto", 0, "^chunk must be >= 1, got 0$"),
+    ],
+    ids=["empty", "roc_auc-multiclass", "binary-no-positive", "binary-no-negative", "unknown-metric", "chunk-0"],
+)
+def test_eval_set_rejects_what_it_cannot_score(manifest, metric, chunk, message):
+    with pytest.raises(ValueError, match=message):
+        EvalSet(manifest(), metric, chunk)
+
+
+def test_eval_set_lets_macro_f1_score_a_binary_manifest_missing_a_class():
+    test = EvalSet(_binary_without(1), "macro_f1")
+    assert test.metric == "macro_f1"
+    assert [len(batch) for batch in test.chunks] == [2]

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import make_batch_reference as batch_reference
 from conftest import manual_manifest, manual_records, randomize_delta, tiny_manifest
 from fedmm.data import DatasetManifest, ModalityDescriptor, Sample, SynthConfig, synth_generate
-from fedmm.metrics import eval_chunks
+from fedmm.metrics import EvalSet
 from fedmm.model import (
     AdapterDelta,
     BaseWeights,
@@ -255,7 +255,7 @@ def test_forward_with_scratch_is_bit_exact(dims, enc, trunk, chunk):
     base, delta = init_model(ModelConfig(modality_dims=dims, encoder_depth=enc, trunk_depth=trunk, seed=3))
     delta = randomize_delta(delta, seed=1)
     synth = SynthConfig(modalities=tuple(f"m{i}" for i in range(len(dims))), dims=dims, samples_per_class=150, seed=3)
-    chunks = eval_chunks(synth_generate(synth, split="test"), chunk)
+    chunks = EvalSet(synth_generate(synth, split="test"), chunk=chunk).chunks
     assert len(chunks[-1]) < chunk
     weights = effective_weights(base, delta)
     scratch = forward_scratch(base, chunk)

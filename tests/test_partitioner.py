@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,6 @@ from fedmm.partitioner import (
     client_missing_rate,
     dirichlet_partition,
     largest_remainder,
-    load_partition,
     save_partition,
 )
 
@@ -243,10 +244,11 @@ def test_build_scenario_and_roundtrip(tmp_path, manifest):
     partition = build_scenario(manifest, spec)
     path = tmp_path / "partition.json"
     save_partition(partition, spec, path)
-    spec2, partition2 = load_partition(path)
-    assert spec2 == spec
-    assert [s.sample_ids for s in partition2.clients] == [s.sample_ids for s in partition.clients]
-    assert [s.masks for s in partition2.clients] == [s.masks for s in partition.clients]
+    saved = json.loads(path.read_text(encoding="utf-8"))
+    assert saved["spec"] == spec.to_json_obj()
+    assert [entry["id"] for entry in saved["clients"]] == list(range(len(partition.clients)))
+    assert [[s["sid"] for s in entry["samples"]] for entry in saved["clients"]] == [s.sample_ids for s in partition.clients]
+    assert [[tuple(s["mask"]) for s in entry["samples"]] for entry in saved["clients"]] == [s.masks for s in partition.clients]
 
 
 def test_build_scenario_deterministic(manifest):

@@ -8,6 +8,7 @@ import pytest
 from conftest import randomize_delta, round_robin_partition, run_config, tiny_manifest, train_client
 from fedmm import rng, server
 from fedmm.client import LocalTrainConfig, RegularizerConfig
+from fedmm.metrics import EvalSet, evaluate
 from fedmm.model import ModelConfig, init_model, load_checkpoint, loss_and_grad, make_batch, save_checkpoint
 from fedmm.partitioner import ClientPartition, ClientSlot, dirichlet_partition
 from fedmm.server import (
@@ -281,7 +282,7 @@ def run_setup(seed=0, clients=3, class_count=3):
         class_count=class_count, rank=2, adapter_alpha=2.0, seed=seed,
     )
     partition = dirichlet_partition(train, clients, 2.0, seed=seed)
-    return model_cfg, partition, train, test
+    return model_cfg, partition, train, EvalSet(test)
 
 
 def test_run_rounds_single_client_composition():
@@ -563,9 +564,7 @@ def test_baseline_deterministic_and_k1_equals_solo():
         LocalTrainConfig(epochs=2, batch_size=8), RegularizerConfig(enabled=False),
         seed=rng.seed_for(13, "baseline", 0),
     )
-    from fedmm.metrics import evaluate
-    want = evaluate(base, trained, test)
-    assert a["clients"]["0"]["value"] == want.value
+    assert a["clients"]["0"] == evaluate(base, trained, test)
 
 
 def test_baseline_skips_empty_clients():
