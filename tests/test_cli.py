@@ -110,6 +110,36 @@ def test_manifest_modality_dim_below_one_exits_2(tmp_path, capsys, dim):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["partition", "train"])
+@pytest.mark.parametrize("kind", ["missing", "cross", "hybrid"])
+def test_modality_scenario_on_manifest_with_a_missing_modality_exits_2(tmp_path, capsys, command, kind):
+    """The non-aligned scenarios damage modalities themselves, so they need
+    every record to carry every modality; aligned takes the manifest as it is."""
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    save_manifest(tiny_manifest(split="train"), train)
+    save_manifest(tiny_manifest(split="test"), test)
+    rewrite_line(train, 5, lambda obj: json.dumps({**obj, "features": {"image": obj["features"]["image"]}}))
+    sid = load_manifest(train).ids[3]
+    argv = [command, "--set", "data.source=manifest", "--set", f"data.train_manifest={train}",
+            "--set", f"data.test_manifest={test}", "--set", "model.rank=2", "--set", f"out_dir={tmp_path / 'out'}"]
+    assert run([*argv, "--set", f"scenario.kind={kind}"]) == 2
+    err = capsys.readouterr().err
+    assert "needs a fully aligned" in err and f"sample {sid!r}" in err
+    assert not (tmp_path / "out").exists()
+    if command == "partition":
+        assert run(argv) == 0
+
+
+@pytest.mark.parametrize("command", ["partition", "train"])
+def test_cross_scenario_with_three_modalities_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--set", "scenario.kind=cross", "--set", "synth.modalities=a,b,c", "--set", "synth.dims=4,4,4",
+            "--set", f"out_dir={out}"]
+    assert run(argv) == 2
+    assert "needs exactly 2 modalities, got 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _DEGENERATE_DRAW = "alpha=1e+308 draws degenerate Dirichlet shares for class 0"
 _NOT_BINARY = "roc_auc needs a binary test manifest, got 4 classes"
 _OVERSAMPLED = "cannot sample 11 of 10 nonempty clients"
@@ -252,16 +282,20 @@ def test_baseline_output_hash_pinned(tmp_path, case):
     assert hashlib.sha256((tmp_path / "baseline.json").read_bytes()).hexdigest() == want
 
 
-TINY_MISSING = [
-    "synth.samples_per_class=4", "synth.test_samples_per_class=2", "scenario.clients=3",
-    "scenario.kind=missing", "scenario.beta=0.3",
-]
+TINY = ["synth.samples_per_class=4", "synth.test_samples_per_class=2", "scenario.clients=3"]
+TINY_MISSING = [*TINY, "scenario.kind=missing", "scenario.beta=0.3"]
+DATA_CASES = {
+    "default": [],
+    "tiny_missing": TINY_MISSING,
+    "tiny_cross": [*TINY, "scenario.kind=cross", "scenario.image_only_clients=1"],
+    "tiny_hybrid": [*TINY, "scenario.kind=hybrid", "scenario.keep_prob=0.5"],
+}
 
 # sha256 of every file `fedmm partition` and `fedmm export-instructions`
 # write apart from config.resolved (which holds out_dir), for the default
-# config and a tiny missing-modality one: the manifests, the partition,
-# its count table and the instruction files pin the data path as the
-# training pins pin the model.
+# config and tiny missing-modality, cross-modality and hybrid ones: the
+# manifests, the partition, its count table and the instruction files pin
+# the data path as the training pins pin the model.
 GOLDEN_DATA = {
     ("partition", "default"): {
         "counts.csv": "d509412eefa52b54cf58f94ed62ca1af06a579b51c1262684a6f8c72ef823ddf",
@@ -272,6 +306,18 @@ GOLDEN_DATA = {
     ("partition", "tiny_missing"): {
         "counts.csv": "afc808467774d6d310dc4d3a3e01e6ac21477f5751cfd0405476059f08a7357f",
         "partition.json": "fb7dd1727c19f5cdc2c26c038218a0b8bc66732d23fbd39b4a474dee6d39a973",
+        "test_manifest.jsonl": "0663715301df0aef10e951767613719e9a47daa80cfd95ef952cadb2c7d9e957",
+        "train_manifest.jsonl": "f78552228d63b9d9b293c93d712a247e1f793eb2ac378f8202d38e64e7ad57ba",
+    },
+    ("partition", "tiny_cross"): {
+        "counts.csv": "512109ccab690579f3957e7d1fbd9a7a34f5f4e53ee0f6094afbe95edf8405a6",
+        "partition.json": "f919fba0623da7f7ffc704c79836537de0b2ccc92ed9067fb665492c850a65a7",
+        "test_manifest.jsonl": "0663715301df0aef10e951767613719e9a47daa80cfd95ef952cadb2c7d9e957",
+        "train_manifest.jsonl": "f78552228d63b9d9b293c93d712a247e1f793eb2ac378f8202d38e64e7ad57ba",
+    },
+    ("partition", "tiny_hybrid"): {
+        "counts.csv": "a0e57122ad1268234c03d3ec85d36f7577b7bc45ee5262796b521993a782f86e",
+        "partition.json": "fe29210c60170d5f914081b38358e6c3143c34c970d70703dc48bc3f6795c223",
         "test_manifest.jsonl": "0663715301df0aef10e951767613719e9a47daa80cfd95ef952cadb2c7d9e957",
         "train_manifest.jsonl": "f78552228d63b9d9b293c93d712a247e1f793eb2ac378f8202d38e64e7ad57ba",
     },
@@ -292,13 +338,23 @@ GOLDEN_DATA = {
         "instructions/client_01.jsonl": "3f8d4fc05586cf8d068d1d9d452f55b72f797fd0f92a5bf487632f2354dc7817",
         "instructions/client_02.jsonl": "62f33a0dee1066e023a50b694e29eaefdd7afd31509f6d246e6a1b58c3789727",
     },
+    ("export-instructions", "tiny_cross"): {
+        "instructions/client_00.jsonl": "b148ac42f07afc61f1e96facbdb09796b4422ad16ecea3cc741c8695a43b1b6f",
+        "instructions/client_01.jsonl": "f05ba1bca9311527f71c06b118a1a5b6e033f13afd0c89611767292ad2fa2d08",
+        "instructions/client_02.jsonl": "e2d1b8aaff3d44cf258ef22461d7954fbf4881a23a5ad3581acc7360764ad92c",
+    },
+    ("export-instructions", "tiny_hybrid"): {
+        "instructions/client_00.jsonl": "b148ac42f07afc61f1e96facbdb09796b4422ad16ecea3cc741c8695a43b1b6f",
+        "instructions/client_01.jsonl": "01fe39a0565e4a3ed71f5f0aa2b57442f9e1bf0b597ef0bd71d0b2b06fec56ac",
+        "instructions/client_02.jsonl": "62f33a0dee1066e023a50b694e29eaefdd7afd31509f6d246e6a1b58c3789727",
+    },
 }
 
 
 @pytest.mark.parametrize("command,case", sorted(GOLDEN_DATA))
 def test_data_output_hashes_pinned(tmp_path, command, case):
     argv = [command, "--set", f"out_dir={tmp_path}"]
-    for item in TINY_MISSING if case == "tiny_missing" else []:
+    for item in DATA_CASES[case]:
         argv += ["--set", item]
     assert run(argv) == 0
     written = sorted(p for p in tmp_path.rglob("*") if p.is_file() and p.name != "config.resolved")
