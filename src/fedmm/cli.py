@@ -90,7 +90,7 @@ def cmd_partition(cfg: ExperimentConfig) -> int:
     if cfg["data.source"] == "synth":
         save_manifest(train, out / "train_manifest.jsonl")
         save_manifest(test.manifest, out / "test_manifest.jsonl")
-    save_partition(partition, cfg.scenario_spec(), out / "partition.json")
+    save_partition(partition, train, cfg.scenario_spec(), out / "partition.json")
     modality_stats(partition, train).to_csv(out / "counts.csv")
     print(f"partition: {partition.total()} samples over {len(partition.clients)} clients -> {out}")
     return 0

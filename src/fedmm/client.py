@@ -196,11 +196,11 @@ class ClientData:
 
 def client_data(manifest: DatasetManifest, slot: ClientSlot, reg_cfg: RegularizerConfig) -> ClientData:
     """Classify a client once and assemble its shard."""
-    missing_rate = client_missing_rate(slot, len(manifest.modalities))
+    missing_rate = client_missing_rate(slot)
     gamma = 0.0
     if reg_cfg.enabled:
         gamma = gamma_for_client(reg_cfg.gamma_max, classify_client(slot), missing_rate)
-    batch = make_batch(manifest, slot.sample_ids, slot.masks).freeze()
+    batch = make_batch(manifest, slot.rows, slot.masks).freeze()
     return ClientData(batch=batch, missing_rate=missing_rate, gamma=gamma)
 
 

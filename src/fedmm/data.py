@@ -8,6 +8,8 @@ one (N, M) bool presence matrix, every array write-protected. Raw media
 never enters the package; features are precomputed elsewhere.
 
 Constraints the rest of the package relies on:
+  - modality names are nonempty and free of '+', which joins them in a
+    presence pattern's name,
   - every sample carries at least one modality,
   - present vectors match the declared dim exactly and are finite,
   - labels are integers in [0, class_count),
@@ -25,7 +27,9 @@ fails on records, a per-sample loop names the first offending sample in
 record order; a pass over columns cannot, since a record's faults are
 reported in the order of its feature dict, not of the modalities. Sample
 is the record type; by_id and samples hand out rows as records of
-read-only views, built on each call and never kept.
+read-only views, built on each call and never kept. The rest of the
+package addresses samples by row (a partition holds rows and masks) and
+reads `ids` only to name a sample in an output or an error.
 """
 
 from __future__ import annotations
@@ -113,13 +117,6 @@ class DatasetManifest:
         features = zip(self.modalities, self.features, self.presence[index])
         return Sample(self.ids[index], int(self.labels[index]), {m.name: f[index] for m, f, has in features if has})
 
-    def rows(self, sample_ids: list[str]) -> np.ndarray:
-        """Each id's row, in order; ValueError naming an unknown id."""
-        try:
-            return np.array([self._index[sid] for sid in sample_ids], dtype=np.intp)
-        except KeyError as err:
-            raise ValueError(f"unknown sample id {err.args[0]!r}") from None
-
     def by_id(self, sample_id: str) -> Sample:
         return self.record(self.index_of(sample_id))
 
@@ -141,6 +138,8 @@ def _check_header(modalities: tuple[ModalityDescriptor, ...], class_count: int, 
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
     for m in modalities:
+        if not m.name or "+" in m.name:
+            raise ValueError(f"modality name {m.name!r} is empty or holds '+', which joins names in a presence pattern")
         if m.dim < 1:
             raise ValueError(f"modality {m.name!r} dim must be >= 1, got {m.dim}")
     return {m.name: m.dim for m in modalities}
@@ -285,8 +284,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         feats = {}
         for name, values in _typed(at, rec["features"], "features", dict).items():
             try:
-                feats[name] = np.asarray(values, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
+                if type(values) is not list or not set(map(type, values)) <= {int, float}:
+                    raise TypeError  # a string or a boolean is not a JSON number
+                feats[name] = np.array(values, dtype=np.float64)
+            except (TypeError, OverflowError):
                 raise ValueError(f"{at}: features[{name!r}] is not a list of numbers") from None
         sample_id = _typed(at, rec["id"], "id", str)
         samples.append(Sample(id=sample_id, label=_typed(at, rec["label"], "label", int), features=feats))
@@ -374,26 +375,15 @@ def pattern_labels(modalities: tuple[ModalityDescriptor, ...]) -> list[str]:
     return labels
 
 
-def _pattern_of(mask: tuple[bool, ...], modalities: tuple[ModalityDescriptor, ...]) -> str:
-    return "+".join(m.name for m, keep in zip(modalities, mask) if keep)
-
-
 @dataclass
 class CountTable:
-    """Dense per-(client, class, pattern) sample counts."""
+    """Dense per-(client, class, pattern) sample counts, a (K, C, P) array."""
 
     patterns: list[str]
-    class_count: int
-    client_count: int
-    counts: dict[tuple[int, int, str], int]
+    counts: np.ndarray
 
     def rows(self) -> list[tuple[int, int, str, int]]:
-        out = []
-        for k in range(self.client_count):
-            for c in range(self.class_count):
-                for p in self.patterns:
-                    out.append((k, c, p, self.counts.get((k, c, p), 0)))
-        return out
+        return [(k, c, self.patterns[p], int(n)) for (k, c, p), n in np.ndenumerate(self.counts)]
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -403,25 +393,14 @@ class CountTable:
 
 
 def modality_stats(partition, manifest: DatasetManifest) -> CountTable:
-    """Count partition samples by client, label, and effective presence pattern.
-
-    Raises ValueError on a partition sample id missing from the manifest.
-    """
-    patterns = pattern_labels(manifest.modalities)
-    counts: dict[tuple[int, int, str], int] = {}
-    labels = manifest.labels.tolist()
-    for k, slot in enumerate(partition.clients):
-        for sid, mask in zip(slot.sample_ids, slot.masks):
-            row = manifest.index_of(sid)
-            label = _pattern_of(mask, manifest.modalities)
-            if not label:
-                raise ValueError(f"sample {sid!r} has an all-false mask")
-            key = (k, labels[row], label)
-            counts[key] = counts.get(key, 0) + 1
-    return CountTable(
-        patterns=patterns,
-        class_count=manifest.class_count,
-        client_count=len(partition.clients),
-        counts=counts,
-    )
-
+    """Count partition samples by client, label, and effective presence
+    pattern; a mask's pattern is the one whose bitmask is its bit value."""
+    sizes, width = partition.sizes(), len(manifest.modalities)
+    rows = np.concatenate([np.empty(0, np.intp), *(slot.rows for slot in partition.clients)])
+    masks = np.concatenate([np.empty((0, width), bool), *(slot.masks for slot in partition.clients)])
+    pattern = masks @ (1 << np.arange(width)) - 1
+    if (pattern < 0).any():
+        raise ValueError(f"sample {manifest.ids[rows[np.argmin(pattern)]]!r} has an all-false mask")
+    shape = (len(sizes), manifest.class_count, 2**width - 1)
+    cell = np.ravel_multi_index((np.repeat(np.arange(len(sizes)), sizes), manifest.labels[rows], pattern), shape)
+    return CountTable(patterns=pattern_labels(manifest.modalities), counts=np.bincount(cell, minlength=np.prod(shape)).reshape(shape))

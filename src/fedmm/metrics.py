@@ -106,8 +106,8 @@ class EvalSet:
                     raise ValueError(f"roc_auc needs both classes, and the test manifest has no {name} samples")
         if self.chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {self.chunk}")
-        ids = manifest.ids
-        self.chunks = [make_batch(manifest, ids[start : start + self.chunk]).freeze() for start in range(0, len(ids), self.chunk)]
+        rows = range(len(manifest))
+        self.chunks = [make_batch(manifest, rows[start : start + self.chunk]).freeze() for start in rows[:: self.chunk]]
 
 
 def evaluate(base: BaseWeights, delta: AdapterDelta, test: EvalSet) -> dict:

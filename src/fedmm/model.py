@@ -40,8 +40,9 @@ without that modality) and all its biases are zero: a zero row gives a
 the stack's weight gradients are then +0 too; its slice of the trunk
 input is written +0 and its weight-gradient slots are zeroed instead.
 
-make_batch gathers a client's whole shard, or a chunk of the test set,
-from the manifest's columns once per run; a lockstep group stacks its
+make_batch gathers a client's whole shard (its partition rows under its
+masks), or a chunk of the test set (a range of rows), from the
+manifest's columns once per run; a lockstep group stacks its
 shards along a client axis, and its minibatches are row-takes of that
 stack (Batch.take).
 Evaluation writes activations only into one reused forward_scratch: a
@@ -342,43 +343,27 @@ class Batch:
         return self
 
 
-def make_batch(
-    manifest: DatasetManifest,
-    sample_ids: list[str],
-    masks: list[tuple[bool, ...]] | None = None,
-) -> Batch:
-    """The rows of sample_ids, in that order, gathered from the manifest's
-    columns. masks default to manifest presence and may only switch
-    present modalities off, never on; a masked-off row's features are
-    assigned +0.0 (multiplying by the mask would leave -0.0 where a
-    feature is negative). Raises ValueError for the first id, in order,
-    that is unknown, whose mask is empty, or whose mask asks for a
-    modality its sample lacks."""
-    try:
-        rows = manifest.rows(sample_ids)
-        present = manifest.presence[rows]
-        mask = present if masks is None else np.array(masks, dtype=bool).reshape(len(masks), present.shape[1])
-    except ValueError:  # an unknown id or a mask of the wrong shape
-        rows = present = mask = None
-    if mask is None or mask.shape != present.shape or not mask.any(axis=1).all() or (mask > present).any():
-        _raise_first_fault(manifest, sample_ids, masks)
+def make_batch(manifest: DatasetManifest, rows: np.ndarray | range, masks: np.ndarray | None = None) -> Batch:
+    """The manifest's rows, in that order, gathered from its columns.
+    masks, one row of M flags per row, default to manifest presence and
+    may only switch present modalities off, never on; a masked-off row's
+    features are assigned +0.0 (multiplying by the mask would leave -0.0
+    where a feature is negative). Raises ValueError naming the sample of
+    the first row whose mask is empty or asks for a modality its sample
+    lacks."""
+    present = manifest.presence[rows]
+    mask = present if masks is None else np.asarray(masks, dtype=bool).reshape(present.shape)
+    empty, extra = ~mask.any(axis=1), mask & ~present
+    bad = np.flatnonzero(empty | extra.any(axis=1))
+    if bad.size:
+        i = bad[0]
+        if empty[i]:
+            raise ValueError(f"sample {manifest.ids[rows[i]]!r}: empty effective mask")
+        raise ValueError(f"sample {manifest.ids[rows[i]]!r}: mask requests absent modality {manifest.modalities[extra[i].argmax()].name!r}")
     features = [matrix[rows] for matrix in manifest.features]
     for matrix, keep in zip(features, mask.T):
         matrix[~keep] = 0.0
     return Batch(features=features, presence=[keep.astype(np.float64) for keep in mask.T], labels=manifest.labels[rows])
-
-
-def _raise_first_fault(manifest: DatasetManifest, sample_ids: list[str], masks: list[tuple[bool, ...]] | None) -> None:
-    """make_batch's error for the first faulty id, checked id by id."""
-    for row, sid in enumerate(sample_ids):
-        present = manifest.presence[manifest.index_of(sid)]
-        mask = present if masks is None else masks[row]
-        if not any(mask):
-            raise ValueError(f"sample {sid!r}: empty effective mask")
-        for m, want, has in zip(manifest.modalities, mask, present):
-            if want and not has:
-                raise ValueError(f"sample {sid!r}: mask requests absent modality {m.name!r}")
-    raise ValueError(f"need one mask of {len(manifest.modalities)} flags per sample id")
 
 
 def effective_weights(base: BaseWeights, delta: AdapterDelta) -> list[np.ndarray]:

@@ -1,8 +1,10 @@
 """Client partitions and modality-heterogeneity scenario constructors.
 
-A partition assigns every manifest sample to exactly one of K clients and
+A partition assigns every manifest row to exactly one of K clients and
 records an effective presence mask per assignment (a subset of what the
-manifest sample actually carries, never empty). Four constructors:
+manifest sample actually carries, never empty): each client holds a row
+vector and an (n, M) bool mask matrix, and sample ids are looked up only
+when a partition is written out. Four constructors:
 
   aligned   Dirichlet(alpha) label skew, all modalities kept everywhere.
   missing   per-sample independent modality drops with probability beta;
@@ -15,13 +17,15 @@ manifest sample actually carries, never empty). Four constructors:
 
 The non-aligned constructors start from an aligned partition, so label
 skew and modality damage compose. They take their knobs as ScenarioSpec
-checked them when it was built, and do not check them again.
+checked them when it was built, and the manifest as build_scenario
+checked it (fully aligned, and two modalities for cross), and do not
+check either again.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -82,15 +86,19 @@ class ScenarioSpec:
         return {name: value for name, value in asdict(self).items() if value is not None}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientSlot:
-    """One client's assignment: sample ids plus effective masks, aligned."""
+    """One client's assignment: its train-manifest rows (n,) and, row by
+    row, the effective presence masks (n, M), both write-protected."""
 
-    sample_ids: list[str] = field(default_factory=list)
-    masks: list[tuple[bool, ...]] = field(default_factory=list)
+    rows: np.ndarray
+    masks: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.rows.flags.writeable = self.masks.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.sample_ids)
+        return len(self.rows)
 
 
 @dataclass
@@ -120,43 +128,29 @@ def largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
 
 
 def dirichlet_partition(manifest: DatasetManifest, clients: int, alpha: float, seed: int) -> ClientPartition:
-    """Label-skewed split: per class, client shares ~ Dirichlet(alpha * 1_K)."""
+    """Label-skewed split: per class, client shares ~ Dirichlet(alpha * 1_K).
+    Each client gets its rows class by class, in draw order, under their
+    manifest presence."""
     gen = rng.substream(seed, "dirichlet")
-    slots = [ClientSlot() for _ in range(clients)]
-    ids = manifest.ids
-    presence = list(map(tuple, manifest.presence.tolist()))
+    drawn, owners = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for c in range(manifest.class_count):
         idx = np.flatnonzero(manifest.labels == c)
         if idx.size == 0:
             continue
-        idx = idx[gen.permutation(idx.size)]
+        drawn.append(idx[gen.permutation(idx.size)])
         shares = gen.dirichlet(np.full(clients, alpha))
-        # The slots are disjoint slices of the class's rows, and a valid
-        # manifest's presence rows are nonempty masks; only a degenerate
-        # draw (all-zero shares at alpha=1e308) can leave rows unassigned.
+        # Only a degenerate draw (all-zero shares at alpha=1e308) can leave
+        # rows unassigned; a valid manifest's presence rows are nonempty
+        # masks already.
         counts = largest_remainder(shares, idx.size) if np.isfinite(shares).all() else None
         if counts is None or counts.sum() != idx.size:
             raise ValueError(f"alpha={alpha} draws degenerate Dirichlet shares for class {c}")
-        start = 0
-        for k in range(clients):
-            chosen = idx[start : start + counts[k]].tolist()
-            slots[k].sample_ids.extend(ids[i] for i in chosen)
-            slots[k].masks.extend(presence[i] for i in chosen)
-            start += counts[k]
-    return ClientPartition(clients=slots)
-
-
-def _require_aligned(partition: ClientPartition, op: str) -> int:
-    width = None
-    for k, slot in enumerate(partition.clients):
-        for sid, mask in zip(slot.sample_ids, slot.masks):
-            if width is None:
-                width = len(mask)
-            if not all(mask):
-                raise ValueError(f"{op} needs a fully aligned input; sample {sid!r} is already masked")
-    if width is None:
-        raise ValueError(f"{op} got a partition with no samples")
-    return width
+        owners.append(np.repeat(np.arange(clients), counts))
+    owner = np.concatenate(owners)
+    # one stable sort by owner keeps each client's rows in draw order
+    rows = np.concatenate(drawn)[np.argsort(owner, kind="stable")]
+    ends, masks = np.cumsum(np.bincount(owner, minlength=clients)), manifest.presence[rows]
+    return ClientPartition([ClientSlot(rows[a:b], masks[a:b]) for a, b in zip([0, *ends], ends)])
 
 
 def apply_missing(partition: ClientPartition, beta: float, seed: int) -> ClientPartition:
@@ -165,32 +159,32 @@ def apply_missing(partition: ClientPartition, beta: float, seed: int) -> ClientP
     A sample that would lose every modality keeps one chosen uniformly, so
     masks stay nonempty even at beta = 1.
     """
-    width = _require_aligned(partition, "apply_missing")
     gen = rng.substream(seed, "missing")
     out = []
     for slot in partition.clients:
-        masks = []
-        for _ in slot.sample_ids:
-            keep = gen.random(width) >= beta
+        masks = np.empty(slot.masks.shape, dtype=bool)
+        for keep in masks:
+            keep[:] = gen.random(keep.size) >= beta
             if not keep.any():
-                keep[int(gen.integers(width))] = True
-            masks.append(tuple(bool(b) for b in keep))
-        out.append(ClientSlot(sample_ids=list(slot.sample_ids), masks=masks))
-    return ClientPartition(clients=out)
+                keep[int(gen.integers(keep.size))] = True
+        out.append(ClientSlot(slot.rows, masks))
+    return ClientPartition(out)
+
+
+def _client_masks(partition: ClientPartition, table: np.ndarray) -> ClientPartition:
+    """Every client's rows under its own row of the (K, M) table."""
+    sizes = partition.sizes()
+    masks, ends = np.repeat(table, sizes, axis=0), np.cumsum(sizes)
+    return ClientPartition([ClientSlot(slot.rows, masks[end - n : end]) for slot, n, end in zip(partition.clients, sizes, ends)])
 
 
 def apply_cross(partition: ClientPartition, image_only_clients: int, seed: int) -> ClientPartition:
-    """Split clients by modality: a seeded subset keeps only modality 0."""
-    width = _require_aligned(partition, "apply_cross")
-    if width != 2:
-        raise ValueError(f"apply_cross needs exactly 2 modalities, got {width}")
+    """Split clients by modality: a seeded subset keeps only modality 0,
+    the rest only modality 1."""
     gen = rng.substream(seed, "cross")
-    chosen = set(int(i) for i in gen.choice(len(partition.clients), size=image_only_clients, replace=False))
-    out = []
-    for idx, slot in enumerate(partition.clients):
-        mask = (True, False) if idx in chosen else (False, True)
-        out.append(ClientSlot(sample_ids=list(slot.sample_ids), masks=[mask] * len(slot)))
-    return ClientPartition(clients=out)
+    table = np.tile([False, True], (len(partition.clients), 1))
+    table[gen.choice(len(partition.clients), size=image_only_clients, replace=False)] = (True, False)
+    return _client_masks(partition, table)
 
 
 def apply_hybrid(partition: ClientPartition, keep_prob: float, seed: int) -> ClientPartition:
@@ -199,66 +193,59 @@ def apply_hybrid(partition: ClientPartition, keep_prob: float, seed: int) -> Cli
     A client flipping everything away retains one modality chosen
     uniformly. Every sample of a client shares the client's mask.
     """
-    width = _require_aligned(partition, "apply_hybrid")
     gen = rng.substream(seed, "hybrid")
-    out = []
-    for slot in partition.clients:
-        keep = gen.random(width) < keep_prob
+    table = np.empty((len(partition.clients), partition.clients[0].masks.shape[1]), dtype=bool)
+    for keep in table:
+        keep[:] = gen.random(keep.size) < keep_prob
         if not keep.any():
-            keep[int(gen.integers(width))] = True
-        mask = tuple(bool(b) for b in keep)
-        out.append(ClientSlot(sample_ids=list(slot.sample_ids), masks=[mask] * len(slot)))
-    return ClientPartition(clients=out)
+            keep[int(gen.integers(keep.size))] = True
+    return _client_masks(partition, table)
 
 
 _MODALITY_TREATMENT = {"missing": apply_missing, "cross": apply_cross, "hybrid": apply_hybrid}
 
 
 def build_scenario(manifest: DatasetManifest, spec: ScenarioSpec) -> ClientPartition:
-    """Aligned Dirichlet split, then the scenario's modality treatment."""
+    """Aligned Dirichlet split, then the scenario's modality treatment. A
+    treatment damages modalities itself, so it needs every sample to carry
+    every modality, and cross needs exactly two."""
+    if spec.kind != "aligned":
+        lacking = np.flatnonzero(~manifest.presence.all(axis=1))
+        if lacking.size:
+            row = lacking[0]
+            name = manifest.modalities[int(np.argmin(manifest.presence[row]))].name
+            raise ValueError(f"scenario {spec.kind!r} needs a fully aligned train manifest; sample {manifest.ids[row]!r} lacks {name!r}")
+    if spec.kind == "cross" and len(manifest.modalities) != 2:
+        raise ValueError(f"scenario 'cross' needs exactly 2 modalities, got {len(manifest.modalities)}")
     base = dirichlet_partition(manifest, spec.clients, spec.alpha, rng.seed_for(spec.seed, "labels"))
     if spec.kind == "aligned":
         return base
     return _MODALITY_TREATMENT[spec.kind](base, spec.level(), rng.seed_for(spec.seed, "modality"))
 
 
-def client_missing_rate(slot: ClientSlot, modality_count: int) -> float:
+def client_missing_rate(slot: ClientSlot) -> float:
     """Fraction of (sample, modality) slots absent on this client."""
     if len(slot) == 0:
         raise ValueError("client has no samples")
-    absent = sum(modality_count - sum(mask) for mask in slot.masks)
-    return absent / (len(slot) * modality_count)
+    return np.count_nonzero(~slot.masks) / slot.masks.size
 
 
 def classify_client(slot: ClientSlot) -> str:
     """aligned, partial_missing, or single_modality from effective masks."""
     if len(slot) == 0:
         raise ValueError("client has no samples")
-    width = len(slot.masks[0])
-    present_counts = [0] * width
-    full = 0
-    for mask in slot.masks:
-        for i, b in enumerate(mask):
-            present_counts[i] += int(b)
-        full += int(all(mask))
-    if any(c == 0 for c in present_counts):
+    if not slot.masks.any(axis=0).all():
         return "single_modality"
-    if full == len(slot):
-        return "aligned"
-    return "partial_missing"
+    return "aligned" if slot.masks.all() else "partial_missing"
 
 
-def save_partition(partition: ClientPartition, spec: ScenarioSpec, path: str | Path) -> None:
+def save_partition(partition: ClientPartition, manifest: DatasetManifest, spec: ScenarioSpec, path: str | Path) -> None:
+    """The spec and, per client, each sample's id and effective mask."""
+    ids = manifest.ids
     obj = {
         "spec": spec.to_json_obj(),
         "clients": [
-            {
-                "id": k,
-                "samples": [
-                    {"sid": sid, "mask": list(mask)}
-                    for sid, mask in zip(slot.sample_ids, slot.masks)
-                ],
-            }
+            {"id": k, "samples": [{"sid": ids[row], "mask": mask} for row, mask in zip(slot.rows.tolist(), slot.masks.tolist())]}
             for k, slot in enumerate(partition.clients)
         ],
     }

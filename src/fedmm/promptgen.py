@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import string
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,7 +116,7 @@ def format_record(
     sample: Sample,
     task: TaskSpec,
     agnostic: bool,
-    mask: tuple[bool, ...] | None = None,
+    mask: Sequence[bool] | None = None,
     modality_names: tuple[str, ...] = ("image", "text"),
     text: str | None = None,
     image_path: str | None = None,
@@ -166,9 +167,7 @@ def export_partition(
     for k, slot in enumerate(partition.clients):
         path = out_dir / f"client_{k:02d}.jsonl"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for sid, mask in zip(slot.sample_ids, slot.masks):
-                record = format_record(
-                    manifest.by_id(sid), task, agnostic, mask=mask, modality_names=names
-                )
+            for row, mask in zip(slot.rows.tolist(), slot.masks.tolist()):
+                record = format_record(manifest.record(row), task, agnostic, mask=mask, modality_names=names)
                 fh.write(serialize_record(record) + "\n")
     return len(partition.clients)

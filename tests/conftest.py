@@ -12,12 +12,21 @@ from fedmm.partitioner import ClientPartition, ClientSlot
 
 
 def round_robin_partition(manifest, clients):
-    """Aligned partition with every client nonempty (samples dealt in turn)."""
-    slots = [ClientSlot() for _ in range(clients)]
-    for i, sample in enumerate(manifest.samples):
-        slots[i % clients].sample_ids.append(sample.id)
-        slots[i % clients].masks.append(sample.presence(manifest.modalities))
-    return ClientPartition(clients=slots)
+    """Aligned partition with every client nonempty (rows dealt in turn)."""
+    rows = [np.arange(k, len(manifest), clients) for k in range(clients)]
+    return ClientPartition(clients=[ClientSlot(r, manifest.presence[r]) for r in rows])
+
+
+def slot_of(manifest, ids, masks=None):
+    """The client holding the samples `ids`, in order, under `masks` (one
+    tuple of flags per id; their manifest presence when None)."""
+    rows = np.array([manifest.index_of(sid) for sid in ids], dtype=np.intp)
+    return ClientSlot(rows, manifest.presence[rows] if masks is None else np.array(masks, dtype=bool).reshape(rows.size, -1))
+
+
+def empty_slot(modality_count=2):
+    """A client with no samples."""
+    return ClientSlot(np.empty(0, np.intp), np.empty((0, modality_count), bool))
 
 
 def train_client(base, delta, manifest, slot, cfg, reg_cfg, seed):

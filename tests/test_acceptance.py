@@ -127,7 +127,7 @@ def test_01_gradient_correctness(capsys):
                 split="train",
                 samples=samples,
             )
-            batch = make_batch(manifest, [s.id for s in samples], masks)
+            batch = make_batch(manifest, range(len(samples)), masks)
             _, grad = loss_and_grad(base, delta, batch, reg_ctx=ctx)
 
             def objective(vec):
@@ -182,8 +182,7 @@ def test_02_optimizer_oracles(capsys):
 def class_totals(manifest, partition):
     counts = np.zeros(manifest.class_count, dtype=int)
     for slot in partition.clients:
-        for sid in slot.sample_ids:
-            counts[manifest.by_id(sid).label] += 1
+        counts += np.bincount(manifest.labels[slot.rows], minlength=manifest.class_count)
     return counts
 
 
@@ -195,12 +194,12 @@ def mean_tv(manifest, alpha, seeds):
     for seed in seeds:
         partition = dirichlet_partition(manifest, 10, alpha, seed=seed)
         for slot in partition.clients:
-            if not slot.sample_ids:
+            if not len(slot):
                 continue
             local = np.bincount(
-                [manifest.by_id(sid).label for sid in slot.sample_ids],
+                manifest.labels[slot.rows],
                 minlength=manifest.class_count,
-            ) / len(slot.sample_ids)
+            ) / len(slot)
             values.append(0.5 * np.abs(local - overall).sum())
     return float(np.mean(values))
 
@@ -222,7 +221,7 @@ def test_03_partition_laws(capsys):
         big = tiny_manifest(class_count=2, per_class=5000, seed=42)
         spec = ScenarioSpec(kind="missing", clients=1, alpha=1e6, seed=43, beta=0.5)
         partition = build_scenario(big, spec)
-        masks = np.array([m for slot in partition.clients for m in slot.masks])
+        masks = np.concatenate([slot.masks for slot in partition.clients])
         assert masks.shape[0] == 10_000
         for m in range(2):
             fraction = 1.0 - masks[:, m].mean()
@@ -234,15 +233,15 @@ def test_03_partition_laws(capsys):
         image_only = sum(
             1
             for slot in partition.clients
-            if slot.masks and all(m == (True, False) for m in slot.masks)
+            if len(slot) and (slot.masks == (True, False)).all()
         )
         text_only = sum(
             1
             for slot in partition.clients
-            if slot.masks and all(m == (False, True) for m in slot.masks)
+            if len(slot) and (slot.masks == (False, True)).all()
         )
         assert image_only == 3
-        assert text_only == len([s for s in partition.clients if s.masks]) - image_only
+        assert text_only == len([s for s in partition.clients if len(s)]) - image_only
 
         # (e) hybrid keep_prob=0.8: mean count of fully-moded clients 6.4 +- 0.5
         counts = []
@@ -252,7 +251,7 @@ def test_03_partition_laws(capsys):
             full = sum(
                 1
                 for slot in partition.clients
-                if slot.masks and all(all(m) for m in slot.masks)
+                if len(slot) and slot.masks.all()
             )
             counts.append(full)
         assert abs(np.mean(counts) - 6.4) <= 0.5, np.mean(counts)
@@ -282,9 +281,9 @@ def test_04_gamma_and_mask_exactness(capsys):
         assert len(table) == 20
 
         for masks, want in table:
-            slot = ClientSlot(sample_ids=[f"s{j}" for j in range(len(masks))], masks=list(masks))
+            slot = ClientSlot(np.arange(len(masks)), np.array(masks))
             kind = classify_client(slot)
-            beta = client_missing_rate(slot, 2)
+            beta = client_missing_rate(slot)
             got = gamma_for_client(gamma_max, kind, beta)
             assert got == pytest.approx(want, abs=1e-15), (kind, beta)
 

@@ -140,6 +140,23 @@ def test_cross_scenario_with_three_modalities_exits_2(tmp_path, capsys, command)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,overrides,name",
+    [
+        ("train", ["synth.modalities=image,"], ""),
+        ("partition", ["synth.modalities=image,", "scenario.kind=missing"], ""),
+        ("partition", ["synth.modalities=a,b,a+b", "synth.dims=4,4,4"], "a+b"),
+    ],
+    ids=["train-empty-name", "partition-missing-empty-name", "partition-plus-in-name"],
+)
+def test_modality_name_that_is_empty_or_holds_plus_exits_2(tmp_path, capsys, command, overrides, name):
+    out = tmp_path / "out"
+    argv = [command, *(arg for item in [*overrides, f"out_dir={out}"] for arg in ("--set", item))]
+    assert run(argv) == 2
+    assert f"fedmm {command}: modality name {name!r} is empty or holds '+'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _DEGENERATE_DRAW = "alpha=1e+308 draws degenerate Dirichlet shares for class 0"
 _NOT_BINARY = "roc_auc needs a binary test manifest, got 4 classes"
 _OVERSAMPLED = "cannot sample 11 of 10 nonempty clients"

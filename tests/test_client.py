@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import manual_manifest, randomize_delta, tiny_manifest, train_client
+from conftest import empty_slot, manual_manifest, randomize_delta, slot_of, tiny_manifest, train_client
 from fedmm.client import (
     ClientData,
     LocalTrainConfig,
@@ -277,7 +277,7 @@ def test_local_train_deterministic_and_pure():
 def test_local_train_empty_client_rejected():
     manifest, base, delta, _ = make_setup()
     with pytest.raises(ValueError, match="no samples"):
-        train_client(base, delta, manifest, ClientSlot(), LocalTrainConfig(), RegularizerConfig(), seed=1)
+        train_client(base, delta, manifest, empty_slot(), LocalTrainConfig(), RegularizerConfig(), seed=1)
 
 
 def test_local_train_descends_across_seeds():
@@ -300,10 +300,7 @@ def test_local_train_reg_pulls_toward_global():
     # closer to the global one than no regularizer does
     manifest, base, delta, partition = make_setup(seed=2)
     slot = max(partition.clients, key=len)
-    mono = ClientSlot(
-        sample_ids=list(slot.sample_ids),
-        masks=[(True, False)] * len(slot),
-    )
+    mono = ClientSlot(slot.rows, np.tile([True, False], (len(slot), 1)))
     start = randomize_delta(delta, seed=20, scale=0.05)
     cfg = LocalTrainConfig(epochs=3, batch_size=8)
     free, _ = train_client(base, start, manifest, mono, cfg, RegularizerConfig(enabled=False), seed=3)
@@ -332,7 +329,7 @@ def test_local_train_aligned_client_skips_reg():
 def test_client_batch_row_take_matches_make_batch():
     # a partial-mask client: a drops text, b keeps image, c keeps text
     manifest = manual_manifest()
-    slot = ClientSlot(["d", "a", "b", "c"], [(True, True), (True, False), (True, False), (False, True)])
+    slot = slot_of(manifest, ["d", "a", "b", "c"], [(True, True), (True, False), (True, False), (False, True)])
     client = client_data(manifest, slot, RegularizerConfig(gamma_max=0.4))
     assert client.missing_rate == 3 / 8
     assert client.gamma == gamma_for_client(0.4, "partial_missing", 3 / 8)
@@ -340,7 +337,7 @@ def test_client_batch_row_take_matches_make_batch():
     shard = Batch([f[None] for f in client.batch.features], [p[None] for p in client.batch.presence], client.batch.labels[None])
     for rows in (np.array([2, 0, 3]), np.array([1, 1, 0, 3, 2]), np.arange(4)):
         got = shard.take(rows[None])
-        want = make_batch(manifest, [slot.sample_ids[i] for i in rows], [slot.masks[i] for i in rows])
+        want = make_batch(manifest, slot.rows[rows], slot.masks[rows])
         for a, b in zip([*got.features, *got.presence, got.labels], [*want.features, *want.presence, want.labels]):
             assert a.dtype == b.dtype
             assert np.array_equal(a[0], b)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import validate_reference as reference
-from conftest import manual_manifest, manual_records, tiny_manifest
+from conftest import manual_manifest, manual_records, slot_of, tiny_manifest
 from fedmm import rng
 from fedmm.data import (
     SPLITS,
@@ -24,7 +24,7 @@ from fedmm.data import (
     synth_generate,
     validate_manifest,
 )
-from fedmm.partitioner import ClientPartition, ClientSlot
+from fedmm.partitioner import ClientPartition
 
 
 def test_roundtrip_byte_identical(tmp_path, manifest):
@@ -98,11 +98,17 @@ def test_load_manifest_rejects_line_that_is_not_an_object(tmp_path, manifest, li
         (1, "class_count", "3", "class_count must be an integer"),
         (2, "features", [[0.0, 1.0, 2.0, 3.0]], "features must be an object"),
         (2, "features", {"image": {"x": 1}}, "features['image'] is not a list of numbers"),
+        (2, "features", {"image": ["1.5", "2", "3", "4"]}, "features['image'] is not a list of numbers"),
+        (2, "features", {"image": [" 3 ", "4e0", 1.0, 2.0]}, "features['image'] is not a list of numbers"),
+        (2, "features", {"image": [True, False, True, False]}, "features['image'] is not a list of numbers"),
+        (2, "features", {"image": [1.0, True, 0.0, 2.0]}, "features['image'] is not a list of numbers"),
+        (2, "features", {"image": [[1.0, 2.0], [3.0, 4.0]]}, "features['image'] is not a list of numbers"),
         (2, "label", [1], "label must be an integer"),
         (3, "id", 7, "id must be a string"),
     ],
     ids=["no-dim", "str-dim", "float-dim", "entry-not-object", "modalities-not-list", "str-class-count",
-         "features-not-object", "feature-not-numbers", "list-label", "int-id"],
+         "features-not-object", "feature-not-numbers", "feature-numeric-strings", "feature-padded-strings",
+         "feature-booleans", "feature-number-and-boolean", "feature-nested-lists", "list-label", "int-id"],
 )
 def test_load_manifest_names_file_line_and_bad_value(tmp_path, manifest, lineno, key, value, phrase):
     path = tmp_path / "m.jsonl"
@@ -118,6 +124,16 @@ def test_load_manifest_rejects_dim_below_one(tmp_path, manifest, dim):
     save_manifest(manifest, path)
     rewrite_line(path, 1, lambda obj: json.dumps({**obj, "modalities": [{"name": "image", "dim": dim}, {"name": "text", "dim": 3}]}))
     with pytest.raises(ValueError, match=f"^modality 'image' dim must be >= 1, got {dim}$"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("name", ["", "a+b"])
+def test_load_manifest_rejects_modality_name_that_is_empty_or_holds_plus(tmp_path, manifest, name):
+    # '+' joins modality names in counts.csv's presence patterns
+    path = tmp_path / "m.jsonl"
+    save_manifest(manifest, path)
+    rewrite_line(path, 1, lambda obj: json.dumps({**obj, "modalities": [{"name": "image", "dim": 4}, {"name": name, "dim": 3}]}))
+    with pytest.raises(ValueError, match=f"^modality name {re.escape(repr(name))} is empty or holds '\\+'"):
         load_manifest(path)
 
 
@@ -471,8 +487,8 @@ def test_modality_stats_hand_count():
     manifest = manual_manifest()
     partition = ClientPartition(
         clients=[
-            ClientSlot(sample_ids=["a", "b"], masks=[(True, True), (True, False)]),
-            ClientSlot(sample_ids=["c", "d"], masks=[(False, True), (True, False)]),
+            slot_of(manifest, ["a", "b"], [(True, True), (True, False)]),
+            slot_of(manifest, ["c", "d"], [(False, True), (True, False)]),
         ]
     )
     table = modality_stats(partition, manifest)
@@ -498,14 +514,26 @@ def test_modality_stats_row_sums_match_partition(manifest):
     assert [per_client[k] for k in range(4)] == partition.sizes()
 
 
-def test_modality_stats_unknown_id(manifest):
-    partition = ClientPartition(clients=[ClientSlot(sample_ids=["ghost"], masks=[(True, True)])])
-    with pytest.raises(ValueError, match="ghost"):
+def test_modality_stats_patterns_by_bit_value():
+    # three modalities: a mask's pattern is the one at its bit value - 1
+    mods = (ModalityDescriptor("a", 1), ModalityDescriptor("b", 1), ModalityDescriptor("c", 1))
+    records = [Sample(f"s{i}", i % 2, {m.name: np.zeros(1) for m in mods}) for i in range(7)]
+    manifest = DatasetManifest.from_records(mods, 2, "train", records)
+    masks = [[bool(bits >> i & 1) for i in range(3)] for bits in range(1, 8)]
+    table = modality_stats(ClientPartition(clients=[slot_of(manifest, [s.id for s in records], masks)]), manifest)
+    assert table.patterns == ["a", "b", "a+b", "c", "a+c", "b+c", "a+b+c"]
+    counted = {(c, p): n for _, c, p, n in table.rows() if n}
+    assert counted == {(0, "a"): 1, (1, "b"): 1, (0, "a+b"): 1, (1, "c"): 1, (0, "a+c"): 1, (1, "b+c"): 1, (0, "a+b+c"): 1}
+
+
+def test_modality_stats_rejects_all_false_mask(manifest):
+    partition = ClientPartition(clients=[slot_of(manifest, [manifest.ids[0], manifest.ids[5]], [(True, True), (False, False)])])
+    with pytest.raises(ValueError, match=f"sample {manifest.ids[5]!r} has an all-false mask"):
         modality_stats(partition, manifest)
 
 
 def test_count_table_csv(tmp_path):
-    table = CountTable(patterns=["image"], class_count=1, client_count=1, counts={(0, 0, "image"): 3})
+    table = CountTable(patterns=["image"], counts=np.array([[[3]]]))
     path = tmp_path / "counts.csv"
     table.to_csv(path)
     assert path.read_text().splitlines() == ["client,class,pattern,count", "0,0,image,3"]

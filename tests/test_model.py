@@ -197,7 +197,7 @@ def test_single_affine_hand_computation():
 def test_zero_adapter_equals_base_and_adapters_shift(tiny_model):
     cfg, base, delta = tiny_model
     manifest = tiny_manifest()
-    batch = make_batch(manifest, [s.id for s in manifest.samples[:5]])
+    batch = make_batch(manifest, range(5))
     zeroed = replace(delta, flat=np.zeros_like(delta.flat))
     base_logits = forward(base, zeroed, batch)
     init_logits = forward(base, delta, batch)  # up is zero at init
@@ -210,10 +210,9 @@ def test_forward_row_permutation(tiny_model):
     _, base, delta = tiny_model
     delta = randomize_delta(delta, seed=5)
     manifest = tiny_manifest()
-    ids = [s.id for s in manifest.samples[:8]]
-    logits = forward(base, delta, make_batch(manifest, ids))
+    logits = forward(base, delta, make_batch(manifest, range(8)))
     perm = [5, 2, 7, 0, 1, 6, 3, 4]
-    logits_perm = forward(base, delta, make_batch(manifest, [ids[i] for i in perm]))
+    logits_perm = forward(base, delta, make_batch(manifest, perm))
     assert np.allclose(logits[perm], logits_perm)
 
 
@@ -223,7 +222,7 @@ def test_absent_modality_features_ignored():
     base, delta = init_model(cfg)
     delta = randomize_delta(delta, seed=6)
     # sample b has image only; its assembled batch is zero-filled with bit 0
-    batch = make_batch(manifest, ["b"], None)
+    batch = make_batch(manifest, [manifest.index_of("b")], None)
     assert batch.presence[1][0] == 0.0
     assert np.array_equal(batch.features[1][0], np.zeros(2))
     # masking a modality off makes stored feature values irrelevant
@@ -231,8 +230,8 @@ def test_absent_modality_features_ignored():
     samples[3].features["text"] = np.array([-7.0, 4.0])
     other = manual_manifest(samples)
     mask = [(True, False)]
-    a = forward(base, delta, make_batch(manifest, ["d"], mask))
-    b = forward(base, delta, make_batch(other, ["d"], mask))
+    a = forward(base, delta, make_batch(manifest, [3], mask))
+    b = forward(base, delta, make_batch(other, [3], mask))
     assert np.array_equal(a, b)
 
 
@@ -240,7 +239,7 @@ def test_forward_with_precomposed_weights(tiny_model):
     _, base, delta = tiny_model
     delta = randomize_delta(delta, seed=8)
     manifest = tiny_manifest(class_count=3, dims=(4, 3), per_class=4, seed=2)
-    batch = make_batch(manifest, [s.id for s in manifest.samples])
+    batch = make_batch(manifest, range(len(manifest)))
     assert np.array_equal(forward(base, delta, batch, effective_weights(base, delta)), forward(base, delta, batch))
 
 
@@ -265,10 +264,13 @@ def test_forward_with_scratch_is_bit_exact(dims, enc, trunk, chunk):
 
 def test_make_batch_rejects_absent_request():
     manifest = manual_manifest()
-    with pytest.raises(ValueError, match="absent modality"):
-        make_batch(manifest, ["b"], [(True, True)])
-    with pytest.raises(ValueError, match="empty"):
-        make_batch(manifest, ["a"], [(False, False)])
+    rows = [manifest.index_of(sid) for sid in ("a", "b", "c")]
+    with pytest.raises(ValueError, match="^sample 'b': mask requests absent modality 'text'$"):
+        make_batch(manifest, rows, [(True, True), (True, True), (True, True)])
+    with pytest.raises(ValueError, match="^sample 'c': mask requests absent modality 'image'$"):
+        make_batch(manifest, rows, [(True, True), (True, False), (True, True)])
+    with pytest.raises(ValueError, match="^sample 'a': empty effective mask$"):
+        make_batch(manifest, rows, [(False, False), (True, True), (True, True)])
 
 
 @st.composite
@@ -313,7 +315,20 @@ def test_make_batch_matches_per_row_reference(request):
         except Exception as err:  # the type and message are the verdict
             return type(err), str(err)
 
-    got, want = verdict(make_batch), verdict(batch_reference.make_batch)
+    def by_rows(manifest, ids, masks):
+        """make_batch on the ids' rows, each looked up with index_of; as
+        in the reference, an unknown id fails only once the rows before
+        it have passed."""
+        rows = []
+        for sid in ids:
+            try:
+                rows.append(manifest.index_of(sid))
+            except ValueError:
+                make_batch(manifest, rows, None if masks is None else masks[: len(rows)])
+                raise
+        return make_batch(manifest, rows, masks)
+
+    got, want = verdict(by_rows), verdict(batch_reference.make_batch)
     if not isinstance(want, Batch):
         assert got == want
         return
@@ -359,9 +374,9 @@ def test_batch_duplication_keeps_loss_and_grad(tiny_model):
     _, base, delta = tiny_model
     delta = randomize_delta(delta, seed=7)
     manifest = tiny_manifest()
-    ids = [s.id for s in manifest.samples[:4]]
-    loss1, grad1 = loss_and_grad(base, delta, make_batch(manifest, ids))
-    loss2, grad2 = loss_and_grad(base, delta, make_batch(manifest, ids + ids))
+    rows = [0, 1, 2, 3]
+    loss1, grad1 = loss_and_grad(base, delta, make_batch(manifest, rows))
+    loss2, grad2 = loss_and_grad(base, delta, make_batch(manifest, rows + rows))
     assert abs(loss1 - loss2) < 1e-12
     assert np.allclose(grad1.flat, grad2.flat)
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import round_robin_partition, tiny_manifest
+from conftest import empty_slot, manual_manifest, round_robin_partition, tiny_manifest
 from fedmm.partitioner import (
-    ClientPartition,
     ClientSlot,
     ScenarioSpec,
     apply_cross,
@@ -22,9 +21,7 @@ from fedmm.partitioner import (
 
 
 def label_distribution(manifest, slot, class_count):
-    counts = np.zeros(class_count)
-    for sid in slot.sample_ids:
-        counts[manifest.by_id(sid).label] += 1
+    counts = np.bincount(manifest.labels[slot.rows], minlength=class_count)
     return counts / counts.sum() if counts.sum() else counts
 
 
@@ -72,8 +69,8 @@ def test_single_client_gets_everything(manifest):
 
 def test_partition_conserves_samples(manifest):
     partition = dirichlet_partition(manifest, 5, 0.5, seed=1)
-    ids = [sid for slot in partition.clients for sid in slot.sample_ids]
-    assert sorted(ids) == sorted(s.id for s in manifest.samples)
+    rows = [row for slot in partition.clients for row in slot.rows.tolist()]
+    assert sorted(rows) == list(range(len(manifest)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -85,17 +82,18 @@ def test_partition_conserves_samples(manifest):
 def test_partition_union_disjoint_property(clients, alpha, seed):
     manifest = tiny_manifest(class_count=3, per_class=7, seed=4)
     partition = dirichlet_partition(manifest, clients, alpha, seed=seed)
-    ids = [sid for slot in partition.clients for sid in slot.sample_ids]
-    assert len(ids) == len(set(ids)) == len(manifest.samples)
+    rows = [row for slot in partition.clients for row in slot.rows.tolist()]
+    assert len(rows) == len(set(rows)) == len(manifest.samples)
     for slot in partition.clients:
-        for mask in slot.masks:
-            assert any(mask)
+        assert slot.masks.shape == (len(slot), 2)
+        assert np.array_equal(slot.masks, manifest.presence[slot.rows])
+        assert not slot.rows.flags.writeable and not slot.masks.flags.writeable
 
 
 def test_partition_deterministic(manifest):
     a = dirichlet_partition(manifest, 4, 0.3, seed=7)
     b = dirichlet_partition(manifest, 4, 0.3, seed=7)
-    assert [s.sample_ids for s in a.clients] == [s.sample_ids for s in b.clients]
+    assert [s.rows.tolist() for s in a.clients] == [s.rows.tolist() for s in b.clients]
 
 
 def test_low_alpha_skews_more_than_high():
@@ -122,16 +120,15 @@ def test_huge_alpha_near_uniform():
 def test_missing_zero_beta_is_identity(manifest):
     partition = dirichlet_partition(manifest, 4, 1.0, seed=5)
     out = apply_missing(partition, 0.0, seed=6)
-    assert all(all(all(m) for m in slot.masks) for slot in out.clients)
+    assert all(slot.masks.all() for slot in out.clients)
 
 
 def test_missing_one_beta_keeps_exactly_one(manifest):
     partition = dirichlet_partition(manifest, 4, 1.0, seed=5)
     out = apply_missing(partition, 1.0, seed=6)
-    kept = [sum(mask) for slot in out.clients for mask in slot.masks]
-    assert set(kept) == {1}
-    first = [mask[0] for slot in out.clients for mask in slot.masks]
-    assert 0.3 < np.mean(first) < 0.7
+    masks = np.concatenate([slot.masks for slot in out.clients])
+    assert set(masks.sum(axis=1).tolist()) == {1}
+    assert 0.3 < np.mean(masks[:, 0]) < 0.7
 
 
 def test_missing_rate_matches_enumeration():
@@ -142,17 +139,19 @@ def test_missing_rate_matches_enumeration():
     partition = dirichlet_partition(manifest, 1, 1.0, seed=9)
     out = apply_missing(partition, 0.5, seed=10)
     masks = out.clients[0].masks
-    missing0 = np.mean([not m[0] for m in masks])
-    missing1 = np.mean([not m[1] for m in masks])
+    missing0 = np.mean(~masks[:, 0])
+    missing1 = np.mean(~masks[:, 1])
     assert abs(missing0 - 0.375) < 0.02
     assert abs(missing1 - 0.375) < 0.02
 
 
-def test_missing_requires_aligned_input(manifest):
-    partition = dirichlet_partition(manifest, 2, 1.0, seed=5)
-    damaged = apply_missing(partition, 0.9, seed=6)
-    with pytest.raises(ValueError, match="aligned"):
-        apply_missing(damaged, 0.5, seed=7)
+def test_missing_requires_aligned_input():
+    # manual_manifest's sample 'b' has image only; aligned takes it as it is
+    for kind, knob in (("missing", {"beta": 0.5}), ("cross", {"image_only_clients": 1}), ("hybrid", {"keep_prob": 0.5})):
+        spec = ScenarioSpec(kind=kind, clients=2, alpha=1.0, seed=5, **knob)
+        with pytest.raises(ValueError, match=f"^scenario '{kind}' needs a fully aligned train manifest; sample 'b' lacks 'text'$"):
+            build_scenario(manual_manifest(), spec)
+    assert build_scenario(manual_manifest(), ScenarioSpec(kind="aligned", clients=2, alpha=1.0, seed=5)).total() == 4
 
 
 # ---------- cross ----------
@@ -160,12 +159,13 @@ def test_missing_requires_aligned_input(manifest):
 def test_cross_counts_exact(manifest):
     partition = round_robin_partition(manifest, 10)
     out = apply_cross(partition, 3, seed=12)
-    image_only = [k for k, slot in enumerate(out.clients) if all(m == (True, False) for m in slot.masks)]
-    text_only = [k for k, slot in enumerate(out.clients) if all(m == (False, True) for m in slot.masks)]
+    image_only = [k for k, slot in enumerate(out.clients) if (slot.masks == (True, False)).all()]
+    text_only = [k for k, slot in enumerate(out.clients) if (slot.masks == (False, True)).all()]
     assert len(image_only) == 3
     assert len(text_only) == 7
     again = apply_cross(partition, 3, seed=12)
-    assert [s.masks for s in again.clients] == [s.masks for s in out.clients]
+    assert [s.masks.tolist() for s in again.clients] == [s.masks.tolist() for s in out.clients]
+    assert [s.rows.tolist() for s in out.clients] == [s.rows.tolist() for s in partition.clients]
 
 
 def test_cross_rejects_three_modalities():
@@ -174,9 +174,9 @@ def test_cross_rejects_three_modalities():
     manifest3 = synth_generate(
         SynthConfig(class_count=2, modalities=("a", "b", "c"), dims=(2, 2, 2), samples_per_class=4, seed=13)
     )
-    partition = dirichlet_partition(manifest3, 2, 1.0, seed=14)
-    with pytest.raises(ValueError, match="2 modalities"):
-        apply_cross(partition, 1, seed=15)
+    spec = ScenarioSpec(kind="cross", clients=2, alpha=1.0, seed=14, image_only_clients=1)
+    with pytest.raises(ValueError, match="^scenario 'cross' needs exactly 2 modalities, got 3$"):
+        build_scenario(manifest3, spec)
 
 
 # ---------- hybrid ----------
@@ -184,15 +184,15 @@ def test_cross_rejects_three_modalities():
 def test_hybrid_keep_prob_one_is_identity(manifest):
     partition = round_robin_partition(manifest, 5)
     out = apply_hybrid(partition, 1.0, seed=17)
-    assert all(all(all(m) for m in slot.masks) for slot in out.clients)
+    assert all(slot.masks.all() for slot in out.clients)
 
 
 def test_hybrid_keep_prob_zero_single_modality(manifest):
     partition = round_robin_partition(manifest, 5)
     out = apply_hybrid(partition, 0.0, seed=17)
     for slot in out.clients:
-        assert len(set(slot.masks)) == 1
-        assert sum(slot.masks[0]) == 1
+        assert (slot.masks == slot.masks[0]).all()
+        assert slot.masks[0].sum() == 1
 
 
 def test_hybrid_full_modality_frequency():
@@ -208,23 +208,28 @@ def test_hybrid_full_modality_frequency():
 
 # ---------- client stats ----------
 
+def slot(*masks):
+    return ClientSlot(np.arange(len(masks)), np.array(masks, dtype=bool))
+
+
 def test_client_missing_rate_cases():
-    aligned = ClientSlot(sample_ids=["a", "b"], masks=[(True, True), (True, True)])
-    assert client_missing_rate(aligned, 2) == 0.0
-    half = ClientSlot(sample_ids=["a", "b"], masks=[(True, True), (True, False)])
-    assert client_missing_rate(half, 2) == 0.25
-    single = ClientSlot(sample_ids=["a", "b"], masks=[(True, False), (True, False)])
-    assert client_missing_rate(single, 2) == 0.5
+    assert client_missing_rate(slot((True, True), (True, True))) == 0.0
+    assert client_missing_rate(slot((True, True), (True, False))) == 0.25
+    assert client_missing_rate(slot((True, False), (True, False))) == 0.5
+    assert client_missing_rate(slot((True, False, True), (True, False, False))) == 0.5
     with pytest.raises(ValueError, match="no samples"):
-        client_missing_rate(ClientSlot(), 2)
+        client_missing_rate(empty_slot())
 
 
 def test_classify_client_cases():
-    assert classify_client(ClientSlot(["a"], [(True, True)])) == "aligned"
-    assert classify_client(ClientSlot(["a", "b"], [(True, True), (False, True)])) == "partial_missing"
-    assert classify_client(ClientSlot(["a", "b"], [(True, False), (True, False)])) == "single_modality"
+    assert classify_client(slot((True, True))) == "aligned"
+    assert classify_client(slot((True, True), (False, True))) == "partial_missing"
+    assert classify_client(slot((True, False), (True, False))) == "single_modality"
     # one modality gone everywhere wins over partial damage in the other
-    assert classify_client(ClientSlot(["a", "b"], [(False, True), (False, True)])) == "single_modality"
+    assert classify_client(slot((False, True), (False, True))) == "single_modality"
+    assert classify_client(slot((True, True, False), (True, False, True))) == "partial_missing"
+    with pytest.raises(ValueError, match="no samples"):
+        classify_client(empty_slot())
 
 
 # ---------- scenario spec + persistence ----------
@@ -243,16 +248,16 @@ def test_build_scenario_and_roundtrip(tmp_path, manifest):
     spec = ScenarioSpec(kind="hybrid", clients=6, alpha=0.7, seed=44, keep_prob=0.8)
     partition = build_scenario(manifest, spec)
     path = tmp_path / "partition.json"
-    save_partition(partition, spec, path)
+    save_partition(partition, manifest, spec, path)
     saved = json.loads(path.read_text(encoding="utf-8"))
     assert saved["spec"] == spec.to_json_obj()
     assert [entry["id"] for entry in saved["clients"]] == list(range(len(partition.clients)))
-    assert [[s["sid"] for s in entry["samples"]] for entry in saved["clients"]] == [s.sample_ids for s in partition.clients]
-    assert [[tuple(s["mask"]) for s in entry["samples"]] for entry in saved["clients"]] == [s.masks for s in partition.clients]
+    assert [[s["sid"] for s in entry["samples"]] for entry in saved["clients"]] == [[manifest.ids[r] for r in s.rows] for s in partition.clients]
+    assert [[s["mask"] for s in entry["samples"]] for entry in saved["clients"]] == [s.masks.tolist() for s in partition.clients]
 
 
 def test_build_scenario_deterministic(manifest):
     spec = ScenarioSpec(kind="missing", clients=5, alpha=0.5, seed=31, beta=0.4)
     a = build_scenario(manifest, spec)
     b = build_scenario(manifest, spec)
-    assert [s.masks for s in a.clients] == [s.masks for s in b.clients]
+    assert [s.masks.tolist() for s in a.clients] == [s.masks.tolist() for s in b.clients]

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import round_robin_partition, tiny_manifest
+from conftest import empty_slot, round_robin_partition, tiny_manifest
 from fedmm.data import DatasetManifest, ModalityDescriptor, Sample
 from fedmm.partitioner import ClientPartition, ClientSlot
 from fedmm.promptgen import (
@@ -191,19 +191,13 @@ def test_export_counts_and_order(tmp_path):
         lines = path.read_text(encoding="utf-8").splitlines()
         total += len(lines)
         ids = [json.loads(line)["id"] for line in lines]
-        assert ids == partition.clients[k].sample_ids
+        assert ids == [manifest.ids[row] for row in partition.clients[k].rows]
     assert total == len(manifest.samples)
 
 
 def test_export_empty_client_writes_empty_file(tmp_path):
     manifest = binary_manifest()
-    slots = [
-        ClientSlot(
-            sample_ids=[s.id for s in manifest.samples],
-            masks=[s.presence(manifest.modalities) for s in manifest.samples],
-        ),
-        ClientSlot(),
-    ]
+    slots = [*round_robin_partition(manifest, 1).clients, empty_slot()]
     export_partition(ClientPartition(clients=slots), manifest, HATEFUL_MEMES, False, tmp_path)
     empty = tmp_path / "client_01.jsonl"
     assert empty.exists()
@@ -229,10 +223,7 @@ def test_export_rejects_class_mismatch(tmp_path):
 def test_export_respects_partition_masks(tmp_path):
     manifest = binary_manifest()
     n = len(manifest.samples)
-    slots = [ClientSlot(
-        sample_ids=[s.id for s in manifest.samples],
-        masks=[(True, False)] * n,
-    )]
+    slots = [ClientSlot(np.arange(n), np.tile([True, False], (n, 1)))]
     export_partition(ClientPartition(clients=slots), manifest, HATEFUL_MEMES, False, tmp_path)
     for line in (tmp_path / "client_00.jsonl").read_text(encoding="utf-8").splitlines():
         obj = json.loads(line)

@@ -5,12 +5,12 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import randomize_delta, round_robin_partition, run_config, tiny_manifest, train_client
+from conftest import empty_slot, randomize_delta, round_robin_partition, run_config, tiny_manifest, train_client
 from fedmm import rng, server
 from fedmm.client import LocalTrainConfig, RegularizerConfig
 from fedmm.metrics import EvalSet, evaluate
 from fedmm.model import ModelConfig, init_model, load_checkpoint, loss_and_grad, make_batch, save_checkpoint
-from fedmm.partitioner import ClientPartition, ClientSlot, dirichlet_partition
+from fedmm.partitioner import ClientPartition, dirichlet_partition
 from fedmm.server import (
     AGGREGATOR_KINDS,
     DEFAULT_SERVER_LR,
@@ -256,7 +256,7 @@ def test_plain_avg_matches_centralized_descent():
 
     client_deltas, sizes = [], []
     for slot in partition.clients:
-        batch = make_batch(manifest, slot.sample_ids, slot.masks)
+        batch = make_batch(manifest, slot.rows, slot.masks)
         _, grad = loss_and_grad(base, delta, batch)
         client_deltas.append(replace(delta, flat=delta.flat - lr * grad.flat))
         sizes.append(len(slot))
@@ -264,9 +264,9 @@ def test_plain_avg_matches_centralized_descent():
     state = init_server_state("plain_avg", delta)
     state = server_step(state, pseudo_gradient(stacked(*client_deltas), sizes, delta))
 
-    ids = [sid for slot in partition.clients for sid in slot.sample_ids]
-    masks = [m for slot in partition.clients for m in slot.masks]
-    pooled = make_batch(manifest, ids, masks)
+    rows = np.concatenate([slot.rows for slot in partition.clients])
+    masks = np.concatenate([slot.masks for slot in partition.clients])
+    pooled = make_batch(manifest, rows, masks)
     _, pooled_grad = loss_and_grad(base, delta, pooled)
     want = delta.flat - lr * pooled_grad.flat
     assert np.allclose(state.global_delta.flat, want, atol=1e-12)
@@ -548,10 +548,7 @@ def test_load_checkpoint_rejects_misshapen_base(tmp_path, edit, name):
 
 def test_baseline_deterministic_and_k1_equals_solo():
     model_cfg, _, train, test = run_setup(seed=13)
-    solo = ClientPartition(clients=[ClientSlot(
-        sample_ids=[s.id for s in train.samples],
-        masks=[s.presence(train.modalities) for s in train.samples],
-    )])
+    solo = round_robin_partition(train, 1)
     a = local_baseline(model_cfg, solo, train, test, LocalTrainConfig(epochs=2, batch_size=8), seed=13)
     b = local_baseline(model_cfg, solo, train, test, LocalTrainConfig(epochs=2, batch_size=8), seed=13)
     assert a == b
@@ -569,13 +566,7 @@ def test_baseline_deterministic_and_k1_equals_solo():
 
 def test_baseline_skips_empty_clients():
     model_cfg, _, train, test = run_setup(seed=14)
-    slots = [
-        ClientSlot(
-            sample_ids=[s.id for s in train.samples],
-            masks=[s.presence(train.modalities) for s in train.samples],
-        ),
-        ClientSlot(),
-    ]
+    slots = [*round_robin_partition(train, 1).clients, empty_slot()]
     out = local_baseline(
         model_cfg, ClientPartition(clients=slots), train, test,
         LocalTrainConfig(epochs=1, batch_size=8), seed=14,
