@@ -11,25 +11,30 @@ partially missing clients get gamma_max scaled by their fraction of
 absent (sample, modality) slots. The depth mask switches the first and
 last `margin` depths off, leaving only middle layers constrained.
 
-A run classifies each client once, when it is first sampled, and keeps
-its shard as one write-protected Batch (ClientData). A round composes the
-proximal targets once (round_reg_context) for all of its clients and
-keeps only the masked-in ones (RegContext): the depth mask is one
-interval of depths and the groups are depth-ordered (model.shape_groups),
-so each group's masked-in layers are one slice, and each product of the
-term is one stacked call per slice. The term runs last in a step
-(model.loss_and_grad): it composes its slices into the weight buffer
-that backprop has finished with and adds its gradient into the factor
-gradients.
+A run builds its training set once (TrainSet): every client's shard,
+back to back in client order, as one write-protected Batch made by one
+make_batch call, beside each client's first row, missing rate and gamma.
+The run composes each version of the global adapter once and hands the
+composed updates and effective weights to everything that reads them. A
+round keeps only the masked-in composed targets (round_reg_context,
+RegContext): the depth mask is one interval of depths and the groups
+are depth-ordered (model.shape_groups), so each group's masked-in
+layers are one slice, and each product of the term is one stacked call
+per slice. The term runs last in a step (model.loss_and_grad): it
+composes its slices into the weight buffer that backprop has finished
+with and adds its gradient into the factor gradients.
 
 One call trains a round (local_train). Its clients train in lockstep
 groups of equal shard size, a group of one included: the group's
-adapters are the rows of one (C, P) matrix, its shards are stacked along
-a client axis, each layer's products are stacked np.matmul calls, and
-Adam runs elementwise on the whole matrix, in place through two rows of
-step temporaries. One block per call, sized for the widest group, holds
-those rows and the step's grouped weights, so a step allocates no (C, P)
-or weight-shaped array; every group trains in its first rows. Each
+adapters are the rows of one (C, P) matrix, each minibatch is one
+gather of (C, k) rows of the training set, each layer's products are
+stacked np.matmul calls, and Adam runs elementwise on the whole matrix,
+in place through two rows of step temporaries. One block per call,
+sized for the widest group, holds those rows and the step's grouped
+weights, so a step allocates no (C, P) or weight-shaped array; every
+group trains in its first rows. A group's first step copies the global
+effective weights into its weight rows, since every row of its adapter
+still equals the global one; later steps compose their own. Each
 client keeps its own shuffle stream, drawn for all epochs up front from
 one re-keyed generator (rng.permutations), and its own gamma; the
 trained adapters come back as one (K, P) matrix. The proximal term is
@@ -42,6 +47,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -52,12 +58,12 @@ from .model import (
     BaseWeights,
     Batch,
     Grouped,
-    compose_updates,
+    effective_weights,
     grouped,
     loss_and_grad,
     make_batch,
 )
-from .partitioner import CLIENT_KINDS, ClientSlot, classify_client, client_missing_rate
+from .partitioner import CLIENT_KINDS, ClientPartition, classify_client, client_missing_rate
 
 # Most clients one lockstep group trains at once (local_train). Each
 # member adds its working arrays to the peak memory of training. Median
@@ -156,14 +162,14 @@ class RegContext:
         return reg_value_and_grad(delta, self, grad, scratch)
 
 
-def make_reg_context(global_delta: AdapterDelta, margin: int, gamma: float) -> RegContext:
-    """The composed global updates of the layers mask_vector switches on.
-    Its mask is one interval of depths, so each depth-ordered group's
-    masked-in layers are one slice."""
+def make_reg_context(global_delta: AdapterDelta, composed: Grouped, margin: int, gamma: float) -> RegContext:
+    """The proximal context of the layers mask_vector switches on, taking
+    their targets from `composed`, the global delta's composed updates
+    (model.compose_updates). Its mask is one interval of depths, so each
+    depth-ordered group's masked-in layers are one slice."""
     depth = max(s.depth for s in global_delta.specs) + 1
     on = np.flatnonzero(mask_vector(depth, margin))
     lo, hi = (on[0], on[-1] + 1) if on.size else (0, 0)
-    composed = compose_updates(global_delta)
     slices, layers = [], []
     for g, group in enumerate(global_delta.groups):
         span = group.span(lo, hi)
@@ -173,35 +179,49 @@ def make_reg_context(global_delta: AdapterDelta, margin: int, gamma: float) -> R
     return RegContext(tuple(slices), np.argsort(layers), gamma, global_delta.flat.copy())
 
 
-def round_reg_context(global_delta: AdapterDelta, margin: int, gammas: list[float]) -> RegContext | None:
-    """The proximal context a round's clients share: the composed global
-    targets of the masked-in layers, built once, or None when no client's
-    gamma is positive. local_train replaces its gamma with each group's."""
+def round_reg_context(global_delta: AdapterDelta, composed: Grouped, margin: int, gammas: list[float]) -> RegContext | None:
+    """The proximal context a round's clients share, built from the global
+    delta's composed updates, or None when no client's gamma is positive.
+    local_train replaces its gamma with each group's."""
     if not any(gamma > 0.0 for gamma in gammas):
         return None
-    return make_reg_context(global_delta, margin, max(gammas))
+    return make_reg_context(global_delta, composed, margin, max(gammas))
 
 
 @dataclass(frozen=True)
-class ClientData:
-    """One client as a run sees it: the whole shard in slot order as one
-    write-protected Batch, the fraction of absent (sample, modality)
-    slots, and the proximal strength that profile earns (0 with the
-    regularizer off)."""
+class TrainSet:
+    """Every client's shard as a run trains it: one write-protected Batch,
+    without a client axis, holding the shards back to back in client
+    order; each client's first row in it (`start`); and per client the
+    fraction of absent (sample, modality) slots and the proximal strength
+    that profile earns (0 with the regularizer off). An empty client,
+    which no round samples, gets 0.0 for both."""
 
     batch: Batch
-    missing_rate: float
-    gamma: float
+    start: np.ndarray
+    missing_rate: tuple[float, ...]
+    gamma: tuple[float, ...]
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Rows per client."""
+        return np.diff(self.start, append=len(self.batch))
 
 
-def client_data(manifest: DatasetManifest, slot: ClientSlot, reg_cfg: RegularizerConfig) -> ClientData:
-    """Classify a client once and assemble its shard."""
-    missing_rate = client_missing_rate(slot)
-    gamma = 0.0
-    if reg_cfg.enabled:
-        gamma = gamma_for_client(reg_cfg.gamma_max, classify_client(slot), missing_rate)
-    batch = make_batch(manifest, slot.rows, slot.masks).freeze()
-    return ClientData(batch=batch, missing_rate=missing_rate, gamma=gamma)
+def build_train_set(manifest: DatasetManifest, partition: ClientPartition, reg_cfg: RegularizerConfig) -> TrainSet:
+    """Classify every client and assemble all shards in one make_batch call."""
+    slots = partition.clients
+    rows = np.concatenate([slot.rows for slot in slots])
+    masks = np.concatenate([slot.masks for slot in slots])
+    batch = make_batch(manifest, rows, masks).freeze()
+    start = np.cumsum([0, *partition.sizes()])[:-1]
+    start.flags.writeable = False
+    missing_rate = tuple(client_missing_rate(slot) if len(slot) else 0.0 for slot in slots)
+    gamma = tuple(
+        gamma_for_client(reg_cfg.gamma_max, classify_client(slot), rate) if reg_cfg.enabled and len(slot) else 0.0
+        for slot, rate in zip(slots, missing_rate)
+    )
+    return TrainSet(batch, start, missing_rate, gamma)
 
 
 def reg_value_and_grad(
@@ -292,30 +312,37 @@ def lockstep_groups(sizes: list[int]) -> list[list[int]]:
 def local_train(
     base: BaseWeights,
     global_delta: AdapterDelta,
-    clients: list[ClientData],
+    data: TrainSet,
+    clients: list[int],
     train_cfg: LocalTrainConfig,
     seeds: list[int],
     reg_ctx: RegContext | None = None,
+    global_weights: Grouped | None = None,
 ) -> tuple[AdapterDelta, list[list[float]]]:
-    """Train one copy of the global delta per client, each on its own
-    shard with its own shuffle stream (`seeds`); each minibatch is a
-    row-take of the shard. reg_ctx, when given, holds the round's
-    masked-in proximal targets, and each client's ClientData its gamma; a
-    group whose gammas are all 0 runs no proximal term.
+    """Train one copy of the global delta per client of `data` named in
+    `clients`, each on its own shard with its own shuffle stream (`seeds`);
+    each minibatch is a gather of rows of data.batch. reg_ctx, when given,
+    holds the round's masked-in proximal targets, and data each client's
+    gamma; a group whose gammas are all 0 runs no proximal term.
+    global_weights, when given, must hold the global delta's effective
+    weights (model.effective_weights); None composes them here, once.
 
     Clients of equal shard size train in lockstep groups (lockstep_groups),
-    a group of one included, each as one (C, P) parameter matrix on its
-    shards stacked along a client axis. Returns the trained deltas as one
+    a group of one included, each as one (C, P) parameter matrix on
+    minibatches with a client axis. Returns the trained deltas as one
     AdapterDelta with a (K, P) client axis and each client's per-epoch mean
     training loss, both in the order of `clients`. Neither the base
-    weights, the supplied global delta nor the shards are mutated;
-    epochs=0 returns copies of the global delta and empty traces.
+    weights, the supplied global delta and weights nor the training set
+    are mutated; epochs=0 returns copies of the global delta and empty
+    traces.
     """
     if not clients or len(seeds) != len(clients):
         raise ValueError("need one seed per client")
-    sizes = [len(c.batch) for c in clients]
+    sizes = data.sizes[clients].tolist()
     if 0 in sizes:
         raise ValueError("client has no samples")
+    if global_weights is None:
+        global_weights = effective_weights(base, global_delta)
     groups = lockstep_groups(sizes)
     # One block per call, sized for the widest group, holds every array a
     # step writes, Adam's rows and the grouped weights; a group trains in
@@ -335,6 +362,7 @@ def local_train(
 
     for group in groups:
         width, n = len(group), sizes[group[0]]
+        members = [clients[i] for i in group]
         params, grad_flat, first, second, t1, t2 = arrays[:, :width]
         if width not in views:
             views[width] = (
@@ -347,17 +375,22 @@ def local_train(
         first[...] = 0.0
         second[...] = 0.0
         ctx = None
-        if reg_ctx is not None and any(clients[i].gamma for i in group):
-            ctx = replace(reg_ctx, gamma=np.array([clients[i].gamma for i in group]))
-        shard = _stack_batches([clients[i].batch for i in group])
+        if reg_ctx is not None and any(data.gamma[k] for k in members):
+            ctx = replace(reg_ctx, gamma=np.array([data.gamma[k] for k in members]))
+        # (epochs, C, n): each client's shuffled positions in data.batch
         orders = np.stack([shuffles[i] for i in group], axis=1)
+        orders += data.start[members][:, None]
         batches_per_epoch = math.ceil(n / train_cfg.batch_size)
         total_steps = train_cfg.epochs * batches_per_epoch
         step = 0
         for order in orders:
             loss_sum = 0.0
             for b in range(batches_per_epoch):
-                minibatch = shard.take(order[:, b * train_cfg.batch_size : (b + 1) * train_cfg.batch_size])
+                minibatch = data.batch.take(order[:, b * train_cfg.batch_size : (b + 1) * train_cfg.batch_size])
+                if step:
+                    effective_weights(base, delta, out=weights)
+                else:  # every row still holds the global adapter
+                    weights.vec[...] = global_weights.vec
                 loss, _ = loss_and_grad(base, delta, minibatch, ctx, grad, weights)
                 loss_sum += loss * len(minibatch)
                 step += 1
@@ -381,12 +414,3 @@ def local_train(
                 traces[i].append(value)
         trained[group] = params
     return replace(global_delta, flat=trained), traces
-
-
-def _stack_batches(batches: list[Batch]) -> Batch:
-    """Equal-size shards as one batch with a leading client axis."""
-    return Batch(
-        features=[np.stack(arrays) for arrays in zip(*(b.features for b in batches))],
-        presence=[np.stack(arrays) for arrays in zip(*(b.presence for b in batches))],
-        labels=np.stack([b.labels for b in batches]),
-    )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DatasetManifest
-from .model import AdapterDelta, Batch, BaseWeights, effective_weights, forward, forward_scratch, make_batch, softmax_probs
+from .model import AdapterDelta, Batch, BaseWeights, Grouped, effective_weights, forward, forward_scratch, make_batch, softmax_probs
 
 METRIC_KINDS = ("auto", "roc_auc", "macro_f1")
 
@@ -110,12 +110,14 @@ class EvalSet:
         self.chunks = [make_batch(manifest, rows[start : start + self.chunk]).freeze() for start in rows[:: self.chunk]]
 
 
-def evaluate(base: BaseWeights, delta: AdapterDelta, test: EvalSet) -> dict:
+def evaluate(base: BaseWeights, delta: AdapterDelta, test: EvalSet, weights: Grouped | None = None) -> dict:
     """Score the model on a prebuilt test set; returns the run log's eval
     record: the metric, its value and the accuracy, which always rides
-    along. roc_auc scores the positive-class probability. Each layer's
-    effective weight and one forward_scratch serve every chunk."""
-    weights = effective_weights(base, delta)
+    along. roc_auc scores the positive-class probability. One set of
+    effective weights (delta's, composed here when weights is None) and
+    one forward_scratch serve every chunk."""
+    if weights is None:
+        weights = effective_weights(base, delta)
     scratch = forward_scratch(base, max(len(batch) for batch in test.chunks))
     prob = np.concatenate([softmax_probs(forward(base, delta, batch, weights, scratch)) for batch in test.chunks], axis=0)
     labels = test.manifest.labels

@@ -40,16 +40,22 @@ without that modality) and all its biases are zero: a zero row gives a
 the stack's weight gradients are then +0 too; its slice of the trunk
 input is written +0 and its weight-gradient slots are zeroed instead.
 
-make_batch gathers a client's whole shard (its partition rows under its
-masks), or a chunk of the test set (a range of rows), from the
-manifest's columns once per run; a lockstep group stacks its
-shards along a client axis, and its minibatches are row-takes of that
-stack (Batch.take).
+make_batch gathers every client's shard (the concatenated partition
+rows under their masks, client.TrainSet), or a chunk of the test set (a
+range of rows), from the manifest's columns once per run. A lockstep
+group's minibatch is one gather of (C, k) rows of that batch
+(Batch.take), which gives it a leading client axis.
 Evaluation writes activations only into one reused forward_scratch: a
 512-row, 32-wide activation is 128 KiB, glibc's mmap threshold, so a
 fresh one per layer would be mapped, or trimmed away, and faulted in.
 For the same reason a training loop allocates the step's grouped weights
 once and hands them to every loss_and_grad call.
+
+forward, loss_and_grad and metrics.evaluate take the effective weights
+(effective_weights) as an optional argument: given, they must already
+hold the delta's base weights plus composed updates; None means the
+function composes them itself. A run composes each version of the
+global adapter once and hands the result to everything that reads it.
 
 An AdapterDelta may hold a (C, P) matrix and a Batch a leading client
 axis; loss_and_grad is written over that optional axis. Training always
@@ -313,8 +319,8 @@ def compose_updates(delta: AdapterDelta, out: Grouped | None = None) -> Grouped:
 @dataclass
 class Batch:
     """Per-modality feature matrices with zero rows where absent, 0/1
-    presence columns, and integer labels. A lockstep group's batch has a
-    leading client axis on every array: features (C, rows, dim),
+    presence columns, and integer labels. A lockstep group's minibatch
+    has a leading client axis on every array: features (C, rows, dim),
     presence and labels (C, rows)."""
 
     features: list[np.ndarray]
@@ -326,13 +332,13 @@ class Batch:
         return int(self.labels.shape[-1])
 
     def take(self, rows: np.ndarray) -> "Batch":
-        """A batch with a client axis, client c's rows at positions
-        rows[c], in that order, as a new batch; rows is (C, k)."""
-        index = (np.arange(rows.shape[0])[:, None], rows)
+        """Rows of a batch without a client axis, gathered as a new batch
+        with one: client c's are the rows at positions rows[c], in that
+        order; rows is (C, k)."""
         return Batch(
-            features=[f[index] for f in self.features],
-            presence=[p[index] for p in self.presence],
-            labels=self.labels[index],
+            features=[f[rows] for f in self.features],
+            presence=[p[rows] for p in self.presence],
+            labels=self.labels[rows],
         )
 
     def freeze(self) -> "Batch":
@@ -366,12 +372,12 @@ def make_batch(manifest: DatasetManifest, rows: np.ndarray | range, masks: np.nd
     return Batch(features=features, presence=[keep.astype(np.float64) for keep in mask.T], labels=manifest.labels[rows])
 
 
-def effective_weights(base: BaseWeights, delta: AdapterDelta) -> list[np.ndarray]:
-    """Every layer's base weight plus its composed adapter update, as
-    views into one grouped vector."""
-    weights = compose_updates(delta)
+def effective_weights(base: BaseWeights, delta: AdapterDelta, out: Grouped | None = None) -> Grouped:
+    """Every layer's base weight plus its composed adapter update, written
+    into out or a new grouped vector."""
+    weights = compose_updates(delta, out)
     np.add(weights.vec, base.flat, out=weights.vec)
-    return weights.layers
+    return weights
 
 
 def _encoder_depth(specs: tuple[LayerSpec, ...], modality_count: int) -> int:
@@ -470,7 +476,7 @@ def forward(
     base: BaseWeights,
     delta: AdapterDelta,
     batch: Batch,
-    weights: list[np.ndarray] | None = None,
+    weights: Grouped | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Class logits, shape (len(batch), class_count). A caller scoring
@@ -478,7 +484,7 @@ def forward(
     so they are composed once, and one forward_scratch(base, rows) for all."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    return _run_forward(base, effective_weights(base, delta) if weights is None else weights, batch, scratch)
+    return _run_forward(base, (effective_weights(base, delta) if weights is None else weights).layers, batch, scratch)
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
@@ -514,26 +520,26 @@ def loss_and_grad(
 
     A delta with a client axis, (C, P), trains C clients in lockstep on a
     batch with the same leading axis; the loss is then a (C,) vector.
-    grad and weights, a grouped weight-shaped vector with delta's leading
-    axes, are overwritten when given, so a training loop allocates them
-    and their views once: with a client axis they outgrow glibc's 128 KiB
-    mmap threshold, so fresh ones per step would be mapped and faulted in
-    every step.
+    grad is overwritten when given, and so is weights, a grouped
+    weight-shaped vector with delta's leading axes, which must then hold
+    delta's effective weights (effective_weights; None composes them
+    here). A training loop thus allocates both and their views once: with
+    a client axis they outgrow glibc's 128 KiB mmap threshold, so fresh
+    ones per step would be mapped and faulted in every step.
 
-    weights holds the composed updates, then the effective weights, then,
-    as backprop leaves each weight behind, that layer's weight gradient;
-    the factor gradients are then one stacked product per group. The
-    proximal term runs last: reg_ctx, when supplied, must expose
-    value_and_grad(delta, grad, scratch), which returns its value and
-    adds its gradient into grad (a sum of two terms, so which comes first
-    does not change a byte), using the spent weights as scratch.
+    As backprop leaves each weight behind, weights takes that layer's
+    weight gradient in its place; the factor gradients are then one
+    stacked product per group. The proximal term runs last: reg_ctx, when
+    supplied, must expose value_and_grad(delta, grad, scratch), which
+    returns its value and adds its gradient into grad (a sum of two
+    terms, so which comes first does not change a byte), using the spent
+    weights as scratch.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
     if grad is None:
         grad = replace(delta, flat=np.empty_like(delta.flat))
-    composed = compose_updates(delta, out=weights)
-    np.add(composed.vec, base.flat, out=composed.vec)
+    composed = effective_weights(base, delta) if weights is None else weights
     weights = composed.layers
     tape: list[tuple[np.ndarray | None, np.ndarray | None]] = []
     logits = _run_forward(base, weights, batch, tape=tape)
@@ -606,8 +612,8 @@ def read_checkpoint(path: str | Path, kind: str) -> tuple[dict, dict[str, np.nda
     """A checkpoint of `kind`: its header, its arrays, and its adapter
     rebuilt from adapter_meta. Every `layers` entry must be an object with
     the LayerSpec fields, the rank and every fan and depth a non-negative
-    int, and each array of layer_arrays (base ones too in a model
-    checkpoint) the shape its entry gives it."""
+    int, adapter_alpha a number > 0, and each array of layer_arrays (base
+    ones too in a model checkpoint) the shape its entry gives it."""
     meta, arrays = read_tensor_file(path)
     if meta.get("kind") != kind:
         raise ValueError(f"{path}: not a {kind} checkpoint")
@@ -620,7 +626,10 @@ def read_checkpoint(path: str | Path, kind: str) -> tuple[dict, dict[str, np.nda
     sizes = [rank] + [v for s in specs for v in (s.fan_in, s.fan_out, s.depth)]
     if not all(type(v) is int and v >= 0 for v in sizes):  # bool is an int subclass; a JSON true is no size
         raise ValueError(f"{path}: header key 'rank' or 'layers' holds a size that is not a non-negative int")
-    delta = AdapterDelta(specs, rank, float(meta["adapter_alpha"]), np.zeros(adapter_size(specs, rank)))
+    alpha = meta["adapter_alpha"]
+    if type(alpha) not in (int, float) or not alpha > 0:  # as ModelConfig; a JSON true or "4" is no scale
+        raise ValueError(f"{path}: header key 'adapter_alpha' must be a number > 0, got {alpha!r}")
+    delta = AdapterDelta(specs, rank, float(alpha), np.zeros(adapter_size(specs, rank)))
     base = None
     if kind == "model":  # zero base arrays in the shapes the file's must have
         base = BaseWeights(specs, [np.zeros((s.fan_out, s.fan_in)) for s in specs], [np.zeros(s.fan_out) for s in specs])

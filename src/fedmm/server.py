@@ -26,21 +26,17 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .client import (
-    ClientData,
-    LocalTrainConfig,
-    RegularizerConfig,
-    client_data,
-    local_train,
-    round_reg_context,
-)
+from .client import LocalTrainConfig, RegularizerConfig, build_train_set, local_train, round_reg_context
 from .data import DatasetManifest
 from .metrics import EvalSet, evaluate
 from .model import (
     AdapterDelta,
     BaseWeights,
+    Grouped,
     ModelConfig,
     adapter_meta,
+    compose_updates,
+    grouped,
     init_model,
     layer_arrays,
     layer_order,
@@ -209,6 +205,12 @@ class RunLog:
         return None
 
 
+def _compose(base: BaseWeights, delta: AdapterDelta) -> tuple[Grouped, Grouped]:
+    """A global adapter's composed updates and its effective weights."""
+    composed = compose_updates(delta)
+    return composed, grouped(base.groups, composed.vec + base.flat)
+
+
 def run_rounds(
     cfg: FLRunConfig,
     model_cfg: ModelConfig,
@@ -222,27 +224,28 @@ def run_rounds(
     timings list, kept out of the RunLog so reruns of the same config
     produce identical logs.
 
-    Each client's shard is assembled and classified the first time the
-    client is sampled; the cache dies with the call. One local_train call
-    trains a round's clients, and their results are checked and aggregated
-    in sampled order. A non-finite client loss or adapter, or a non-finite
-    global adapter after aggregation, raises ValueError naming the round.
+    Every client is classified and every shard assembled once, up front,
+    as one TrainSet. Each version of the global adapter is composed once,
+    before round 1 and after every aggregation; its composed updates give
+    the round's proximal targets, and its effective weights are what
+    evaluate scores and what every lockstep group's first step starts
+    from. One local_train call trains a round's clients, and their
+    results are checked and aggregated in sampled order. A non-finite
+    client loss or adapter, or a non-finite global adapter after
+    aggregation, raises ValueError naming the round.
     """
     sizes = partition.sizes()
     base, delta0 = init_model(model_cfg)
     state = init_server_state(cfg.aggregator, delta0, cfg.server_lr)
-    clients: dict[int, ClientData] = {}
+    data = build_train_set(train_manifest, partition, cfg.reg)
+    composed, weights = _compose(base, state.global_delta)
     log = RunLog()
     for t in range(1, cfg.rounds + 1):
         started = time.perf_counter()
         picked = sample_clients(sizes, cfg.clients_per_round, t, cfg.seed)
-        for k in picked:
-            if k not in clients:
-                clients[k] = client_data(train_manifest, partition.clients[k], cfg.reg)
-        sampled = [clients[k] for k in picked]
         seeds = [rng.seed_for(cfg.seed, "local", t, k) for k in picked]
-        ctx = round_reg_context(state.global_delta, cfg.reg.margin, [c.gamma for c in sampled])
-        trained, traces = local_train(base, state.global_delta, sampled, cfg.local, seeds, ctx)
+        ctx = round_reg_context(state.global_delta, composed, cfg.reg.margin, [data.gamma[k] for k in picked])
+        trained, traces = local_train(base, state.global_delta, data, picked, cfg.local, seeds, ctx, weights)
         if not (np.isfinite(trained.flat).all() and np.isfinite(traces).all()):
             for k, row, trace in zip(picked, trained.flat, traces):
                 if not (np.isfinite(row).all() and np.isfinite(trace).all()):
@@ -252,9 +255,10 @@ def run_rounds(
         state = server_step(state, grad)
         if not np.isfinite(state.global_delta.flat).all():
             raise ValueError(f"round {t}: global adapter is not finite after aggregating clients {picked}")
+        composed, weights = _compose(base, state.global_delta)
         eval_obj = None
         if t % cfg.eval_every == 0 or t == cfg.rounds:
-            eval_obj = evaluate(base, state.global_delta, test)
+            eval_obj = evaluate(base, state.global_delta, test, weights)
         if timings is not None:
             timings.append(time.perf_counter() - started)
         log.records.append(
@@ -262,8 +266,8 @@ def run_rounds(
                 "round": t,
                 "clients": picked,
                 "n_k": {str(k): sizes[k] for k in picked},
-                "beta": {str(k): clients[k].missing_rate for k in picked},
-                "gamma": {str(k): clients[k].gamma for k in picked},
+                "beta": {str(k): data.missing_rate[k] for k in picked},
+                "gamma": {str(k): data.gamma[k] for k in picked},
                 "client_loss": {str(k): trace for k, trace in zip(picked, traces)},
                 "eval": eval_obj,
             }
@@ -287,9 +291,9 @@ def local_baseline(
     base, delta0 = init_model(model_cfg)
     sizes = partition.sizes()
     nonempty = [k for k, n in enumerate(sizes) if n > 0]
-    clients = [client_data(train_manifest, partition.clients[k], RegularizerConfig(enabled=False)) for k in nonempty]
+    data = build_train_set(train_manifest, partition, RegularizerConfig(enabled=False))
     seeds = [rng.seed_for(seed, "baseline", k) for k in nonempty]
-    trained, _ = local_train(base, delta0, clients, local_cfg, seeds)
+    trained, _ = local_train(base, delta0, data, nonempty, local_cfg, seeds)
     per_client = {
         str(k): evaluate(base, replace(delta0, flat=row), test)
         for k, row in zip(nonempty, trained.flat)
@@ -319,11 +323,18 @@ def save_server_state(path: str | Path, state: ServerState) -> None:
 
 
 def load_server_state(path: str | Path) -> ServerState:
-    """Read a server checkpoint, rejecting an unknown aggregator and any
-    moment buffer whose width differs from the adapter's."""
+    """Read a server checkpoint, rejecting an unknown aggregator, a round
+    that is not an int >= 0, a hyperparameter that is not a JSON number,
+    and any moment buffer whose width differs from the adapter's."""
     meta, arrays, delta = read_checkpoint(path, "server")
     if meta["aggregator"] not in AGGREGATOR_KINDS:
         raise ValueError(f"{path}: aggregator must be one of {AGGREGATOR_KINDS}, got {meta['aggregator']!r}")
+    # bool is an int subclass; a JSON true is neither a round nor a rate
+    if type(meta["round"]) is not int or meta["round"] < 0:
+        raise ValueError(f"{path}: header key 'round' must be an int >= 0, got {meta['round']!r}")
+    for name in SERVER_STATE_SCALARS[1:]:
+        if type(meta[name]) not in (int, float):
+            raise ValueError(f"{path}: header key {name!r} must be a number, got {meta[name]!r}")
     for name in SERVER_STATE_BUFFERS:
         if arrays[name].shape != delta.flat.shape:
             raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, expected {delta.flat.shape}")
@@ -332,5 +343,6 @@ def load_server_state(path: str | Path) -> ServerState:
         kind=meta["aggregator"],
         global_delta=delta,
         **{name: arrays[name][from_layer_order] for name in SERVER_STATE_BUFFERS},
-        **{name: (int if name == "round" else float)(meta[name]) for name in SERVER_STATE_SCALARS},
+        round=meta["round"],
+        **{name: float(meta[name]) for name in SERVER_STATE_SCALARS[1:]},
     )

@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedmm import cli
-from fedmm.client import client_data, local_train, round_reg_context
+from fedmm import cli, client, metrics, model, server
+from fedmm.client import build_train_set, local_train, make_reg_context, round_reg_context
 from fedmm.config import ExperimentConfig
 from fedmm.data import DatasetManifest, ModalityDescriptor, Sample, SynthConfig, synth_generate
-from fedmm.model import ModelConfig, init_model
+from fedmm.model import ModelConfig, compose_updates, init_model
 from fedmm.partitioner import ClientPartition, ClientSlot
 
 
@@ -32,10 +32,32 @@ def empty_slot(modality_count=2):
 def train_client(base, delta, manifest, slot, cfg, reg_cfg, seed):
     """local_train on one client, a lockstep group of one, the way
     run_rounds drives it; returns its trained delta and trace."""
-    client = client_data(manifest, slot, reg_cfg)
-    ctx = round_reg_context(delta, reg_cfg.margin, [client.gamma])
-    trained, [trace] = local_train(base, delta, [client], cfg, [seed], ctx)
+    data = build_train_set(manifest, ClientPartition([slot]), reg_cfg)
+    ctx = round_reg_context(delta, compose_updates(delta), reg_cfg.margin, list(data.gamma))
+    trained, [trace] = local_train(base, delta, data, [0], cfg, [seed], ctx)
     return replace(trained, flat=trained.flat[0]), trace
+
+
+def reg_context(target, margin, gamma):
+    """make_reg_context on target's own composed updates."""
+    return make_reg_context(target, compose_updates(target), margin, gamma)
+
+
+def count_composes(monkeypatch):
+    """The leading shape of every delta compose_updates is called on from
+    here on, wherever fedmm calls it: () for the global adapter, (C,) for
+    a lockstep group."""
+    shapes = []
+    real = model.compose_updates
+
+    def counted(delta, out=None):
+        shapes.append(delta.flat.shape[:-1])
+        return real(delta, out)
+
+    for module in (model, client, server, metrics):
+        if hasattr(module, "compose_updates"):
+            monkeypatch.setattr(module, "compose_updates", counted)
+    return shapes
 
 
 def run_config(*overrides):

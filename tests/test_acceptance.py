@@ -30,6 +30,7 @@ from fedmm.metrics import EvalSet, macro_f1, roc_auc
 from fedmm.model import (
     AdapterDelta,
     ModelConfig,
+    compose_updates,
     init_model,
     loss_and_grad,
     make_batch,
@@ -94,7 +95,7 @@ def test_01_gradient_correctness(capsys):
             # a margin that keeps at least one layer in the band, so the
             # proximal gradient is live in every config
             margin = 1 if cfg.depth >= 3 else 0
-            ctx = make_reg_context(target, margin=margin, gamma=0.5)
+            ctx = make_reg_context(target, compose_updates(target), margin=margin, gamma=0.5)
 
             m = len(shape["modality_dims"])
             n = 6

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import empty_slot, manual_manifest, randomize_delta, slot_of, tiny_manifest, train_client
+from conftest import count_composes, empty_slot, manual_manifest, randomize_delta, reg_context, slot_of, tiny_manifest, train_client
 from fedmm.client import (
-    ClientData,
     LocalTrainConfig,
     RegularizerConfig,
-    client_data,
+    build_train_set,
     cosine_lr,
     gamma_for_client,
     local_train,
@@ -19,8 +18,8 @@ from fedmm.client import (
     round_reg_context,
     reg_value_and_grad,
 )
-from fedmm.model import AdapterDelta, Batch, LayerSpec, ModelConfig, compose_updates, grouped, init_model, make_batch
-from fedmm.partitioner import ClientSlot, dirichlet_partition
+from fedmm.model import AdapterDelta, LayerSpec, ModelConfig, compose_updates, effective_weights, grouped, init_model, make_batch
+from fedmm.partitioner import ClientPartition, ClientSlot, dirichlet_partition
 from test_model import central_difference, relative_errors
 
 
@@ -69,7 +68,7 @@ def test_reg_hand_case_scalar():
     # composed update 0.2, target 0, gamma 10: value = 10 * 0.04
     delta = one_by_one_delta(0.4, 0.5)
     assert compose_updates(delta).layers[0][0, 0] == pytest.approx(0.2)
-    ctx = make_reg_context(one_by_one_delta(0.0, 0.0), margin=0, gamma=10.0)
+    ctx = reg_context(one_by_one_delta(0.0, 0.0), margin=0, gamma=10.0)
     value, grad = reg_value_and_grad(delta, ctx)
     assert value == pytest.approx(0.4)
     # d/dup of gamma*(s*u*d)^2 = 2*gamma*(s*u*d)*s*d
@@ -79,7 +78,7 @@ def test_reg_hand_case_scalar():
 
 def test_reg_zero_at_target():
     delta = one_by_one_delta(0.4, 0.5)
-    ctx = make_reg_context(delta, margin=0, gamma=5.0)
+    ctx = reg_context(delta, margin=0, gamma=5.0)
     value, grad = reg_value_and_grad(delta, ctx)
     assert value == 0.0
     assert np.array_equal(grad.flat, np.zeros(2))
@@ -88,7 +87,7 @@ def test_reg_zero_at_target():
 def test_reg_masked_layer_contributes_nothing():
     delta = one_by_one_delta(0.4, 0.5)
     with pytest.warns(UserWarning, match="inert"):
-        ctx = make_reg_context(one_by_one_delta(0.0, 0.0), margin=1, gamma=10.0)
+        ctx = reg_context(one_by_one_delta(0.0, 0.0), margin=1, gamma=10.0)
     value, grad = reg_value_and_grad(delta, ctx)
     assert value == 0.0
     assert np.array_equal(grad.flat, np.zeros(2))
@@ -97,7 +96,7 @@ def test_reg_masked_layer_contributes_nothing():
 def test_reg_gamma_zero_contributes_nothing(tiny_model):
     _, _, delta = tiny_model
     delta = randomize_delta(delta, seed=3)
-    ctx = make_reg_context(replace(delta, flat=np.zeros_like(delta.flat)), margin=0, gamma=0.0)
+    ctx = reg_context(replace(delta, flat=np.zeros_like(delta.flat)), margin=0, gamma=0.0)
     value, grad = reg_value_and_grad(delta, ctx)
     assert value == 0.0
     assert np.array_equal(grad.flat, np.zeros_like(grad.flat))
@@ -107,7 +106,7 @@ def test_reg_gradient_matches_central_differences(tiny_model):
     _, _, delta = tiny_model
     delta = randomize_delta(delta, seed=9, scale=0.3)
     target_delta = randomize_delta(delta, seed=10, scale=0.2)
-    ctx = make_reg_context(target_delta, margin=1, gamma=0.7)
+    ctx = reg_context(target_delta, margin=1, gamma=0.7)
     _, grad = reg_value_and_grad(delta, ctx)
 
     def fn(vec):
@@ -133,7 +132,7 @@ def test_reg_adds_into_masked_in_slots_only(tiny_model):
     _, _, delta = tiny_model
     rows = np.stack([randomize_delta(delta, seed=s, scale=0.3).flat for s in (11, 12)])
     clients = replace(delta, flat=rows)
-    ctx = replace(make_reg_context(randomize_delta(delta, seed=13), margin=1, gamma=0.7), gamma=np.array([0.7, 0.2]))
+    ctx = replace(reg_context(randomize_delta(delta, seed=13), margin=1, gamma=0.7), gamma=np.array([0.7, 0.2]))
     inside = masked_in_slots(delta, margin=1)
     assert inside.any() and not inside.all()
     fresh_value, fresh = reg_value_and_grad(clients, ctx)
@@ -147,7 +146,7 @@ def test_reg_adds_into_masked_in_slots_only(tiny_model):
 def test_reg_scratch_changes_no_byte(tiny_model):
     _, base, delta = tiny_model
     delta = randomize_delta(delta, seed=15, scale=0.3)
-    ctx = make_reg_context(randomize_delta(delta, seed=16), margin=1, gamma=0.7)
+    ctx = reg_context(randomize_delta(delta, seed=16), margin=1, gamma=0.7)
     want_value, want = reg_value_and_grad(delta, ctx)
     # NaN scratch: the term must write its slices before reading them
     scratch = grouped(base.groups, np.full(base.flat.size, np.nan)).stacks
@@ -159,7 +158,7 @@ def test_reg_scratch_changes_no_byte(tiny_model):
 def test_reg_at_origin_returns_zero_and_leaves_grad(tiny_model):
     _, _, delta = tiny_model
     origin = randomize_delta(delta, seed=21, scale=0.3)
-    ctx = replace(make_reg_context(origin, margin=1, gamma=0.7), gamma=np.array([0.7, 0.2]))
+    ctx = replace(reg_context(origin, margin=1, gamma=0.7), gamma=np.array([0.7, 0.2]))
     rows = np.stack([origin.flat, origin.flat])
     prefill = np.random.default_rng(22).normal(size=rows.shape)
     value, grad = reg_value_and_grad(replace(origin, flat=rows), ctx, replace(origin, flat=prefill.copy()))
@@ -324,50 +323,79 @@ def test_local_train_aligned_client_skips_reg():
     assert trace_on == trace_off
 
 
-# ---------- per-run client tensors ----------
+# ---------- the run's training set ----------
 
-def test_client_batch_row_take_matches_make_batch():
-    # a partial-mask client: a drops text, b keeps image, c keeps text
+def test_train_set_rows_match_make_batch():
+    # partial masks: client 0 keeps d whole, a without text, b's image
+    # and c's text; client 1 is empty; client 2 keeps a and d image-only
     manifest = manual_manifest()
-    slot = slot_of(manifest, ["d", "a", "b", "c"], [(True, True), (True, False), (True, False), (False, True)])
-    client = client_data(manifest, slot, RegularizerConfig(gamma_max=0.4))
-    assert client.missing_rate == 3 / 8
-    assert client.gamma == gamma_for_client(0.4, "partial_missing", 3 / 8)
-    # the shard as a lockstep group of one, with a client axis
-    shard = Batch([f[None] for f in client.batch.features], [p[None] for p in client.batch.presence], client.batch.labels[None])
-    for rows in (np.array([2, 0, 3]), np.array([1, 1, 0, 3, 2]), np.arange(4)):
-        got = shard.take(rows[None])
-        want = make_batch(manifest, slot.rows[rows], slot.masks[rows])
-        for a, b in zip([*got.features, *got.presence, got.labels], [*want.features, *want.presence, want.labels]):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a[0], b)
+    slots = [
+        slot_of(manifest, ["d", "a", "b", "c"], [(True, True), (True, False), (True, False), (False, True)]),
+        empty_slot(),
+        slot_of(manifest, ["a", "d"], [(True, False), (True, False)]),
+    ]
+    data = build_train_set(manifest, ClientPartition(slots), RegularizerConfig(gamma_max=0.4))
+    assert data.start.tolist() == [0, 4, 4] and data.sizes.tolist() == [4, 0, 2]
+    assert data.missing_rate == (3 / 8, 0.0, 1 / 2)
+    assert data.gamma == (gamma_for_client(0.4, "partial_missing", 3 / 8), 0.0, 0.4)
+    assert build_train_set(manifest, ClientPartition(slots), RegularizerConfig(enabled=False)).gamma == (0.0, 0.0, 0.0)
+    # any (C, k) rows, client c's offset by its start, are client c's make_batch rows
+    for picked, rows in (([0], [[2, 0, 3]]), ([0], [[1, 1, 0, 3, 2]]), ([0, 2], [[3, 1], [1, 0]]), ([2, 0], [[0, 1], [2, 2]])):
+        rows = np.array(rows)
+        got = data.batch.take(data.start[picked][:, None] + rows)
+        for c, k in enumerate(picked):
+            want = make_batch(manifest, slots[k].rows[rows[c]], slots[k].masks[rows[c]])
+            for a, b in zip([*got.features, *got.presence, got.labels], [*want.features, *want.presence, want.labels]):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a[c], b)
 
 
-def test_client_batch_read_only_and_untouched_by_training():
+def test_train_set_read_only_and_untouched_by_training():
     manifest, base, delta, partition = make_setup()
-    client = client_data(manifest, partition.clients[0], RegularizerConfig())
-    arrays = [*client.batch.features, *client.batch.presence, client.batch.labels]
+    data = build_train_set(manifest, partition, RegularizerConfig())
+    arrays = [*data.batch.features, *data.batch.presence, data.batch.labels, data.start]
     before = [a.copy() for a in arrays]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
-        client.batch.features[0][0, 0] = 1.0
-    local_train(base, delta, [client], LocalTrainConfig(epochs=2, batch_size=5), seeds=[4])
+        data.batch.features[0][0, 0] = 1.0
+    local_train(base, delta, data, [2, 0], LocalTrainConfig(epochs=2, batch_size=5), seeds=[4, 5])
     assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+
+def test_group_first_step_composes_nothing(monkeypatch):
+    manifest, base, delta, partition = make_setup()
+    data = build_train_set(manifest, partition, RegularizerConfig())
+    start = randomize_delta(delta, seed=3)
+    clients, seeds = [2, 0, 1], [7, 8, 9]
+    weights = effective_weights(base, start)
+    shapes = count_composes(monkeypatch)
+    whole = LocalTrainConfig(epochs=1, batch_size=len(data.batch))  # one step per group
+    alone, _ = local_train(base, start, data, clients, whole, seeds)
+    assert shapes == [()]  # the global adapter, once per call
+    shapes.clear()
+    given, _ = local_train(base, start, data, clients, whole, seeds, global_weights=weights)
+    assert shapes == []
+    assert np.array_equal(given.flat, alone.flat)
+    groups = len(set(data.sizes[clients].tolist()))
+    local_train(base, start, data, clients, replace(whole, epochs=3), seeds, global_weights=weights)
+    assert len(shapes) == 2 * groups and () not in shapes  # steps 2 and 3 of each group
 
 
 def test_local_train_empty_batch_rejected():
     manifest, base, delta, _ = make_setup()
+    data = build_train_set(manifest, ClientPartition([empty_slot()]), RegularizerConfig())
     with pytest.raises(ValueError, match="no samples"):
-        local_train(base, delta, [ClientData(make_batch(manifest, []), 0.0, 0.0)], LocalTrainConfig(), seeds=[1])
+        local_train(base, delta, data, [0], LocalTrainConfig(), seeds=[1])
 
 
 def test_reg_contexts_compose_targets_once():
     _, _, delta, _ = make_setup()
     start = randomize_delta(delta, seed=3)
-    shared = round_reg_context(start, 1, [0.0, 0.3, 0.0, 0.7])
-    own = make_reg_context(start, 1, 0.7)
+    composed = compose_updates(start)
+    shared = round_reg_context(start, composed, 1, [0.0, 0.3, 0.0, 0.7])
+    own = make_reg_context(start, composed, 1, 0.7)
     assert [(g, span) for g, span, _ in shared.slices] == [(g, span) for g, span, _ in own.slices]
     assert all(np.array_equal(x, y) for (_, _, x), (_, _, y) in zip(shared.slices, own.slices))
     assert np.array_equal(shared.order, own.order)
     assert shared.gamma == 0.7
-    assert round_reg_context(start, 1, [0.0, 0.0]) is None
+    assert round_reg_context(start, composed, 1, [0.0, 0.0]) is None

@@ -11,18 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lockstep_reference as reference
-from conftest import randomize_delta, run_config
+from conftest import randomize_delta, reg_context, run_config
 from fedmm import client
 from fedmm.client import (
-    ClientData,
     LocalTrainConfig,
+    TrainSet,
     local_train,
     lockstep_groups,
-    make_reg_context,
     mask_vector,
     round_reg_context,
 )
-from fedmm.model import AdapterDelta, BaseWeights, Batch, ModelConfig, init_model, loss_and_grad
+from fedmm.model import AdapterDelta, BaseWeights, Batch, ModelConfig, compose_updates, init_model, loss_and_grad
 from fedmm.server import run_rounds
 
 
@@ -40,6 +39,17 @@ def client_batch(gen, dims, classes, n, kind):
         presence=list(presence),
         labels=gen.integers(0, classes, n),
     )
+
+
+def train_set(batches, gammas):
+    """The clients' batches back to back as one TrainSet."""
+    joined = Batch(
+        features=[np.concatenate(arrays) for arrays in zip(*(b.features for b in batches))],
+        presence=[np.concatenate(arrays) for arrays in zip(*(b.presence for b in batches))],
+        labels=np.concatenate([b.labels for b in batches]),
+    )
+    start = np.cumsum([0, *(len(b) for b in batches)])[:-1]
+    return TrainSet(joined.freeze(), start, (0.0,) * len(batches), tuple(gammas))
 
 
 def reference_context(target, margin, gamma):
@@ -84,16 +94,17 @@ def test_lockstep_equals_each_client_alone(case):
     batches = [client_batch(gen, dims, classes, n, kind) for n, kind in zip(case["sizes"], case["kinds"])]
     seeds = [case["seed"] * 7 + c for c in range(len(batches))]
     margin = case["margin"] if 2 * case["margin"] < model_cfg.depth else 0
-    shared = round_reg_context(start, margin, case["gammas"])
+    shared = round_reg_context(start, compose_updates(start), margin, case["gammas"])
     contexts = [reference_context(start, margin, gamma) if gamma > 0.0 else None for gamma in case["gammas"]]
     train_cfg = LocalTrainConfig(epochs=case["epochs"], batch_size=case["batch_size"], lr=0.05, warmup_ratio=0.3)
 
-    clients = [ClientData(b, 0.0, gamma) for b, gamma in zip(batches, case["gammas"])]
+    data = train_set(batches, case["gammas"])
+    clients = list(range(len(batches)))
     want = [reference.local_train(base, start, b, train_cfg, s, ctx) for b, s, ctx in zip(batches, seeds, contexts)]
     for _ in range(2):  # a second call on the same inputs gives the same bytes
         # groups of at most `cap` clients, so some calls train groups of several widths
         with mock.patch.object(client, "LOCKSTEP_WIDTH", case["cap"]):
-            got, traces = local_train(base, start, clients, train_cfg, seeds, shared)
+            got, traces = local_train(base, start, data, clients, train_cfg, seeds, shared)
         assert got.flat.shape == (len(clients), start.flat.size)
         for row, got_trace, (want_delta, want_trace) in zip(got.flat, traces, want):
             assert np.array_equal(row, want_delta.flat)
@@ -178,7 +189,7 @@ def test_absent_encoder_stack_is_never_read(with_reg):
     delta = randomize_delta(delta, seed=4, scale=0.3)
     # margin 1 masks in depth 1, so the absent stack's last layer carries the proximal term
     target = randomize_delta(delta, seed=5)
-    ctx = make_reg_context(target, margin=1, gamma=0.7) if with_reg else None
+    ctx = reg_context(target, margin=1, gamma=0.7) if with_reg else None
     want_ctx = reference_context(target, margin=1, gamma=0.7) if with_reg else None
     batch = client_batch(np.random.default_rng(4), cfg.modality_dims, cfg.class_count, 7, "single")
     assert not batch.presence[1].any()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import manual_manifest, manual_records, randomize_delta, tiny_manifest
 from fedmm.data import SynthConfig, synth_generate
 from fedmm.metrics import EvalSet, accuracy, evaluate, macro_f1, roc_auc
-from fedmm.model import ModelConfig, init_model
+from fedmm.model import ModelConfig, effective_weights, init_model
 
 
 # ---------- oracles ----------
@@ -240,6 +240,22 @@ def test_evaluate_prebuilt_chunks_match_fresh_build():
     assert [len(batch) for batch in small.chunks] == [7, 7, 7, 7, 2]
     assert evaluate(base, delta, small) == fresh
     assert not any(a.flags.writeable for b in small.chunks for a in (*b.features, *b.presence, b.labels))
+
+
+@pytest.mark.parametrize("class_count", [2, 3])
+def test_evaluate_with_precomputed_weights(class_count):
+    manifest = tiny_manifest(class_count=class_count, per_class=30 // class_count, seed=5)
+    cfg = ModelConfig(
+        modality_dims=(4, 3), hidden=6, encoder_depth=1, trunk_depth=1,
+        class_count=class_count, rank=2, adapter_alpha=2.0, seed=5,
+    )
+    base, delta = init_model(cfg)
+    delta = randomize_delta(delta, seed=3)
+    test = EvalSet(manifest)
+    assert evaluate(base, delta, test, effective_weights(base, delta)) == evaluate(base, delta, test)
+    # the weights are what gets scored: another delta's score as that delta
+    other = randomize_delta(delta, seed=4, scale=2.0)
+    assert evaluate(base, delta, test, effective_weights(base, other)) == evaluate(base, other, test)
 
 
 def test_evaluate_keeps_no_activations():

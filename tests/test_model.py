@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -459,6 +460,28 @@ def test_checkpoint_rejects_misshapen_factor(tmp_path, tiny_model):
     write_tensor_file(path, meta, list(arrays.items()))
     with pytest.raises(ValueError, match="shape"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("alpha", [True, "4", -4.0, 0.0, 0, None])
+def test_checkpoint_rejects_bad_adapter_alpha(tmp_path, tiny_model, alpha):
+    # 0 would zero every composed update, a negative value flip them
+    _, base, delta = tiny_model
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, base, delta)
+    meta, arrays = read_tensor_file(path)
+    write_tensor_file(path, {**meta, "adapter_alpha": alpha}, list(arrays.items()))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: header key 'adapter_alpha'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_loads_int_adapter_alpha(tmp_path, tiny_model):
+    _, base, delta = tiny_model
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, base, delta)
+    meta, arrays = read_tensor_file(path)
+    write_tensor_file(path, {**meta, "adapter_alpha": 3}, list(arrays.items()))
+    _, loaded = load_checkpoint(path)
+    assert loaded.adapter_alpha == 3.0 and type(loaded.adapter_alpha) is float
 
 
 def write_raw_tensor_file(path, header, payload):

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import empty_slot, randomize_delta, round_robin_partition, run_config, tiny_manifest, train_client
+from conftest import count_composes, empty_slot, randomize_delta, round_robin_partition, run_config, tiny_manifest, train_client
 from fedmm import rng, server
 from fedmm.client import LocalTrainConfig, RegularizerConfig
 from fedmm.metrics import EvalSet, evaluate
@@ -302,6 +302,21 @@ def test_run_rounds_single_client_composition():
     assert np.array_equal(state.global_delta.flat, want.flat)
 
 
+def test_run_rounds_composes_each_global_adapter_once(monkeypatch):
+    # the proximal term runs (hybrid clients), every round is scored, and
+    # groups take several steps, so every reader of the global adapter is live
+    args = run_config(
+        "scenario.kind=hybrid", "scenario.clients=8", "fl.clients_per_round=4", "fl.rounds=3", "fl.eval_every=1",
+        "synth.samples_per_class=12", "synth.test_samples_per_class=5", "local.batch_size=4", "reg.margin=1",
+    )
+    shapes = count_composes(monkeypatch)
+    log, _, _ = run_rounds(*args)
+    assert all(rec["eval"] is not None for rec in log.records)
+    assert any(gamma > 0 for rec in log.records for gamma in rec["gamma"].values())
+    assert shapes.count(()) == 3 + 1
+    assert len(shapes) > 3 + 1
+
+
 def test_run_rounds_names_first_non_finite_client(monkeypatch):
     model_cfg, _, train, test = run_setup(seed=9)
     partition = round_robin_partition(train, 3)
@@ -482,6 +497,38 @@ def test_load_server_state_rejects_moment_width(tmp_path, tiny_delta, name):
     save_server_state(path, init_server_state("yogi", tiny_delta))
     rewrite_tensor_file(path, lambda meta, arrays: arrays.update({name: np.zeros(1)}))
     with pytest.raises(ValueError, match=name):
+        load_server_state(path)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("round", 2.5),
+        ("round", True),
+        ("round", -1),
+        ("round", "2"),
+        ("lr", "0.1"),
+        ("lr", True),
+        ("beta1", False),
+        ("beta2", "0.99"),
+        ("tau", None),
+        ("momentum", [0.9]),
+    ],
+)
+def test_load_server_state_rejects_cast_scalar(tmp_path, tiny_delta, key, value):
+    path = tmp_path / "state.bin"
+    save_server_state(path, init_server_state("adam", tiny_delta))
+    rewrite_tensor_file(path, lambda meta, arrays: meta.update({key: value}))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: header key {re.escape(repr(key))}"):
+        load_server_state(path)
+
+
+@pytest.mark.parametrize("alpha", [True, "4", -4.0, 0.0, 0, None])
+def test_load_server_state_rejects_bad_adapter_alpha(tmp_path, tiny_delta, alpha):
+    path = tmp_path / "state.bin"
+    save_server_state(path, init_server_state("adam", tiny_delta))
+    rewrite_tensor_file(path, lambda meta, arrays: meta.update(adapter_alpha=alpha))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: header key 'adapter_alpha'"):
         load_server_state(path)
 
 
