@@ -238,11 +238,18 @@ def test_snapshot_replays_run_exactly(tmp_path):
         assert (first / name).read_bytes() == (replay / name).read_bytes()
 
 
+TINY = ["synth.samples_per_class=4", "synth.test_samples_per_class=2", "scenario.clients=3"]
+# Six clients of sizes [0, 4, 0, 7, 5, 0]: empty clients first, in the
+# middle and last. Under missing, clients 1, 3 and 4 are partially
+# damaged, so their beta and gamma are fractions of a modality count.
+TINY_EMPTY = [*TINY[:2], "scenario.clients=6", "scenario.alpha=0.1", "seed=46"]
+TINY_EMPTY_MISSING = [*TINY_EMPTY, "scenario.kind=missing", "scenario.beta=0.3"]
+
 # sha256 of the three deterministic outputs of the default config cut to
-# ten rounds, and of the cross-modality variant that runs the proximal
-# term under adagrad. Unlike the rerun tests above, these catch a numeric
-# change between commits; a change that alters the bytes on purpose must
-# update them and say why.
+# ten rounds, of the cross-modality variant that runs the proximal term
+# under adagrad, and of a missing-modality run with empty clients. Unlike
+# the rerun tests above, these catch a numeric change between commits; a
+# change that alters the bytes on purpose must update them and say why.
 GOLDEN_TRAIN = {
     "default": (
         [],
@@ -260,6 +267,14 @@ GOLDEN_TRAIN = {
             "model.bin": "8649bbcdc4c77e3d7ab6ebff119ca40818fd31b891f425cfff25c4f9d801a8bc",
         },
     ),
+    "tiny_empty_missing": (
+        TINY_EMPTY_MISSING,
+        {
+            "runlog.jsonl": "a284f5898ad5290a70125ea255164e2e6e1b3ef285ad52ee4a3b6a510187266a",
+            "server_state.bin": "ecd18c348abd6ffb4df3e2c8cdba272c182d63e435d6bf2d7437b5b9fc628c8c",
+            "model.bin": "e46583b451d3f4f204bad74a347d534e669b846df677ebd4d7c40862b8a952b5",
+        },
+    ),
 }
 
 
@@ -274,9 +289,9 @@ def test_train_output_hashes_pinned(tmp_path, case):
     assert got == want
 
 
-# sha256 of baseline.json for the default config and for a hybrid one
-# whose clients share shard sizes, so both lone and lockstep-group local
-# training are pinned.
+# sha256 of baseline.json for the default config, for a hybrid one whose
+# clients share shard sizes, so both lone and lockstep-group local
+# training are pinned, and for a missing-modality one with empty clients.
 GOLDEN_BASELINE = {
     "default": (["baseline.epochs=2"], "322622a9daa1c74c913ffd449a429e681b795969c1b0c503b0d46f32fda4a679"),
     "hybrid": (
@@ -286,6 +301,7 @@ GOLDEN_BASELINE = {
         ],
         "e219c206f6ae8fd1d14b05ec9da614fce0f9c8f08554a9dfa77a71febadc4c3c",
     ),
+    "tiny_empty_missing": (TINY_EMPTY_MISSING, "57845cc1f9991223cbb67c0f6022a601ef893feb46f27e6c767dd9ece3294025"),
 }
 
 
@@ -299,20 +315,22 @@ def test_baseline_output_hash_pinned(tmp_path, case):
     assert hashlib.sha256((tmp_path / "baseline.json").read_bytes()).hexdigest() == want
 
 
-TINY = ["synth.samples_per_class=4", "synth.test_samples_per_class=2", "scenario.clients=3"]
 TINY_MISSING = [*TINY, "scenario.kind=missing", "scenario.beta=0.3"]
 DATA_CASES = {
     "default": [],
     "tiny_missing": TINY_MISSING,
     "tiny_cross": [*TINY, "scenario.kind=cross", "scenario.image_only_clients=1"],
     "tiny_hybrid": [*TINY, "scenario.kind=hybrid", "scenario.keep_prob=0.5"],
+    "tiny_empty_hybrid": [*TINY_EMPTY, "scenario.kind=hybrid", "scenario.keep_prob=0.5"],
+    "tiny_empty_missing": TINY_EMPTY_MISSING,
 }
 
 # sha256 of every file `fedmm partition` and `fedmm export-instructions`
 # write apart from config.resolved (which holds out_dir), for the default
-# config and tiny missing-modality, cross-modality and hybrid ones: the
-# manifests, the partition, its count table and the instruction files pin
-# the data path as the training pins pin the model.
+# config, tiny missing-modality, cross-modality and hybrid ones, and
+# hybrid and missing-modality ones with empty clients: the manifests, the
+# partition, its count table and the instruction files pin the data path
+# as the training pins pin the model.
 GOLDEN_DATA = {
     ("partition", "default"): {
         "counts.csv": "d509412eefa52b54cf58f94ed62ca1af06a579b51c1262684a6f8c72ef823ddf",
@@ -364,6 +382,34 @@ GOLDEN_DATA = {
         "instructions/client_00.jsonl": "b148ac42f07afc61f1e96facbdb09796b4422ad16ecea3cc741c8695a43b1b6f",
         "instructions/client_01.jsonl": "01fe39a0565e4a3ed71f5f0aa2b57442f9e1bf0b597ef0bd71d0b2b06fec56ac",
         "instructions/client_02.jsonl": "62f33a0dee1066e023a50b694e29eaefdd7afd31509f6d246e6a1b58c3789727",
+    },
+    ("partition", "tiny_empty_hybrid"): {
+        "counts.csv": "583842d9ac9b75bb752f4b6846de63178f825cce8ab0d5c77ee1d171fb051bf7",
+        "partition.json": "bb2c5c38ee5630153c19f3051fc18280df5b3a9198f80448dc8228850c3d1287",
+        "test_manifest.jsonl": "877e5de2fa5810ee679606ca25eb6140e9d83967bb92ea65163fe50812b15ab1",
+        "train_manifest.jsonl": "8fd41e9aab709cc1496652aa8d89d74ded75e6f28277766d19fa4ad6570513f9",
+    },
+    ("partition", "tiny_empty_missing"): {
+        "counts.csv": "e74dc3abbdea5ead4b3b337ffab3de78a3dcc043c066e5dc41c1bd7f9608f3fa",
+        "partition.json": "50c25802d89ec7d14d464dfdd6745daa6ed86d785a2ce2dc972a941bf226b8e6",
+        "test_manifest.jsonl": "877e5de2fa5810ee679606ca25eb6140e9d83967bb92ea65163fe50812b15ab1",
+        "train_manifest.jsonl": "8fd41e9aab709cc1496652aa8d89d74ded75e6f28277766d19fa4ad6570513f9",
+    },
+    ("export-instructions", "tiny_empty_hybrid"): {
+        "instructions/client_00.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "instructions/client_01.jsonl": "414aa58bf28ce01cb86ed4783e6753d47be2845901c882088ec1a6a8ea1ab41a",
+        "instructions/client_02.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "instructions/client_03.jsonl": "516768e19f907918a362b587efac2a7f9f23331d8fe5996966d710c64796346c",
+        "instructions/client_04.jsonl": "80750fa53823036e1d2eeb0aeab21ad228a38fadc2ab2485c67d2a8ec4a1cd6b",
+        "instructions/client_05.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    ("export-instructions", "tiny_empty_missing"): {
+        "instructions/client_00.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "instructions/client_01.jsonl": "414aa58bf28ce01cb86ed4783e6753d47be2845901c882088ec1a6a8ea1ab41a",
+        "instructions/client_02.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "instructions/client_03.jsonl": "7a79e2592d2756de29951caf93bba55d25f58432614c8c308ddec05caa0e5137",
+        "instructions/client_04.jsonl": "de3d1a9c334a1cbbb536bfe9082861b032700b555992c621d3eb47f0f1eed61a",
+        "instructions/client_05.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
 }
 
