@@ -92,7 +92,7 @@ def cmd_partition(cfg: ExperimentConfig) -> int:
         save_manifest(test.manifest, out / "test_manifest.jsonl")
     save_partition(partition, train, cfg.scenario_spec(), out / "partition.json")
     modality_stats(partition, train).to_csv(out / "counts.csv")
-    print(f"partition: {partition.total()} samples over {len(partition.clients)} clients -> {out}")
+    print(f"partition: {partition.total()} samples over {len(partition.sizes())} clients -> {out}")
     return 0
 
 

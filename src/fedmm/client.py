@@ -6,14 +6,17 @@ schedule, and optionally adds a proximal term that pulls the composed
 per-layer updates of the middle depths back toward the global ones.
 
 The proximal strength adapts to how damaged the client's modalities are:
-fully aligned clients get 0, single-modality clients get gamma_max, and
-partially missing clients get gamma_max scaled by their fraction of
-absent (sample, modality) slots. The depth mask switches the first and
-last `margin` depths off, leaving only middle layers constrained.
+a client holding every modality on every sample gets 0, a client
+lacking some modality on all its samples gets gamma_max, and any other
+client gets gamma_max scaled by its fraction of absent (sample,
+modality) slots. The depth mask switches the first and last `margin`
+depths off, leaving only middle layers constrained.
 
-A run builds its training set once (TrainSet): every client's shard,
-back to back in client order, as one write-protected Batch made by one
-make_batch call, beside each client's first row, missing rate and gamma.
+A run builds its training set once (TrainSet): the partition's rows and
+masks, which hold every client's shard back to back in client order, as
+one write-protected Batch made by one make_batch call, beside each
+client's first row, missing rate and gamma. The profiles come from one
+array pass over the masks (build_train_set).
 The run composes each version of the global adapter once and hands the
 composed updates and effective weights to everything that reads them. A
 round keeps only the masked-in composed targets (round_reg_context,
@@ -63,7 +66,7 @@ from .model import (
     loss_and_grad,
     make_batch,
 )
-from .partitioner import CLIENT_KINDS, ClientPartition, classify_client, client_missing_rate
+from .partitioner import ClientPartition
 
 # Most clients one lockstep group trains at once (local_train). Each
 # member adds its working arrays to the peak memory of training. Median
@@ -122,20 +125,6 @@ def mask_vector(depth: int, margin: int) -> np.ndarray:
         return mask
     mask[margin : depth - margin] = True
     return mask
-
-
-def gamma_for_client(gamma_max: float, kind: str, missing_rate: float) -> float:
-    """0 for aligned, gamma_max for single-modality, linear in the
-    missing rate between."""
-    if kind not in CLIENT_KINDS:
-        raise ValueError(f"kind must be one of {CLIENT_KINDS}, got {kind!r}")
-    if not 0.0 <= missing_rate <= 1.0:
-        raise ValueError(f"missing_rate must lie in [0, 1], got {missing_rate}")
-    if kind == "aligned":
-        return 0.0
-    if kind == "single_modality":
-        return gamma_max
-    return gamma_max * missing_rate
 
 
 @dataclass(frozen=True)
@@ -209,19 +198,24 @@ class TrainSet:
 
 
 def build_train_set(manifest: DatasetManifest, partition: ClientPartition, reg_cfg: RegularizerConfig) -> TrainSet:
-    """Classify every client and assemble all shards in one make_batch call."""
-    slots = partition.clients
-    rows = np.concatenate([slot.rows for slot in slots])
-    masks = np.concatenate([slot.masks for slot in slots])
-    batch = make_batch(manifest, rows, masks).freeze()
-    start = np.cumsum([0, *partition.sizes()])[:-1]
-    start.flags.writeable = False
-    missing_rate = tuple(client_missing_rate(slot) if len(slot) else 0.0 for slot in slots)
-    gamma = tuple(
-        gamma_for_client(reg_cfg.gamma_max, classify_client(slot), rate) if reg_cfg.enabled and len(slot) else 0.0
-        for slot, rate in zip(slots, missing_rate)
-    )
-    return TrainSet(batch, start, missing_rate, gamma)
+    """Assemble every shard in one make_batch call and profile every
+    client in one pass: the present (sample, modality) slots of each
+    client and modality are differences of the masks' running sums at the
+    client bounds."""
+    batch = make_batch(manifest, partition.rows, partition.masks).freeze()
+    bounds, width = partition.bounds, partition.masks.shape[1]
+    running = np.zeros((len(partition.rows) + 1, width), np.intp)
+    np.cumsum(partition.masks, axis=0, out=running[1:])
+    present = np.diff(running[bounds], axis=0)
+    slots = np.diff(bounds) * width
+    absent = slots - present.sum(axis=1)
+    missing_rate = np.divide(absent, slots, out=np.zeros(len(slots)), where=slots > 0)
+    gamma = np.zeros(len(slots))
+    if reg_cfg.enabled:
+        np.multiply(reg_cfg.gamma_max, missing_rate, out=gamma, where=absent > 0)
+        # a modality absent from every sample earns the full strength
+        gamma[(present == 0).any(axis=1) & (slots > 0)] = reg_cfg.gamma_max
+    return TrainSet(batch, bounds[:-1], tuple(missing_rate.tolist()), tuple(gamma.tolist()))
 
 
 def reg_value_and_grad(

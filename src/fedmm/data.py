@@ -395,10 +395,8 @@ class CountTable:
 def modality_stats(partition, manifest: DatasetManifest) -> CountTable:
     """Count partition samples by client, label, and effective presence
     pattern; a mask's pattern is the one whose bitmask is its bit value."""
-    sizes, width = partition.sizes(), len(manifest.modalities)
-    rows = np.concatenate([np.empty(0, np.intp), *(slot.rows for slot in partition.clients)])
-    masks = np.concatenate([np.empty((0, width), bool), *(slot.masks for slot in partition.clients)])
-    pattern = masks @ (1 << np.arange(width)) - 1
+    rows, sizes, width = partition.rows, np.diff(partition.bounds), len(manifest.modalities)
+    pattern = partition.masks @ (1 << np.arange(width)) - 1
     if (pattern < 0).any():
         raise ValueError(f"sample {manifest.ids[rows[np.argmin(pattern)]]!r} has an all-false mask")
     shape = (len(sizes), manifest.class_count, 2**width - 1)

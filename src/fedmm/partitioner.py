@@ -2,9 +2,12 @@
 
 A partition assigns every manifest row to exactly one of K clients and
 records an effective presence mask per assignment (a subset of what the
-manifest sample actually carries, never empty): each client holds a row
-vector and an (n, M) bool mask matrix, and sample ids are looked up only
-when a partition is written out. Four constructors:
+manifest sample actually carries, never empty). It is three arrays: the
+rows in client order, their (N, M) bool masks and the K + 1 client
+bounds, so client k holds rows[bounds[k]:bounds[k + 1]]. Training, the
+count table and the client profiles read the arrays whole; only the
+writers cut them per client, and sample ids are looked up only when a
+partition is written out. Four constructors:
 
   aligned   Dirichlet(alpha) label skew, all modalities kept everywhere.
   missing   per-sample independent modality drops with probability beta;
@@ -25,7 +28,8 @@ check either again.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +41,6 @@ from .data import DatasetManifest
 # reads alpha alone); ScenarioSpec takes that knob and no other.
 SCENARIO_KNOBS = {"aligned": None, "missing": "beta", "cross": "image_only_clients", "hybrid": "keep_prob"}
 SCENARIO_KINDS = tuple(SCENARIO_KNOBS)
-CLIENT_KINDS = ("aligned", "partial_missing", "single_modality")
 
 
 @dataclass(frozen=True)
@@ -87,29 +90,23 @@ class ScenarioSpec:
 
 
 @dataclass(frozen=True)
-class ClientSlot:
-    """One client's assignment: its train-manifest rows (n,) and, row by
-    row, the effective presence masks (n, M), both write-protected."""
+class ClientPartition:
+    """Train-manifest rows (N,) in client order, their effective presence
+    masks (N, M) and the client bounds (K + 1,): client k holds
+    rows[bounds[k]:bounds[k + 1]]. All three are write-protected."""
 
     rows: np.ndarray
     masks: np.ndarray
+    bounds: np.ndarray
 
     def __post_init__(self) -> None:
-        self.rows.flags.writeable = self.masks.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-@dataclass
-class ClientPartition:
-    clients: list[ClientSlot]
+        self.rows.flags.writeable = self.masks.flags.writeable = self.bounds.flags.writeable = False
 
     def sizes(self) -> list[int]:
-        return [len(slot) for slot in self.clients]
+        return np.diff(self.bounds).tolist()
 
     def total(self) -> int:
-        return sum(self.sizes())
+        return len(self.rows)
 
 
 def largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -149,8 +146,8 @@ def dirichlet_partition(manifest: DatasetManifest, clients: int, alpha: float, s
     owner = np.concatenate(owners)
     # one stable sort by owner keeps each client's rows in draw order
     rows = np.concatenate(drawn)[np.argsort(owner, kind="stable")]
-    ends, masks = np.cumsum(np.bincount(owner, minlength=clients)), manifest.presence[rows]
-    return ClientPartition([ClientSlot(rows[a:b], masks[a:b]) for a, b in zip([0, *ends], ends)])
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=clients))])
+    return ClientPartition(rows, manifest.presence[rows], bounds)
 
 
 def apply_missing(partition: ClientPartition, beta: float, seed: int) -> ClientPartition:
@@ -160,30 +157,26 @@ def apply_missing(partition: ClientPartition, beta: float, seed: int) -> ClientP
     masks stay nonempty even at beta = 1.
     """
     gen = rng.substream(seed, "missing")
-    out = []
-    for slot in partition.clients:
-        masks = np.empty(slot.masks.shape, dtype=bool)
-        for keep in masks:
-            keep[:] = gen.random(keep.size) >= beta
-            if not keep.any():
-                keep[int(gen.integers(keep.size))] = True
-        out.append(ClientSlot(slot.rows, masks))
-    return ClientPartition(out)
+    masks = np.empty(partition.masks.shape, dtype=bool)
+    for keep in masks:
+        keep[:] = gen.random(keep.size) >= beta
+        if not keep.any():
+            keep[int(gen.integers(keep.size))] = True
+    return replace(partition, masks=masks)
 
 
 def _client_masks(partition: ClientPartition, table: np.ndarray) -> ClientPartition:
     """Every client's rows under its own row of the (K, M) table."""
-    sizes = partition.sizes()
-    masks, ends = np.repeat(table, sizes, axis=0), np.cumsum(sizes)
-    return ClientPartition([ClientSlot(slot.rows, masks[end - n : end]) for slot, n, end in zip(partition.clients, sizes, ends)])
+    return replace(partition, masks=np.repeat(table, np.diff(partition.bounds), axis=0))
 
 
 def apply_cross(partition: ClientPartition, image_only_clients: int, seed: int) -> ClientPartition:
     """Split clients by modality: a seeded subset keeps only modality 0,
     the rest only modality 1."""
     gen = rng.substream(seed, "cross")
-    table = np.tile([False, True], (len(partition.clients), 1))
-    table[gen.choice(len(partition.clients), size=image_only_clients, replace=False)] = (True, False)
+    clients = len(partition.bounds) - 1
+    table = np.tile([False, True], (clients, 1))
+    table[gen.choice(clients, size=image_only_clients, replace=False)] = (True, False)
     return _client_masks(partition, table)
 
 
@@ -194,7 +187,7 @@ def apply_hybrid(partition: ClientPartition, keep_prob: float, seed: int) -> Cli
     uniformly. Every sample of a client shares the client's mask.
     """
     gen = rng.substream(seed, "hybrid")
-    table = np.empty((len(partition.clients), partition.clients[0].masks.shape[1]), dtype=bool)
+    table = np.empty((len(partition.bounds) - 1, partition.masks.shape[1]), dtype=bool)
     for keep in table:
         keep[:] = gen.random(keep.size) < keep_prob
         if not keep.any():
@@ -223,30 +216,14 @@ def build_scenario(manifest: DatasetManifest, spec: ScenarioSpec) -> ClientParti
     return _MODALITY_TREATMENT[spec.kind](base, spec.level(), rng.seed_for(spec.seed, "modality"))
 
 
-def client_missing_rate(slot: ClientSlot) -> float:
-    """Fraction of (sample, modality) slots absent on this client."""
-    if len(slot) == 0:
-        raise ValueError("client has no samples")
-    return np.count_nonzero(~slot.masks) / slot.masks.size
-
-
-def classify_client(slot: ClientSlot) -> str:
-    """aligned, partial_missing, or single_modality from effective masks."""
-    if len(slot) == 0:
-        raise ValueError("client has no samples")
-    if not slot.masks.any(axis=0).all():
-        return "single_modality"
-    return "aligned" if slot.masks.all() else "partial_missing"
-
-
 def save_partition(partition: ClientPartition, manifest: DatasetManifest, spec: ScenarioSpec, path: str | Path) -> None:
     """The spec and, per client, each sample's id and effective mask."""
-    ids = manifest.ids
+    ids, rows, masks = manifest.ids, partition.rows.tolist(), partition.masks.tolist()
     obj = {
         "spec": spec.to_json_obj(),
         "clients": [
-            {"id": k, "samples": [{"sid": ids[row], "mask": mask} for row, mask in zip(slot.rows.tolist(), slot.masks.tolist())]}
-            for k, slot in enumerate(partition.clients)
+            {"id": k, "samples": [{"sid": ids[row], "mask": mask} for row, mask in zip(rows[a:b], masks[a:b])]}
+            for k, (a, b) in enumerate(pairwise(partition.bounds.tolist()))
         ],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

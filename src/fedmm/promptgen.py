@@ -24,6 +24,7 @@ import json
 import string
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 
 from .data import DatasetManifest, Sample
@@ -162,12 +163,13 @@ def export_partition(
             f"manifest has {manifest.class_count} classes but task has {len(task.options)} options"
         )
     names = tuple(m.name for m in manifest.modalities)
+    rows, masks, bounds = partition.rows.tolist(), partition.masks.tolist(), partition.bounds.tolist()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for k, slot in enumerate(partition.clients):
+    for k, (a, b) in enumerate(pairwise(bounds)):
         path = out_dir / f"client_{k:02d}.jsonl"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for row, mask in zip(slot.rows.tolist(), slot.masks.tolist()):
+            for row, mask in zip(rows[a:b], masks[a:b]):
                 record = format_record(manifest.record(row), task, agnostic, mask=mask, modality_names=names)
                 fh.write(serialize_record(record) + "\n")
-    return len(partition.clients)
+    return len(bounds) - 1

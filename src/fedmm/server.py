@@ -3,9 +3,10 @@
 The server never sees raw samples. Each round it samples clients, hands
 them the current global adapter delta, collects their trained deltas,
 forms the size-weighted pseudo-gradient, and feeds that to one of five
-elementwise update rules:
+elementwise update rules (plain_avg is FedAvg with a server learning
+rate, whose default of 1 adds the averaged delta as it is):
 
-  plain_avg  w += d
+  plain_avg  w += lr * d
   avgm       buf = momentum * buf + d;            w += lr * buf
   adagrad    v += d^2;                            w += lr * d / (sqrt(v) + tau)
   adam       m = b1 m + (1-b1) d; v = b2 v + (1-b2) d^2
@@ -91,12 +92,12 @@ def init_server_state(kind: str, delta: AdapterDelta, lr: float | None = None) -
 def sample_clients(sizes: list[int], per_round: int, round_idx: int, seed: int) -> list[int]:
     """per_round distinct nonempty-client indices, uniform, deterministic
     in (seed, round_idx); returned ascending."""
-    eligible = [k for k, n in enumerate(sizes) if n > 0]
+    eligible = np.flatnonzero(sizes)
     if per_round > len(eligible):
         raise ValueError(f"cannot sample {per_round} of {len(eligible)} nonempty clients")
     gen = rng.substream(seed, "sample", round_idx)
     pick = gen.choice(len(eligible), size=per_round, replace=False)
-    return sorted(eligible[int(i)] for i in pick)
+    return sorted(eligible[pick].tolist())
 
 
 def pseudo_gradient(
@@ -128,7 +129,7 @@ def server_step(state: ServerState, pseudo_grad: AdapterDelta) -> ServerState:
     v = state.second_moment.copy()
     buf = state.momentum_buf.copy()
     if state.kind == "plain_avg":
-        w = w + d
+        w = w + state.lr * d
     elif state.kind == "avgm":
         buf = state.momentum * buf + d
         w = w + state.lr * buf
@@ -171,6 +172,8 @@ class FLRunConfig:
             raise ValueError(f"clients_per_round must be >= 1, got {self.clients_per_round}")
         if self.aggregator not in AGGREGATOR_KINDS:
             raise ValueError(f"aggregator must be one of {AGGREGATOR_KINDS}, got {self.aggregator!r}")
+        if self.server_lr is not None and self.server_lr <= 0:
+            raise ValueError(f"server_lr must be > 0, got {self.server_lr}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
 
@@ -224,7 +227,7 @@ def run_rounds(
     timings list, kept out of the RunLog so reruns of the same config
     produce identical logs.
 
-    Every client is classified and every shard assembled once, up front,
+    Every client is profiled and every shard assembled once, up front,
     as one TrainSet. Each version of the global adapter is composed once,
     before round 1 and after every aggregation; its composed updates give
     the round's proximal targets, and its effective weights are what

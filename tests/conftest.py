@@ -8,31 +8,45 @@ from fedmm.client import build_train_set, local_train, make_reg_context, round_r
 from fedmm.config import ExperimentConfig
 from fedmm.data import DatasetManifest, ModalityDescriptor, Sample, SynthConfig, synth_generate
 from fedmm.model import ModelConfig, compose_updates, init_model
-from fedmm.partitioner import ClientPartition, ClientSlot
+from fedmm.partitioner import ClientPartition
+
+
+def partition_of(shards):
+    """The partition whose clients hold `shards`, (rows, masks) pairs, in
+    order."""
+    rows = np.concatenate([np.empty(0, np.intp), *(rows for rows, _ in shards)])
+    masks = np.concatenate([masks for _, masks in shards])
+    return ClientPartition(rows, masks, np.cumsum([0, *(len(rows) for rows, _ in shards)]))
+
+
+def shards(partition):
+    """Each client's (rows, masks), in client order."""
+    bounds = partition.bounds.tolist()
+    return [(partition.rows[a:b], partition.masks[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def round_robin_partition(manifest, clients):
     """Aligned partition with every client nonempty (rows dealt in turn)."""
     rows = [np.arange(k, len(manifest), clients) for k in range(clients)]
-    return ClientPartition(clients=[ClientSlot(r, manifest.presence[r]) for r in rows])
+    return partition_of([(r, manifest.presence[r]) for r in rows])
 
 
-def slot_of(manifest, ids, masks=None):
-    """The client holding the samples `ids`, in order, under `masks` (one
-    tuple of flags per id; their manifest presence when None)."""
+def shard_of(manifest, ids, masks=None):
+    """The shard of the samples `ids`, in order, under `masks` (one tuple
+    of flags per id; their manifest presence when None)."""
     rows = np.array([manifest.index_of(sid) for sid in ids], dtype=np.intp)
-    return ClientSlot(rows, manifest.presence[rows] if masks is None else np.array(masks, dtype=bool).reshape(rows.size, -1))
+    return rows, manifest.presence[rows] if masks is None else np.array(masks, dtype=bool).reshape(rows.size, -1)
 
 
-def empty_slot(modality_count=2):
-    """A client with no samples."""
-    return ClientSlot(np.empty(0, np.intp), np.empty((0, modality_count), bool))
+def empty_shard(modality_count=2):
+    """The shard of a client with no samples."""
+    return np.empty(0, np.intp), np.empty((0, modality_count), bool)
 
 
-def train_client(base, delta, manifest, slot, cfg, reg_cfg, seed):
-    """local_train on one client, a lockstep group of one, the way
+def train_client(base, delta, manifest, shard, cfg, reg_cfg, seed):
+    """local_train on one client's shard, a lockstep group of one, the way
     run_rounds drives it; returns its trained delta and trace."""
-    data = build_train_set(manifest, ClientPartition([slot]), reg_cfg)
+    data = build_train_set(manifest, partition_of([shard]), reg_cfg)
     ctx = round_reg_context(delta, compose_updates(delta), reg_cfg.margin, list(data.gamma))
     trained, [trace] = local_train(base, delta, data, [0], cfg, [seed], ctx)
     return replace(trained, flat=trained.flat[0]), trace

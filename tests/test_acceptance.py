@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tiny_manifest
+from conftest import partition_of, shards, tiny_manifest
 from fedmm import rng
 from fedmm.client import (
     LocalTrainConfig,
     RegularizerConfig,
-    gamma_for_client,
+    build_train_set,
     make_reg_context,
     mask_vector,
 )
@@ -36,11 +36,8 @@ from fedmm.model import (
     make_batch,
 )
 from fedmm.partitioner import (
-    ClientSlot,
     ScenarioSpec,
     build_scenario,
-    classify_client,
-    client_missing_rate,
     dirichlet_partition,
 )
 from fedmm.server import (
@@ -182,8 +179,8 @@ def test_02_optimizer_oracles(capsys):
 
 def class_totals(manifest, partition):
     counts = np.zeros(manifest.class_count, dtype=int)
-    for slot in partition.clients:
-        counts += np.bincount(manifest.labels[slot.rows], minlength=manifest.class_count)
+    for rows, _ in shards(partition):
+        counts += np.bincount(manifest.labels[rows], minlength=manifest.class_count)
     return counts
 
 
@@ -194,13 +191,13 @@ def mean_tv(manifest, alpha, seeds):
     values = []
     for seed in seeds:
         partition = dirichlet_partition(manifest, 10, alpha, seed=seed)
-        for slot in partition.clients:
-            if not len(slot):
+        for rows, _ in shards(partition):
+            if not len(rows):
                 continue
             local = np.bincount(
-                manifest.labels[slot.rows],
+                manifest.labels[rows],
                 minlength=manifest.class_count,
-            ) / len(slot)
+            ) / len(rows)
             values.append(0.5 * np.abs(local - overall).sum())
     return float(np.mean(values))
 
@@ -222,7 +219,7 @@ def test_03_partition_laws(capsys):
         big = tiny_manifest(class_count=2, per_class=5000, seed=42)
         spec = ScenarioSpec(kind="missing", clients=1, alpha=1e6, seed=43, beta=0.5)
         partition = build_scenario(big, spec)
-        masks = np.concatenate([slot.masks for slot in partition.clients])
+        masks = partition.masks
         assert masks.shape[0] == 10_000
         for m in range(2):
             fraction = 1.0 - masks[:, m].mean()
@@ -233,16 +230,16 @@ def test_03_partition_laws(capsys):
         partition = build_scenario(manifest, spec)
         image_only = sum(
             1
-            for slot in partition.clients
-            if len(slot) and (slot.masks == (True, False)).all()
+            for rows, masks in shards(partition)
+            if len(rows) and (masks == (True, False)).all()
         )
         text_only = sum(
             1
-            for slot in partition.clients
-            if len(slot) and (slot.masks == (False, True)).all()
+            for rows, masks in shards(partition)
+            if len(rows) and (masks == (False, True)).all()
         )
         assert image_only == 3
-        assert text_only == len([s for s in partition.clients if len(s)]) - image_only
+        assert text_only == sum(1 for n in partition.sizes() if n) - image_only
 
         # (e) hybrid keep_prob=0.8: mean count of fully-moded clients 6.4 +- 0.5
         counts = []
@@ -251,8 +248,8 @@ def test_03_partition_laws(capsys):
             partition = build_scenario(manifest, spec)
             full = sum(
                 1
-                for slot in partition.clients
-                if len(slot) and slot.masks.all()
+                for rows, masks in shards(partition)
+                if len(rows) and masks.all()
             )
             counts.append(full)
         assert abs(np.mean(counts) - 6.4) <= 0.5, np.mean(counts)
@@ -281,12 +278,12 @@ def test_04_gamma_and_mask_exactness(capsys):
             table.append((masks, gamma_max * beta))
         assert len(table) == 20
 
-        for masks, want in table:
-            slot = ClientSlot(np.arange(len(masks)), np.array(masks))
-            kind = classify_client(slot)
-            beta = client_missing_rate(slot)
-            got = gamma_for_client(gamma_max, kind, beta)
-            assert got == pytest.approx(want, abs=1e-15), (kind, beta)
+        manifest = tiny_manifest(class_count=2, per_class=150, seed=45)
+        start = np.cumsum([0, *(len(masks) for masks, _ in table)])
+        parts = [(np.arange(a, b), np.array(masks)) for a, b, (masks, _) in zip(start, start[1:], table)]
+        data = build_train_set(manifest, partition_of(parts), RegularizerConfig(gamma_max=gamma_max))
+        for got, (masks, want) in zip(data.gamma, table):
+            assert got == pytest.approx(want, abs=1e-15), masks
 
         assert mask_vector(8, 2).tolist() == [False, False, True, True, True, True, False, False]
         with pytest.warns(UserWarning):

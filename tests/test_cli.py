@@ -180,12 +180,13 @@ _OVERSAMPLED = "cannot sample 11 of 10 nonempty clients"
         ("partition", "fl.clients_per_round=11", _OVERSAMPLED),
         ("baseline", "fl.clients_per_round=11", _OVERSAMPLED),
         ("train", "fl.clients_per_round=11", _OVERSAMPLED),
+        ("partition", "fl.server_lr=0", "server_lr must be > 0, got 0.0"),
     ],
     ids=["export-instructions-27-classes", "partition-alpha-1e308", "baseline-alpha-1e308", "export-instructions-alpha-1e308",
          "partition-rank-0", "partition-rank-5", "export-instructions-rank-5", "partition-baseline-epochs--1",
          "partition-test-samples-0", "partition-metric-roc_auc", "baseline-metric-roc_auc",
          "export-instructions-metric-roc_auc", "partition-clients-per-round-11", "baseline-clients-per-round-11",
-         "train-clients-per-round-11"],
+         "train-clients-per-round-11", "partition-server-lr-0"],
 )
 def test_command_that_cannot_succeed_exits_2_without_out_dir(tmp_path, capsys, command, override, message):
     out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -5,21 +6,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_composes, empty_slot, manual_manifest, randomize_delta, reg_context, slot_of, tiny_manifest, train_client
+from client_profile_reference import client_profile
+from conftest import (
+    count_composes,
+    empty_shard,
+    manual_manifest,
+    partition_of,
+    randomize_delta,
+    reg_context,
+    shard_of,
+    shards,
+    tiny_manifest,
+    train_client,
+)
 from fedmm.client import (
     LocalTrainConfig,
     RegularizerConfig,
     build_train_set,
     cosine_lr,
-    gamma_for_client,
     local_train,
     make_reg_context,
     mask_vector,
     round_reg_context,
     reg_value_and_grad,
 )
+from fedmm.data import SynthConfig, synth_generate
 from fedmm.model import AdapterDelta, LayerSpec, ModelConfig, compose_updates, effective_weights, grouped, init_model, make_batch
-from fedmm.partitioner import ClientPartition, ClientSlot, dirichlet_partition
+from fedmm.partitioner import dirichlet_partition
 from test_model import central_difference, relative_errors
 
 
@@ -38,18 +51,6 @@ def test_mask_vector_degenerate_warns():
     with pytest.warns(UserWarning, match="inert"):
         mask = mask_vector(4, 2)
     assert not mask.any()
-
-
-# ---------- gamma ----------
-
-def test_gamma_mapping():
-    assert gamma_for_client(0.1, "aligned", 0.0) == 0.0
-    assert gamma_for_client(0.1, "single_modality", 0.5) == 0.1
-    assert gamma_for_client(0.1, "partial_missing", 0.25) == pytest.approx(0.025)
-    with pytest.raises(ValueError, match="kind"):
-        gamma_for_client(0.1, "weird", 0.0)
-    with pytest.raises(ValueError, match="missing_rate"):
-        gamma_for_client(0.1, "partial_missing", 1.5)
 
 
 # ---------- proximal term ----------
@@ -255,7 +256,7 @@ def make_setup(seed=0):
 def test_local_train_zero_epochs_noop():
     manifest, base, delta, partition = make_setup()
     out, trace = train_client(
-        base, delta, manifest, partition.clients[0],
+        base, delta, manifest, shards(partition)[0],
         LocalTrainConfig(epochs=0), RegularizerConfig(), seed=1,
     )
     assert trace == []
@@ -266,8 +267,8 @@ def test_local_train_deterministic_and_pure():
     manifest, base, delta, partition = make_setup()
     before = delta.flat.copy()
     cfg = LocalTrainConfig(epochs=2, batch_size=8)
-    a, trace_a = train_client(base, delta, manifest, partition.clients[0], cfg, RegularizerConfig(), seed=5)
-    b, trace_b = train_client(base, delta, manifest, partition.clients[0], cfg, RegularizerConfig(), seed=5)
+    a, trace_a = train_client(base, delta, manifest, shards(partition)[0], cfg, RegularizerConfig(), seed=5)
+    b, trace_b = train_client(base, delta, manifest, shards(partition)[0], cfg, RegularizerConfig(), seed=5)
     assert np.array_equal(a.flat, b.flat)
     assert trace_a == trace_b
     assert np.array_equal(delta.flat, before)
@@ -276,16 +277,16 @@ def test_local_train_deterministic_and_pure():
 def test_local_train_empty_client_rejected():
     manifest, base, delta, _ = make_setup()
     with pytest.raises(ValueError, match="no samples"):
-        train_client(base, delta, manifest, empty_slot(), LocalTrainConfig(), RegularizerConfig(), seed=1)
+        train_client(base, delta, manifest, empty_shard(), LocalTrainConfig(), RegularizerConfig(), seed=1)
 
 
 def test_local_train_descends_across_seeds():
     firsts, lasts = [], []
     for seed in range(3):
         manifest, base, delta, partition = make_setup(seed=seed)
-        slot = max(partition.clients, key=len)
+        shard = max(shards(partition), key=lambda shard: len(shard[0]))
         _, trace = train_client(
-            base, delta, manifest, slot,
+            base, delta, manifest, shard,
             LocalTrainConfig(epochs=5, batch_size=8, lr=5e-3),
             RegularizerConfig(enabled=False), seed=seed,
         )
@@ -298,8 +299,8 @@ def test_local_train_reg_pulls_toward_global():
     # single-modality client: large gamma should keep the trained delta
     # closer to the global one than no regularizer does
     manifest, base, delta, partition = make_setup(seed=2)
-    slot = max(partition.clients, key=len)
-    mono = ClientSlot(slot.rows, np.tile([True, False], (len(slot), 1)))
+    rows, _ = max(shards(partition), key=lambda shard: len(shard[0]))
+    mono = rows, np.tile([True, False], (len(rows), 1))
     start = randomize_delta(delta, seed=20, scale=0.05)
     cfg = LocalTrainConfig(epochs=3, batch_size=8)
     free, _ = train_client(base, start, manifest, mono, cfg, RegularizerConfig(enabled=False), seed=3)
@@ -315,10 +316,10 @@ def test_local_train_reg_pulls_toward_global():
 def test_local_train_aligned_client_skips_reg():
     # aligned clients get gamma 0, so enabled/disabled must coincide
     manifest, base, delta, partition = make_setup(seed=4)
-    slot = max(partition.clients, key=len)
+    shard = max(shards(partition), key=lambda shard: len(shard[0]))
     cfg = LocalTrainConfig(epochs=1, batch_size=8)
-    on, trace_on = train_client(base, delta, manifest, slot, cfg, RegularizerConfig(enabled=True), seed=6)
-    off, trace_off = train_client(base, delta, manifest, slot, cfg, RegularizerConfig(enabled=False), seed=6)
+    on, trace_on = train_client(base, delta, manifest, shard, cfg, RegularizerConfig(enabled=True), seed=6)
+    off, trace_off = train_client(base, delta, manifest, shard, cfg, RegularizerConfig(enabled=False), seed=6)
     assert np.array_equal(on.flat, off.flat)
     assert trace_on == trace_off
 
@@ -329,25 +330,89 @@ def test_train_set_rows_match_make_batch():
     # partial masks: client 0 keeps d whole, a without text, b's image
     # and c's text; client 1 is empty; client 2 keeps a and d image-only
     manifest = manual_manifest()
-    slots = [
-        slot_of(manifest, ["d", "a", "b", "c"], [(True, True), (True, False), (True, False), (False, True)]),
-        empty_slot(),
-        slot_of(manifest, ["a", "d"], [(True, False), (True, False)]),
+    parts = [
+        shard_of(manifest, ["d", "a", "b", "c"], [(True, True), (True, False), (True, False), (False, True)]),
+        empty_shard(),
+        shard_of(manifest, ["a", "d"], [(True, False), (True, False)]),
     ]
-    data = build_train_set(manifest, ClientPartition(slots), RegularizerConfig(gamma_max=0.4))
+    data = build_train_set(manifest, partition_of(parts), RegularizerConfig(gamma_max=0.4))
     assert data.start.tolist() == [0, 4, 4] and data.sizes.tolist() == [4, 0, 2]
     assert data.missing_rate == (3 / 8, 0.0, 1 / 2)
-    assert data.gamma == (gamma_for_client(0.4, "partial_missing", 3 / 8), 0.0, 0.4)
-    assert build_train_set(manifest, ClientPartition(slots), RegularizerConfig(enabled=False)).gamma == (0.0, 0.0, 0.0)
+    assert data.gamma == (0.4 * (3 / 8), 0.0, 0.4)
+    assert build_train_set(manifest, partition_of(parts), RegularizerConfig(enabled=False)).gamma == (0.0, 0.0, 0.0)
     # any (C, k) rows, client c's offset by its start, are client c's make_batch rows
     for picked, rows in (([0], [[2, 0, 3]]), ([0], [[1, 1, 0, 3, 2]]), ([0, 2], [[3, 1], [1, 0]]), ([2, 0], [[0, 1], [2, 2]])):
         rows = np.array(rows)
         got = data.batch.take(data.start[picked][:, None] + rows)
         for c, k in enumerate(picked):
-            want = make_batch(manifest, slots[k].rows[rows[c]], slots[k].masks[rows[c]])
+            want = make_batch(manifest, parts[k][0][rows[c]], parts[k][1][rows[c]])
             for a, b in zip([*got.features, *got.presence, got.labels], [*want.features, *want.presence, want.labels]):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a[c], b)
+
+
+MODALITY_MANIFESTS = {
+    m: synth_generate(SynthConfig(class_count=2, modalities=("a", "b", "c")[:m], dims=(1,) * m, samples_per_class=40))
+    for m in (1, 2, 3)
+}
+
+
+def profiled(mask_lists, reg_cfg=RegularizerConfig()):
+    """The training set of clients holding consecutive rows under these
+    masks, one list of flag tuples per client; an empty list is an empty
+    client."""
+    width = len(next(masks for masks in mask_lists if masks)[0])
+    start = np.cumsum([0, *map(len, mask_lists)])
+    parts = [(np.arange(a, b), np.array(masks, dtype=bool).reshape(b - a, width)) for a, b, masks in zip(start, start[1:], mask_lists)]
+    return build_train_set(MODALITY_MANIFESTS[width], partition_of(parts), reg_cfg)
+
+
+def test_train_set_missing_rate_cases():
+    data = profiled([[], [(True, True), (True, True)], [(True, True), (True, False)], [(True, False), (True, False)], []])
+    assert data.missing_rate == (0.0, 0.0, 0.25, 0.5, 0.0)
+    assert profiled([[(True, False, True), (True, False, False)]]).missing_rate == (0.5,)
+
+
+def test_train_set_gamma_cases():
+    aligned, partial, single = [(True, True)], [(True, True), (False, True)], [(True, False), (True, False)]
+    data = profiled([[], aligned, partial, single, []], RegularizerConfig(gamma_max=0.1))
+    assert data.gamma == (0.0, 0.0, 0.1 * 0.25, 0.1, 0.0)
+    assert profiled([[(True, True, False), (True, False, True)]], RegularizerConfig(gamma_max=0.1)).gamma == (0.1 * (2 / 6),)
+    # one modality gone everywhere earns gamma_max over partial damage in another
+    assert profiled([[(False, True, True), (False, True, False)]], RegularizerConfig(gamma_max=0.1)).gamma == (0.1,)
+    assert profiled([partial, single], RegularizerConfig(enabled=False, gamma_max=0.1)).gamma == (0.0, 0.0)
+
+
+@st.composite
+def client_masks(draw):
+    """Masks for 1 to 12 clients over 1 to 3 modalities. A client may be
+    empty (first and last included), keep every modality, keep a
+    client-wide subset, or vary its masks sample by sample within that
+    subset."""
+    width = draw(st.integers(1, 3))
+    clients = []
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(st.integers(0, 5))
+        kept = draw(st.integers(1, 2**width - 1))
+        style = draw(st.sampled_from(("whole", "client-wide", "per-sample")))
+        bits = [2**width - 1] * n if style == "whole" else [kept] * n
+        if style == "per-sample":
+            bits = [(draw(st.integers(1, 2**width - 1)) & kept) or kept for _ in range(n)]
+        clients.append([tuple(bool(b >> m & 1) for m in range(width)) for b in bits])
+    if not any(clients):
+        clients[-1] = [(True,) * width]
+    return clients
+
+
+@settings(max_examples=300, deadline=None)
+@given(client_masks(), st.booleans(), st.sampled_from((0.1, 0.3, 1.0, 7.0)))
+def test_train_set_profiles_match_per_client_oracle(mask_lists, enabled, gamma_max):
+    data = profiled(mask_lists, RegularizerConfig(enabled=enabled, gamma_max=gamma_max))
+    want = [client_profile(np.array(masks, dtype=bool), enabled, gamma_max) for masks in mask_lists]
+    assert data.missing_rate == tuple(rate for rate, _ in want)
+    assert data.gamma == tuple(gamma for _, gamma in want)
+    # the run log dumps these: Python floats, with the oracle's JSON text
+    assert json.dumps([data.missing_rate, data.gamma]) == json.dumps([[r for r, _ in want], [g for _, g in want]])
 
 
 def test_train_set_read_only_and_untouched_by_training():
@@ -383,7 +448,7 @@ def test_group_first_step_composes_nothing(monkeypatch):
 
 def test_local_train_empty_batch_rejected():
     manifest, base, delta, _ = make_setup()
-    data = build_train_set(manifest, ClientPartition([empty_slot()]), RegularizerConfig())
+    data = build_train_set(manifest, partition_of([empty_shard()]), RegularizerConfig())
     with pytest.raises(ValueError, match="no samples"):
         local_train(base, delta, data, [0], LocalTrainConfig(), seeds=[1])
 

@@ -97,6 +97,7 @@ _BAD_FIELDS = [
     ),
     (RegularizerConfig(), "margin", -1, "margin must be >= 0, got -1"),
     (LocalTrainConfig(), "lr", 0.0, "lr must be > 0, got 0.0"),
+    (FLRunConfig(), "server_lr", 0.0, "server_lr must be > 0, got 0.0"),
     (LocalTrainConfig(), "warmup_ratio", 1.5, "warmup_ratio must lie in [0, 1], got 1.5"),
     (replace(_ALIGNED, kind="missing", beta=0.5), "beta", 1.5, "beta must lie in [0, 1], got 1.5"),
     (replace(_ALIGNED, kind="hybrid", keep_prob=0.5), "keep_prob", -0.1, "keep_prob must lie in [0, 1], got -0.1"),

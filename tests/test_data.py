@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import validate_reference as reference
-from conftest import manual_manifest, manual_records, slot_of, tiny_manifest
+from conftest import manual_manifest, manual_records, partition_of, shard_of, tiny_manifest
 from fedmm import rng
 from fedmm.data import (
     SPLITS,
@@ -24,7 +24,6 @@ from fedmm.data import (
     synth_generate,
     validate_manifest,
 )
-from fedmm.partitioner import ClientPartition
 
 
 def test_roundtrip_byte_identical(tmp_path, manifest):
@@ -485,12 +484,10 @@ def test_pattern_labels_order():
 
 def test_modality_stats_hand_count():
     manifest = manual_manifest()
-    partition = ClientPartition(
-        clients=[
-            slot_of(manifest, ["a", "b"], [(True, True), (True, False)]),
-            slot_of(manifest, ["c", "d"], [(False, True), (True, False)]),
-        ]
-    )
+    partition = partition_of([
+        shard_of(manifest, ["a", "b"], [(True, True), (True, False)]),
+        shard_of(manifest, ["c", "d"], [(False, True), (True, False)]),
+    ])
     table = modality_stats(partition, manifest)
     counts = {(r[0], r[1], r[2]): r[3] for r in table.rows()}
     assert counts[(0, 0, "image+text")] == 1
@@ -520,14 +517,14 @@ def test_modality_stats_patterns_by_bit_value():
     records = [Sample(f"s{i}", i % 2, {m.name: np.zeros(1) for m in mods}) for i in range(7)]
     manifest = DatasetManifest.from_records(mods, 2, "train", records)
     masks = [[bool(bits >> i & 1) for i in range(3)] for bits in range(1, 8)]
-    table = modality_stats(ClientPartition(clients=[slot_of(manifest, [s.id for s in records], masks)]), manifest)
+    table = modality_stats(partition_of([shard_of(manifest, [s.id for s in records], masks)]), manifest)
     assert table.patterns == ["a", "b", "a+b", "c", "a+c", "b+c", "a+b+c"]
     counted = {(c, p): n for _, c, p, n in table.rows() if n}
     assert counted == {(0, "a"): 1, (1, "b"): 1, (0, "a+b"): 1, (1, "c"): 1, (0, "a+c"): 1, (1, "b+c"): 1, (0, "a+b+c"): 1}
 
 
 def test_modality_stats_rejects_all_false_mask(manifest):
-    partition = ClientPartition(clients=[slot_of(manifest, [manifest.ids[0], manifest.ids[5]], [(True, True), (False, False)])])
+    partition = partition_of([shard_of(manifest, [manifest.ids[0], manifest.ids[5]], [(True, True), (False, False)])])
     with pytest.raises(ValueError, match=f"sample {manifest.ids[5]!r} has an all-false mask"):
         modality_stats(partition, manifest)
 

@@ -4,24 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import empty_slot, manual_manifest, round_robin_partition, tiny_manifest
+from conftest import manual_manifest, round_robin_partition, shards, tiny_manifest
 from fedmm.partitioner import (
-    ClientSlot,
     ScenarioSpec,
     apply_cross,
     apply_hybrid,
     apply_missing,
     build_scenario,
-    classify_client,
-    client_missing_rate,
     dirichlet_partition,
     largest_remainder,
     save_partition,
 )
 
 
-def label_distribution(manifest, slot, class_count):
-    counts = np.bincount(manifest.labels[slot.rows], minlength=class_count)
+def label_distribution(manifest, rows, class_count):
+    counts = np.bincount(manifest.labels[rows], minlength=class_count)
     return counts / counts.sum() if counts.sum() else counts
 
 
@@ -32,10 +29,10 @@ def mean_tv(manifest, partition):
         global_counts[s.label] += 1
     global_dist = global_counts / global_counts.sum()
     tvs = []
-    for slot in partition.clients:
-        if len(slot) == 0:
+    for rows, _ in shards(partition):
+        if len(rows) == 0:
             continue
-        dist = label_distribution(manifest, slot, class_count)
+        dist = label_distribution(manifest, rows, class_count)
         tvs.append(0.5 * np.abs(dist - global_dist).sum())
     return float(np.mean(tvs))
 
@@ -69,8 +66,7 @@ def test_single_client_gets_everything(manifest):
 
 def test_partition_conserves_samples(manifest):
     partition = dirichlet_partition(manifest, 5, 0.5, seed=1)
-    rows = [row for slot in partition.clients for row in slot.rows.tolist()]
-    assert sorted(rows) == list(range(len(manifest)))
+    assert sorted(partition.rows.tolist()) == list(range(len(manifest)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -82,18 +78,19 @@ def test_partition_conserves_samples(manifest):
 def test_partition_union_disjoint_property(clients, alpha, seed):
     manifest = tiny_manifest(class_count=3, per_class=7, seed=4)
     partition = dirichlet_partition(manifest, clients, alpha, seed=seed)
-    rows = [row for slot in partition.clients for row in slot.rows.tolist()]
+    rows = partition.rows.tolist()
     assert len(rows) == len(set(rows)) == len(manifest.samples)
-    for slot in partition.clients:
-        assert slot.masks.shape == (len(slot), 2)
-        assert np.array_equal(slot.masks, manifest.presence[slot.rows])
-        assert not slot.rows.flags.writeable and not slot.masks.flags.writeable
+    assert partition.masks.shape == (len(rows), 2)
+    assert np.array_equal(partition.masks, manifest.presence[partition.rows])
+    assert partition.bounds.tolist() == [0, *np.cumsum(partition.sizes()).tolist()]
+    assert len(partition.sizes()) == clients and all(type(n) is int for n in partition.sizes())
+    assert not any(a.flags.writeable for a in (partition.rows, partition.masks, partition.bounds))
 
 
 def test_partition_deterministic(manifest):
     a = dirichlet_partition(manifest, 4, 0.3, seed=7)
     b = dirichlet_partition(manifest, 4, 0.3, seed=7)
-    assert [s.rows.tolist() for s in a.clients] == [s.rows.tolist() for s in b.clients]
+    assert a.rows.tolist() == b.rows.tolist() and a.bounds.tolist() == b.bounds.tolist()
 
 
 def test_low_alpha_skews_more_than_high():
@@ -120,13 +117,13 @@ def test_huge_alpha_near_uniform():
 def test_missing_zero_beta_is_identity(manifest):
     partition = dirichlet_partition(manifest, 4, 1.0, seed=5)
     out = apply_missing(partition, 0.0, seed=6)
-    assert all(slot.masks.all() for slot in out.clients)
+    assert out.masks.all()
 
 
 def test_missing_one_beta_keeps_exactly_one(manifest):
     partition = dirichlet_partition(manifest, 4, 1.0, seed=5)
     out = apply_missing(partition, 1.0, seed=6)
-    masks = np.concatenate([slot.masks for slot in out.clients])
+    masks = out.masks
     assert set(masks.sum(axis=1).tolist()) == {1}
     assert 0.3 < np.mean(masks[:, 0]) < 0.7
 
@@ -138,7 +135,7 @@ def test_missing_rate_matches_enumeration():
     manifest = tiny_manifest(class_count=2, dims=(2, 2), per_class=5000, seed=8)
     partition = dirichlet_partition(manifest, 1, 1.0, seed=9)
     out = apply_missing(partition, 0.5, seed=10)
-    masks = out.clients[0].masks
+    masks = out.masks
     missing0 = np.mean(~masks[:, 0])
     missing1 = np.mean(~masks[:, 1])
     assert abs(missing0 - 0.375) < 0.02
@@ -159,13 +156,13 @@ def test_missing_requires_aligned_input():
 def test_cross_counts_exact(manifest):
     partition = round_robin_partition(manifest, 10)
     out = apply_cross(partition, 3, seed=12)
-    image_only = [k for k, slot in enumerate(out.clients) if (slot.masks == (True, False)).all()]
-    text_only = [k for k, slot in enumerate(out.clients) if (slot.masks == (False, True)).all()]
+    image_only = [k for k, (_, masks) in enumerate(shards(out)) if (masks == (True, False)).all()]
+    text_only = [k for k, (_, masks) in enumerate(shards(out)) if (masks == (False, True)).all()]
     assert len(image_only) == 3
     assert len(text_only) == 7
     again = apply_cross(partition, 3, seed=12)
-    assert [s.masks.tolist() for s in again.clients] == [s.masks.tolist() for s in out.clients]
-    assert [s.rows.tolist() for s in out.clients] == [s.rows.tolist() for s in partition.clients]
+    assert np.array_equal(again.masks, out.masks)
+    assert out.rows is partition.rows and out.bounds is partition.bounds
 
 
 def test_cross_rejects_three_modalities():
@@ -184,15 +181,15 @@ def test_cross_rejects_three_modalities():
 def test_hybrid_keep_prob_one_is_identity(manifest):
     partition = round_robin_partition(manifest, 5)
     out = apply_hybrid(partition, 1.0, seed=17)
-    assert all(slot.masks.all() for slot in out.clients)
+    assert out.masks.all()
 
 
 def test_hybrid_keep_prob_zero_single_modality(manifest):
     partition = round_robin_partition(manifest, 5)
     out = apply_hybrid(partition, 0.0, seed=17)
-    for slot in out.clients:
-        assert (slot.masks == slot.masks[0]).all()
-        assert slot.masks[0].sum() == 1
+    for _, masks in shards(out):
+        assert (masks == masks[0]).all()
+        assert masks[0].sum() == 1
 
 
 def test_hybrid_full_modality_frequency():
@@ -201,35 +198,9 @@ def test_hybrid_full_modality_frequency():
     full_counts = []
     for seed in range(200):
         out = apply_hybrid(partition, 0.8, seed=seed)
-        full = sum(1 for slot in out.clients if all(slot.masks[0]))
+        full = sum(1 for _, masks in shards(out) if all(masks[0]))
         full_counts.append(full)
     assert abs(np.mean(full_counts) - 6.4) < 0.5
-
-
-# ---------- client stats ----------
-
-def slot(*masks):
-    return ClientSlot(np.arange(len(masks)), np.array(masks, dtype=bool))
-
-
-def test_client_missing_rate_cases():
-    assert client_missing_rate(slot((True, True), (True, True))) == 0.0
-    assert client_missing_rate(slot((True, True), (True, False))) == 0.25
-    assert client_missing_rate(slot((True, False), (True, False))) == 0.5
-    assert client_missing_rate(slot((True, False, True), (True, False, False))) == 0.5
-    with pytest.raises(ValueError, match="no samples"):
-        client_missing_rate(empty_slot())
-
-
-def test_classify_client_cases():
-    assert classify_client(slot((True, True))) == "aligned"
-    assert classify_client(slot((True, True), (False, True))) == "partial_missing"
-    assert classify_client(slot((True, False), (True, False))) == "single_modality"
-    # one modality gone everywhere wins over partial damage in the other
-    assert classify_client(slot((False, True), (False, True))) == "single_modality"
-    assert classify_client(slot((True, True, False), (True, False, True))) == "partial_missing"
-    with pytest.raises(ValueError, match="no samples"):
-        classify_client(empty_slot())
 
 
 # ---------- scenario spec + persistence ----------
@@ -251,13 +222,13 @@ def test_build_scenario_and_roundtrip(tmp_path, manifest):
     save_partition(partition, manifest, spec, path)
     saved = json.loads(path.read_text(encoding="utf-8"))
     assert saved["spec"] == spec.to_json_obj()
-    assert [entry["id"] for entry in saved["clients"]] == list(range(len(partition.clients)))
-    assert [[s["sid"] for s in entry["samples"]] for entry in saved["clients"]] == [[manifest.ids[r] for r in s.rows] for s in partition.clients]
-    assert [[s["mask"] for s in entry["samples"]] for entry in saved["clients"]] == [s.masks.tolist() for s in partition.clients]
+    assert [entry["id"] for entry in saved["clients"]] == list(range(6))
+    assert [[s["sid"] for s in entry["samples"]] for entry in saved["clients"]] == [[manifest.ids[r] for r in rows] for rows, _ in shards(partition)]
+    assert [[s["mask"] for s in entry["samples"]] for entry in saved["clients"]] == [masks.tolist() for _, masks in shards(partition)]
 
 
 def test_build_scenario_deterministic(manifest):
     spec = ScenarioSpec(kind="missing", clients=5, alpha=0.5, seed=31, beta=0.4)
     a = build_scenario(manifest, spec)
     b = build_scenario(manifest, spec)
-    assert [s.masks.tolist() for s in a.clients] == [s.masks.tolist() for s in b.clients]
+    assert np.array_equal(a.masks, b.masks) and np.array_equal(a.rows, b.rows)

@@ -4,9 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import empty_slot, round_robin_partition, tiny_manifest
+from conftest import empty_shard, partition_of, round_robin_partition, shards, tiny_manifest
 from fedmm.data import DatasetManifest, ModalityDescriptor, Sample
-from fedmm.partitioner import ClientPartition, ClientSlot
 from fedmm.promptgen import (
     AGNOSTIC_CLAUSE,
     CRISIS_MMD,
@@ -191,14 +190,14 @@ def test_export_counts_and_order(tmp_path):
         lines = path.read_text(encoding="utf-8").splitlines()
         total += len(lines)
         ids = [json.loads(line)["id"] for line in lines]
-        assert ids == [manifest.ids[row] for row in partition.clients[k].rows]
+        assert ids == [manifest.ids[row] for row in shards(partition)[k][0]]
     assert total == len(manifest.samples)
 
 
 def test_export_empty_client_writes_empty_file(tmp_path):
     manifest = binary_manifest()
-    slots = [*round_robin_partition(manifest, 1).clients, empty_slot()]
-    export_partition(ClientPartition(clients=slots), manifest, HATEFUL_MEMES, False, tmp_path)
+    parts = [*shards(round_robin_partition(manifest, 1)), empty_shard()]
+    export_partition(partition_of(parts), manifest, HATEFUL_MEMES, False, tmp_path)
     empty = tmp_path / "client_01.jsonl"
     assert empty.exists()
     assert empty.read_bytes() == b""
@@ -223,8 +222,8 @@ def test_export_rejects_class_mismatch(tmp_path):
 def test_export_respects_partition_masks(tmp_path):
     manifest = binary_manifest()
     n = len(manifest.samples)
-    slots = [ClientSlot(np.arange(n), np.tile([True, False], (n, 1)))]
-    export_partition(ClientPartition(clients=slots), manifest, HATEFUL_MEMES, False, tmp_path)
+    parts = [(np.arange(n), np.tile([True, False], (n, 1)))]
+    export_partition(partition_of(parts), manifest, HATEFUL_MEMES, False, tmp_path)
     for line in (tmp_path / "client_00.jsonl").read_text(encoding="utf-8").splitlines():
         obj = json.loads(line)
         assert obj["image"].endswith(".png")

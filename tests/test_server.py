@@ -5,12 +5,12 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import count_composes, empty_slot, randomize_delta, round_robin_partition, run_config, tiny_manifest, train_client
+from conftest import count_composes, empty_shard, partition_of, randomize_delta, round_robin_partition, run_config, shards, tiny_manifest, train_client
 from fedmm import rng, server
 from fedmm.client import LocalTrainConfig, RegularizerConfig
 from fedmm.metrics import EvalSet, evaluate
 from fedmm.model import ModelConfig, init_model, load_checkpoint, loss_and_grad, make_batch, save_checkpoint
-from fedmm.partitioner import ClientPartition, dirichlet_partition
+from fedmm.partitioner import dirichlet_partition
 from fedmm.server import (
     AGGREGATOR_KINDS,
     DEFAULT_SERVER_LR,
@@ -35,7 +35,7 @@ def scalar_oracle(kind, deltas, lr, beta1=0.9, beta2=0.99, tau=1e-3, momentum=0.
     trail = []
     for d in map(float, deltas):
         if kind == "plain_avg":
-            w += d
+            w += lr * d
         elif kind == "avgm":
             buf = momentum * buf + d
             w += lr * buf
@@ -197,6 +197,17 @@ def test_hundred_step_scalar_recurrence(kind):
     assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
+def test_plain_avg_server_lr_scales_the_step():
+    # FedAvg with a server learning rate: half the lr, half the move
+    moves = {}
+    for lr in (0.5, 1.0):
+        state, proto = one_param_state("plain_avg", lr=lr)
+        step = replace(proto, flat=np.linspace(-1.0, 1.0, proto.flat.size))
+        moves[lr] = server_step(state, step).global_delta.flat - state.global_delta.flat
+    assert np.any(moves[1.0])
+    assert np.array_equal(moves[0.5], 0.5 * moves[1.0])
+
+
 def test_yogi_tracks_adam_on_balanced_sequence():
     # squared step equal to half the running second moment keeps
     # sign(v - d^2) positive and makes the two recurrences coincide
@@ -255,18 +266,16 @@ def test_plain_avg_matches_centralized_descent():
     lr = 0.05
 
     client_deltas, sizes = [], []
-    for slot in partition.clients:
-        batch = make_batch(manifest, slot.rows, slot.masks)
+    for rows, masks in shards(partition):
+        batch = make_batch(manifest, rows, masks)
         _, grad = loss_and_grad(base, delta, batch)
         client_deltas.append(replace(delta, flat=delta.flat - lr * grad.flat))
-        sizes.append(len(slot))
+        sizes.append(len(rows))
 
     state = init_server_state("plain_avg", delta)
     state = server_step(state, pseudo_gradient(stacked(*client_deltas), sizes, delta))
 
-    rows = np.concatenate([slot.rows for slot in partition.clients])
-    masks = np.concatenate([slot.masks for slot in partition.clients])
-    pooled = make_batch(manifest, rows, masks)
+    pooled = make_batch(manifest, partition.rows, partition.masks)
     _, pooled_grad = loss_and_grad(base, delta, pooled)
     want = delta.flat - lr * pooled_grad.flat
     assert np.allclose(state.global_delta.flat, want, atol=1e-12)
@@ -296,7 +305,7 @@ def test_run_rounds_single_client_composition():
 
     _, delta0 = init_model(model_cfg)
     want, _ = train_client(
-        base, delta0, train, partition.clients[picked],
+        base, delta0, train, shards(partition)[picked],
         cfg.local, cfg.reg, seed=rng.seed_for(cfg.seed, "local", 1, picked),
     )
     assert np.array_equal(state.global_delta.flat, want.flat)
@@ -356,7 +365,7 @@ def test_run_rounds_log_schema_and_cadence():
         evaluated = rec["round"] % cfg.eval_every == 0 or rec["round"] == cfg.rounds
         assert (rec["eval"] is not None) == evaluated
         for cid in rec["clients"]:
-            assert rec["n_k"][str(cid)] == len(partition.clients[cid])
+            assert rec["n_k"][str(cid)] == partition.sizes()[cid]
     assert log.final_eval() is not None
 
 
@@ -604,7 +613,7 @@ def test_baseline_deterministic_and_k1_equals_solo():
 
     base, delta0 = init_model(model_cfg)
     trained, _ = train_client(
-        base, delta0, train, solo.clients[0],
+        base, delta0, train, shards(solo)[0],
         LocalTrainConfig(epochs=2, batch_size=8), RegularizerConfig(enabled=False),
         seed=rng.seed_for(13, "baseline", 0),
     )
@@ -613,9 +622,9 @@ def test_baseline_deterministic_and_k1_equals_solo():
 
 def test_baseline_skips_empty_clients():
     model_cfg, _, train, test = run_setup(seed=14)
-    slots = [*round_robin_partition(train, 1).clients, empty_slot()]
+    parts = [*shards(round_robin_partition(train, 1)), empty_shard()]
     out = local_baseline(
-        model_cfg, ClientPartition(clients=slots), train, test,
+        model_cfg, partition_of(parts), train, test,
         LocalTrainConfig(epochs=1, batch_size=8), seed=14,
     )
     assert out["skipped"] == [1]
