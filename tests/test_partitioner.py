@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import manual_manifest, round_robin_partition, shards, tiny_manifest
+from fedmm.client import RegularizerConfig
 from fedmm.partitioner import (
     ScenarioSpec,
     apply_cross,
@@ -15,6 +16,7 @@ from fedmm.partitioner import (
     largest_remainder,
     save_partition,
 )
+from test_client import profiled
 
 
 def label_distribution(manifest, rows, class_count):
@@ -201,6 +203,25 @@ def test_hybrid_full_modality_frequency():
         full = sum(1 for _, masks in shards(out) if all(masks[0]))
         full_counts.append(full)
     assert abs(np.mean(full_counts) - 6.4) < 0.5
+
+
+# ---------- client kinds ----------
+
+def test_classify_client_cases():
+    # a client's kind shows in the gamma it earns: 0 aligned, gamma_max
+    # single-modality, gamma_max times its missing rate partial missing
+    def gamma(*masks):
+        return profiled([list(masks)], RegularizerConfig(gamma_max=1.0)).gamma[0]
+
+    assert gamma((True, True)) == 0.0
+    assert gamma((True, True), (False, True)) == 0.25
+    assert gamma((True, False), (True, False)) == 1.0
+    # one modality gone everywhere wins over partial damage in the other
+    assert gamma((False, True), (False, True)) == 1.0
+    assert gamma((False, True, True), (False, True, False)) == 1.0
+    assert gamma((True, True, False), (True, False, True)) == 2 / 6
+    # an empty client has no kind and earns nothing
+    assert profiled([[], [(True, False)]], RegularizerConfig(gamma_max=1.0)).gamma == (0.0, 1.0)
 
 
 # ---------- scenario spec + persistence ----------
