@@ -29,28 +29,39 @@ with and adds its gradient into the factor gradients.
 
 One call trains a round (local_train). Its clients train in lockstep
 groups of equal shard size, a group of one included: the group's
-adapters are the rows of one (C, P) matrix, each minibatch is one
-gather of (C, k) rows of the training set, each layer's products are
-stacked np.matmul calls, and Adam runs elementwise on the whole matrix,
-in place through two rows of step temporaries. One block per call,
-sized for the widest group, holds those rows and the step's grouped
-weights, so a step allocates no (C, P) or weight-shaped array; every
-group trains in its first rows. A group's first step copies the global
-effective weights into its weight rows, since every row of its adapter
-still equals the global one; later steps compose their own. Each
-client keeps its own shuffle stream, drawn for all epochs up front from
-one re-keyed generator (rng.permutations), and its own gamma; the
-trained adapters come back as one (K, P) matrix. The proximal term is
-exactly zero while an adapter still equals the global one, so a
-client's first step skips its arithmetic.
+adapters are the rows of one (C, P) matrix, each epoch is one gather of
+(C, n) rows of the training set and each minibatch a slice of it, each
+layer's products are stacked np.matmul calls, and Adam runs elementwise
+on the whole matrix, in place through two rows of step temporaries. One
+block per call, sized for the widest group, holds those rows and the
+step's grouped weights, so a step allocates no (C, P) or weight-shaped
+array; every group trains in its first rows. A group's first step
+copies the global effective weights into its weight rows, since every
+row of its adapter still equals the global one; later steps compose
+their own. Each client keeps its own shuffle stream, drawn for all
+epochs up front from one re-keyed generator (rng.permutations), and its
+own gamma; the trained adapters come back as one (K, P) matrix. The
+proximal term is exactly zero while an adapter still equals the global
+one, so a client's first step skips its arithmetic.
+
+What stays the same across a group's steps is worked out once per
+group, so a step runs only arithmetic: the modalities no row of its
+shards holds (from TrainSet.present), which every minibatch carries so
+that no step scans for idle encoder stacks (Batch.absent); and, at its
+second step, the proximal term's set-up (RegContext.bind): the
+masked-in slices of its parameter, gradient and weight rows, the
+coefficient 2 * gamma * scale and the gamma column. A group of one step
+binds nothing. The round still builds one context (make_reg_context),
+and every step still makes one reg_value_and_grad call.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,6 +138,20 @@ def mask_vector(depth: int, margin: int) -> np.ndarray:
     return mask
 
 
+class BoundTerm(NamedTuple):
+    """What reg_value_and_grad derives from its context and arrays before
+    any arithmetic (_bind_term): per masked-in slice, the views (ups,
+    downs, ups transposed, downs transposed, up gradients, down
+    gradients, scratch or None) and the target; the coefficient 2 * gamma
+    * scale, shaped to scale a slice; gamma as a column; and the delta,
+    gradient and scratch it was derived for."""
+
+    slices: tuple[tuple[np.ndarray | None, ...], ...]
+    coef: np.ndarray
+    gamma: np.ndarray
+    arrays: tuple[np.ndarray, np.ndarray, list[np.ndarray] | None]
+
+
 @dataclass(frozen=True)
 class RegContext:
     """Frozen per-round inputs of the proximal term, built by
@@ -135,12 +160,14 @@ class RegContext:
     updates); `order`, which puts those layers, concatenated slice by
     slice, in layer order; the client's gamma (for a lockstep group, one
     gamma per client as a (C,) vector); and `origin`, the global flat
-    vector the targets were composed from."""
+    vector the targets were composed from. `bound`, set by bind, holds
+    the term's set-up for one lockstep group's arrays."""
 
     slices: tuple[tuple[int, slice, np.ndarray], ...]
     order: np.ndarray
     gamma: float | np.ndarray
     origin: np.ndarray
+    bound: BoundTerm | None = field(default=None, repr=False, compare=False)
 
     def value_and_grad(
         self,
@@ -149,6 +176,14 @@ class RegContext:
         scratch: list[np.ndarray] | None = None,
     ) -> tuple[float | np.ndarray, AdapterDelta]:
         return reg_value_and_grad(delta, self, grad, scratch)
+
+    def bind(self, delta: AdapterDelta, grad: AdapterDelta, scratch: list[np.ndarray]) -> RegContext:
+        """This context with its set-up made once for the arrays every
+        later call passes (local_train binds it at a group's second step);
+        reg_value_and_grad then only does arithmetic and skips its origin
+        test."""
+        _check_gamma(self, delta)
+        return replace(self, bound=_bind_term(self, delta, grad, scratch))
 
 
 def make_reg_context(global_delta: AdapterDelta, composed: Grouped, margin: int, gamma: float) -> RegContext:
@@ -184,12 +219,14 @@ class TrainSet:
     order; each client's first row in it (`start`); and per client the
     fraction of absent (sample, modality) slots and the proximal strength
     that profile earns (0 with the regularizer off). An empty client,
-    which no round samples, gets 0.0 for both."""
+    which no round samples, gets 0.0 for both. `present` counts each
+    client's rows holding each modality, (K, M)."""
 
     batch: Batch
     start: np.ndarray
     missing_rate: tuple[float, ...]
     gamma: tuple[float, ...]
+    present: np.ndarray
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -207,6 +244,7 @@ def build_train_set(manifest: DatasetManifest, partition: ClientPartition, reg_c
     running = np.zeros((len(partition.rows) + 1, width), np.intp)
     np.cumsum(partition.masks, axis=0, out=running[1:])
     present = np.diff(running[bounds], axis=0)
+    present.flags.writeable = False
     slots = np.diff(bounds) * width
     absent = slots - present.sum(axis=1)
     missing_rate = np.divide(absent, slots, out=np.zeros(len(slots)), where=slots > 0)
@@ -215,7 +253,26 @@ def build_train_set(manifest: DatasetManifest, partition: ClientPartition, reg_c
         np.multiply(reg_cfg.gamma_max, missing_rate, out=gamma, where=absent > 0)
         # a modality absent from every sample earns the full strength
         gamma[(present == 0).any(axis=1) & (slots > 0)] = reg_cfg.gamma_max
-    return TrainSet(batch, bounds[:-1], tuple(missing_rate.tolist()), tuple(gamma.tolist()))
+    return TrainSet(batch, bounds[:-1], tuple(missing_rate.tolist()), tuple(gamma.tolist()), present)
+
+
+def _check_gamma(ctx: RegContext, delta: AdapterDelta) -> None:
+    if np.shape(ctx.gamma) != delta.flat.shape[:-1]:
+        raise ValueError(f"need one gamma per client, got shape {np.shape(ctx.gamma)}")
+
+
+def _bind_term(ctx: RegContext, delta: AdapterDelta, grad: AdapterDelta, scratch: list[np.ndarray] | None) -> BoundTerm:
+    """The views, coefficient and gamma column reg_value_and_grad reads."""
+    slices = []
+    for g, span, target in ctx.slices:
+        (ups, downs), (dups, ddowns) = delta.stacks[g], grad.stacks[g]
+        ups, downs = ups[..., span, :, :], downs[..., span, :, :]
+        diff = None if scratch is None else scratch[g][..., span, :, :]
+        views = (ups, downs, ups.swapaxes(-1, -2), downs.swapaxes(-1, -2))
+        slices.append((*views, dups[..., span, :, :], ddowns[..., span, :, :], diff, target))
+    gamma = np.asarray(ctx.gamma)
+    coef = (2.0 * gamma * delta.scale)[..., None, None, None]
+    return BoundTerm(tuple(slices), coef, gamma[..., None], (delta.flat, grad.flat, scratch))
 
 
 def reg_value_and_grad(
@@ -246,31 +303,37 @@ def reg_value_and_grad(
     the term would add +0 to the loss and to every gradient entry. That
     could only turn a -0 entry into +0, a sign Adam's moments, which
     start at +0, never keep.
+
+    A bound context (RegContext.bind) must get the delta, grad and
+    scratch it was bound to, and skips the origin test: local_train binds
+    it after a group's first step, and should no row have moved, the
+    term adds the zeros above, which change no byte that Adam keeps.
     """
-    if np.shape(ctx.gamma) != delta.flat.shape[:-1]:
-        raise ValueError(f"need one gamma per client, got shape {np.shape(ctx.gamma)}")
-    if grad is None:
-        grad = replace(delta, flat=np.zeros_like(delta.flat))
-    if not ctx.slices or (delta.flat == ctx.origin).all():
-        return 0.0, grad
-    gamma = np.asarray(ctx.gamma)
-    coef = (2.0 * gamma * delta.scale)[..., None, None, None]
-    squares = []
-    for g, span, target in ctx.slices:
-        (ups, downs), (dups, ddowns) = delta.stacks[g], grad.stacks[g]
-        ups, downs = ups[..., span, :, :], downs[..., span, :, :]
-        diff = np.matmul(ups, downs, out=None if scratch is None else scratch[g][..., span, :, :])
-        diff *= delta.scale
+    term = ctx.bound
+    if term is None:
+        _check_gamma(ctx, delta)
+        if grad is None:
+            grad = replace(delta, flat=np.zeros_like(delta.flat))
+        if not ctx.slices or (delta.flat == ctx.origin).all():
+            return 0.0, grad
+        term = _bind_term(ctx, delta, grad, scratch)
+    elif grad is None or any(a is not b for a, b in zip(term.arrays, (delta.flat, grad.flat, scratch))):
+        raise ValueError("a bound context takes only the arrays it was bound to")
+    scale, squares = delta.scale, []
+    for ups, downs, ups_t, downs_t, dups, ddowns, diff, target in term.slices:
+        diff = np.matmul(ups, downs, out=diff)
+        if scale != 1.0:
+            diff *= scale
         diff -= target
-        up_grad = np.matmul(diff, downs.swapaxes(-1, -2))
-        up_grad *= coef
-        dups[..., span, :, :] += up_grad
-        down_grad = np.matmul(ups.swapaxes(-1, -2), diff)
-        down_grad *= coef
-        ddowns[..., span, :, :] += down_grad
+        up_grad = np.matmul(diff, downs_t)
+        up_grad *= term.coef
+        dups += up_grad
+        down_grad = np.matmul(ups_t, diff)
+        down_grad *= term.coef
+        ddowns += down_grad
         squares.append(np.multiply(diff, diff, out=diff).sum(axis=(-2, -1)))
     terms = np.concatenate(squares, axis=-1)[..., ctx.order]
-    terms *= gamma[..., None]
+    terms *= term.gamma
     # 0 + t0 + t1 + ..., left to right, as a loop over the layers sums
     return np.add.accumulate(terms, axis=-1)[..., -1], grad
 
@@ -315,7 +378,7 @@ def local_train(
 ) -> tuple[AdapterDelta, list[list[float]]]:
     """Train one copy of the global delta per client of `data` named in
     `clients`, each on its own shard with its own shuffle stream (`seeds`);
-    each minibatch is a gather of rows of data.batch. reg_ctx, when given,
+    each epoch is a gather of rows of data.batch. reg_ctx, when given,
     holds the round's masked-in proximal targets, and data each client's
     gamma; a group whose gammas are all 0 runs no proximal term.
     global_weights, when given, must hold the global delta's effective
@@ -371,18 +434,20 @@ def local_train(
         ctx = None
         if reg_ctx is not None and any(data.gamma[k] for k in members):
             ctx = replace(reg_ctx, gamma=np.array([data.gamma[k] for k in members]))
+        # the modalities no row of the group's shards holds
+        absent = tuple((~data.present[members].any(axis=0)).tolist())
         # (epochs, C, n): each client's shuffled positions in data.batch
         orders = np.stack([shuffles[i] for i in group], axis=1)
         orders += data.start[members][:, None]
-        batches_per_epoch = math.ceil(n / train_cfg.batch_size)
-        total_steps = train_cfg.epochs * batches_per_epoch
+        total_steps = train_cfg.epochs * math.ceil(n / train_cfg.batch_size)
         step = 0
         for order in orders:
             loss_sum = 0.0
-            for b in range(batches_per_epoch):
-                minibatch = data.batch.take(order[:, b * train_cfg.batch_size : (b + 1) * train_cfg.batch_size])
+            for minibatch in data.batch.take(order, absent).split(train_cfg.batch_size):
                 if step:
                     effective_weights(base, delta, out=weights)
+                    if step == 1 and ctx is not None:
+                        ctx = ctx.bind(delta, grad, weights.stacks)
                 else:  # every row still holds the global adapter
                     weights.vec[...] = global_weights.vec
                 loss, _ = loss_and_grad(base, delta, minibatch, ctx, grad, weights)

@@ -30,7 +30,7 @@ layer; every stacked product is, item by item, the same gemm on the same
 operand layout as the per-layer product, so the bytes do not change.
 
 Forward and backward are written out by hand in float64; gradients are
-exact, not approximated. Two kinds of work are skipped because they
+exact, not approximated. Three kinds of work are skipped because they
 cannot change a byte. A bias that is all zero is not added (init_model
 makes every bias zero, and biases are frozen): a gemm result is never
 -0, so adding +0 leaves it as it is. A modality's encoder stack is not
@@ -39,12 +39,20 @@ without that modality) and all its biases are zero: a zero row gives a
 +0 pre-activation, since BLAS accumulates from +0, tanh(+0) = +0, and
 the stack's weight gradients are then +0 too; its slice of the trunk
 input is written +0 and its weight-gradient slots are zeroed instead.
+A lockstep group's minibatches say which modalities no row of the
+group's shards holds (Batch.absent), so no step scans its arrays; a
+minibatch that lacks a modality some other rows of its group hold runs
+that stack on +0 input, which by the same argument writes the same
+bytes as skipping it. A multiply by an adapter scale of exactly 1.0
+(alpha equal to rank, the default) is not made: x * 1.0 == x bit for
+bit.
 
 make_batch gathers every client's shard (the concatenated partition
 rows under their masks, client.TrainSet), or a chunk of the test set (a
 range of rows), from the manifest's columns once per run. A lockstep
-group's minibatch is one gather of (C, k) rows of that batch
-(Batch.take), which gives it a leading client axis.
+group's epoch is one gather of (C, n) rows of that batch (Batch.take),
+which gives it a leading client axis, and its minibatches are slices of
+that gather (Batch.split).
 Evaluation writes activations only into one reused forward_scratch: a
 512-row, 32-wide activation is 128 KiB, glibc's mmap threshold, so a
 fresh one per layer would be mapped, or trimmed away, and faulted in.
@@ -312,7 +320,8 @@ def compose_updates(delta: AdapterDelta, out: Grouped | None = None) -> Grouped:
         out = grouped(delta.groups, np.empty((*delta.flat.shape[:-1], size)))
     for (ups, downs), stack in zip(delta.stacks, out.stacks):
         np.matmul(ups, downs, out=stack)
-    np.multiply(out.vec, delta.scale, out=out.vec)
+    if delta.scale != 1.0:
+        np.multiply(out.vec, delta.scale, out=out.vec)
     return out
 
 
@@ -321,25 +330,44 @@ class Batch:
     """Per-modality feature matrices with zero rows where absent, 0/1
     presence columns, and integer labels. A lockstep group's minibatch
     has a leading client axis on every array: features (C, rows, dim),
-    presence and labels (C, rows)."""
+    presence and labels (C, rows).
+
+    absent, when given, holds one flag per modality: True promises that
+    the modality's features and presence are zero in every row, so
+    _run_forward need not scan them; None leaves it to scan."""
 
     features: list[np.ndarray]
     presence: list[np.ndarray]
     labels: np.ndarray
+    absent: tuple[bool, ...] | None = None
 
     def __len__(self) -> int:
         """Rows per client."""
         return int(self.labels.shape[-1])
 
-    def take(self, rows: np.ndarray) -> "Batch":
+    def take(self, rows: np.ndarray, absent: tuple[bool, ...] | None = None) -> "Batch":
         """Rows of a batch without a client axis, gathered as a new batch
         with one: client c's are the rows at positions rows[c], in that
-        order; rows is (C, k)."""
+        order; rows is (C, k). absent is the new batch's."""
         return Batch(
             features=[f[rows] for f in self.features],
             presence=[p[rows] for p in self.presence],
             labels=self.labels[rows],
+            absent=absent,
         )
+
+    def split(self, size: int) -> list["Batch"]:
+        """Consecutive runs of `size` rows per client (the last may be
+        shorter), as views sharing absent."""
+        return [
+            Batch(
+                features=[f[..., lo : lo + size, :] for f in self.features],
+                presence=[p[..., lo : lo + size] for p in self.presence],
+                labels=self.labels[..., lo : lo + size],
+                absent=self.absent,
+            )
+            for lo in range(0, len(self), size)
+        ]
 
     def freeze(self) -> "Batch":
         """Write-protect every array of a batch that is built once and
@@ -392,12 +420,13 @@ def _encoder_depth(specs: tuple[LayerSpec, ...], modality_count: int) -> int:
 
 def _stack_is_idle(base: BaseWeights, stack: range, batch: Batch, modality: int) -> bool:
     """Whether a modality's encoder stack maps this batch to exact +0:
-    its input is zero in every row and none of its biases is nonzero."""
-    return (
-        all(base.zero_bias[layer] for layer in stack)
-        and not batch.presence[modality].any()
-        and not batch.features[modality].any()
-    )
+    its input is zero in every row (batch.absent says so, or a scan finds
+    it) and none of its biases is nonzero."""
+    if not all(base.zero_bias[layer] for layer in stack):
+        return False
+    if batch.absent is not None:
+        return batch.absent[modality]
+    return not batch.presence[modality].any() and not batch.features[modality].any()
 
 
 def forward_scratch(base: BaseWeights, rows: int) -> np.ndarray:
@@ -551,8 +580,11 @@ def loss_and_grad(
         weight; the gradient at the chain's input is computed only when
         to_input asks for it."""
         for layer in reversed(layers):
-            u, h = tape[layer]
-            dz = d * (1.0 - h * h)
+            u, dz = tape[layer]
+            # d * (1 - h * h), formed in h: the layer above has read it
+            np.multiply(dz, dz, out=dz)
+            np.subtract(1.0, dz, out=dz)
+            dz *= d
             if to_input or layer != layers[0]:
                 d = dz @ weights[layer]
             np.matmul(dz.swapaxes(-1, -2), u, out=weights[layer])
@@ -579,7 +611,8 @@ def loss_and_grad(
     for (ups, downs), (dups, ddowns), dw in zip(delta.stacks, grad.stacks, composed.stacks):
         np.matmul(dw, downs.swapaxes(-1, -2), out=dups)
         np.matmul(ups.swapaxes(-1, -2), dw, out=ddowns)
-    np.multiply(grad.flat, delta.scale, out=grad.flat)
+    if delta.scale != 1.0:
+        np.multiply(grad.flat, delta.scale, out=grad.flat)
     if reg_ctx is not None:
         loss = loss + reg_ctx.value_and_grad(delta, grad, composed.stacks)[0]
     return loss, grad

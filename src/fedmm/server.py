@@ -79,6 +79,8 @@ class ServerState:
 def init_server_state(kind: str, delta: AdapterDelta, lr: float | None = None) -> ServerState:
     if kind not in AGGREGATOR_KINDS:
         raise ValueError(f"kind must be one of {AGGREGATOR_KINDS}, got {kind!r}")
+    if lr is not None and not lr > 0:
+        raise ValueError(f"lr must be > 0, got {lr}")
     width = delta.flat.size
     return ServerState(
         kind=kind,
@@ -328,7 +330,8 @@ def save_server_state(path: str | Path, state: ServerState) -> None:
 def load_server_state(path: str | Path) -> ServerState:
     """Read a server checkpoint, rejecting an unknown aggregator, a round
     that is not an int >= 0, a hyperparameter that is not a JSON number,
-    and any moment buffer whose width differs from the adapter's."""
+    an lr or tau that is not > 0, and any moment buffer whose width
+    differs from the adapter's."""
     meta, arrays, delta = read_checkpoint(path, "server")
     if meta["aggregator"] not in AGGREGATOR_KINDS:
         raise ValueError(f"{path}: aggregator must be one of {AGGREGATOR_KINDS}, got {meta['aggregator']!r}")
@@ -338,6 +341,9 @@ def load_server_state(path: str | Path) -> ServerState:
     for name in SERVER_STATE_SCALARS[1:]:
         if type(meta[name]) not in (int, float):
             raise ValueError(f"{path}: header key {name!r} must be a number, got {meta[name]!r}")
+    for name in ("lr", "tau"):
+        if not meta[name] > 0:
+            raise ValueError(f"{path}: header key {name!r} must be > 0, got {meta[name]!r}")
     for name in SERVER_STATE_BUFFERS:
         if arrays[name].shape != delta.flat.shape:
             raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, expected {delta.flat.shape}")

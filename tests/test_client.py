@@ -156,6 +156,28 @@ def test_reg_scratch_changes_no_byte(tiny_model):
     assert np.array_equal(grad.flat, want.flat)
 
 
+def test_bound_reg_equals_unbound_and_takes_only_its_arrays(tiny_model):
+    _, base, delta = tiny_model
+    rows = np.stack([randomize_delta(delta, seed=s, scale=0.3).flat for s in (17, 18)])
+    clients = replace(delta, flat=rows)
+    ctx = replace(reg_context(randomize_delta(delta, seed=19), margin=1, gamma=0.7), gamma=np.array([0.0, 0.4]))
+    prefill = np.random.default_rng(20).normal(size=rows.shape)
+    want_value, want = reg_value_and_grad(clients, ctx, replace(clients, flat=prefill.copy()))
+    grad = replace(clients, flat=prefill.copy())
+    scratch = grouped(base.groups, np.full((2, base.flat.size), np.nan)).stacks
+    bound = ctx.bind(clients, grad, scratch)
+    for _ in range(2):  # a bound context reads its views afresh on every call
+        grad.flat[...] = prefill
+        value, got = reg_value_and_grad(clients, bound, grad, scratch)
+        assert got is grad and np.array_equal(value, want_value)
+        assert np.array_equal(grad.flat, want.flat)
+        clients.flat[...] = rows + 0.01
+        want_value, want = reg_value_and_grad(clients, ctx, replace(clients, flat=prefill.copy()))
+    for others in ((replace(clients, flat=rows.copy()), grad, scratch), (clients, None, scratch), (clients, grad, None)):
+        with pytest.raises(ValueError, match="bound to"):
+            reg_value_and_grad(others[0], bound, others[1], others[2])
+
+
 def test_reg_at_origin_returns_zero_and_leaves_grad(tiny_model):
     _, _, delta = tiny_model
     origin = randomize_delta(delta, seed=21, scale=0.3)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import lockstep_reference as reference
 from conftest import randomize_delta, reg_context, run_config
-from fedmm import client
+from fedmm import client, server
 from fedmm.client import (
     LocalTrainConfig,
     TrainSet,
@@ -49,7 +49,8 @@ def train_set(batches, gammas):
         labels=np.concatenate([b.labels for b in batches]),
     )
     start = np.cumsum([0, *(len(b) for b in batches)])[:-1]
-    return TrainSet(joined.freeze(), start, (0.0,) * len(batches), tuple(gammas))
+    present = np.array([[int(p.sum()) for p in b.presence] for b in batches], dtype=np.intp).reshape(len(batches), -1)
+    return TrainSet(joined.freeze(), start, (0.0,) * len(batches), tuple(gammas), present)
 
 
 def reference_context(target, margin, gamma):
@@ -94,21 +95,101 @@ def test_lockstep_equals_each_client_alone(case):
     batches = [client_batch(gen, dims, classes, n, kind) for n, kind in zip(case["sizes"], case["kinds"])]
     seeds = [case["seed"] * 7 + c for c in range(len(batches))]
     margin = case["margin"] if 2 * case["margin"] < model_cfg.depth else 0
-    shared = round_reg_context(start, compose_updates(start), margin, case["gammas"])
-    contexts = [reference_context(start, margin, gamma) if gamma > 0.0 else None for gamma in case["gammas"]]
     train_cfg = LocalTrainConfig(epochs=case["epochs"], batch_size=case["batch_size"], lr=0.05, warmup_ratio=0.3)
-
-    data = train_set(batches, case["gammas"])
-    clients = list(range(len(batches)))
-    want = [reference.local_train(base, start, b, train_cfg, s, ctx) for b, s, ctx in zip(batches, seeds, contexts)]
+    want = reference_runs(base, start, batches, case["gammas"], margin, train_cfg, seeds)
     for _ in range(2):  # a second call on the same inputs gives the same bytes
         # groups of at most `cap` clients, so some calls train groups of several widths
         with mock.patch.object(client, "LOCKSTEP_WIDTH", case["cap"]):
-            got, traces = local_train(base, start, data, clients, train_cfg, seeds, shared)
-        assert got.flat.shape == (len(clients), start.flat.size)
-        for row, got_trace, (want_delta, want_trace) in zip(got.flat, traces, want):
-            assert np.array_equal(row, want_delta.flat)
-            assert got_trace == want_trace
+            assert_same_bytes(lockstep_run(base, start, batches, case["gammas"], margin, train_cfg, seeds), want)
+
+
+def reference_runs(base, start, batches, gammas, margin, train_cfg, seeds):
+    """Each client trained alone by the frozen reference: (delta, trace)."""
+    contexts = [reference_context(start, margin, gamma) if gamma > 0.0 else None for gamma in gammas]
+    return [reference.local_train(base, start, b, train_cfg, s, ctx) for b, s, ctx in zip(batches, seeds, contexts)]
+
+
+def lockstep_run(base, start, batches, gammas, margin, train_cfg, seeds):
+    """One local_train call over every client, as run_rounds makes it."""
+    shared = round_reg_context(start, compose_updates(start), margin, gammas)
+    return local_train(base, start, train_set(batches, gammas), list(range(len(batches))), train_cfg, seeds, shared)
+
+
+def assert_same_bytes(got, want):
+    trained, traces = got
+    assert trained.flat.shape == (len(want), want[0][0].flat.size)
+    for row, got_trace, (want_delta, want_trace) in zip(trained.flat, traces, want):
+        assert np.array_equal(row, want_delta.flat)
+        assert got_trace == want_trace
+
+
+def spy(monkeypatch, name):
+    """Record the arguments of every call of client's module global `name`."""
+    calls = []
+    real = getattr(client, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(client, name, recorded)
+    return calls
+
+
+BOUND_CFG = dict(modality_dims=(3, 2), hidden=5, encoder_depth=2, trunk_depth=2, class_count=3, rank=2, seed=21)
+
+
+def test_group_holding_a_modality_in_some_rows_equals_reference(monkeypatch):
+    cfg = ModelConfig(**BOUND_CFG)
+    base, delta = init_model(cfg)
+    start = randomize_delta(delta, seed=21, scale=0.3)
+    gen = np.random.default_rng(21)
+    # clients 0 and 1 (one group) hold modality 1 in one row between them,
+    # so two of each epoch's three minibatches lack it; client 2 (a group
+    # of its own) never holds it
+    batches = [client_batch(gen, cfg.modality_dims, cfg.class_count, n, "single") for n in (6, 6, 4)]
+    batches[0].presence[1][2] = 1.0
+    batches[0].features[1][2] = gen.normal(0.0, 1.0, cfg.modality_dims[1])
+    gammas, seeds = [0.5, 0.0, 2.0], [3, 4, 5]
+    train_cfg = LocalTrainConfig(epochs=2, batch_size=2, lr=0.05, warmup_ratio=0.3)
+    calls = spy(monkeypatch, "loss_and_grad")
+    got = lockstep_run(base, start, batches, gammas, 1, train_cfg, seeds)
+    assert_same_bytes(got, reference_runs(base, start, batches, gammas, 1, train_cfg, seeds))
+    minibatches = [args[2] for args in calls]
+    held = [b for b in minibatches if b.absent == (False, False)]
+    assert len(held) == 6 and sum(not b.presence[1].any() for b in held) == 4
+    assert [b.absent for b in minibatches[6:]] == [(False, True)] * 4
+
+
+def test_multi_epoch_group_mixing_gammas_equals_reference(monkeypatch):
+    cfg = ModelConfig(**BOUND_CFG)
+    base, delta = init_model(cfg)
+    start = randomize_delta(delta, seed=22, scale=0.3)
+    gen = np.random.default_rng(22)
+    batches = [client_batch(gen, cfg.modality_dims, cfg.class_count, 5, kind) for kind in ("aligned", "partial", "single")]
+    gammas, seeds = [0.0, 0.4, 2.0], [7, 8, 9]
+    train_cfg = LocalTrainConfig(epochs=3, batch_size=2, lr=0.05, warmup_ratio=0.3)
+    calls = spy(monkeypatch, "reg_value_and_grad")
+    got = lockstep_run(base, start, batches, gammas, 1, train_cfg, seeds)
+    assert_same_bytes(got, reference_runs(base, start, batches, gammas, 1, train_cfg, seeds))
+    contexts = [args[1] for args in calls]
+    # one group of 9 steps: the first on an unbound context, the rest on one bound at the second
+    assert len(contexts) == 9 and contexts[0].bound is None
+    assert all(ctx is contexts[1] and ctx.bound is not None for ctx in contexts[1:])
+
+
+@pytest.mark.parametrize("rank,alpha,scale", [(2, 2.0, 1.0), (1, 2.0, 2.0)])
+def test_adapter_scale_equals_reference(rank, alpha, scale):
+    cfg = ModelConfig(**{**BOUND_CFG, "rank": rank, "adapter_alpha": alpha})
+    base, delta = init_model(cfg)
+    start = randomize_delta(delta, seed=23, scale=0.3)
+    assert start.scale == scale
+    gen = np.random.default_rng(23)
+    batches = [client_batch(gen, cfg.modality_dims, cfg.class_count, n, kind) for n, kind in ((4, "partial"), (4, "single"), (3, "aligned"))]
+    gammas, seeds = [0.3, 1.5, 0.0], [1, 2, 3]
+    train_cfg = LocalTrainConfig(epochs=2, batch_size=3, lr=0.05, warmup_ratio=0.3)
+    got = lockstep_run(base, start, batches, gammas, 1, train_cfg, seeds)
+    assert_same_bytes(got, reference_runs(base, start, batches, gammas, 1, train_cfg, seeds))
 
 
 def test_stacked_delta_views_carry_client_axis(tiny_model):
@@ -158,17 +239,32 @@ def test_run_rounds_same_bytes_at_any_lockstep_width(monkeypatch):
 
 @pytest.mark.parametrize("kind,reg_runs", [("cross", True), ("aligned", False)])
 def test_run_rounds_reaches_reg_value_and_grad(monkeypatch, kind, reg_runs):
-    calls = []
-    real = client.reg_value_and_grad
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(client, "reg_value_and_grad", counted)
+    calls = spy(monkeypatch, "reg_value_and_grad")
     run_rounds(*run_config(f"scenario.kind={kind}", "scenario.clients=6", "fl.clients_per_round=4", "fl.rounds=3",
                            "scenario.image_only_clients=3", "synth.samples_per_class=12", "synth.test_samples_per_class=5"))
     assert bool(calls) == reg_runs
+
+
+def test_reg_calls_per_step_and_contexts_per_round(monkeypatch):
+    """The counts the benchmark traces: one proximal call per training
+    step in every round that has a context, one context per round."""
+    steps, reg_calls, contexts = spy(monkeypatch, "loss_and_grad"), spy(monkeypatch, "reg_value_and_grad"), spy(monkeypatch, "make_reg_context")
+    rounds = []
+    real = server.local_train
+
+    def train(*args):
+        before = len(steps), len(reg_calls)
+        result = real(*args)
+        rounds.append((args[6] is not None, len(steps) - before[0], len(reg_calls) - before[1]))
+        return result
+
+    monkeypatch.setattr(server, "local_train", train)
+    run_rounds(*run_config("scenario.kind=cross", "scenario.clients=6", "fl.clients_per_round=4", "fl.rounds=3",
+                           "scenario.image_only_clients=3", "synth.samples_per_class=12", "synth.test_samples_per_class=5",
+                           "local.epochs=2", "local.batch_size=4"))
+    assert len(rounds) == 3 and len(contexts) == 3
+    for has_context, round_steps, round_reg_calls in rounds:
+        assert has_context and round_steps > 4 and round_reg_calls == round_steps
 
 
 def with_stack(base, modality, weight=None, bias=None):

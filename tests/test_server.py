@@ -492,6 +492,21 @@ def test_init_server_state_rejects_unknown_kind(tiny_delta):
         init_server_state("sgd", tiny_delta)
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0, float("nan")])
+def test_init_server_state_rejects_lr_not_positive(tiny_delta, lr):
+    with pytest.raises(ValueError, match=f"^lr must be > 0, got {lr}$"):
+        init_server_state("adam", tiny_delta, lr=lr)
+
+
+@pytest.mark.parametrize("key,value", [("lr", 0.0), ("lr", -5.0), ("lr", 0), ("tau", 0.0), ("tau", -1.0), ("tau", -1)])
+def test_load_server_state_rejects_rate_not_positive(tmp_path, tiny_delta, key, value):
+    path = tmp_path / "state.bin"
+    save_server_state(path, init_server_state("adam", tiny_delta))
+    rewrite_tensor_file(path, lambda meta, arrays: meta.update({key: value}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header key {key!r} must be > 0, got {value!r}$"):
+        load_server_state(path)
+
+
 def test_load_server_state_rejects_unknown_aggregator(tmp_path, tiny_delta):
     path = tmp_path / "state.bin"
     save_server_state(path, init_server_state("adam", tiny_delta))
