@@ -358,7 +358,10 @@ class Batch:
 
     def split(self, size: int) -> list["Batch"]:
         """Consecutive runs of `size` rows per client (the last may be
-        shorter), as views sharing absent."""
+        shorter), as views sharing absent; the batch itself when it holds
+        no more than `size` rows."""
+        if len(self) <= size:
+            return [self]
         return [
             Batch(
                 features=[f[..., lo : lo + size, :] for f in self.features],
