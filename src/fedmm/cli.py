@@ -53,8 +53,9 @@ def _setup(cfg: ExperimentConfig) -> tuple[DatasetManifest, EvalSet, ClientParti
     sample. So every command rejects, before it makes a directory, what
     any command would: a test manifest whose modalities or class count
     differ from the train manifest's, a metric the test manifest cannot
-    score, a model config the train manifest's dims cannot carry, and
-    more clients per round than there are nonempty clients."""
+    score, a model config the train manifest's dims cannot carry, an
+    enabled regularizer whose margin masks out every depth of that model,
+    and more clients per round than there are nonempty clients."""
     if cfg["data.source"] == "synth":
         train, test = (synth_generate(cfg.synth_config(split), split=split) for split in SPLITS)
     else:
@@ -65,7 +66,10 @@ def _setup(cfg: ExperimentConfig) -> tuple[DatasetManifest, EvalSet, ClientParti
     partition = build_scenario(train, cfg.scenario_spec())
     fl = cfg.fl_config()
     sample_clients(partition.sizes(), fl.clients_per_round, 1, fl.seed)
-    return train, EvalSet(test, str(cfg["metric"])), partition, cfg.model_config(train)
+    model_cfg = cfg.model_config(train)
+    if fl.reg.enabled and 2 * fl.reg.margin >= model_cfg.depth:
+        raise ValueError(f"reg.margin {fl.reg.margin} masks out all {model_cfg.depth} depths of the model; the regularizer would be inert")
+    return train, EvalSet(test, str(cfg["metric"])), partition, model_cfg
 
 
 def _task_for(manifest: DatasetManifest) -> TaskSpec:

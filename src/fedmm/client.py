@@ -46,10 +46,10 @@ one, so a client's first step skips its arithmetic.
 
 What stays the same across a group's steps is worked out once per
 group, so a step runs only arithmetic: the modalities no row of its
-shards holds (from TrainSet.present), which every minibatch carries so
-that no step scans for idle encoder stacks (Batch.absent); and, at its
-second step, the proximal term's set-up (RegContext.bind): the
-masked-in slices of its parameter, gradient and weight rows, the
+shards holds (from TrainSet.present), which every minibatch carries as
+its Batch.absent, so a step skips those encoder stacks without a scan;
+and, at its second step, the proximal term's set-up (RegContext.bind):
+the masked-in slices of its parameter, gradient and weight rows, the
 coefficient 2 * gamma * scale and the gamma column. A group of one step
 binds nothing. The round still builds one context (make_reg_context),
 and every step still makes one reg_value_and_grad call.

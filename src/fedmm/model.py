@@ -12,8 +12,8 @@ and only the pairs travel between clients and server.
 
 Depth indexing for layer masks: encoder layers of all modalities share
 depth 0..encoder_depth-1, trunk layers follow, the head is last, so the
-total depth is encoder_depth + trunk_depth + 1. The forward and backward
-passes read that layout from the LayerSpec fields, not from layer names.
+total depth is encoder_depth + trunk_depth + 1. BaseWeights reads that
+layout off the LayerSpec fields once, not from layer names.
 
 Layers of one (fan_out, fan_in) shape form a shape group (shape_groups),
 ordered by (depth, layer index), so any interval of depths is one slice
@@ -39,13 +39,13 @@ without that modality) and all its biases are zero: a zero row gives a
 +0 pre-activation, since BLAS accumulates from +0, tanh(+0) = +0, and
 the stack's weight gradients are then +0 too; its slice of the trunk
 input is written +0 and its weight-gradient slots are zeroed instead.
-A lockstep group's minibatches say which modalities no row of the
-group's shards holds (Batch.absent), so no step scans its arrays; a
-minibatch that lacks a modality some other rows of its group hold runs
-that stack on +0 input, which by the same argument writes the same
-bytes as skipping it. A multiply by an adapter scale of exactly 1.0
-(alpha equal to rank, the default) is not made: x * 1.0 == x bit for
-bit.
+No pass scans for it: every batch carries the modalities it lacks
+(Batch.absent, set when it is built), and a lockstep minibatch those
+that no row of its group's shards holds; a minibatch without a modality
+that other rows of its group hold runs that stack on +0 input, which by
+the same argument writes the same bytes as skipping it. A multiply by
+an adapter scale of exactly 1.0 (alpha equal to rank, the default) is
+not made: x * 1.0 == x bit for bit.
 
 make_batch gathers every client's shard (the concatenated partition
 rows under their masks, client.TrainSet), or a chunk of the test set (a
@@ -217,7 +217,11 @@ class BaseWeights:
     """Frozen affine parameters. The weights are copied into `flat`, one
     vector grouped by shape_groups, and weights[i] becomes layer i's view
     into it; every array is write-protected. zero_bias[i] says whether
-    layer i's bias is all zero, so the forward pass can skip adding it."""
+    layer i's bias is all zero, so the forward pass can skip adding it.
+    The layout, from specs: encoders[m], modality m's encoder layers, with
+    no entries when one chain runs (one modality or no encoder); trunk,
+    the layers up to the head at trunk.stop; stack_zero_bias[m], whether
+    encoder stack m's biases are all zero."""
 
     specs: tuple[LayerSpec, ...]
     weights: list[np.ndarray]
@@ -225,6 +229,9 @@ class BaseWeights:
     groups: tuple[ShapeGroup, ...] = field(init=False, repr=False)
     flat: np.ndarray = field(init=False, repr=False)
     zero_bias: tuple[bool, ...] = field(init=False, repr=False)
+    encoders: tuple[range, ...] = field(init=False, repr=False)
+    trunk: range = field(init=False, repr=False)
+    stack_zero_bias: tuple[bool, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.groups = shape_groups(self.specs)
@@ -234,6 +241,13 @@ class BaseWeights:
         for bias in self.biases:
             bias.flags.writeable = False
         self.zero_bias = tuple(not bias.any() for bias in self.biases)
+        # An encoder depth holds one layer per modality, any other depth one,
+        # so the layers outnumber the depths by (modalities - 1) * per_mod.
+        modalities = sum(s.depth == 0 for s in self.specs)
+        per_mod = (len(self.specs) - len({s.depth for s in self.specs})) // (modalities - 1) if modalities > 1 else 0
+        self.encoders = tuple(range(m * per_mod, (m + 1) * per_mod) for m in range(modalities)) if per_mod else ()
+        self.trunk = range(len(self.encoders) * per_mod, len(self.specs) - 1)
+        self.stack_zero_bias = tuple(all(self.zero_bias[i] for i in stack) for stack in self.encoders)
 
 
 def adapter_size(specs: tuple[LayerSpec, ...], rank: int) -> int:
@@ -332,14 +346,19 @@ class Batch:
     has a leading client axis on every array: features (C, rows, dim),
     presence and labels (C, rows).
 
-    absent, when given, holds one flag per modality: True promises that
-    the modality's features and presence are zero in every row, so
-    _run_forward need not scan them; None leaves it to scan."""
+    absent holds one flag per modality: True says that the modality's
+    features and presence are zero in every row. make_batch takes it from
+    its mask, take and split from their caller and their batch; a batch
+    built without it scans its arrays for it once, when it is built."""
 
     features: list[np.ndarray]
     presence: list[np.ndarray]
     labels: np.ndarray
     absent: tuple[bool, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.absent is None:
+            self.absent = tuple(not p.any() and not f.any() for f, p in zip(self.features, self.presence))
 
     def __len__(self) -> int:
         """Rows per client."""
@@ -348,7 +367,7 @@ class Batch:
     def take(self, rows: np.ndarray, absent: tuple[bool, ...] | None = None) -> "Batch":
         """Rows of a batch without a client axis, gathered as a new batch
         with one: client c's are the rows at positions rows[c], in that
-        order; rows is (C, k). absent is the new batch's."""
+        order; rows is (C, k). absent is the new batch's; None scans."""
         return Batch(
             features=[f[rows] for f in self.features],
             presence=[p[rows] for p in self.presence],
@@ -400,7 +419,8 @@ def make_batch(manifest: DatasetManifest, rows: np.ndarray | range, masks: np.nd
     features = [matrix[rows] for matrix in manifest.features]
     for matrix, keep in zip(features, mask.T):
         matrix[~keep] = 0.0
-    return Batch(features=features, presence=[keep.astype(np.float64) for keep in mask.T], labels=manifest.labels[rows])
+    presence = [keep.astype(np.float64) for keep in mask.T]
+    return Batch(features, presence, manifest.labels[rows], absent=tuple((~mask.any(axis=0)).tolist()))
 
 
 def effective_weights(base: BaseWeights, delta: AdapterDelta, out: Grouped | None = None) -> Grouped:
@@ -409,27 +429,6 @@ def effective_weights(base: BaseWeights, delta: AdapterDelta, out: Grouped | Non
     weights = compose_updates(delta, out)
     np.add(weights.vec, base.flat, out=weights.vec)
     return weights
-
-
-def _encoder_depth(specs: tuple[LayerSpec, ...], modality_count: int) -> int:
-    """Encoder layers per modality. An encoder depth holds one layer per
-    modality, a trunk or head depth one layer, so the layers outnumber the
-    depths by (modality_count - 1) * encoder_depth. With one modality the
-    encoder and the trunk are a single chain and need no split."""
-    if modality_count < 2:
-        return 0
-    return (len(specs) - len({s.depth for s in specs})) // (modality_count - 1)
-
-
-def _stack_is_idle(base: BaseWeights, stack: range, batch: Batch, modality: int) -> bool:
-    """Whether a modality's encoder stack maps this batch to exact +0:
-    its input is zero in every row (batch.absent says so, or a scan finds
-    it) and none of its biases is nonzero."""
-    if not all(base.zero_bias[layer] for layer in stack):
-        return False
-    if batch.absent is not None:
-        return batch.absent[modality]
-    return not batch.presence[modality].any() and not batch.features[modality].any()
 
 
 def forward_scratch(base: BaseWeights, rows: int) -> np.ndarray:
@@ -450,10 +449,10 @@ def _run_forward(
 
     tape, when given, receives one (input, post-tanh output) pair per
     layer in layer_specs order: the head's output is None, and both of
-    every layer of an idle encoder stack (_stack_is_idle, which is not
-    run; its slice of the trunk input is written +0, the value running it
-    would give). Only the backward pass reads them, so evaluation records
-    nothing.
+    every layer of an idle encoder stack (batch.absent and
+    base.stack_zero_bias both flag it), which is not run; its slice of the
+    trunk input is written +0, the value running it would give. Only the
+    backward pass reads them, so evaluation records nothing.
 
     With scratch (forward_scratch) activations are views that later
     layers overwrite: tanh layers alternate between blocks 0 and 1, and
@@ -461,9 +460,6 @@ def _run_forward(
     Each block is a contiguous view shaped like the fresh array it
     replaces."""
     specs = base.specs
-    modality_count = len(batch.features)
-    per_mod = _encoder_depth(specs, modality_count)
-    head = len(specs) - 1
 
     def block(k: int, width: int) -> np.ndarray:
         shape = (*batch.labels.shape, width)
@@ -482,20 +478,22 @@ def _run_forward(
             u = h
         return u
 
-    fused = block(2, specs[modality_count * per_mod].fan_in)
+    fused = block(2, specs[base.trunk.start].fan_in)
+    if not base.encoders:  # the trunk reads every modality's inputs side by side
+        np.concatenate([x for f, p in zip(batch.features, batch.presence) for x in (f, p[..., None])], axis=-1, out=fused)
     offset = 0
-    for m, features in enumerate(batch.features):
-        stack = range(m * per_mod, (m + 1) * per_mod)
-        width = specs[stack[-1]].fan_out if per_mod else features.shape[-1] + 1
-        if per_mod and _stack_is_idle(base, stack, batch, m):
+    for m, stack in enumerate(base.encoders):
+        width = specs[stack[-1]].fan_out
+        if base.stack_zero_bias[m] and batch.absent[m]:
             fused[..., offset : offset + width] = 0.0
             if tape is not None:
-                tape += [(None, None)] * per_mod
+                tape += [(None, None)] * len(stack)
         else:
-            u = np.concatenate([features, batch.presence[m][..., None]], axis=-1, out=block(0, features.shape[-1] + 1))
+            u = np.concatenate([batch.features[m], batch.presence[m][..., None]], axis=-1, out=block(0, specs[stack[0]].fan_in))
             fused[..., offset : offset + width] = chain(stack, u, 0)
         offset += width
-    u = chain(range(modality_count * per_mod, head), fused, 1)
+    head = base.trunk.stop
+    u = chain(base.trunk, fused, 1)
     logits = u @ weights[head].swapaxes(-1, -2)
     if not base.zero_bias[head]:
         logits += base.biases[head]
@@ -593,18 +591,14 @@ def loss_and_grad(
             np.matmul(dz.swapaxes(-1, -2), u, out=weights[layer])
         return d
 
-    specs = base.specs
-    modality_count = len(batch.features)
-    per_mod = _encoder_depth(specs, modality_count)
-    head = len(specs) - 1
+    head = base.trunk.stop
     dstream = dlogits @ weights[head]
     np.matmul(dlogits.swapaxes(-1, -2), tape[head][0], out=weights[head])
-    dstream = backprop(range(modality_count * per_mod, head), dstream, per_mod > 0)
+    dstream = backprop(base.trunk, dstream, bool(base.encoders))
     # dstream spans the concatenated encodings, one stack's fan_out each
     offset = 0
-    for m in range(modality_count if per_mod else 0):
-        stack = range(m * per_mod, (m + 1) * per_mod)
-        width = specs[stack[-1]].fan_out
+    for stack in base.encoders:
+        width = base.specs[stack[-1]].fan_out
         if tape[stack[0]][0] is None:  # idle: its weight gradients are +0
             for layer in stack:
                 weights[layer][...] = 0.0

@@ -46,7 +46,6 @@ class TaskSpec:
     question: str
     options: tuple[str, ...]
     style: str = "stacked"
-    answer_tail: str = ANSWER_TAIL
 
     def __post_init__(self) -> None:
         if len(self.options) < 2:
@@ -135,9 +134,9 @@ def format_record(
     question = f"{task.question}{clause}?"
     if task.style == "stacked":
         text_slot = text if (text is not None and present.get("text", False)) else ""
-        user = f"{head}{text_slot}\n{question}\nOptions:\n{options_block}\n{task.answer_tail}"
+        user = f"{head}{text_slot}\n{question}\nOptions:\n{options_block}\n{ANSWER_TAIL}"
     else:
-        user = f"{head}{question}\nOptions:{options_block} {task.answer_tail}"
+        user = f"{head}{question}\nOptions:{options_block} {ANSWER_TAIL}"
     image = None
     if present.get("image", False):
         image = image_path if image_path is not None else f"{sample.id}.png"

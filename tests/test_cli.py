@@ -31,6 +31,7 @@ FAST_KEYS = [
     "model.encoder_depth = 1",
     "model.trunk_depth = 1",
     "model.rank = 2",
+    "reg.margin = 1",  # 2 * margin must stay below the model's 3 depths
     "fl.rounds = 2",
     "fl.clients_per_round = 2",
     "fl.eval_every = 2",
@@ -160,6 +161,7 @@ def test_modality_name_that_is_empty_or_holds_plus_exits_2(tmp_path, capsys, com
 _DEGENERATE_DRAW = "alpha=1e+308 draws degenerate Dirichlet shares for class 0"
 _NOT_BINARY = "roc_auc needs a binary test manifest, got 4 classes"
 _OVERSAMPLED = "cannot sample 11 of 10 nonempty clients"
+_INERT_MARGIN = "reg.margin 4 masks out all 8 depths of the model; the regularizer would be inert"
 
 
 @pytest.mark.parametrize(
@@ -181,18 +183,29 @@ _OVERSAMPLED = "cannot sample 11 of 10 nonempty clients"
         ("baseline", "fl.clients_per_round=11", _OVERSAMPLED),
         ("train", "fl.clients_per_round=11", _OVERSAMPLED),
         ("partition", "fl.server_lr=0", "server_lr must be > 0, got 0.0"),
+        ("partition", "reg.margin=4", _INERT_MARGIN),
+        ("train", "reg.margin=4", _INERT_MARGIN),
+        ("baseline", "reg.margin=4", _INERT_MARGIN),
+        ("export-instructions", "reg.margin=4", _INERT_MARGIN),
     ],
     ids=["export-instructions-27-classes", "partition-alpha-1e308", "baseline-alpha-1e308", "export-instructions-alpha-1e308",
          "partition-rank-0", "partition-rank-5", "export-instructions-rank-5", "partition-baseline-epochs--1",
          "partition-test-samples-0", "partition-metric-roc_auc", "baseline-metric-roc_auc",
          "export-instructions-metric-roc_auc", "partition-clients-per-round-11", "baseline-clients-per-round-11",
-         "train-clients-per-round-11", "partition-server-lr-0"],
+         "train-clients-per-round-11", "partition-server-lr-0", "partition-reg-margin-4", "train-reg-margin-4",
+         "baseline-reg-margin-4", "export-instructions-reg-margin-4"],
 )
 def test_command_that_cannot_succeed_exits_2_without_out_dir(tmp_path, capsys, command, override, message):
     out = tmp_path / "out"
     assert run([command, "--set", override, "--set", f"out_dir={out}"]) == 2
     assert f"fedmm {command}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_inert_margin_is_accepted_with_the_regularizer_off(tmp_path):
+    out = tmp_path / "out"
+    assert run(["partition", "--set", "reg.margin=4", "--set", "reg.enabled=false", "--set", f"out_dir={out}"]) == 0
+    assert out.is_dir()
 
 
 def test_partition_conserves_samples(tmp_path, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lockstep_reference as layout_reference
 import make_batch_reference as batch_reference
 from conftest import manual_manifest, manual_records, randomize_delta, tiny_manifest
 from fedmm.data import DatasetManifest, ModalityDescriptor, Sample, SynthConfig, synth_generate
@@ -193,6 +194,65 @@ def test_single_affine_hand_computation():
     logits = forward(base, delta, batch)
     x = np.array([2.0, 1.0, 3.0, 1.0])
     assert np.allclose(logits[0], w @ x + b)
+
+
+def expected_layout(specs, modality_count):
+    """Encoder stacks and trunk by the frozen reference's counting rule."""
+    per_mod = layout_reference.encoder_depth(specs, modality_count)
+    stacks = tuple(range(m * per_mod, (m + 1) * per_mod) for m in range(modality_count)) if per_mod else ()
+    return stacks, range(modality_count * per_mod, len(specs) - 1)
+
+
+def test_layout_equals_reference_counting_rule(tmp_path):
+    for modalities in (1, 2, 3):
+        for enc in range(4):
+            for trunk in range(4):
+                cfg = ModelConfig(modality_dims=(3, 4, 5)[:modalities], hidden=6, encoder_depth=enc, trunk_depth=trunk, rank=2)
+                base, delta = init_model(cfg)
+                path = tmp_path / f"model-{modalities}-{enc}-{trunk}.bin"
+                save_checkpoint(path, base, delta)
+                want = expected_layout(base.specs, modalities)
+                for built in (base, load_checkpoint(path)[0]):
+                    assert (built.encoders, built.trunk) == want, (modalities, enc, trunk)
+                    assert built.stack_zero_bias == (True,) * len(want[0])
+                    assert built.trunk.stop == len(built.specs) - 1
+
+
+def test_stack_zero_bias_flags_each_stack(tiny_model):
+    _, base, _ = tiny_model
+    biases = [b.copy() for b in base.biases]
+    biases[base.encoders[1][-1]][0] = 0.5
+    biases[base.trunk[0]][0] = 0.5  # trunk biases belong to no stack
+    biased = BaseWeights(base.specs, [w.copy() for w in base.weights], biases)
+    assert base.stack_zero_bias == (True, True) and biased.stack_zero_bias == (True, False)
+
+
+def scanned_absent(batch):
+    return tuple(not p.any() and not f.any() for f, p in zip(batch.features, batch.presence))
+
+
+def test_every_batch_has_absent_flags():
+    gen = np.random.default_rng(11)
+    mods = tuple(ModalityDescriptor(f"m{i}", 2) for i in range(3))
+    records = [Sample(f"s{i}", i % 3, {m.name: gen.normal(size=2) for m in mods}) for i in range(12)]
+    manifest = DatasetManifest.from_records(mods, 3, "train", records)
+    for _ in range(20):
+        rows = gen.permutation(12)[: gen.integers(1, 13)]
+        masks = gen.random((len(rows), 3)) < 0.5
+        masks[:, 0] = True
+        masks[:, 1] = False  # off in every row
+        batch = make_batch(manifest, rows, masks)
+        assert batch.absent == scanned_absent(batch) == (False, True, not masks[:, 2].any())
+    batch = make_batch(manifest, range(12), [(True, False, i % 2 == 0) for i in range(12)])
+    assert batch.absent == (False, True, False)
+    hand = Batch(features=[f.copy() for f in batch.features], presence=[p.copy() for p in batch.presence], labels=batch.labels)
+    assert hand.absent == (False, True, False)
+    # take and split carry the flags they are given, even ones no scan would give
+    rows = np.arange(12).reshape(2, 6)
+    assert batch.take(rows).absent == (False, True, False)
+    taken = batch.take(rows, (False, True, True))
+    assert taken.absent == (False, True, True)
+    assert [part.absent for part in taken.split(4)] == [(False, True, True)] * 2
 
 
 def test_zero_adapter_equals_base_and_adapters_shift(tiny_model):
