@@ -23,9 +23,11 @@ round keeps only the masked-in composed targets (round_reg_context,
 RegContext): the depth mask is one interval of depths and the groups
 are depth-ordered (model.shape_groups), so each group's masked-in
 layers are one slice, and each product of the term is one stacked call
-per slice. The term runs last in a step (model.loss_and_grad): it
-composes its slices into the weight buffer that backprop has finished
-with and adds its gradient into the factor gradients.
+per slice. model.loss_and_grad computes the cross-entropy alone;
+local_train adds the term after each step's loss (reg_value_and_grad):
+it composes its slices into the step's weight buffer, which backprop
+has spent on weight gradients, and adds its gradient into the factor
+gradients (a sum of two terms, so the order does not change a byte).
 
 One call trains a round (local_train). Its clients train in lockstep
 groups of equal shard size, a group of one included: the group's
@@ -168,14 +170,6 @@ class RegContext:
     gamma: float | np.ndarray
     origin: np.ndarray
     bound: BoundTerm | None = field(default=None, repr=False, compare=False)
-
-    def value_and_grad(
-        self,
-        delta: AdapterDelta,
-        grad: AdapterDelta | None = None,
-        scratch: list[np.ndarray] | None = None,
-    ) -> tuple[float | np.ndarray, AdapterDelta]:
-        return reg_value_and_grad(delta, self, grad, scratch)
 
     def bind(self, delta: AdapterDelta, grad: AdapterDelta, scratch: list[np.ndarray]) -> RegContext:
         """This context with its set-up made once for the arrays every
@@ -450,7 +444,9 @@ def local_train(
                         ctx = ctx.bind(delta, grad, weights.stacks)
                 else:  # every row still holds the global adapter
                     weights.vec[...] = global_weights.vec
-                loss, _ = loss_and_grad(base, delta, minibatch, ctx, grad, weights)
+                loss, _ = loss_and_grad(base, delta, minibatch, grad, weights)
+                if ctx is not None:
+                    loss = loss + reg_value_and_grad(delta, ctx, grad, weights.stacks)[0]
                 loss_sum += loss * len(minibatch)
                 step += 1
                 lr = cosine_lr(step - 1, total_steps, train_cfg.warmup_ratio, train_cfg.lr)

@@ -212,13 +212,43 @@ def grouped(groups: tuple[ShapeGroup, ...], vec: np.ndarray) -> Grouped:
     return Grouped(vec, stacks, _per_layer(groups, stacks))
 
 
+def spec_layout(specs: tuple[LayerSpec, ...]) -> tuple[tuple[range, ...], range]:
+    """The encoder stacks and the trunk of specs, read off the depths: each
+    modality's encoder layers, with no entries when one chain runs (one
+    modality or no encoder), and the layers up to the head."""
+    # An encoder depth holds one layer per modality, any other depth one,
+    # so the layers outnumber the depths by (modalities - 1) * per_mod.
+    modalities = sum(s.depth == 0 for s in specs)
+    per_mod = (len(specs) - len({s.depth for s in specs})) // (modalities - 1) if modalities > 1 else 0
+    encoders = tuple(range(m * per_mod, (m + 1) * per_mod) for m in range(modalities)) if per_mod else ()
+    return encoders, range(len(encoders) * per_mod, len(specs) - 1)
+
+
+def layout_config(specs: tuple[LayerSpec, ...], rank: int, adapter_alpha: float) -> ModelConfig:
+    """The ModelConfig whose layout spec_layout reads off specs. Specs
+    that run one chain (one modality, or no encoder) read as one modality
+    of the first layer's fan-in with no encoder: the same fans and depths
+    under other names. ModelConfig's own checks apply."""
+    encoders, trunk = spec_layout(specs)
+    dims = tuple(specs[stack.start].fan_in - 1 for stack in encoders) or (specs[0].fan_in - 1,)
+    return ModelConfig(
+        modality_dims=dims,
+        hidden=specs[0].fan_out,
+        encoder_depth=len(encoders[0]) if encoders else 0,
+        trunk_depth=len(trunk),
+        class_count=specs[-1].fan_out,
+        rank=rank,
+        adapter_alpha=adapter_alpha,
+    )
+
+
 @dataclass
 class BaseWeights:
     """Frozen affine parameters. The weights are copied into `flat`, one
     vector grouped by shape_groups, and weights[i] becomes layer i's view
     into it; every array is write-protected. zero_bias[i] says whether
     layer i's bias is all zero, so the forward pass can skip adding it.
-    The layout, from specs: encoders[m], modality m's encoder layers, with
+    The layout, from specs (spec_layout): encoders[m], modality m's encoder layers, with
     no entries when one chain runs (one modality or no encoder); trunk,
     the layers up to the head at trunk.stop; stack_zero_bias[m], whether
     encoder stack m's biases are all zero."""
@@ -241,12 +271,7 @@ class BaseWeights:
         for bias in self.biases:
             bias.flags.writeable = False
         self.zero_bias = tuple(not bias.any() for bias in self.biases)
-        # An encoder depth holds one layer per modality, any other depth one,
-        # so the layers outnumber the depths by (modalities - 1) * per_mod.
-        modalities = sum(s.depth == 0 for s in self.specs)
-        per_mod = (len(self.specs) - len({s.depth for s in self.specs})) // (modalities - 1) if modalities > 1 else 0
-        self.encoders = tuple(range(m * per_mod, (m + 1) * per_mod) for m in range(modalities)) if per_mod else ()
-        self.trunk = range(len(self.encoders) * per_mod, len(self.specs) - 1)
+        self.encoders, self.trunk = spec_layout(self.specs)
         self.stack_zero_bias = tuple(all(self.zero_bias[i] for i in stack) for stack in self.encoders)
 
 
@@ -541,12 +566,11 @@ def loss_and_grad(
     base: BaseWeights,
     delta: AdapterDelta,
     batch: Batch,
-    reg_ctx=None,
     grad: AdapterDelta | None = None,
     weights: Grouped | None = None,
 ) -> tuple[float | np.ndarray, AdapterDelta]:
-    """Mean softmax cross-entropy (plus the proximal term when reg_ctx is
-    given) and its exact gradient with respect to every adapter pair.
+    """Mean softmax cross-entropy and its exact gradient with respect to
+    every adapter pair.
 
     A delta with a client axis, (C, P), trains C clients in lockstep on a
     batch with the same leading axis; the loss is then a (C,) vector.
@@ -559,11 +583,8 @@ def loss_and_grad(
 
     As backprop leaves each weight behind, weights takes that layer's
     weight gradient in its place; the factor gradients are then one
-    stacked product per group. The proximal term runs last: reg_ctx, when
-    supplied, must expose value_and_grad(delta, grad, scratch), which
-    returns its value and adds its gradient into grad (a sum of two
-    terms, so which comes first does not change a byte), using the spent
-    weights as scratch.
+    stacked product per group, so on return weights holds every layer's
+    weight gradient, not its effective weight.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -610,8 +631,6 @@ def loss_and_grad(
         np.matmul(ups.swapaxes(-1, -2), dw, out=ddowns)
     if delta.scale != 1.0:
         np.multiply(grad.flat, delta.scale, out=grad.flat)
-    if reg_ctx is not None:
-        loss = loss + reg_ctx.value_and_grad(delta, grad, composed.stacks)[0]
     return loss, grad
 
 
@@ -642,14 +661,16 @@ def read_checkpoint(path: str | Path, kind: str) -> tuple[dict, dict[str, np.nda
     """A checkpoint of `kind`: its header, its arrays, and its adapter
     rebuilt from adapter_meta. Every `layers` entry must be an object with
     the LayerSpec fields, the rank and every fan and depth a non-negative
-    int, adapter_alpha a number > 0, and each array of layer_arrays (base
-    ones too in a model checkpoint) the shape its entry gives it."""
+    int, adapter_alpha a number > 0, the layers' fans and depths those
+    layer_specs gives the ModelConfig layout_config reads off them, and
+    each array of layer_arrays (base ones too in a model checkpoint) the
+    shape its entry gives it."""
     meta, arrays = read_tensor_file(path)
     if meta.get("kind") != kind:
         raise ValueError(f"{path}: not a {kind} checkpoint")
     layers = meta["layers"]
-    if not isinstance(layers, list) or not all(isinstance(e, dict) for e in layers):
-        raise ValueError(f"{path}: header key 'layers' is not a list of objects")
+    if not isinstance(layers, list) or not layers or not all(isinstance(e, dict) for e in layers):
+        raise ValueError(f"{path}: header key 'layers' is not a nonempty list of objects")
     entries = (Entries(path, "layer key", e) for e in layers)
     specs = tuple(LayerSpec(e["name"], e["fan_in"], e["fan_out"], e["depth"]) for e in entries)
     rank = meta["rank"]
@@ -659,6 +680,12 @@ def read_checkpoint(path: str | Path, kind: str) -> tuple[dict, dict[str, np.nda
     alpha = meta["adapter_alpha"]
     if type(alpha) not in (int, float) or not alpha > 0:  # as ModelConfig; a JSON true or "4" is no scale
         raise ValueError(f"{path}: header key 'adapter_alpha' must be a number > 0, got {alpha!r}")
+    try:
+        built = layer_specs(layout_config(specs, rank, alpha))
+    except ValueError as err:
+        raise ValueError(f"{path}: header keys 'rank' and 'layers' describe no model: {err}") from None
+    if [(s.fan_in, s.fan_out, s.depth) for s in specs] != [(s.fan_in, s.fan_out, s.depth) for s in built]:
+        raise ValueError(f"{path}: header key 'layers' holds no layout that layer_specs builds")
     delta = AdapterDelta(specs, rank, float(alpha), np.zeros(adapter_size(specs, rank)))
     base = None
     if kind == "model":  # zero base arrays in the shapes the file's must have

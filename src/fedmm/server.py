@@ -330,8 +330,8 @@ def save_server_state(path: str | Path, state: ServerState) -> None:
 def load_server_state(path: str | Path) -> ServerState:
     """Read a server checkpoint, rejecting an unknown aggregator, a round
     that is not an int >= 0, a hyperparameter that is not a JSON number,
-    an lr or tau that is not > 0, and any moment buffer whose width
-    differs from the adapter's."""
+    an lr or tau that is not > 0, a beta1, beta2 or momentum outside
+    [0, 1), and any moment buffer whose width differs from the adapter's."""
     meta, arrays, delta = read_checkpoint(path, "server")
     if meta["aggregator"] not in AGGREGATOR_KINDS:
         raise ValueError(f"{path}: aggregator must be one of {AGGREGATOR_KINDS}, got {meta['aggregator']!r}")
@@ -344,6 +344,9 @@ def load_server_state(path: str | Path) -> ServerState:
     for name in ("lr", "tau"):
         if not meta[name] > 0:
             raise ValueError(f"{path}: header key {name!r} must be > 0, got {meta[name]!r}")
+    for name in ("beta1", "beta2", "momentum"):
+        if not 0 <= meta[name] < 1:
+            raise ValueError(f"{path}: header key {name!r} must lie in [0, 1), got {meta[name]!r}")
     for name in SERVER_STATE_BUFFERS:
         if arrays[name].shape != delta.flat.shape:
             raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, expected {delta.flat.shape}")

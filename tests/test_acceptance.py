@@ -23,6 +23,7 @@ from fedmm.client import (
     build_train_set,
     make_reg_context,
     mask_vector,
+    reg_value_and_grad,
 )
 from fedmm.cli import run as cli_run
 from fedmm.data import Sample, SynthConfig, synth_generate
@@ -126,11 +127,12 @@ def test_01_gradient_correctness(capsys):
                 samples=samples,
             )
             batch = make_batch(manifest, range(len(samples)), masks)
-            _, grad = loss_and_grad(base, delta, batch, reg_ctx=ctx)
+            _, grad = loss_and_grad(base, delta, batch)
+            reg_value_and_grad(delta, ctx, grad)
 
             def objective(vec):
-                value, _ = loss_and_grad(base, replace(delta, flat=vec), batch, reg_ctx=ctx)
-                return value
+                moved = replace(delta, flat=vec)
+                return loss_and_grad(base, moved, batch)[0] + reg_value_and_grad(moved, ctx)[0]
 
             numeric = central_difference(objective, delta.flat)
             worst = max(worst, relative_errors(grad.flat, numeric).max())

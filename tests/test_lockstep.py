@@ -21,7 +21,7 @@ from fedmm.client import (
     mask_vector,
     round_reg_context,
 )
-from fedmm.model import AdapterDelta, BaseWeights, Batch, ModelConfig, compose_updates, init_model, loss_and_grad
+from fedmm.model import AdapterDelta, BaseWeights, Batch, ModelConfig, compose_updates, effective_weights, init_model, loss_and_grad
 from fedmm.server import run_rounds
 
 
@@ -278,6 +278,16 @@ def with_stack(base, modality, weight=None, bias=None):
     return BaseWeights(base.specs, weights, biases)
 
 
+def loss_and_reg_grad(base, delta, batch, ctx):
+    """One step's objective as local_train forms it: the cross-entropy,
+    then the proximal term, when ctx is given, on the spent weights."""
+    weights = effective_weights(base, delta)
+    loss, grad = loss_and_grad(base, delta, batch, weights=weights)
+    if ctx is not None:
+        loss = loss + client.reg_value_and_grad(delta, ctx, grad, weights.stacks)[0]
+    return loss, grad
+
+
 @pytest.mark.parametrize("with_reg", [False, True])
 def test_absent_encoder_stack_is_never_read(with_reg):
     cfg = ModelConfig(modality_dims=(5, 4), hidden=6, encoder_depth=2, trunk_depth=2, class_count=3, rank=2, seed=4)
@@ -291,13 +301,13 @@ def test_absent_encoder_stack_is_never_read(with_reg):
     assert not batch.presence[1].any()
 
     want_loss, want_grad = reference.loss_and_grad(base, delta, batch, want_ctx)
-    loss, grad = loss_and_grad(with_stack(base, 1, weight=np.nan), delta, batch, ctx)
+    loss, grad = loss_and_reg_grad(with_stack(base, 1, weight=np.nan), delta, batch, ctx)
     assert np.isfinite(loss) and np.isfinite(grad.flat).all()
     assert loss == want_loss and np.array_equal(grad.flat, want_grad.flat)
 
     # a nonzero bias makes the stack's output nonzero, so it must run
     biased = with_stack(base, 1, bias=0.25)
     want_loss, want_grad = reference.loss_and_grad(biased, delta, batch, want_ctx)
-    loss, grad = loss_and_grad(biased, delta, batch, ctx)
+    loss, grad = loss_and_reg_grad(biased, delta, batch, ctx)
     assert loss == want_loss and np.array_equal(grad.flat, want_grad.flat)
-    assert np.isnan(loss_and_grad(with_stack(base, 1, weight=np.nan, bias=0.25), delta, batch, ctx)[0])
+    assert np.isnan(loss_and_reg_grad(with_stack(base, 1, weight=np.nan, bias=0.25), delta, batch, ctx)[0])

@@ -9,13 +9,14 @@ from conftest import count_composes, empty_shard, partition_of, randomize_delta,
 from fedmm import rng, server
 from fedmm.client import LocalTrainConfig, RegularizerConfig
 from fedmm.metrics import EvalSet, evaluate
-from fedmm.model import ModelConfig, init_model, load_checkpoint, loss_and_grad, make_batch, save_checkpoint
+from fedmm.model import ModelConfig, init_model, layer_specs, load_checkpoint, loss_and_grad, make_batch, save_checkpoint
 from fedmm.partitioner import dirichlet_partition
 from fedmm.server import (
     AGGREGATOR_KINDS,
     DEFAULT_SERVER_LR,
     FLRunConfig,
     RunLog,
+    SERVER_STATE_BUFFERS,
     ServerState,
     init_server_state,
     local_baseline,
@@ -507,6 +508,19 @@ def test_load_server_state_rejects_rate_not_positive(tmp_path, tiny_delta, key, 
         load_server_state(path)
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("beta1", 2.0), ("beta1", 1), ("beta2", -0.5), ("beta2", 1.5), ("momentum", 1.0), ("momentum", -0.1)],
+)
+def test_load_server_state_rejects_decay_outside_unit_interval(tmp_path, tiny_delta, key, value):
+    # beta2 = 1.5 turns adam's and yogi's second moment negative, and its sqrt NaN
+    path = tmp_path / "state.bin"
+    save_server_state(path, init_server_state("adam", tiny_delta))
+    rewrite_tensor_file(path, lambda meta, arrays: meta.update({key: value}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header key {key!r} must lie in \\[0, 1\\), got {value!r}$"):
+        load_server_state(path)
+
+
 def test_load_server_state_rejects_unknown_aggregator(tmp_path, tiny_delta):
     path = tmp_path / "state.bin"
     save_server_state(path, init_server_state("adam", tiny_delta))
@@ -594,6 +608,51 @@ def test_loaders_reject_malformed_layer_entry(tmp_path, kind, edit, key):
     rewrite_tensor_file(path, lambda meta, arrays: edit(meta))
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{re.escape(repr(key))}"):
         load(path)
+
+
+def head_at_depth_0(meta, arrays):
+    meta["layers"][-1]["depth"] = 0
+
+
+def rank_0(meta, arrays):
+    """Rank 0, with every factor and moment buffer the zero width it implies."""
+    meta["rank"] = 0
+    for entry in meta["layers"]:
+        arrays[f"{entry['name']}.up"] = np.zeros((entry["fan_out"], 0))
+        arrays[f"{entry['name']}.down"] = np.zeros((0, entry["fan_in"]))
+    for name in SERVER_STATE_BUFFERS:
+        if name in arrays:
+            arrays[name] = np.zeros(0)
+
+
+@pytest.mark.parametrize("kind", ["model", "server"])
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        # read as three one-layer encoder stacks and a two-layer trunk
+        pytest.param(head_at_depth_0, "header key 'layers' holds no layout that layer_specs builds", id="head-at-depth-0"),
+        pytest.param(rank_0, "header keys 'rank' and 'layers' describe no model: rank must be >= 1, got 0", id="rank-0"),
+    ],
+)
+def test_loaders_reject_layout_no_model_config_builds(tmp_path, kind, edit, message):
+    cfg = ModelConfig(modality_dims=(3, 2), hidden=4, encoder_depth=2, trunk_depth=1, class_count=2, rank=2)
+    path, load = saved_checkpoint(tmp_path, kind, cfg)
+    rewrite_tensor_file(path, edit)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        load(path)
+
+
+def test_loaders_accept_every_layout_of_the_model_grid(tmp_path):
+    # the grid of tests/test_model.py::test_layout_equals_reference_counting_rule
+    for modalities in (1, 2, 3):
+        for enc in range(4):
+            for trunk in range(4):
+                cfg = ModelConfig(modality_dims=(3, 4, 5)[:modalities], hidden=6, encoder_depth=enc, trunk_depth=trunk, rank=2)
+                for kind in ("model", "server"):
+                    path, load = saved_checkpoint(tmp_path, kind, cfg)
+                    loaded = load(path)
+                    specs = (loaded[1] if kind == "model" else loaded.global_delta).specs
+                    assert specs == layer_specs(cfg), (kind, modalities, enc, trunk)
 
 
 @pytest.mark.parametrize(
