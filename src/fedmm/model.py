@@ -248,10 +248,10 @@ class BaseWeights:
     vector grouped by shape_groups, and weights[i] becomes layer i's view
     into it; every array is write-protected. zero_bias[i] says whether
     layer i's bias is all zero, so the forward pass can skip adding it.
-    The layout, from specs (spec_layout): encoders[m], modality m's encoder layers, with
-    no entries when one chain runs (one modality or no encoder); trunk,
-    the layers up to the head at trunk.stop; stack_zero_bias[m], whether
-    encoder stack m's biases are all zero."""
+    The layout, from specs (spec_layout): encoders[m], modality m's
+    encoder layers, with no entries when one chain runs (one modality or
+    no encoder); trunk, the layers up to the head at trunk.stop;
+    stack_zero_bias[m], whether encoder stack m's biases are all zero."""
 
     specs: tuple[LayerSpec, ...]
     weights: list[np.ndarray]

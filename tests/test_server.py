@@ -597,6 +597,7 @@ def test_loaders_name_file_and_missing_key(tmp_path, kind, key):
     "edit,key",
     [
         pytest.param(lambda meta: meta["layers"].__setitem__(0, 5), "layers", id="not-an-object"),
+        pytest.param(lambda meta: meta["layers"].clear(), "layers", id="no-layers"),
         pytest.param(lambda meta: meta["layers"][0].pop("depth"), "depth", id="no-depth"),
         pytest.param(lambda meta: meta["layers"][0].update(fan_in=None), "layers", id="null-fan"),
         pytest.param(lambda meta: meta["layers"][0].update(fan_in=meta["layers"][0]["fan_in"] + 0.5), "layers", id="fractional-fan"),
