@@ -43,7 +43,6 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .tensorio import Entries
 
 SPLITS = ("train", "test")
 
@@ -233,6 +232,18 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
             feats = {name: s.features[name].tolist() for name in order if name in s.features}
             rec = {"id": s.id, "label": s.label, "features": feats}
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+
+
+class Entries(dict):
+    """A JSON object's keys; looking up one it lacks raises ValueError
+    naming where the object came from and the key."""
+
+    def __init__(self, where: str, what: str, entries: dict) -> None:
+        super().__init__(entries)
+        self.missing = f"{where}: no {what}"
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.missing} {key!r}")
 
 
 def _manifest_line(path: str | Path, lineno: int, text: str) -> Entries:

@@ -79,6 +79,7 @@ row.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
@@ -90,7 +91,7 @@ import numpy as np
 
 from . import rng
 from .data import DatasetManifest
-from .tensorio import Entries, read_tensor_file, write_tensor_file
+from .tensorio import read_tensor_file, write_tensor_file
 
 
 @dataclass(frozen=True)
@@ -634,15 +635,26 @@ def loss_and_grad(
     return loss, grad
 
 
+# The rules of a checkpoint's adapter keys, in the order adapter_meta
+# writes them, and of each `layers` entry: per key, the test its value
+# must pass and what that test asks. bool is an int subclass; a JSON true
+# is no size and no scale. The rank and every fan and depth are only
+# typed here; read_checkpoint's layout rule bounds them.
+_INT = (lambda v: type(v) is int, "be an int")
+ADAPTER_HEADER = {
+    "rank": _INT,
+    "adapter_alpha": (lambda v: type(v) in (int, float) and v > 0, "be a number > 0"),  # as ModelConfig
+    "layers": (lambda v: type(v) is list and v != [] and all(type(e) is dict for e in v), "be a nonempty list of objects"),
+}
+LAYER_ENTRY = {"name": (lambda v: type(v) is str, "be a string"), **dict.fromkeys(("fan_in", "fan_out", "depth"), _INT)}
+
+
 def adapter_meta(delta: AdapterDelta) -> dict:
     """The adapter's shape metadata, as written into checkpoint headers."""
     return {
         "rank": delta.rank,
         "adapter_alpha": delta.adapter_alpha,
-        "layers": [
-            {"name": s.name, "fan_in": s.fan_in, "fan_out": s.fan_out, "depth": s.depth}
-            for s in delta.specs
-        ],
+        "layers": [{key: getattr(s, key) for key in LAYER_ENTRY} for s in delta.specs],
     }
 
 
@@ -657,42 +669,55 @@ def layer_arrays(delta: AdapterDelta, base: BaseWeights | None = None) -> list[t
     return arrays
 
 
-def read_checkpoint(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray], AdapterDelta]:
-    """A checkpoint of `kind`: its header, its arrays, and its adapter
-    rebuilt from adapter_meta. Every `layers` entry must be an object with
-    the LayerSpec fields, the rank and every fan and depth a non-negative
-    int, adapter_alpha a number > 0, the layers' fans and depths those
-    layer_specs gives the ModelConfig layout_config reads off them, and
-    each array of layer_arrays (base ones too in a model checkpoint) the
-    shape its entry gives it."""
+def _expect_names(what: str, got: list[str], want: list[str]) -> None:
+    """ValueError naming the first position where got differs from want."""
+    for i, (name, expected) in enumerate(itertools.zip_longest(got, want)):
+        if name != expected:
+            raise ValueError(f"{what} #{i} is {name!r}, expected {expected!r}")
+
+
+def _check_entries(where: str, entries: dict, rules: dict) -> None:
+    """entries must hold the keys of rules alone, in their order, and each
+    value must pass its key's test; else ValueError naming where."""
+    for key, (test, asks) in rules.items():
+        if key in entries and not test(entries[key]):
+            raise ValueError(f"{where} key {key!r} must {asks}, got {entries[key]!r:.80}")
+    _expect_names(f"{where} key", list(entries), list(rules))
+
+
+def read_checkpoint(
+    path: str | Path, kind: str, header_rules: dict, buffers: tuple[str, ...] = ()
+) -> tuple[dict, dict[str, np.ndarray], AdapterDelta]:
+    """A checkpoint of `kind`: its header, its arrays, and its adapter. It
+    loads if and only if a writer could have written it: the header holds
+    "kind", header_rules' keys and ADAPTER_HEADER's alone, in that order,
+    each passing its rule, and each `layers` entry LAYER_ENTRY's; the
+    layers' fans and depths are those layer_specs gives the ModelConfig
+    layout_config reads off them; the arrays are layer_arrays' (base ones
+    too in a model checkpoint) and then the adapter-wide `buffers`, alone,
+    in that order, each in its shape and finite."""
     meta, arrays = read_tensor_file(path)
-    if meta.get("kind") != kind:
-        raise ValueError(f"{path}: not a {kind} checkpoint")
-    layers = meta["layers"]
-    if not isinstance(layers, list) or not layers or not all(isinstance(e, dict) for e in layers):
-        raise ValueError(f"{path}: header key 'layers' is not a nonempty list of objects")
-    entries = (Entries(path, "layer key", e) for e in layers)
-    specs = tuple(LayerSpec(e["name"], e["fan_in"], e["fan_out"], e["depth"]) for e in entries)
-    rank = meta["rank"]
-    sizes = [rank] + [v for s in specs for v in (s.fan_in, s.fan_out, s.depth)]
-    if not all(type(v) is int and v >= 0 for v in sizes):  # bool is an int subclass; a JSON true is no size
-        raise ValueError(f"{path}: header key 'rank' or 'layers' holds a size that is not a non-negative int")
-    alpha = meta["adapter_alpha"]
-    if type(alpha) not in (int, float) or not alpha > 0:  # as ModelConfig; a JSON true or "4" is no scale
-        raise ValueError(f"{path}: header key 'adapter_alpha' must be a number > 0, got {alpha!r}")
+    _check_entries(f"{path}: header", meta, {"kind": (lambda v: v == kind, f"be {kind!r}"), **header_rules, **ADAPTER_HEADER})
+    for i, entry in enumerate(meta["layers"]):
+        _check_entries(f"{path}: header key 'layers' entry {i}", entry, LAYER_ENTRY)
+    specs = tuple(LayerSpec(**entry) for entry in meta["layers"])
     try:
-        built = layer_specs(layout_config(specs, rank, alpha))
+        built = layer_specs(layout_config(specs, meta["rank"], meta["adapter_alpha"]))
     except ValueError as err:
         raise ValueError(f"{path}: header keys 'rank' and 'layers' describe no model: {err}") from None
     if [(s.fan_in, s.fan_out, s.depth) for s in specs] != [(s.fan_in, s.fan_out, s.depth) for s in built]:
         raise ValueError(f"{path}: header key 'layers' holds no layout that layer_specs builds")
-    delta = AdapterDelta(specs, rank, float(alpha), np.zeros(adapter_size(specs, rank)))
+    delta = AdapterDelta(specs, meta["rank"], float(meta["adapter_alpha"]), np.zeros(adapter_size(specs, meta["rank"])))
     base = None
     if kind == "model":  # zero base arrays in the shapes the file's must have
         base = BaseWeights(specs, [np.zeros((s.fan_out, s.fan_in)) for s in specs], [np.zeros(s.fan_out) for s in specs])
-    for name, like in layer_arrays(delta, base):
+    want = layer_arrays(delta, base) + [(name, delta.flat) for name in buffers]
+    _expect_names(f"{path}: array", list(arrays), [name for name, _ in want])
+    for name, like in want:
         if arrays[name].shape != like.shape:
             raise ValueError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {like.shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{path}: array {name!r} is not finite")
     for name, view in layer_arrays(delta):
         view[...] = arrays[name]
     return meta, arrays, delta
@@ -711,6 +736,6 @@ def save_checkpoint(path: str | Path, base: BaseWeights, delta: AdapterDelta) ->
 
 
 def load_checkpoint(path: str | Path) -> tuple[BaseWeights, AdapterDelta]:
-    _, arrays, delta = read_checkpoint(path, "model")
+    _, arrays, delta = read_checkpoint(path, "model", {})
     specs = delta.specs
     return BaseWeights(specs, [arrays[f"{s.name}.weight"] for s in specs], [arrays[f"{s.name}.bias"] for s in specs]), delta

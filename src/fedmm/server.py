@@ -50,10 +50,18 @@ AGGREGATOR_KINDS = ("plain_avg", "avgm", "adagrad", "adam", "yogi")
 # avgm's steady-state step is lr / (1 - momentum) times the averaged
 # delta, so 0.1 with momentum 0.9 moves as far as plain_avg.
 DEFAULT_SERVER_LR = {"plain_avg": 1.0, "avgm": 0.1, "adagrad": 0.01, "adam": 0.01, "yogi": 0.01}
-# What server_state.bin holds beside the aggregator and the adapter: the
-# ServerState scalars in header order, then the moment buffers in array
-# order.
-SERVER_STATE_SCALARS = ("round", "lr", "beta1", "beta2", "tau", "momentum")
+# What server_state.bin holds beside its kind and the adapter: the
+# ServerState fields in header order ("aggregator" holds ServerState.kind),
+# each with the test its value must pass and what that test asks, then
+# the moment buffers in array order. bool is an int subclass; a JSON true
+# is neither a round nor a rate.
+_RATE = (lambda v: type(v) in (int, float) and v > 0, "be > 0")
+_DECAY = (lambda v: type(v) in (int, float) and 0 <= v < 1, "lie in [0, 1)")
+SERVER_STATE_HEADER = {
+    "aggregator": (lambda v: v in AGGREGATOR_KINDS, f"be one of {AGGREGATOR_KINDS}"),
+    "round": (lambda v: type(v) is int and v >= 0, "be an int >= 0"),
+    "lr": _RATE, "beta1": _DECAY, "beta2": _DECAY, "tau": _RATE, "momentum": _DECAY,
+}
 SERVER_STATE_BUFFERS = ("first_moment", "second_moment", "momentum_buf")
 
 
@@ -210,6 +218,16 @@ class RunLog:
         return None
 
 
+def _check_trained(trained: AdapterDelta, traces: list[list[float]], clients: list[int], where: str = "") -> None:
+    """ValueError naming, after the prefix `where`, the first of clients
+    (one per row of trained and per loss trace) whose epoch losses or
+    trained adapter hold a non-finite value."""
+    if not (np.isfinite(trained.flat).all() and np.isfinite(traces).all()):
+        for k, row, trace in zip(clients, trained.flat, traces):
+            if not (np.isfinite(row).all() and np.isfinite(trace).all()):
+                raise ValueError(f"{where}client {k}: training loss or adapter is not finite (epoch losses {trace})")
+
+
 def _compose(base: BaseWeights, delta: AdapterDelta) -> tuple[Grouped, Grouped]:
     """A global adapter's composed updates and its effective weights."""
     composed = compose_updates(delta)
@@ -251,10 +269,7 @@ def run_rounds(
         seeds = [rng.seed_for(cfg.seed, "local", t, k) for k in picked]
         ctx = round_reg_context(state.global_delta, composed, cfg.reg.margin, [data.gamma[k] for k in picked])
         trained, traces = local_train(base, state.global_delta, data, picked, cfg.local, seeds, ctx, weights)
-        if not (np.isfinite(trained.flat).all() and np.isfinite(traces).all()):
-            for k, row, trace in zip(picked, trained.flat, traces):
-                if not (np.isfinite(row).all() and np.isfinite(trace).all()):
-                    raise ValueError(f"round {t}, client {k}: training loss or adapter is not finite (epoch losses {trace})")
+        _check_trained(trained, traces, picked, f"round {t}, ")
         grad = pseudo_gradient(trained, [sizes[k] for k in picked], state.global_delta)
         del trained  # freed before the next round trains
         state = server_step(state, grad)
@@ -292,13 +307,15 @@ def local_baseline(
     no proximal term. Returns per-client results, their unweighted mean
     value and accuracy, and which clients were skipped as empty. Clients
     of equal shard size train in lockstep groups, as in run_rounds, and
-    every client is scored on the one prebuilt test set."""
+    every client is scored on the one prebuilt test set. A non-finite
+    client loss or adapter raises ValueError naming the client."""
     base, delta0 = init_model(model_cfg)
     sizes = partition.sizes()
     nonempty = [k for k, n in enumerate(sizes) if n > 0]
     data = build_train_set(train_manifest, partition, RegularizerConfig(enabled=False))
     seeds = [rng.seed_for(seed, "baseline", k) for k in nonempty]
-    trained, _ = local_train(base, delta0, data, nonempty, local_cfg, seeds)
+    trained, traces = local_train(base, delta0, data, nonempty, local_cfg, seeds)
+    _check_trained(trained, traces, nonempty)
     per_client = {
         str(k): evaluate(base, replace(delta0, flat=row), test)
         for k, row in zip(nonempty, trained.flat)
@@ -317,8 +334,7 @@ def save_server_state(path: str | Path, state: ServerState) -> None:
     delta = state.global_delta
     meta = {
         "kind": "server",
-        "aggregator": state.kind,
-        **{name: getattr(state, name) for name in SERVER_STATE_SCALARS},
+        **{name: getattr(state, "kind" if name == "aggregator" else name) for name in SERVER_STATE_HEADER},
         **adapter_meta(delta),
     }
     # the moment buffers in layer order, as the per-layer arrays before them
@@ -328,33 +344,18 @@ def save_server_state(path: str | Path, state: ServerState) -> None:
 
 
 def load_server_state(path: str | Path) -> ServerState:
-    """Read a server checkpoint, rejecting an unknown aggregator, a round
-    that is not an int >= 0, a hyperparameter that is not a JSON number,
-    an lr or tau that is not > 0, a beta1, beta2 or momentum outside
-    [0, 1), and any moment buffer whose width differs from the adapter's."""
-    meta, arrays, delta = read_checkpoint(path, "server")
-    if meta["aggregator"] not in AGGREGATOR_KINDS:
-        raise ValueError(f"{path}: aggregator must be one of {AGGREGATOR_KINDS}, got {meta['aggregator']!r}")
-    # bool is an int subclass; a JSON true is neither a round nor a rate
-    if type(meta["round"]) is not int or meta["round"] < 0:
-        raise ValueError(f"{path}: header key 'round' must be an int >= 0, got {meta['round']!r}")
-    for name in SERVER_STATE_SCALARS[1:]:
-        if type(meta[name]) not in (int, float):
-            raise ValueError(f"{path}: header key {name!r} must be a number, got {meta[name]!r}")
-    for name in ("lr", "tau"):
-        if not meta[name] > 0:
-            raise ValueError(f"{path}: header key {name!r} must be > 0, got {meta[name]!r}")
-    for name in ("beta1", "beta2", "momentum"):
-        if not 0 <= meta[name] < 1:
-            raise ValueError(f"{path}: header key {name!r} must lie in [0, 1), got {meta[name]!r}")
-    for name in SERVER_STATE_BUFFERS:
-        if arrays[name].shape != delta.flat.shape:
-            raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, expected {delta.flat.shape}")
+    """Read a server checkpoint under SERVER_STATE_HEADER and
+    SERVER_STATE_BUFFERS (read_checkpoint), whose second moment must be
+    nowhere negative: adagrad, adam and yogi keep it >= 0, and sqrt of a
+    negative entry is NaN at the next server_step."""
+    meta, arrays, delta = read_checkpoint(path, "server", SERVER_STATE_HEADER, SERVER_STATE_BUFFERS)
+    if (arrays["second_moment"] < 0).any():
+        raise ValueError(f"{path}: array 'second_moment' has a negative entry")
     from_layer_order = np.argsort(layer_order(delta))
     return ServerState(
         kind=meta["aggregator"],
         global_delta=delta,
         **{name: arrays[name][from_layer_order] for name in SERVER_STATE_BUFFERS},
         round=meta["round"],
-        **{name: float(meta[name]) for name in SERVER_STATE_SCALARS[1:]},
+        **{name: float(meta[name]) for name in list(SERVER_STATE_HEADER)[2:]},
     )

@@ -30,23 +30,14 @@ def write_tensor_file(path: str | Path, meta: dict, arrays: list[tuple[str, np.n
             fh.write(blob)
 
 
-class Entries(dict):
-    """A file's header keys or arrays; looking up one the file lacks
-    raises ValueError naming the file and the key."""
-
-    def __init__(self, path: str | Path, what: str, entries: dict) -> None:
-        super().__init__(entries)
-        self.missing = f"{path}: no {what}"
-
-    def __missing__(self, key):
-        raise ValueError(f"{self.missing} {key!r}")
-
-
 def read_tensor_file(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ValueError(f"{path}: header line is not UTF-8 JSON: {err}") from None
     manifest = header.pop("arrays", None) if isinstance(header, dict) else None
     if not isinstance(manifest, list):
         raise ValueError(f"{path}: header is not an object with an `arrays` list")
@@ -67,4 +58,4 @@ def read_tensor_file(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         offset += nbytes
     if offset != len(payload):
         raise ValueError(f"{path}: {len(payload) - offset} trailing bytes after last array")
-    return Entries(path, "header key", header), Entries(path, "array", arrays)
+    return header, arrays

@@ -469,6 +469,16 @@ def test_train_divergence_exits_2_without_infinity(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log:RuntimeWarning")
+def test_baseline_divergence_exits_2_without_out_dir(tmp_path, capsys):
+    # every client's epoch loss overflows to inf; train rejects the same case
+    out = tmp_path / "out"
+    assert run(["baseline", "--set", "local.lr=50", "--set", f"out_dir={out}"]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"fedmm baseline: client \d+: training loss or adapter is not finite \(epoch losses \[.*inf", err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_does_not_touch_config_file(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg = write_config(cfg_path, [f"out_dir = {tmp_path / 'out'}"])

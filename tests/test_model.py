@@ -556,6 +556,22 @@ def test_read_tensor_file_rejects_bad_shape(tmp_path, shape):
         read_tensor_file(path)
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param(b"", id="empty-file"),
+        pytest.param(b"\xff" + json.dumps({"arrays": []}).encode("utf-8") + b"\n", id="0xff-first-byte"),
+        pytest.param(b'{"kind": "model", "arr', id="truncated-header-line"),
+        pytest.param(b"\n" + bytes(8), id="blank-header-line"),
+    ],
+)
+def test_read_tensor_file_names_file_for_undecodable_header(tmp_path, raw):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header line is not UTF-8 JSON: "):
+        read_tensor_file(path)
+
+
 def test_read_tensor_file_rejects_overlong_shape(tmp_path):
     path = tmp_path / "big.bin"
     write_raw_tensor_file(path, {"arrays": [{"name": "w", "shape": [2 ** 40, 2 ** 40]}]}, bytes(16))
