@@ -26,9 +26,7 @@ any directory exists.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
-import json
 import re
 import statistics
 import sys
@@ -41,6 +39,7 @@ from .model import ModelConfig, save_checkpoint
 from .partitioner import ClientPartition, build_scenario, save_partition
 from .promptgen import CRISIS_MMD, HATEFUL_MEMES, TaskSpec, export_partition
 from .server import RunLog, local_baseline, run_rounds, sample_clients, save_server_state
+from .tensorio import dumps, write_csv, write_lines
 
 
 def _layout(manifest: DatasetManifest) -> str:
@@ -108,9 +107,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     log.write(out / "runlog.jsonl")
     save_server_state(out / "server_state.bin", state)
     save_checkpoint(out / "model.bin", base, state.global_delta)
-    with open(out / "timing.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for i, dt in enumerate(timings, start=1):
-            fh.write(json.dumps({"round": i, "wall_ms": round(dt * 1000.0, 3)}) + "\n")
+    write_lines(out / "timing.jsonl", (dumps({"round": i, "wall_ms": round(dt * 1000.0, 3)}) for i, dt in enumerate(timings, 1)))
     final = log.final_eval()
     print(f"train: {cfg['fl.aggregator']} x {cfg['fl.rounds']} rounds, final {final['metric']}={final['value']:.4f} acc={final['accuracy']:.4f} -> {out}")
     return 0
@@ -120,8 +117,7 @@ def cmd_baseline(cfg: ExperimentConfig) -> int:
     train, test, partition, model_cfg = _setup(cfg)
     result = local_baseline(model_cfg, partition, train, test, local_cfg=cfg.baseline_config(), seed=cfg.fl_config().seed)
     out = _prepare_out(cfg)
-    with open(out / "baseline.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(result, ensure_ascii=False, indent=1, allow_nan=False) + "\n")
+    write_lines(out / "baseline.json", [dumps(result, indent=1)])
     print(f"baseline: mean value {result['mean_value']:.4f}, mean accuracy {result['mean_accuracy']:.4f} -> {out}")
     return 0
 
@@ -185,7 +181,7 @@ def summary_lines(runs: list[tuple[ExperimentConfig, dict]]) -> list[str]:
 
 
 def cmd_report(run_dirs: list[Path], out_path: Path) -> int:
-    runs = []
+    runs, rows = [], []
     for run_dir in run_dirs:
         snapshot = run_dir / "config.resolved"
         runlog = run_dir / "runlog.jsonl"
@@ -194,16 +190,12 @@ def cmd_report(run_dirs: list[Path], out_path: Path) -> int:
         final = RunLog.read(runlog).final_eval()
         if final is None:
             raise ValueError(f"{run_dir}: runlog has no evaluation records")
-        runs.append((ExperimentConfig.from_sources(snapshot), final))
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for run_dir, (cfg, final) in zip(run_dirs, runs):
-            spec = cfg.scenario_spec()
-            writer.writerow([
-                run_dir.name, spec.kind, spec.level(), cfg["fl.aggregator"], final["metric"], final["value"],
-                cfg.seed, render_value("bool", cfg["reg.enabled"]),
-            ])
+        cfg = ExperimentConfig.from_sources(snapshot)
+        spec = cfg.scenario_spec()
+        runs.append((cfg, final))
+        rows.append([run_dir.name, spec.kind, spec.level(), cfg["fl.aggregator"], final["metric"], final["value"],
+                     cfg.seed, render_value("bool", cfg["reg.enabled"])])
+    write_csv(out_path, REPORT_COLUMNS, rows)
     for line in summary_lines(runs):
         print(f"  {line}")
     print(f"report: {len(runs)} rows -> {out_path}")

@@ -30,6 +30,7 @@ from .model import ModelConfig
 from .metrics import METRIC_KINDS
 from .partitioner import SCENARIO_KINDS, SCENARIO_KNOBS, ScenarioSpec
 from .server import AGGREGATOR_KINDS, FLRunConfig
+from .tensorio import write_lines
 
 
 @dataclass(frozen=True)
@@ -308,4 +309,4 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def write_snapshot(self, path: str | Path) -> None:
-        Path(path).write_text(self.resolved_text(), encoding="utf-8")
+        write_lines(path, self.resolved_text().splitlines())

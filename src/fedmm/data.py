@@ -34,7 +34,6 @@ reads `ids` only to name a sample in an output or an error.
 
 from __future__ import annotations
 
-import csv
 import json
 import operator
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
+from .tensorio import dumps, write_csv, write_lines
 
 SPLITS = ("train", "test")
 
@@ -226,12 +226,11 @@ def _header_obj(manifest: DatasetManifest) -> dict:
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     """Write header line plus one record line per sample, UTF-8 JSONL."""
     order = [m.name for m in manifest.modalities]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(_header_obj(manifest), ensure_ascii=False) + "\n")
-        for s in manifest.samples:
-            feats = {name: s.features[name].tolist() for name in order if name in s.features}
-            rec = {"id": s.id, "label": s.label, "features": feats}
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    lines = [dumps(_header_obj(manifest))]
+    for s in manifest.samples:
+        feats = {name: s.features[name].tolist() for name in order if name in s.features}
+        lines.append(dumps({"id": s.id, "label": s.label, "features": feats}))
+    write_lines(path, lines)
 
 
 class Entries(dict):
@@ -397,10 +396,7 @@ class CountTable:
         return [(k, c, self.patterns[p], int(n)) for (k, c, p), n in np.ndenumerate(self.counts)]
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["client", "class", "pattern", "count"])
-            writer.writerows(self.rows())
+        write_csv(path, ["client", "class", "pattern", "count"], self.rows())
 
 
 def modality_stats(partition, manifest: DatasetManifest) -> CountTable:

@@ -27,7 +27,6 @@ check either again.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 from itertools import pairwise
 from pathlib import Path
@@ -36,6 +35,7 @@ import numpy as np
 
 from . import rng
 from .data import DatasetManifest
+from .tensorio import dumps, write_lines
 
 # The heterogeneity knob each scenario kind reads besides alpha (aligned
 # reads alpha alone); ScenarioSpec takes that knob and no other.
@@ -226,5 +226,4 @@ def save_partition(partition: ClientPartition, manifest: DatasetManifest, spec: 
             for k, (a, b) in enumerate(pairwise(partition.bounds.tolist()))
         ],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, ensure_ascii=False, indent=1) + "\n")
+    write_lines(path, [dumps(obj, indent=1)])

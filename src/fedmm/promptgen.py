@@ -20,7 +20,6 @@ empty unless the caller passes raw text, and image paths default to
 
 from __future__ import annotations
 
-import json
 import string
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from pathlib import Path
 
 from .data import DatasetManifest, Sample
 from .partitioner import ClientPartition
+from .tensorio import dumps, write_lines
 
 AGNOSTIC_CLAUSE = ", without considering the modality"
 ANSWER_TAIL = (
@@ -109,7 +109,7 @@ class InstructionRecord:
 
 
 def serialize_record(record: InstructionRecord) -> str:
-    return json.dumps(record.to_json_obj(), ensure_ascii=False)
+    return dumps(record.to_json_obj())
 
 
 def format_record(
@@ -166,9 +166,7 @@ def export_partition(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k, (a, b) in enumerate(pairwise(bounds)):
-        path = out_dir / f"client_{k:02d}.jsonl"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for row, mask in zip(rows[a:b], masks[a:b]):
-                record = format_record(manifest.record(row), task, agnostic, mask=mask, modality_names=names)
-                fh.write(serialize_record(record) + "\n")
+        shard = zip(rows[a:b], masks[a:b])
+        records = [format_record(manifest.record(row), task, agnostic, mask=mask, modality_names=names) for row, mask in shard]
+        write_lines(out_dir / f"client_{k:02d}.jsonl", map(serialize_record, records))
     return len(bounds) - 1

@@ -44,7 +44,7 @@ from .model import (
     read_checkpoint,
 )
 from .partitioner import ClientPartition
-from .tensorio import write_tensor_file
+from .tensorio import dumps, write_lines, write_tensor_file
 
 AGGREGATOR_KINDS = ("plain_avg", "avgm", "adagrad", "adam", "yogi")
 # avgm's steady-state step is lr / (1 - momentum) times the averaged
@@ -197,9 +197,7 @@ class RunLog:
     def write(self, path: str | Path) -> None:
         """Write strict JSON lines; a non-finite float raises ValueError
         before the file is opened."""
-        text = "".join(json.dumps(rec, ensure_ascii=False, allow_nan=False) + "\n" for rec in self.records)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_lines(path, [dumps(rec) for rec in self.records])
 
     @classmethod
     def read(cls, path: str | Path) -> "RunLog":

@@ -1,18 +1,43 @@
-"""Flat deterministic tensor files.
+"""Every file fedmm writes, encoded one way, and the strict JSON it reads.
 
-One JSON header line (metadata plus an ordered array manifest), then the
-arrays' raw little-endian float64 bytes concatenated in manifest order.
-No timestamps or compression, so identical contents give identical bytes,
-and a write/read cycle is bit-exact.
+Text files are UTF-8 on every platform:
+  - JSON and JSON lines (`dumps`, `write_lines`): strict JSON, non-ASCII
+    text kept as is, LF line ends; a NaN or infinity raises ValueError
+    instead of writing `NaN` or `Infinity`, and since `write_lines`
+    builds the whole text before the file opens, it leaves no file then;
+  - CSV (`write_csv`): the csv module's RFC 4180 rows, CRLF line ends.
+`loads` reads JSON as strictly: a key repeated in one object, or a NaN,
+infinity or number too large for a float, raises ValueError.
+
+Tensor files hold one JSON header line (metadata plus an ordered array
+manifest), then the arrays' raw little-endian float64 bytes concatenated
+in manifest order. No timestamps or compression, so identical contents
+give identical bytes, and a write/read cycle is bit-exact.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
+
+
+def dumps(obj: object, indent: int | None = None) -> str:
+    return json.dumps(obj, ensure_ascii=False, allow_nan=False, indent=indent)
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Each of lines, then LF."""
+    Path(path).write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def write_tensor_file(path: str | Path, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
@@ -25,7 +50,7 @@ def write_tensor_file(path: str | Path, meta: dict, arrays: list[tuple[str, np.n
     header = dict(meta)
     header["arrays"] = manifest
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
+        fh.write(dumps(header).encode("utf-8") + b"\n")
         for blob in blobs:
             fh.write(blob)
 
