@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .tensorio import dumps, write_csv, write_lines
+from .tensorio import dumps, loads, write_csv, write_lines
 
 SPLITS = ("train", "test")
 
@@ -249,8 +249,8 @@ def _manifest_line(path: str | Path, lineno: int, text: str) -> Entries:
     """A manifest line's JSON object; looking up a key it lacks raises
     ValueError naming the file, the line and the key."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as err:
+        obj = loads(text)
+    except ValueError as err:
         raise ValueError(f"{path}:{lineno}: {err}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
@@ -270,11 +270,13 @@ def _typed(where: str, value: object, what: str, kind: type):
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Read a manifest, raising ValueError naming the file and the line
-    for anything that is not one: bad JSON, a missing key, a value of the
-    wrong type, or a manifest DatasetManifest.from_records rejects."""
+    for anything that is not one: a line that is not strict JSON
+    (tensorio.loads: no repeated key, NaN or infinity), a missing key, a
+    value of the wrong type, or a manifest DatasetManifest.from_records
+    rejects."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        lines = fh.read().split("\n")  # not splitlines: a JSON string may hold U+2028 as is
+    if lines == [""]:
         raise ValueError(f"{path}: empty manifest file")
     at = f"{path}:1"
     head = _manifest_line(path, 1, lines[0])

@@ -19,7 +19,6 @@ No bias correction anywhere; moments start at zero.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -44,7 +43,7 @@ from .model import (
     read_checkpoint,
 )
 from .partitioner import ClientPartition
-from .tensorio import dumps, write_lines, write_tensor_file
+from .tensorio import dumps, loads, write_lines, write_tensor_file
 
 AGGREGATOR_KINDS = ("plain_avg", "avgm", "adagrad", "adam", "yogi")
 # avgm's steady-state step is lr / (1 - momentum) times the averaged
@@ -197,16 +196,20 @@ class RunLog:
     def write(self, path: str | Path) -> None:
         """Write strict JSON lines; a non-finite float raises ValueError
         before the file is opened."""
-        write_lines(path, [dumps(rec) for rec in self.records])
+        write_lines(path, map(dumps, self.records))
 
     @classmethod
     def read(cls, path: str | Path) -> "RunLog":
+        """The records of a run log; a line that is not strict JSON
+        (tensorio.loads) raises ValueError naming the file and the line."""
         records = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    try:
+                        records.append(loads(line))
+                    except ValueError as err:
+                        raise ValueError(f"{path}:{lineno}: {err}") from None
         return cls(records=records)
 
     def final_eval(self) -> dict | None:

@@ -6,8 +6,8 @@ Text files are UTF-8 on every platform:
     instead of writing `NaN` or `Infinity`, and since `write_lines`
     builds the whole text before the file opens, it leaves no file then;
   - CSV (`write_csv`): the csv module's RFC 4180 rows, CRLF line ends.
-`loads` reads JSON as strictly: a key repeated in one object, or a NaN,
-infinity or number too large for a float, raises ValueError.
+`loads` reads JSON as strictly, for every reader of checkpoint headers,
+manifests and run logs.
 
 Tensor files hold one JSON header line (metadata plus an ordered array
 manifest), then the arrays' raw little-endian float64 bytes concatenated
@@ -27,7 +27,30 @@ import numpy as np
 
 
 def dumps(obj: object, indent: int | None = None) -> str:
+    """Strict JSON text, non-ASCII kept as is; a NaN or infinity raises
+    ValueError."""
     return json.dumps(obj, ensure_ascii=False, allow_nan=False, indent=indent)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} appears twice in one object")
+    return obj
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def loads(text: str | bytes) -> object:
+    """JSON as `dumps` writes it: a key repeated in one object, or a NaN,
+    infinity or number beyond float range, raises ValueError."""
+    return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_finite, parse_float=_finite)
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
@@ -36,6 +59,7 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    """header, then rows, as the csv module's RFC 4180 rows: CRLF line ends."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows([header, *rows])
 
@@ -60,7 +84,7 @@ def read_tensor_file(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         header_line = fh.readline()
         payload = fh.read()
     try:
-        header = json.loads(header_line.decode("utf-8"))
+        header = loads(header_line.decode("utf-8"))
     except ValueError as err:  # UnicodeDecodeError and JSONDecodeError alike
         raise ValueError(f"{path}: header line is not UTF-8 JSON: {err}") from None
     manifest = header.pop("arrays", None) if isinstance(header, dict) else None

@@ -2,6 +2,7 @@
 save_server_state could have written it."""
 
 import copy
+import json
 import math
 import re
 from dataclasses import fields, replace
@@ -54,6 +55,33 @@ def test_loaders_reject_corruption(tmp_path, kind, edit, message):
         load(path)
 
 
+def edit_header(path, old, new):
+    """Replace the one occurrence of the bytes old in path's header line by
+    new: a header the writer cannot write, as it refuses non-finite values
+    and never repeats a key."""
+    header, payload = path.read_bytes().split(b"\n", 1)
+    assert header.count(old) == 1, (old, header)
+    path.write_bytes(header.replace(old, new) + b"\n" + payload)
+
+
+@pytest.mark.parametrize(
+    "kind,old,new,message",
+    [
+        pytest.param("server", b'"round": 0', b'"round": 5, "round": 0', "key 'round' appears twice in one object", id="server-round-twice"),
+        pytest.param("model", b'"adapter_alpha": 4.0', b'"adapter_alpha": 1.0, "adapter_alpha": 4.0', "key 'adapter_alpha' appears twice in one object", id="model-alpha-twice"),
+        pytest.param("server", b'"lr": 0.01', b'"lr": Infinity', "Infinity is not a finite number", id="infinite-lr"),
+        pytest.param("server", b'"tau": 0.001', b'"tau": Infinity', "Infinity is not a finite number", id="infinite-tau"),
+        pytest.param("model", b'"adapter_alpha": 4.0', b'"adapter_alpha": Infinity', "Infinity is not a finite number", id="infinite-alpha"),
+        pytest.param("server", b'"lr": 0.01', b'"lr": 1e400', "1e400 is not a finite number", id="overflowing-lr"),
+    ],
+)
+def test_loaders_reject_header_the_writer_cannot_write(tmp_path, kind, old, new, message):
+    path, load = saved_checkpoint(tmp_path, kind, ModelConfig())
+    edit_header(path, old, new)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header line is not UTF-8 JSON: {re.escape(message)}$"):
+        load(path)
+
+
 def test_loaders_reject_the_other_kind(tmp_path):
     model, _ = saved_checkpoint(tmp_path, "model")
     server, _ = saved_checkpoint(tmp_path, "server")
@@ -64,6 +92,15 @@ def test_loaders_reject_the_other_kind(tmp_path):
 
 
 # ---------- fuzzer ----------
+
+def write_any_header(path, meta, arrays):
+    """write_tensor_file's bytes, except that meta may hold a NaN or an
+    infinity, which the writer refuses and every loader must reject."""
+    write_tensor_file(path, {}, arrays)
+    manifest, payload = path.read_bytes().split(b"\n", 1)
+    header = {**meta, "arrays": json.loads(manifest)["arrays"]}
+    path.write_bytes(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n" + payload)
+
 
 LOADERS = {"model": load_checkpoint, "server": load_server_state}
 SAVERS = {"model": lambda path, loaded: save_checkpoint(path, *loaded), "server": save_server_state}
@@ -254,7 +291,7 @@ def test_loaders_reject_each_mutation_or_round_trip(grid, data):
     meta, arrays = copy.deepcopy(meta), {name: arr.copy() for name, arr in arrays.items()}
     edit = data.draw(st.sampled_from([e for e in EDITS + PAYLOAD_EDITS if kind == "server" or e is not second_moment_negative]))
     expect = REJECT if edit in PAYLOAD_EDITS else edit(data.draw, meta, arrays)
-    write_tensor_file(path, meta, list(arrays.items()))
+    write_any_header(path, meta, list(arrays.items()))
     if edit in PAYLOAD_EDITS:
         path.write_bytes(edit(data.draw, path.read_bytes()))
     try:

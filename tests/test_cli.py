@@ -16,6 +16,7 @@ from conftest import tiny_manifest
 from fedmm.cli import build_parser, run, summary_lines, sweep_configs
 from fedmm.config import SCHEMA, ExperimentConfig, parse_value
 from fedmm.data import load_manifest, save_manifest
+from platform_fingerprint import platforms
 from test_config import LINE_BREAKS
 from test_data import rewrite_line
 
@@ -264,6 +265,9 @@ TINY_EMPTY_MISSING = [*TINY_EMPTY, "scenario.kind=missing", "scenario.beta=0.3"]
 # under adagrad, and of a missing-modality run with empty clients. Unlike
 # the rerun tests above, these catch a numeric change between commits; a
 # change that alters the bytes on purpose must update them and say why.
+# Every sha256 pin in this file holds on platform_fingerprint.PINNED_ON,
+# the platform it was made on; a failing pin prints that fingerprint and
+# this run's.
 GOLDEN_TRAIN = {
     "default": (
         [],
@@ -300,7 +304,7 @@ def test_train_output_hashes_pinned(tmp_path, case):
         argv += ["--set", item]
     assert run(argv) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
-    assert got == want
+    assert got == want, platforms()
 
 
 # sha256 of baseline.json for the default config, for a hybrid one whose
@@ -326,7 +330,7 @@ def test_baseline_output_hash_pinned(tmp_path, case):
     for item in overrides:
         argv += ["--set", item]
     assert run(argv) == 0
-    assert hashlib.sha256((tmp_path / "baseline.json").read_bytes()).hexdigest() == want
+    assert hashlib.sha256((tmp_path / "baseline.json").read_bytes()).hexdigest() == want, platforms()
 
 
 TINY_MISSING = [*TINY, "scenario.kind=missing", "scenario.beta=0.3"]
@@ -436,7 +440,7 @@ def test_data_output_hashes_pinned(tmp_path, command, case):
     assert run(argv) == 0
     written = sorted(p for p in tmp_path.rglob("*") if p.is_file() and p.name != "config.resolved")
     got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
-    assert got == GOLDEN_DATA[command, case]
+    assert got == GOLDEN_DATA[command, case], platforms()
 
 
 def test_train_from_saved_manifests_equals_train_from_synth(tmp_path):

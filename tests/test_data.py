@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from types import SimpleNamespace
 
@@ -115,6 +116,34 @@ def test_load_manifest_names_file_line_and_bad_value(tmp_path, manifest, lineno,
     rewrite_line(path, lineno, lambda obj: json.dumps({**obj, key: value}))
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{lineno}: {phrase}')}"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "lineno,edit,phrase",
+    [
+        (1, lambda obj: json.dumps(obj)[:-1] + ', "split": "test"}', "key 'split' appears twice in one object"),
+        (2, lambda obj: json.dumps(obj)[:-1] + ', "label": 0}', "key 'label' appears twice in one object"),
+        (2, lambda obj: json.dumps({**obj, "features": {**obj["features"], "image": [math.nan, 0.0, 0.0, 0.0]}}), "NaN is not a finite number"),
+        (3, lambda obj: json.dumps({**obj, "features": {**obj["features"], "text": [0.0, -math.inf, 0.0]}}), "-Infinity is not a finite number"),
+    ],
+    ids=["header-key-twice", "record-key-twice", "nan-feature", "infinite-feature"],
+)
+def test_load_manifest_rejects_line_that_is_not_strict_json(tmp_path, manifest, lineno, edit, phrase):
+    path = tmp_path / "m.jsonl"
+    save_manifest(manifest, path)
+    rewrite_line(path, lineno, edit)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{lineno}: {phrase}')}$"):
+        load_manifest(path)
+
+
+def test_manifest_with_unicode_line_breaks_in_ids_round_trips(tmp_path):
+    # dumps keeps U+0085, U+2028 and U+2029 as is; str.splitlines breaks at them, JSON lines do not
+    mods, samples = manual_records()
+    for s, tail in zip(samples, ["\x85", "\u2028", "\u2029"]):
+        s.id += tail
+    path = tmp_path / "m.jsonl"
+    save_manifest(DatasetManifest.from_records(mods, 2, "train", samples), path)
+    assert list(load_manifest(path).ids) == [s.id for s in samples]
 
 
 @pytest.mark.parametrize("dim", [0, -1])
