@@ -40,6 +40,8 @@ class KeySpec:
     help: str
 
 
+# A key that feeds a config field takes that field's default, so each
+# default has one home; keys with no field of their own hold literals.
 SCHEMA: dict[str, KeySpec] = {
     "seed": KeySpec("int", 0, "master seed; all streams derive from it"),
     "out_dir": KeySpec("str", "run", "output directory, relative paths live under $FEDMM_OUT"),
@@ -48,36 +50,36 @@ SCHEMA: dict[str, KeySpec] = {
     "data.source": KeySpec("str", "synth", "synth | manifest"),
     "data.train_manifest": KeySpec("opt_str", None, "train manifest path (manifest mode)"),
     "data.test_manifest": KeySpec("opt_str", None, "test manifest path (manifest mode)"),
-    "synth.classes": KeySpec("int", 4, "class count"),
-    "synth.modalities": KeySpec("str_list", ["image", "text"], "modality names"),
-    "synth.dims": KeySpec("int_list", [16, 16], "per-modality feature dims"),
-    "synth.samples_per_class": KeySpec("int", 50, "train samples per class"),
+    "synth.classes": KeySpec("int", SynthConfig.class_count, "class count"),
+    "synth.modalities": KeySpec("str_list", list(SynthConfig.modalities), "modality names"),
+    "synth.dims": KeySpec("int_list", list(SynthConfig.dims), "per-modality feature dims"),
+    "synth.samples_per_class": KeySpec("int", SynthConfig.samples_per_class, "train samples per class"),
     "synth.test_samples_per_class": KeySpec("int", 100, "test samples per class"),
-    "synth.centroid_scale": KeySpec("float", 3.0, "class centroid std"),
-    "synth.noise_scale": KeySpec("float", 1.0, "per-sample noise std"),
+    "synth.centroid_scale": KeySpec("float", SynthConfig.centroid_scale, "class centroid std"),
+    "synth.noise_scale": KeySpec("float", SynthConfig.noise_scale, "per-sample noise std"),
     "scenario.kind": KeySpec("str", "aligned", " | ".join(SCENARIO_KINDS)),
     "scenario.clients": KeySpec("int", 10, "client count"),
     "scenario.alpha": KeySpec("float", 0.5, "Dirichlet concentration for label skew"),
     "scenario.beta": KeySpec("float", 0.5, "missing: per-slot drop probability"),
     "scenario.image_only_clients": KeySpec("int", 5, "cross: clients keeping only modality 0"),
     "scenario.keep_prob": KeySpec("float", 0.8, "hybrid: per-modality keep probability"),
-    "model.hidden": KeySpec("int", 32, "hidden width"),
-    "model.encoder_depth": KeySpec("int", 3, "tanh layers per modality encoder"),
-    "model.trunk_depth": KeySpec("int", 4, "tanh layers after fusion"),
-    "model.rank": KeySpec("int", 4, "adapter rank"),
-    "model.adapter_alpha": KeySpec("float", 4.0, "adapter composition scale numerator"),
-    "fl.rounds": KeySpec("int", 50, "federated rounds"),
-    "fl.clients_per_round": KeySpec("int", 2, "clients sampled per round"),
-    "fl.aggregator": KeySpec("str", "adam", " | ".join(AGGREGATOR_KINDS)),
-    "fl.server_lr": KeySpec("opt_float", None, "server learning rate (empty: per-kind default)"),
-    "fl.eval_every": KeySpec("int", 5, "evaluate every this many rounds"),
-    "local.epochs": KeySpec("int", 1, "local epochs per round"),
-    "local.batch_size": KeySpec("int", 16, "local minibatch size"),
-    "local.lr": KeySpec("float", 1e-2, "local peak learning rate"),
-    "local.warmup_ratio": KeySpec("float", 0.01, "fraction of local steps spent warming up"),
-    "reg.enabled": KeySpec("bool", True, "adaptive proximal regularizer on/off"),
-    "reg.gamma_max": KeySpec("float", 0.1, "proximal strength ceiling"),
-    "reg.margin": KeySpec("int", 2, "depths masked off at each end"),
+    "model.hidden": KeySpec("int", ModelConfig.hidden, "hidden width"),
+    "model.encoder_depth": KeySpec("int", ModelConfig.encoder_depth, "tanh layers per modality encoder"),
+    "model.trunk_depth": KeySpec("int", ModelConfig.trunk_depth, "tanh layers after fusion"),
+    "model.rank": KeySpec("int", ModelConfig.rank, "adapter rank"),
+    "model.adapter_alpha": KeySpec("float", ModelConfig.adapter_alpha, "adapter composition scale numerator"),
+    "fl.rounds": KeySpec("int", FLRunConfig.rounds, "federated rounds"),
+    "fl.clients_per_round": KeySpec("int", FLRunConfig.clients_per_round, "clients sampled per round"),
+    "fl.aggregator": KeySpec("str", FLRunConfig.aggregator, " | ".join(AGGREGATOR_KINDS)),
+    "fl.server_lr": KeySpec("opt_float", FLRunConfig.server_lr, "server learning rate (empty: per-kind default)"),
+    "fl.eval_every": KeySpec("int", FLRunConfig.eval_every, "evaluate every this many rounds"),
+    "local.epochs": KeySpec("int", LocalTrainConfig.epochs, "local epochs per round"),
+    "local.batch_size": KeySpec("int", LocalTrainConfig.batch_size, "local minibatch size"),
+    "local.lr": KeySpec("float", LocalTrainConfig.lr, "local peak learning rate"),
+    "local.warmup_ratio": KeySpec("float", LocalTrainConfig.warmup_ratio, "fraction of local steps spent warming up"),
+    "reg.enabled": KeySpec("bool", RegularizerConfig.enabled, "adaptive proximal regularizer on/off"),
+    "reg.gamma_max": KeySpec("float", RegularizerConfig.gamma_max, "proximal strength ceiling"),
+    "reg.margin": KeySpec("int", RegularizerConfig.margin, "depths masked off at each end"),
     "baseline.epochs": KeySpec("int", 5, "isolated-client baseline epochs"),
     "sweep.grid": KeySpec("str_list", [], "fedmm sweep axes, KEY=V1|V2|... each; runs their cartesian product"),
 }

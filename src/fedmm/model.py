@@ -5,10 +5,13 @@ encoder_depth tanh affine layers; encodings concatenate and run through
 trunk_depth tanh affine layers and a final affine head. Absent modalities
 contribute zero features and presence bit 0.
 
-Every affine layer carries a frozen base weight and bias plus a trainable
-low-rank pair (up: fan_out x rank, down: rank x fan_in); the effective
-weight is base + (adapter_alpha / rank) * up @ down. Only the pairs train,
-and only the pairs travel between clients and server.
+Every affine layer carries a frozen base weight, a zero bias, and a
+trainable low-rank pair (up: fan_out x rank, down: rank x fan_in); the
+effective weight is base + (adapter_alpha / rank) * up @ down. Only the
+pairs train, and only the pairs travel between clients and server. The
+biases are zero by construction and nothing trains them, so the forward
+pass adds none; they are kept only to be written as model.bin's `.bias`
+arrays.
 
 Depth indexing for layer masks: encoder layers of all modalities share
 depth 0..encoder_depth-1, trunk layers follow, the head is last, so the
@@ -30,15 +33,13 @@ layer; every stacked product is, item by item, the same gemm on the same
 operand layout as the per-layer product, so the bytes do not change.
 
 Forward and backward are written out by hand in float64; gradients are
-exact, not approximated. Three kinds of work are skipped because they
-cannot change a byte. A bias that is all zero is not added (init_model
-makes every bias zero, and biases are frozen): a gemm result is never
--0, so adding +0 leaves it as it is. A modality's encoder stack is not
-run when its whole input is zero in every row of the batch (a client
-without that modality) and all its biases are zero: a zero row gives a
-+0 pre-activation, since BLAS accumulates from +0, tanh(+0) = +0, and
-the stack's weight gradients are then +0 too; its slice of the trunk
-input is written +0 and its weight-gradient slots are zeroed instead.
+exact, not approximated. Two kinds of work are skipped because they
+cannot change a byte. A modality's encoder stack is not run when its
+whole input is zero in every row of the batch (a client without that
+modality): a zero row gives a +0 pre-activation, since BLAS accumulates
+from +0 and there is no bias to add, tanh(+0) = +0, and the stack's
+weight gradients are then +0 too; its slice of the trunk input is
+written +0 and its weight-gradient slots are zeroed instead.
 No pass scans for it: every batch carries the modalities it lacks
 (Batch.absent, set when it is built), and a lockstep minibatch those
 that no row of its group's shards holds; a minibatch without a modality
@@ -245,35 +246,33 @@ def layout_config(specs: tuple[LayerSpec, ...], rank: int, adapter_alpha: float)
 
 @dataclass
 class BaseWeights:
-    """Frozen affine parameters. The weights are copied into `flat`, one
-    vector grouped by shape_groups, and weights[i] becomes layer i's view
-    into it; every array is write-protected. zero_bias[i] says whether
-    layer i's bias is all zero, so the forward pass can skip adding it.
-    The layout, from specs (spec_layout): encoders[m], modality m's
-    encoder layers, with no entries when one chain runs (one modality or
-    no encoder); trunk, the layers up to the head at trunk.stop;
-    stack_zero_bias[m], whether encoder stack m's biases are all zero."""
+    """Frozen affine parameters: weights alone. They are copied into
+    `flat`, one vector grouped by shape_groups, and weights[i] becomes
+    layer i's view into it. biases[i] is layer i's bias, a zero vector
+    built here: nothing trains a bias, the forward pass adds none, and
+    only layer_arrays reads them, to write model.bin. Every array is
+    write-protected. The layout, from specs (spec_layout): encoders[m],
+    modality m's encoder layers, with no entries when one chain runs (one
+    modality or no encoder); trunk, the layers up to the head at
+    trunk.stop."""
 
     specs: tuple[LayerSpec, ...]
     weights: list[np.ndarray]
-    biases: list[np.ndarray]
     groups: tuple[ShapeGroup, ...] = field(init=False, repr=False)
     flat: np.ndarray = field(init=False, repr=False)
-    zero_bias: tuple[bool, ...] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
     encoders: tuple[range, ...] = field(init=False, repr=False)
     trunk: range = field(init=False, repr=False)
-    stack_zero_bias: tuple[bool, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.groups = shape_groups(self.specs)
         self.flat = np.concatenate([np.stack([self.weights[i] for i in g.layers]).reshape(-1) for g in self.groups])
         self.flat.flags.writeable = False
         self.weights = grouped(self.groups, self.flat).layers
+        self.biases = [np.zeros(s.fan_out) for s in self.specs]
         for bias in self.biases:
             bias.flags.writeable = False
-        self.zero_bias = tuple(not bias.any() for bias in self.biases)
         self.encoders, self.trunk = spec_layout(self.specs)
-        self.stack_zero_bias = tuple(all(self.zero_bias[i] for i in stack) for stack in self.encoders)
 
 
 def adapter_size(specs: tuple[LayerSpec, ...], rank: int) -> int:
@@ -336,19 +335,17 @@ class AdapterDelta:
 
 
 def init_model(cfg: ModelConfig) -> tuple[BaseWeights, AdapterDelta]:
-    """Seeded init: base weights Normal(0, 1/fan_in), biases zero,
-    up pairs zero (so the initial delta composes to nothing), down pairs
-    Normal(0, 0.02^2)."""
+    """Seeded init: base weights Normal(0, 1/fan_in) (BaseWeights adds
+    the zero biases), up pairs zero (so the initial delta composes to
+    nothing), down pairs Normal(0, 0.02^2)."""
     specs = layer_specs(cfg)
     gen = rng.substream(cfg.seed, "model-init")
     delta = AdapterDelta(specs, cfg.rank, cfg.adapter_alpha, np.zeros(adapter_size(specs, cfg.rank)))
-    weights, biases = [], []
+    weights = []
     for i, spec in enumerate(specs):
         weights.append(rng.normal(gen, (spec.fan_out, spec.fan_in), scale=1.0 / np.sqrt(spec.fan_in)))
-        biases.append(np.zeros(spec.fan_out))
         delta.down[i][...] = rng.normal(gen, (cfg.rank, spec.fan_in), scale=0.02)
-    base = BaseWeights(specs=specs, weights=weights, biases=biases)
-    return base, delta
+    return BaseWeights(specs=specs, weights=weights), delta
 
 
 def compose_updates(delta: AdapterDelta, out: Grouped | None = None) -> Grouped:
@@ -469,16 +466,17 @@ def _run_forward(
     scratch: np.ndarray | None = None,
     tape: list | None = None,
 ) -> np.ndarray:
-    """Logits. With a client axis on the batch and the weights, np.matmul
-    runs every client's product in one call, each bit for bit the 2-D
-    product of that client alone.
+    """Logits: every layer is its weight product alone, with no bias
+    (BaseWeights). With a client axis on the batch and the weights,
+    np.matmul runs every client's product in one call, each bit for bit
+    the 2-D product of that client alone.
 
     tape, when given, receives one (input, post-tanh output) pair per
     layer in layer_specs order: the head's output is None, and both of
-    every layer of an idle encoder stack (batch.absent and
-    base.stack_zero_bias both flag it), which is not run; its slice of the
-    trunk input is written +0, the value running it would give. Only the
-    backward pass reads them, so evaluation records nothing.
+    every layer of an idle encoder stack (one batch.absent flags), which
+    is not run; its slice of the trunk input is written +0, the value
+    running it would give. Only the backward pass reads them, so
+    evaluation records nothing.
 
     With scratch (forward_scratch) activations are views that later
     layers overwrite: tanh layers alternate between blocks 0 and 1, and
@@ -496,8 +494,6 @@ def _run_forward(
         for layer in layers:
             k ^= 1
             h = np.matmul(u, weights[layer].swapaxes(-1, -2), out=block(k, specs[layer].fan_out))
-            if not base.zero_bias[layer]:
-                h += base.biases[layer]
             np.tanh(h, out=h)
             if tape is not None:
                 tape.append((u, h))
@@ -510,7 +506,7 @@ def _run_forward(
     offset = 0
     for m, stack in enumerate(base.encoders):
         width = specs[stack[-1]].fan_out
-        if base.stack_zero_bias[m] and batch.absent[m]:
+        if batch.absent[m]:
             fused[..., offset : offset + width] = 0.0
             if tape is not None:
                 tape += [(None, None)] * len(stack)
@@ -521,8 +517,6 @@ def _run_forward(
     head = base.trunk.stop
     u = chain(base.trunk, fused, 1)
     logits = u @ weights[head].swapaxes(-1, -2)
-    if not base.zero_bias[head]:
-        logits += base.biases[head]
     if tape is not None:
         tape.append((u, None))
     return logits
@@ -695,7 +689,7 @@ def read_checkpoint(
     layers' fans and depths are those layer_specs gives the ModelConfig
     layout_config reads off them; the arrays are layer_arrays' (base ones
     too in a model checkpoint) and then the adapter-wide `buffers`, alone,
-    in that order, each in its shape and finite."""
+    in that order, each in its shape and finite, and every bias +0."""
     meta, arrays = read_tensor_file(path)
     _check_entries(f"{path}: header", meta, {"kind": (lambda v: v == kind, f"be {kind!r}"), **header_rules, **ADAPTER_HEADER})
     for i, entry in enumerate(meta["layers"]):
@@ -710,7 +704,7 @@ def read_checkpoint(
     delta = AdapterDelta(specs, meta["rank"], float(meta["adapter_alpha"]), np.zeros(adapter_size(specs, meta["rank"])))
     base = None
     if kind == "model":  # zero base arrays in the shapes the file's must have
-        base = BaseWeights(specs, [np.zeros((s.fan_out, s.fan_in)) for s in specs], [np.zeros(s.fan_out) for s in specs])
+        base = BaseWeights(specs, [np.zeros((s.fan_out, s.fan_in)) for s in specs])
     want = layer_arrays(delta, base) + [(name, delta.flat) for name in buffers]
     _expect_names(f"{path}: array", list(arrays), [name for name, _ in want])
     for name, like in want:
@@ -718,6 +712,8 @@ def read_checkpoint(
             raise ValueError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {like.shape}")
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"{path}: array {name!r} is not finite")
+        if name.endswith(".bias") and arrays[name].view(np.uint64).any():  # a -0.0 too: only +0.0 has no bit set
+            raise ValueError(f"{path}: array {name!r} is not zero")
     for name, view in layer_arrays(delta):
         view[...] = arrays[name]
     return meta, arrays, delta
@@ -738,4 +734,4 @@ def save_checkpoint(path: str | Path, base: BaseWeights, delta: AdapterDelta) ->
 def load_checkpoint(path: str | Path) -> tuple[BaseWeights, AdapterDelta]:
     _, arrays, delta = read_checkpoint(path, "model", {})
     specs = delta.specs
-    return BaseWeights(specs, [arrays[f"{s.name}.weight"] for s in specs], [arrays[f"{s.name}.bias"] for s in specs]), delta
+    return BaseWeights(specs, [arrays[f"{s.name}.weight"] for s in specs]), delta

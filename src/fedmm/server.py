@@ -200,14 +200,17 @@ class RunLog:
 
     @classmethod
     def read(cls, path: str | Path) -> "RunLog":
-        """The records of a run log; a line that is not strict JSON
-        (tensorio.loads) raises ValueError naming the file and the line."""
+        """The records of a run log. Each line must be strict JSON
+        (tensorio.loads) holding an object whose eval, unless null or
+        absent, is an object as evaluate writes it: a string metric and a
+        number, not a boolean, for each of value and accuracy. Any other
+        line raises ValueError naming the file and the line."""
         records = []
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
                     try:
-                        records.append(loads(line))
+                        records.append(_check_record(loads(line)))
                     except ValueError as err:
                         raise ValueError(f"{path}:{lineno}: {err}") from None
         return cls(records=records)
@@ -217,6 +220,18 @@ class RunLog:
             if rec.get("eval") is not None:
                 return rec["eval"]
         return None
+
+
+def _check_record(record: object) -> dict:
+    """record, if RunLog.read admits it; else ValueError saying why."""
+    if type(record) is not dict:
+        raise ValueError(f"a record must be an object, got {record!r:.80}")
+    ev = record.get("eval")
+    if ev is not None and not (
+        type(ev) is dict and type(ev.get("metric")) is str and all(type(ev.get(key)) in (int, float) for key in ("value", "accuracy"))
+    ):
+        raise ValueError(f"eval must be null or an object with a string metric and a number value and accuracy, got {ev!r:.80}")
+    return record
 
 
 def _check_trained(trained: AdapterDelta, traces: list[list[float]], clients: list[int], where: str = "") -> None:

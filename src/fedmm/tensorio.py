@@ -80,6 +80,10 @@ def write_tensor_file(path: str | Path, meta: dict, arrays: list[tuple[str, np.n
 
 
 def read_tensor_file(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """A tensor file's metadata and its arrays, in file order. The header
+    must be laid out as write_tensor_file lays it out, `arrays` last and
+    each entry's keys name and shape alone, in that order, and the payload
+    must hold the arrays' bytes exactly; else ValueError naming the file."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -87,16 +91,16 @@ def read_tensor_file(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         header = loads(header_line.decode("utf-8"))
     except ValueError as err:  # UnicodeDecodeError and JSONDecodeError alike
         raise ValueError(f"{path}: header line is not UTF-8 JSON: {err}") from None
-    manifest = header.pop("arrays", None) if isinstance(header, dict) else None
-    if not isinstance(manifest, list):
-        raise ValueError(f"{path}: header is not an object with an `arrays` list")
+    if not isinstance(header, dict) or list(header)[-1:] != ["arrays"] or not isinstance(header["arrays"], list):
+        raise ValueError(f"{path}: header is not an object whose last key is an `arrays` list")
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in manifest:
-        name = entry.get("name") if isinstance(entry, dict) else None
+    for entry in header.pop("arrays"):
+        if not isinstance(entry, dict) or list(entry) != ["name", "shape"]:
+            raise ValueError(f"{path}: array entry {entry!r:.80} does not hold the keys name and shape alone, in that order")
+        name, shape = entry["name"], entry["shape"]
         if not isinstance(name, str) or name in arrays:
             raise ValueError(f"{path}: array entry {entry!r} lacks a unique string name")
-        shape = entry.get("shape")
         # bool is an int subclass; a JSON true is not a dimension
         if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
             raise ValueError(f"{path}: array {name!r} has shape {shape!r}, not a list of non-negative ints")

@@ -41,6 +41,8 @@ def move_to_end(name):
         pytest.param("server", set_first("head.up", math.inf), "array 'head.up' is not finite", id="inf-global-adapter"),
         pytest.param("model", set_first("head.down", math.nan), "array 'head.down' is not finite", id="nan-adapter"),
         pytest.param("model", set_first("enc0.0.weight", math.nan), "array 'enc0.0.weight' is not finite", id="nan-base-weight"),
+        pytest.param("model", set_first("enc0.0.bias", 0.5), "array 'enc0.0.bias' is not zero", id="nonzero-bias"),
+        pytest.param("model", set_first("head.bias", -0.0), "array 'head.bias' is not zero", id="negative-zero-bias"),
         pytest.param("model", lambda meta, arrays: arrays.update(extra=np.zeros(2)), "array #44 is 'extra', expected None", id="extra-array"),
         pytest.param("model", lambda meta, arrays: meta.update(note="x"), "header key #4 is 'note', expected None", id="unknown-model-key"),
         pytest.param("server", lambda meta, arrays: meta.update(note="x"), "header key #11 is 'note', expected None", id="unknown-server-key"),
@@ -79,6 +81,41 @@ def test_loaders_reject_header_the_writer_cannot_write(tmp_path, kind, old, new,
     path, load = saved_checkpoint(tmp_path, kind, ModelConfig())
     edit_header(path, old, new)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header line is not UTF-8 JSON: {re.escape(message)}$"):
+        load(path)
+
+
+def arrays_first(path):
+    """Move the header's `arrays` key from last to first: the metadata
+    keys keep their order."""
+    header, payload = path.read_bytes().split(b"\n", 1)
+    meta = json.loads(header)
+    path.write_bytes(json.dumps({"arrays": meta.pop("arrays"), **meta}).encode("utf-8") + b"\n" + payload)
+
+
+HEAD_DOWN = b'{"name": "head.down", "shape": [4, 32]}'
+
+
+@pytest.mark.parametrize("kind", ["model", "server"])
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        pytest.param(
+            lambda path: edit_header(path, HEAD_DOWN, b'{"name": "head.down", "shape": [4, 32], "dtype": "<f8"}'),
+            "array entry {'name': 'head.down', 'shape': [4, 32], 'dtype': '<f8'} does not hold the keys name and shape alone, in that order",
+            id="entry-with-a-third-key",
+        ),
+        pytest.param(
+            lambda path: edit_header(path, HEAD_DOWN, b'{"shape": [4, 32], "name": "head.down"}'),
+            "array entry {'shape': [4, 32], 'name': 'head.down'} does not hold the keys name and shape alone, in that order",
+            id="entry-keys-swapped",
+        ),
+        pytest.param(arrays_first, "header is not an object whose last key is an `arrays` list", id="arrays-not-last"),
+    ],
+)
+def test_loaders_reject_array_manifest_the_writer_cannot_write(tmp_path, kind, edit, message):
+    path, load = saved_checkpoint(tmp_path, kind, ModelConfig())
+    edit(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
         load(path)
 
 

@@ -717,6 +717,29 @@ def test_report_reads_train_dirs(tmp_path, capsys):
     assert f"all runs: roc_auc n=2 {sum(values) / 2:.4f} +- {abs(values[0] - values[1]) / 2:.4f}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        pytest.param("[1]", id="not-an-object"),
+        pytest.param('{"round": 2, "eval": {"value": 0.5, "accuracy": 0.5}}', id="eval-without-metric"),
+        pytest.param('{"round": 2, "eval": ["macro_f1", 0.5, 0.5]}', id="eval-is-a-list"),
+        pytest.param('{"round": 2, "eval": {"metric": "macro_f1", "value": "0.5", "accuracy": 0.5}}', id="value-is-a-string"),
+        pytest.param('{"round": 2, "eval": {"metric": "macro_f1", "value": true, "accuracy": 0.5}}', id="value-is-a-boolean"),
+    ],
+)
+def test_report_on_malformed_runlog_exits_2_without_csv(tmp_path, capsys, line):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    ExperimentConfig.from_sources().write_snapshot(run_dir / "config.resolved")
+    runlog = run_dir / "runlog.jsonl"
+    good = '{"round": 1, "eval": {"metric": "macro_f1", "value": 0.5, "accuracy": 0.5}}'
+    runlog.write_text(f"{good}\n{line}\n", encoding="utf-8")
+    report = tmp_path / "report.csv"
+    assert run(["report", str(run_dir), "--out", str(report)]) == 2
+    assert f"fedmm report: {runlog}:2: " in capsys.readouterr().err
+    assert not report.exists()
+
+
 # Text with no decimal digit cannot parse as a number, so no drawn value
 # can make a run bigger than the tiny config.
 _BAD_VALUES = st.one_of(

@@ -183,8 +183,7 @@ def test_single_affine_hand_computation():
     specs = layer_specs(cfg)
     assert len(specs) == 1 and specs[0].fan_in == 4
     w = np.arange(8.0).reshape(2, 4)
-    b = np.array([0.5, -0.5])
-    base = BaseWeights(specs=specs, weights=[w], biases=[b])
+    base = BaseWeights(specs=specs, weights=[w])
     delta = AdapterDelta(specs=specs, rank=1, adapter_alpha=1.0, flat=np.zeros(6))
     batch = Batch(
         features=[np.array([[2.0]]), np.array([[3.0]])],
@@ -193,7 +192,7 @@ def test_single_affine_hand_computation():
     )
     logits = forward(base, delta, batch)
     x = np.array([2.0, 1.0, 3.0, 1.0])
-    assert np.allclose(logits[0], w @ x + b)
+    assert np.allclose(logits[0], w @ x)
 
 
 def expected_layout(specs, modality_count):
@@ -214,17 +213,17 @@ def test_layout_equals_reference_counting_rule(tmp_path):
                 want = expected_layout(base.specs, modalities)
                 for built in (base, load_checkpoint(path)[0]):
                     assert (built.encoders, built.trunk) == want, (modalities, enc, trunk)
-                    assert built.stack_zero_bias == (True,) * len(want[0])
                     assert built.trunk.stop == len(built.specs) - 1
 
 
-def test_stack_zero_bias_flags_each_stack(tiny_model):
-    _, base, _ = tiny_model
-    biases = [b.copy() for b in base.biases]
-    biases[base.encoders[1][-1]][0] = 0.5
-    biases[base.trunk[0]][0] = 0.5  # trunk biases belong to no stack
-    biased = BaseWeights(base.specs, [w.copy() for w in base.weights], biases)
-    assert base.stack_zero_bias == (True, True) and biased.stack_zero_bias == (True, False)
+def test_bases_hold_write_protected_zero_biases(tiny_model, tmp_path):
+    _, base, delta = tiny_model  # built by init_model
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, base, delta)
+    for built in (base, load_checkpoint(path)[0]):
+        assert [b.shape for b in built.biases] == [(s.fan_out,) for s in built.specs]
+        for bias in built.biases:
+            assert bias.tobytes() == bytes(bias.nbytes) and not bias.flags.writeable
 
 
 def scanned_absent(batch):
@@ -414,7 +413,6 @@ def test_uniform_logits_loss_is_log_class_count():
     base = BaseWeights(
         specs=specs,
         weights=[np.zeros((s.fan_out, s.fan_in)) for s in specs],
-        biases=[np.zeros(s.fan_out) for s in specs],
     )
     delta = AdapterDelta(
         specs=specs,
