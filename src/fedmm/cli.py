@@ -32,6 +32,7 @@ import statistics
 import sys
 from pathlib import Path
 
+from .client import masked_depths
 from .config import SCHEMA, ExperimentConfig, render_value
 from .data import SPLITS, DatasetManifest, load_manifest, modality_stats, save_manifest, synth_generate
 from .metrics import EvalSet
@@ -66,7 +67,7 @@ def _setup(cfg: ExperimentConfig) -> tuple[DatasetManifest, EvalSet, ClientParti
     fl = cfg.fl_config()
     sample_clients(partition.sizes(), fl.clients_per_round, 1, fl.seed)
     model_cfg = cfg.model_config(train)
-    if fl.reg.enabled and 2 * fl.reg.margin >= model_cfg.depth:
+    if fl.reg.enabled and not masked_depths(model_cfg.depth, fl.reg.margin):
         raise ValueError(f"reg.margin {fl.reg.margin} masks out all {model_cfg.depth} depths of the model; the regularizer would be inert")
     return train, EvalSet(test, str(cfg["metric"])), partition, model_cfg
 

@@ -4,13 +4,18 @@ Each selected client copies the incoming global adapter delta, trains it
 on its own samples with an Adam-style optimizer under a per-round cosine
 schedule, and optionally adds a proximal term that pulls the composed
 per-layer updates of the middle depths back toward the global ones.
+Adam's decay rates and epsilon are fixed (LocalTrainConfig's class
+constants); the config sets only epochs, batch size, peak learning rate
+and warmup.
 
 The proximal strength adapts to how damaged the client's modalities are:
 a client holding every modality on every sample gets 0, a client
 lacking some modality on all its samples gets gamma_max, and any other
 client gets gamma_max scaled by its fraction of absent (sample,
-modality) slots. The depth mask switches the first and last `margin`
-depths off, leaving only middle layers constrained.
+modality) slots. The depth mask leaves the first and last `margin`
+depths unconstrained: masked_depths is the one home of that band, read
+by make_reg_context and by the set-up check that rejects an enabled
+regularizer whose band is empty.
 
 A run builds its training set once (TrainSet): the partition's rows and
 masks, which hold every client's shard back to back in client order, as
@@ -63,7 +68,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -108,9 +113,10 @@ class LocalTrainConfig:
     batch_size: int = 16
     lr: float = 1e-2  # 2e-5 suits full-scale backbones
     warmup_ratio: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    # Adam's decay rates and epsilon: fixed, so no config key sets them
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -123,21 +129,10 @@ class LocalTrainConfig:
             raise ValueError(f"warmup_ratio must lie in [0, 1], got {self.warmup_ratio}")
 
 
-def mask_vector(depth: int, margin: int) -> np.ndarray:
-    """Boolean depth mask: first and last `margin` depths off, middle on.
-
-    When 2 * margin >= depth nothing remains; that degenerate all-false
-    mask is returned with a warning since it silences the regularizer.
-    """
-    mask = np.zeros(depth, dtype=bool)
-    if 2 * margin >= depth:
-        warnings.warn(
-            f"margin {margin} masks out all {depth} depths; regularizer is inert",
-            stacklevel=2,
-        )
-        return mask
-    mask[margin : depth - margin] = True
-    return mask
+def masked_depths(depth: int, margin: int) -> range:
+    """The depths the proximal term constrains: all of range(depth) but
+    the first and last `margin`, so none when 2 * margin >= depth."""
+    return range(margin, depth - margin)
 
 
 class BoundTerm(NamedTuple):
@@ -181,16 +176,18 @@ class RegContext:
 
 
 def make_reg_context(global_delta: AdapterDelta, composed: Grouped, margin: int, gamma: float) -> RegContext:
-    """The proximal context of the layers mask_vector switches on, taking
-    their targets from `composed`, the global delta's composed updates
-    (model.compose_updates). Its mask is one interval of depths, so each
-    depth-ordered group's masked-in layers are one slice."""
+    """The proximal context of the layers at masked_depths, taking their
+    targets from `composed`, the global delta's composed updates
+    (model.compose_updates). The band is one interval of depths, so each
+    depth-ordered group's masked-in layers are one slice. An empty band
+    warns, since it silences the regularizer."""
     depth = max(s.depth for s in global_delta.specs) + 1
-    on = np.flatnonzero(mask_vector(depth, margin))
-    lo, hi = (on[0], on[-1] + 1) if on.size else (0, 0)
+    band = masked_depths(depth, margin)
+    if not band:
+        warnings.warn(f"margin {margin} masks out all {depth} depths; regularizer is inert", stacklevel=2)
     slices, layers = [], []
     for g, group in enumerate(global_delta.groups):
-        span = group.span(lo, hi)
+        span = group.span(band.start, band.stop)
         if span.start < span.stop:
             slices.append((g, span, composed.stacks[g][span]))
             layers += group.layers[span]

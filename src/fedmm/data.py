@@ -171,7 +171,8 @@ def _stacked(modalities: tuple[ModalityDescriptor, ...], samples: list[Sample]) 
     """The records' ids, labels, feature matrices and presence, for the
     constructor, which checks them; raises on a record that cannot be
     stacked: a label that is not an integer, an undeclared modality, or a
-    vector that is not an array of its modality's dim."""
+    vector that is not a real array (_is_real_array) of its modality's
+    dim."""
     n, features = len(samples), [s.features for s in samples]
     presence = np.array([s.presence(modalities) for s in samples], dtype=bool).reshape(n, len(modalities))
     if presence.sum() != sum(map(len, features)):
@@ -179,8 +180,8 @@ def _stacked(modalities: tuple[ModalityDescriptor, ...], samples: list[Sample]) 
     matrices = []
     for m, present in zip(modalities, presence.T):
         vecs = [f[m.name] for f in features if m.name in f]
-        if {getattr(v, "shape", None) for v in vecs} - {(m.dim,)}:
-            raise ValueError(f"modality {m.name!r} holds a vector that is not an array of shape ({m.dim},)")
+        if {(_is_real_array(v), getattr(v, "shape", None)) for v in vecs} - {(True, (m.dim,))}:
+            raise ValueError(f"modality {m.name!r} holds a vector that is not a real array of shape ({m.dim},)")
         matrix = np.zeros((n, m.dim))
         if vecs:
             matrix[present] = np.stack(vecs)
@@ -189,8 +190,16 @@ def _stacked(modalities: tuple[ModalityDescriptor, ...], samples: list[Sample]) 
     return [s.id for s in samples], labels, matrices, presence
 
 
+def _is_real_array(vec: object) -> bool:
+    """Whether vec is a numpy array of bools, ints, uints or floats: a
+    list, a string, or a complex or object array is not."""
+    return isinstance(vec, np.ndarray) and vec.dtype.kind in "biuf"
+
+
 def _check_each_sample(samples: list[Sample], class_count: int, dims: dict[str, int]) -> None:
-    """Check sample by sample, in order, raising for the first violation."""
+    """Check sample by sample, in order, raising ValueError for the first
+    violation: a label that is no number counts as outside no range, and
+    fails the integer check instead."""
     seen: set[str] = set()
     for s in samples:
         if s.id in seen:
@@ -198,7 +207,11 @@ def _check_each_sample(samples: list[Sample], class_count: int, dims: dict[str, 
         seen.add(s.id)
         if not s.features:
             raise ValueError(f"sample {s.id!r} has no modalities")
-        if not (0 <= s.label < class_count):
+        try:
+            outside = not (0 <= s.label < class_count)
+        except (TypeError, ValueError):
+            outside = False
+        if outside:
             raise ValueError(f"sample {s.id!r} label {s.label} outside [0, {class_count})")
         try:
             operator.index(s.label)
@@ -207,6 +220,8 @@ def _check_each_sample(samples: list[Sample], class_count: int, dims: dict[str, 
         for name, vec in s.features.items():
             if name not in dims:
                 raise ValueError(f"sample {s.id!r} carries undeclared modality {name!r}")
+            if not _is_real_array(vec):
+                raise ValueError(f"sample {s.id!r} modality {name!r} is not a numpy array of bools, ints, uints or floats")
             if vec.shape != (dims[name],):
                 raise ValueError(
                     f"sample {s.id!r} modality {name!r} has shape {vec.shape}, expected ({dims[name]},)"

@@ -14,7 +14,8 @@ rate, whose default of 1 adds the averaged delta as it is):
   yogi       m as adam; v = v - (1-b2) d^2 sign(v - d^2)
                                                   w += lr * m / (sqrt(v) + tau)
 
-No bias correction anywhere; moments start at zero.
+No bias correction anywhere; moments start at zero. b1, b2, tau and
+momentum are fixed (BETA1, BETA2, TAU, MOMENTUM); only lr is set per run.
 """
 
 from __future__ import annotations
@@ -49,26 +50,31 @@ AGGREGATOR_KINDS = ("plain_avg", "avgm", "adagrad", "adam", "yogi")
 # avgm's steady-state step is lr / (1 - momentum) times the averaged
 # delta, so 0.1 with momentum 0.9 moves as far as plain_avg.
 DEFAULT_SERVER_LR = {"plain_avg": 1.0, "avgm": 0.1, "adagrad": 0.01, "adam": 0.01, "yogi": 0.01}
-# What server_state.bin holds beside its kind and the adapter: the
-# ServerState fields in header order ("aggregator" holds ServerState.kind),
-# each with the test its value must pass and what that test asks, then
-# the moment buffers in array order. bool is an int subclass; a JSON true
-# is neither a round nor a rate.
-_RATE = (lambda v: type(v) in (int, float) and v > 0, "be > 0")
-_DECAY = (lambda v: type(v) in (int, float) and 0 <= v < 1, "lie in [0, 1)")
+# server_step's fixed hyperparameters: Adam's and Yogi's decay rates,
+# the adaptive rules' tau, and avgm's momentum.
+BETA1, BETA2, TAU, MOMENTUM = 0.9, 0.99, 1e-3, 0.9
+_CONSTANTS = {"beta1": BETA1, "beta2": BETA2, "tau": TAU, "momentum": MOMENTUM}
+# What server_state.bin holds beside its kind and the adapter: its header
+# keys in order ("aggregator" holds ServerState.kind, and the last four
+# record server_step's constants, which a loaded file must match), each
+# with the test its value must pass and what that test asks, then the
+# moment buffers in array order. bool is an int subclass; a JSON true is
+# neither a round nor a rate.
 SERVER_STATE_HEADER = {
     "aggregator": (lambda v: v in AGGREGATOR_KINDS, f"be one of {AGGREGATOR_KINDS}"),
     "round": (lambda v: type(v) is int and v >= 0, "be an int >= 0"),
-    "lr": _RATE, "beta1": _DECAY, "beta2": _DECAY, "tau": _RATE, "momentum": _DECAY,
+    "lr": (lambda v: type(v) in (int, float) and v > 0, "be > 0"),
+    **{key: (lambda v, c=c: v == c, f"be {c!r}") for key, c in _CONSTANTS.items()},
 }
 SERVER_STATE_BUFFERS = ("first_moment", "second_moment", "momentum_buf")
 
 
 @dataclass(frozen=True)
 class ServerState:
-    """Aggregator kind, global delta, flat moment buffers, round counter,
-    and hyperparameters. server_step returns a new state; nothing here is
-    updated in place."""
+    """Aggregator kind, global delta, flat moment buffers, round counter
+    and server learning rate; the other hyperparameters are the module's
+    constants. server_step returns a new state; nothing here is updated
+    in place."""
 
     kind: str
     global_delta: AdapterDelta
@@ -77,10 +83,6 @@ class ServerState:
     momentum_buf: np.ndarray
     round: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.99
-    tau: float = 1e-3
-    momentum: float = 0.9
 
 
 def init_server_state(kind: str, delta: AdapterDelta, lr: float | None = None) -> ServerState:
@@ -131,28 +133,27 @@ def pseudo_gradient(
 
 
 def server_step(state: ServerState, pseudo_grad: AdapterDelta) -> ServerState:
-    """One aggregation step; pure, returns the successor state."""
+    """One aggregation step; pure, returns the successor state. Every
+    rule builds new arrays, so the moment buffers are read, not copied."""
     d = pseudo_grad.flat
     w = state.global_delta.flat
-    m = state.first_moment.copy()
-    v = state.second_moment.copy()
-    buf = state.momentum_buf.copy()
+    m, v, buf = state.first_moment, state.second_moment, state.momentum_buf
     if state.kind == "plain_avg":
         w = w + state.lr * d
     elif state.kind == "avgm":
-        buf = state.momentum * buf + d
+        buf = MOMENTUM * buf + d
         w = w + state.lr * buf
     elif state.kind == "adagrad":
         v = v + d * d
-        w = w + state.lr * d / (np.sqrt(v) + state.tau)
+        w = w + state.lr * d / (np.sqrt(v) + TAU)
     elif state.kind == "adam":
-        m = state.beta1 * m + (1.0 - state.beta1) * d
-        v = state.beta2 * v + (1.0 - state.beta2) * d * d
-        w = w + state.lr * m / (np.sqrt(v) + state.tau)
+        m = BETA1 * m + (1.0 - BETA1) * d
+        v = BETA2 * v + (1.0 - BETA2) * d * d
+        w = w + state.lr * m / (np.sqrt(v) + TAU)
     else:  # yogi; init_server_state and load_server_state admit no other kind
-        m = state.beta1 * m + (1.0 - state.beta1) * d
-        v = v - (1.0 - state.beta2) * d * d * np.sign(v - d * d)
-        w = w + state.lr * m / (np.sqrt(v) + state.tau)
+        m = BETA1 * m + (1.0 - BETA1) * d
+        v = v - (1.0 - BETA2) * d * d * np.sign(v - d * d)
+        w = w + state.lr * m / (np.sqrt(v) + TAU)
     return replace(
         state,
         global_delta=replace(state.global_delta, flat=w),
@@ -350,7 +351,7 @@ def save_server_state(path: str | Path, state: ServerState) -> None:
     delta = state.global_delta
     meta = {
         "kind": "server",
-        **{name: getattr(state, "kind" if name == "aggregator" else name) for name in SERVER_STATE_HEADER},
+        "aggregator": state.kind, "round": state.round, "lr": state.lr, **_CONSTANTS,
         **adapter_meta(delta),
     }
     # the moment buffers in layer order, as the per-layer arrays before them
@@ -361,8 +362,9 @@ def save_server_state(path: str | Path, state: ServerState) -> None:
 
 def load_server_state(path: str | Path) -> ServerState:
     """Read a server checkpoint under SERVER_STATE_HEADER and
-    SERVER_STATE_BUFFERS (read_checkpoint), whose second moment must be
-    nowhere negative: adagrad, adam and yogi keep it >= 0, and sqrt of a
+    SERVER_STATE_BUFFERS (read_checkpoint): its header must record
+    server_step's constants, and its second moment must be nowhere
+    negative: adagrad, adam and yogi keep it >= 0, and sqrt of a
     negative entry is NaN at the next server_step."""
     meta, arrays, delta = read_checkpoint(path, "server", SERVER_STATE_HEADER, SERVER_STATE_BUFFERS)
     if (arrays["second_moment"] < 0).any():
@@ -373,5 +375,5 @@ def load_server_state(path: str | Path) -> ServerState:
         global_delta=delta,
         **{name: arrays[name][from_layer_order] for name in SERVER_STATE_BUFFERS},
         round=meta["round"],
-        **{name: float(meta[name]) for name in list(SERVER_STATE_HEADER)[2:]},
+        lr=float(meta["lr"]),
     )

@@ -22,7 +22,7 @@ from fedmm.client import (
     RegularizerConfig,
     build_train_set,
     make_reg_context,
-    mask_vector,
+    masked_depths,
     reg_value_and_grad,
 )
 from fedmm.cli import run as cli_run
@@ -287,9 +287,11 @@ def test_04_gamma_and_mask_exactness(capsys):
         for got, (masks, want) in zip(data.gamma, table):
             assert got == pytest.approx(want, abs=1e-15), masks
 
-        assert mask_vector(8, 2).tolist() == [False, False, True, True, True, True, False, False]
-        with pytest.warns(UserWarning):
-            assert not mask_vector(4, 2).any()
+        assert masked_depths(8, 2) == range(2, 6)
+        assert not masked_depths(4, 2)
+        _, delta = init_model(ModelConfig(modality_dims=(2, 2), hidden=3, encoder_depth=1, trunk_depth=2, class_count=2, rank=1))
+        with pytest.warns(UserWarning, match="^margin 2 masks out all 4 depths; regularizer is inert$"):
+            assert make_reg_context(delta, compose_updates(delta), margin=2, gamma=0.5).slices == ()
 
 
 # ---------------------------------------------------------------- 5

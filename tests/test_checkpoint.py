@@ -154,7 +154,7 @@ def saved_state(path, kind, cfg, seed):
     width = delta.flat.size
     state = replace(
         init_server_state("yogi", delta), first_moment=gen.normal(size=width), second_moment=gen.random(width),
-        momentum_buf=gen.normal(size=width), round=7, beta1=0.8, tau=2e-3,
+        momentum_buf=gen.normal(size=width), round=7,
     )
     save_server_state(path, state)
 

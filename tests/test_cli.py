@@ -16,6 +16,7 @@ from conftest import tiny_manifest
 from fedmm.cli import build_parser, run, summary_lines, sweep_configs
 from fedmm.config import SCHEMA, ExperimentConfig, parse_value
 from fedmm.data import load_manifest, save_manifest
+from fedmm.promptgen import AGNOSTIC_CLAUSE, ANSWER_TAIL, CRISIS_MMD
 from platform_fingerprint import platforms
 from test_config import LINE_BREAKS
 from test_data import rewrite_line
@@ -483,6 +484,30 @@ def test_baseline_divergence_exits_2_without_out_dir(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_train_global_adapter_overflow_exits_2_without_out_dir(tmp_path, capsys):
+    # every client's adapter is finite; the server step overflows it
+    out = tmp_path / "out"
+    argv = ["train", "--set", "fl.aggregator=plain_avg", "--set", "fl.server_lr=1.7e308", "--set", "local.lr=1",
+            "--set", "fl.rounds=2", "--set", f"out_dir={out}"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "fedmm train: round 1: global adapter is not finite after aggregating clients [7, 9]\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_on_empty_manifest_file_exits_2_without_out_dir(tmp_path, capsys):
+    empty, good = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    empty.write_bytes(b"")
+    save_manifest(tiny_manifest(split="test"), good)
+    out = tmp_path / "out"
+    argv = ["train", "--set", "data.source=manifest", "--set", f"data.train_manifest={empty}",
+            "--set", f"data.test_manifest={good}", "--set", f"out_dir={out}"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"fedmm train: {empty}: empty manifest file\n"
+    assert not out.exists()
+
+
 def test_train_does_not_touch_config_file(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg = write_config(cfg_path, [f"out_dir = {tmp_path / 'out'}"])
@@ -515,6 +540,20 @@ def test_export_instructions_files(tmp_path):
     assert len(files) == 3
     total = sum(len(f.read_text(encoding="utf-8").splitlines()) for f in files)
     assert total == 12
+
+
+def test_export_instructions_for_eight_classes_renders_crisis_mmd_inline(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg", [f"out_dir = {out}", "synth.classes = 8"])
+    assert run(["export-instructions", "--config", cfg]) == 0
+    options = "\n".join(CRISIS_MMD.option_line(i) for i in range(8))
+    records = [json.loads(line) for f in sorted((out / "instructions").glob("client_*.jsonl"))
+               for line in f.read_text(encoding="utf-8").splitlines()]
+    assert len(records) == 48
+    for record in records:
+        user, assistant = (turn["content"] for turn in record["conversations"])
+        assert user.endswith(f"\n{CRISIS_MMD.question}{AGNOSTIC_CLAUSE}?\nOptions:{options} {ANSWER_TAIL}")
+        assert assistant in options.splitlines()
 
 
 def test_sweep_grid_and_report(tmp_path):
@@ -737,6 +776,20 @@ def test_report_on_malformed_runlog_exits_2_without_csv(tmp_path, capsys, line):
     report = tmp_path / "report.csv"
     assert run(["report", str(run_dir), "--out", str(report)]) == 2
     assert f"fedmm report: {runlog}:2: " in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("runlog", [None, '{"round": 1, "eval": null}\n'], ids=["no-runlog", "no-eval-record"])
+def test_report_on_run_without_evaluation_exits_2_without_csv(tmp_path, capsys, runlog):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    ExperimentConfig.from_sources().write_snapshot(run_dir / "config.resolved")
+    if runlog is not None:
+        (run_dir / "runlog.jsonl").write_text(runlog, encoding="utf-8")
+    report = tmp_path / "report.csv"
+    assert run(["report", str(run_dir), "--out", str(report)]) == 2
+    why = "missing config.resolved or runlog.jsonl" if runlog is None else "runlog has no evaluation records"
+    assert capsys.readouterr().err == f"fedmm report: {run_dir}: {why}\n"
     assert not report.exists()
 
 

@@ -26,7 +26,7 @@ from fedmm.client import (
     cosine_lr,
     local_train,
     make_reg_context,
-    mask_vector,
+    masked_depths,
     round_reg_context,
     reg_value_and_grad,
 )
@@ -38,19 +38,21 @@ from test_model import central_difference, relative_errors
 
 # ---------- mask ----------
 
-def test_mask_vector_middle_band():
-    mask = mask_vector(8, 2)
-    assert mask.tolist() == [False, False, True, True, True, True, False, False]
+def test_masked_depths_middle_band():
+    assert masked_depths(8, 2) == range(2, 6)
 
 
-def test_mask_vector_zero_margin_all_on():
-    assert mask_vector(5, 0).all()
+def test_masked_depths_zero_margin_all_on():
+    assert masked_depths(5, 0) == range(5)
 
 
-def test_mask_vector_degenerate_warns():
-    with pytest.warns(UserWarning, match="inert"):
-        mask = mask_vector(4, 2)
-    assert not mask.any()
+def test_masked_depths_degenerate_is_empty_and_context_warns(tiny_model):
+    _, _, delta = tiny_model
+    depth = max(s.depth for s in delta.specs) + 1
+    assert not masked_depths(4, 2) and not masked_depths(depth, depth)
+    with pytest.warns(UserWarning, match=f"^margin {depth} masks out all {depth} depths; regularizer is inert$"):
+        ctx = make_reg_context(delta, compose_updates(delta), depth, 0.5)
+    assert ctx.slices == () and ctx.order.size == 0
 
 
 # ---------- proximal term ----------
@@ -122,10 +124,10 @@ def test_reg_gradient_matches_central_differences(tiny_model):
 def masked_in_slots(delta, margin):
     """Which of delta's parameters belong to a layer the depth mask of
     `margin` switches on."""
-    mask = mask_vector(max(s.depth for s in delta.specs) + 1, margin)
+    band = masked_depths(max(s.depth for s in delta.specs) + 1, margin)
     marker = replace(delta, flat=np.zeros(delta.flat.shape[-1]))
     for i, spec in enumerate(delta.specs):
-        marker.up[i][...] = marker.down[i][...] = mask[spec.depth]
+        marker.up[i][...] = marker.down[i][...] = spec.depth in band
     return marker.flat == 1.0
 
 
@@ -193,9 +195,9 @@ def test_reg_at_origin_returns_zero_and_leaves_grad(tiny_model):
     moved = replace(origin, flat=rows)
     value, grad = reg_value_and_grad(moved, ctx, replace(origin, flat=prefill.copy()))
     composed, target = compose_updates(moved), compose_updates(origin)
-    mask = mask_vector(max(s.depth for s in origin.specs) + 1, 1)
+    band = masked_depths(max(s.depth for s in origin.specs) + 1, 1)
     want = 0.2 * sum(
-        np.sum((composed.layers[i][1] - target.layers[i]) ** 2) for i, s in enumerate(origin.specs) if mask[s.depth]
+        np.sum((composed.layers[i][1] - target.layers[i]) ** 2) for i, s in enumerate(origin.specs) if s.depth in band
     )
     assert value[0] == 0.0 and value[1] > 0.0
     assert value[1] == pytest.approx(want, rel=1e-12)

@@ -224,6 +224,30 @@ def test_section_keys_name_fields_with_the_same_default():
     assert checked == 23
 
 
+# The fields ExperimentConfig's set-up fills rather than a key of the
+# field's own name: the seeds derived from the master seed, the model's
+# input layout from the train manifest, the FL run's local and reg
+# sections, and the synth class count and per-split sample count.
+SET_UP_FIELDS = {
+    LocalTrainConfig: set(),
+    RegularizerConfig: set(),
+    ModelConfig: {"modality_dims", "class_count", "seed"},
+    FLRunConfig: {"local", "reg", "seed"},
+    SynthConfig: {"class_count", "samples_per_class", "seed"},
+    ScenarioSpec: {"seed"},
+}
+
+
+def test_every_section_field_has_a_key_or_a_set_up_source():
+    # a field no key and no set-up fills is a setting no run can change
+    prefixes = {cls: prefix for prefix, cls in SECTIONS.items()} | {ScenarioSpec: "scenario"}
+    for cls, set_up in SET_UP_FIELDS.items():
+        names = {f.name for f in fields(cls)}
+        assert set_up <= names, cls.__name__
+        unset = sorted(name for name in names - set_up if f"{prefixes[cls]}.{name}" not in SCHEMA)
+        assert unset == [], f"{cls.__name__} fields with no key or set-up source: {unset}"
+
+
 @pytest.mark.parametrize("kind", SCENARIO_KNOBS)
 def test_scenario_spec_sets_exactly_the_kinds_knob(kind):
     knobs = {"alpha": 0.7, "beta": 0.3, "image_only_clients": 4, "keep_prob": 0.6}

@@ -246,7 +246,7 @@ def test_validate_rejects_label_out_of_range():
 
 
 _FAULTS = ("non_finite", "wrong_length", "negative_label", "fractional_label", "large_label", "duplicate_id",
-           "undeclared", "empty", "list_vector")
+           "undeclared", "empty", "list_vector", "str_vector", "complex_vector", "object_vector", "no_number_label")
 
 
 @st.composite
@@ -293,6 +293,15 @@ def _faulty_records(draw):
             sample.features = {}
         elif fault == "list_vector" and name:
             sample.features[name] = sample.features[name].tolist()
+        elif fault == "str_vector" and name:
+            vec = sample.features[name]
+            sample.features[name] = draw(st.sampled_from([str(vec.tolist()), vec.astype(str)]))
+        elif fault == "complex_vector" and name:
+            sample.features[name] = sample.features[name] + draw(st.sampled_from([0j, 1j]))
+        elif fault == "object_vector" and name:
+            sample.features[name] = sample.features[name].astype(object)
+        elif fault == "no_number_label":
+            sample.label = draw(st.sampled_from(["x", "1", None, [1], 1j]))
     mods = tuple(ModalityDescriptor(n, d) for n, d in zip(names, dims))
     return mods, classes, samples
 
@@ -323,6 +332,22 @@ def test_validate_matches_per_sample_reference(records):
             assert all(got.features[k].view(np.uint64).tolist() == want.features[k].view(np.uint64).tolist() for k in want.features)
 
 
+@pytest.mark.parametrize(
+    "vector",
+    [[0.0, 1.0], "0.0, 1.0", np.array(["0.0", "1.0"]), np.array([0.0, 1.0], dtype=object), np.array([0.0, 1.0 + 0j]),
+     np.array([0.0, 1.0 + 2j])],
+    ids=["list", "str", "str-array", "object-array", "complex-array", "complex-array-with-imaginary-part"],
+)
+def test_validate_rejects_vector_that_is_no_real_array(vector):
+    # sample 'c' is faulty too, so the error must name the first in record order
+    _, samples = manual_records()
+    samples[1].features["image"] = vector
+    samples[2].features["text"] = [1.0, 1.0]
+    message = "sample 'b' modality 'image' is not a numpy array of bools, ints, uints or floats"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        manual_manifest(samples)
+
+
 def test_validate_rejects_negative_fractional_label():
     _, samples = manual_records()
     samples[2].label = -0.5
@@ -330,11 +355,14 @@ def test_validate_rejects_negative_fractional_label():
         manual_manifest(samples)
 
 
-@pytest.mark.parametrize("label", [0.5, 1.0, np.float64(1.0)], ids=["0.5", "1.0", "float64-1.0"])
+@pytest.mark.parametrize(
+    "label", [0.5, 1.0, np.float64(1.0), "x", None, [1], 1j], ids=["0.5", "1.0", "float64-1.0", "str", "None", "list", "complex"]
+)
 def test_validate_rejects_label_that_is_not_an_integer(label):
     _, samples = manual_records()
     samples[1].label = label
-    with pytest.raises(ValueError, match=f"^sample 'b' label {label} is not an integer$"):
+    message = f"sample 'b' label {label} is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         manual_manifest(samples)
 
 

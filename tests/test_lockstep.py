@@ -18,7 +18,7 @@ from fedmm.client import (
     TrainSet,
     local_train,
     lockstep_groups,
-    mask_vector,
+    masked_depths,
     round_reg_context,
 )
 from fedmm.model import AdapterDelta, BaseWeights, Batch, ModelConfig, compose_updates, effective_weights, init_model, loss_and_grad
@@ -57,7 +57,9 @@ def reference_context(target, margin, gamma):
     """The proximal inputs the frozen reference reads: targets composed by
     its own compose_delta, the depth mask and gamma."""
     targets = [reference.compose_delta(target, i) for i in range(len(target.specs))]
-    return SimpleNamespace(targets=targets, mask=mask_vector(max(s.depth for s in target.specs) + 1, margin), gamma=gamma)
+    depth = max(s.depth for s in target.specs) + 1
+    band = masked_depths(depth, margin)
+    return SimpleNamespace(targets=targets, mask=[d in band for d in range(depth)], gamma=gamma)
 
 
 @st.composite

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import manual_manifest, round_robin_partition, shards, tiny_manifest
+from conftest import manual_manifest, manual_records, round_robin_partition, shards, tiny_manifest
 from fedmm.client import RegularizerConfig
+from fedmm.data import DatasetManifest
 from fedmm.partitioner import (
     ScenarioSpec,
     apply_cross,
@@ -87,6 +88,20 @@ def test_partition_union_disjoint_property(clients, alpha, seed):
     assert partition.bounds.tolist() == [0, *np.cumsum(partition.sizes()).tolist()]
     assert len(partition.sizes()) == clients and all(type(n) is int for n in partition.sizes())
     assert not any(a.flags.writeable for a in (partition.rows, partition.masks, partition.bounds))
+
+
+def test_class_without_samples_is_skipped_and_draws_nothing():
+    # class 2 is declared but holds no sample: it takes no rows and no
+    # draws, so the partition is the one the two-class manifest gets
+    mods, records = manual_records()
+    manifest = DatasetManifest.from_records(mods, 3, "train", records)
+    two_classes = manual_manifest()
+    for clients in (1, 3):
+        partition = dirichlet_partition(manifest, clients, 0.5, seed=5)
+        assert sorted(partition.rows.tolist()) == list(range(len(manifest)))
+        assert np.array_equal(partition.masks, manifest.presence[partition.rows])
+        same = dirichlet_partition(two_classes, clients, 0.5, seed=5)
+        assert partition.rows.tolist() == same.rows.tolist() and partition.bounds.tolist() == same.bounds.tolist()
 
 
 def test_partition_deterministic(manifest):

@@ -13,7 +13,11 @@ from fedmm.model import ModelConfig, init_model, layer_specs, load_checkpoint, l
 from fedmm.partitioner import dirichlet_partition
 from fedmm.server import (
     AGGREGATOR_KINDS,
+    BETA1,
+    BETA2,
     DEFAULT_SERVER_LR,
+    MOMENTUM,
+    TAU,
     FLRunConfig,
     RunLog,
     SERVER_STATE_BUFFERS,
@@ -435,10 +439,6 @@ def test_server_state_round_trips_every_field(tmp_path, tiny_delta, kind):
         second_moment=gen.random(width),
         momentum_buf=gen.normal(size=width),
         round=17,
-        beta1=0.81,
-        beta2=0.93,
-        tau=2.5e-4,
-        momentum=0.55,
     )
     path = tmp_path / "state.bin"
     save_server_state(path, state)
@@ -499,13 +499,22 @@ def test_init_server_state_rejects_lr_not_positive(tiny_delta, lr):
         init_server_state("adam", tiny_delta, lr=lr)
 
 
-@pytest.mark.parametrize("key,value", [("lr", 0.0), ("lr", -5.0), ("lr", 0), ("tau", 0.0), ("tau", -1.0), ("tau", -1)])
-def test_load_server_state_rejects_rate_not_positive(tmp_path, tiny_delta, key, value):
-    path = tmp_path / "state.bin"
+def assert_header_value_rejected(path, tiny_delta, key, value, asks):
     save_server_state(path, init_server_state("adam", tiny_delta))
     rewrite_tensor_file(path, lambda meta, arrays: meta.update({key: value}))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header key {key!r} must be > 0, got {value!r}$"):
+    want = f"{path}: header key {key!r} must {asks}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         load_server_state(path)
+
+
+CONSTANTS = {"beta1": BETA1, "beta2": BETA2, "tau": TAU, "momentum": MOMENTUM}
+
+
+@pytest.mark.parametrize("key,value", [("lr", 0.0), ("lr", -5.0), ("lr", 0), ("tau", 0.0), ("tau", -1.0), ("tau", -1)])
+def test_load_server_state_rejects_rate_not_positive(tmp_path, tiny_delta, key, value):
+    # tau is a constant: the header must hold TAU itself
+    asks = "be > 0" if key == "lr" else f"be {TAU!r}"
+    assert_header_value_rejected(tmp_path / "state.bin", tiny_delta, key, value, asks)
 
 
 @pytest.mark.parametrize(
@@ -513,12 +522,14 @@ def test_load_server_state_rejects_rate_not_positive(tmp_path, tiny_delta, key, 
     [("beta1", 2.0), ("beta1", 1), ("beta2", -0.5), ("beta2", 1.5), ("momentum", 1.0), ("momentum", -0.1)],
 )
 def test_load_server_state_rejects_decay_outside_unit_interval(tmp_path, tiny_delta, key, value):
-    # beta2 = 1.5 turns adam's and yogi's second moment negative, and its sqrt NaN
-    path = tmp_path / "state.bin"
-    save_server_state(path, init_server_state("adam", tiny_delta))
-    rewrite_tensor_file(path, lambda meta, arrays: meta.update({key: value}))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header key {key!r} must lie in \\[0, 1\\), got {value!r}$"):
-        load_server_state(path)
+    assert_header_value_rejected(tmp_path / "state.bin", tiny_delta, key, value, f"be {CONSTANTS[key]!r}")
+
+
+@pytest.mark.parametrize("key,value", [("beta1", 0.8), ("beta2", 0.5), ("tau", 2e-3), ("momentum", 0.55)])
+def test_load_server_state_rejects_constant_other_than_server_step_uses(tmp_path, tiny_delta, key, value):
+    # values a range rule would admit; a run's config.resolved cannot
+    # state them, so a resumed run could not say what it continued under
+    assert_header_value_rejected(tmp_path / "state.bin", tiny_delta, key, value, f"be {CONSTANTS[key]!r}")
 
 
 def test_load_server_state_rejects_unknown_aggregator(tmp_path, tiny_delta):
@@ -710,8 +721,7 @@ def test_avgm_default_lr_reaches_plain_avg():
     """avgm's steady step is lr / (1 - momentum) times the averaged delta;
     its default lr makes that plain_avg's step, so a default avgm run ends
     where plain_avg does instead of overshooting tenfold."""
-    momentum = ServerState.momentum
-    assert DEFAULT_SERVER_LR["avgm"] / (1.0 - momentum) == pytest.approx(DEFAULT_SERVER_LR["plain_avg"])
+    assert DEFAULT_SERVER_LR["avgm"] / (1.0 - MOMENTUM) == pytest.approx(DEFAULT_SERVER_LR["plain_avg"])
     finals = {}
     for kind in ("plain_avg", "avgm"):
         log, _, _ = run_rounds(*run_config(
